@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -259,9 +260,13 @@ def _ellipticity_spot_check(field: CoefficientField, seed: int, n: int = 256):
         return {"n": n, "min_disc": None, "error": str(err)}
 
 
-def _construct_pipeline(cfg: dict):
-    """march + diagnostics + reconstruction; shared by several commands."""
-    curve, field, params, report, reversed_curve = _prepare(cfg)
+def _construct_pipeline(cfg: dict, prepared):
+    """march + diagnostics + reconstruction; shared by several commands.
+
+    ``prepared`` is the tuple ``_prepare(cfg)`` returned, so a command that
+    has already classified its input curve does not classify it again.
+    """
+    curve, field, params, report, reversed_curve = prepared
     strip = march(curve, field, params)
     result = {
         "classification": _classification_dict(report),
@@ -313,6 +318,17 @@ def _construct_pipeline(cfg: dict):
     return curve, field, strip, patch, residual_report, result
 
 
+def _strict_json(value):
+    """Copy of ``value`` with non-finite floats as null (RFC 8259 has no NaN)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(item) for item in value]
+    return value
+
+
 def _write_outputs(cfg: dict, strip, patch, residual_report, report: dict,
                    curve=None, extra_curves=()):
     out = Path(cfg["out"])
@@ -323,7 +339,8 @@ def _write_outputs(cfg: dict, strip, patch, residual_report, report: dict,
             (out / _PATCH_CSV).write_text(patch_to_csv(patch))
     if cfg["emit"]["json"]:
         (out / _REPORT_JSON).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n")
+            json.dumps(_strict_json(report), indent=2, sort_keys=True,
+                       allow_nan=False) + "\n")
     if cfg["emit"]["svg"]:
         _write_svgs(out, cfg, report, strip, patch, residual_report,
                     curve=curve, extra_curves=extra_curves)
@@ -360,7 +377,8 @@ def _write_svgs(out: Path, cfg: dict, report: dict, strip, patch,
 
 
 def cmd_construct(cfg: dict) -> int:
-    curve, field, strip, patch, residual_report, result = _construct_pipeline(cfg)
+    curve, field, strip, patch, residual_report, result = \
+        _construct_pipeline(cfg, _prepare(cfg))
     code = _STATUS_EXIT[strip.status]
     if code == EXIT_OK and patch is not None and patch.multivalued:
         code = EXIT_MULTIVALUED
@@ -371,7 +389,8 @@ def cmd_construct(cfg: dict) -> int:
 
 
 def cmd_roundtrip(cfg: dict) -> int:
-    curve, field, params, cls, reversed_curve = _prepare(cfg)
+    prepared = _prepare(cfg)
+    cls = prepared[3]
     if not (cls.regular and cls.strictly_convex and cls.embedded):
         report = {
             "command": "roundtrip", "exit_code": EXIT_PRECONDITION,
@@ -383,8 +402,8 @@ def cmd_roundtrip(cfg: dict) -> int:
         _write_outputs(cfg, None, None, None, report)
         return EXIT_PRECONDITION
 
-    curve2, field2, strip, patch, residual_report, result = \
-        _construct_pipeline(cfg)
+    curve, field, strip, patch, residual_report, result = \
+        _construct_pipeline(cfg, prepared)
     report = {"command": "roundtrip", "config": cfg}
     report.update(result)
     code = _STATUS_EXIT[strip.status]
@@ -392,7 +411,7 @@ def cmd_roundtrip(cfg: dict) -> int:
         code = EXIT_MULTIVALUED if patch is not None else EXIT_VALIDATION
     if code != EXIT_OK:
         report["exit_code"] = code
-        _write_outputs(cfg, strip, patch, residual_report, report, curve=curve2)
+        _write_outputs(cfg, strip, patch, residual_report, report, curve=curve)
         return code
 
     tol = float(cfg["roundtrip"]["tolerance"])
@@ -406,7 +425,7 @@ def cmd_roundtrip(cfg: dict) -> int:
         lg = limit_gradient(sampler, radii,
                             n_theta=int(extract_cfg["n_theta"]),
                             degree=int(extract_cfg["degree"]))
-        distance = hausdorff_distance(curve2, lg.curve)
+        distance = hausdorff_distance(curve, lg.curve)
         return lg, distance
 
     lg, distance = one_branch(patch)
@@ -428,7 +447,7 @@ def cmd_roundtrip(cfg: dict) -> int:
 
     code = EXIT_OK if worst <= tol else EXIT_TOLERANCE
     report["exit_code"] = code
-    _write_outputs(cfg, strip, patch, residual_report, report, curve=curve2,
+    _write_outputs(cfg, strip, patch, residual_report, report, curve=curve,
                    extra_curves=extra_curves)
     return code
 
@@ -438,7 +457,8 @@ def cmd_verify(cfg: dict) -> int:
     if oracle != "radial-reference":
         raise ValidationError(f"unknown oracle {oracle!r}; known: radial-reference")
 
-    curve, field, strip, patch, residual_report, result = _construct_pipeline(cfg)
+    curve, field, strip, patch, residual_report, result = \
+        _construct_pipeline(cfg, _prepare(cfg))
     report = {"command": "verify", "config": cfg, "oracle": oracle}
     report.update(result)
     code = _STATUS_EXIT[strip.status]
@@ -478,7 +498,12 @@ def cmd_plot(cfg: dict) -> int:
     if not report_path.is_file():
         raise ValidationError(
             f"no {_REPORT_JSON} in {out}; run construct/roundtrip/verify first")
-    report = json.loads(report_path.read_text())
+    try:
+        report = json.loads(report_path.read_text())
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"{report_path} is not valid JSON: {err}") from None
+    if not isinstance(report, dict):
+        raise ValidationError(f"{report_path} does not hold a JSON object")
 
     run_cfg = _merge(DEFAULT_CONFIG, report.get("config"))
     overlays = [("input", _curve_polyline(_load_curve(run_cfg)))]

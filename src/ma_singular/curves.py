@@ -5,7 +5,11 @@ cosine/sine series in u, hence exactly 2*pi-periodic and real analytic.
 These are the candidate limit gradients; classification checks the three
 gates that matter downstream: regularity (min speed), strict convexity
 with negative orientation (min of alpha'' beta' - alpha' beta''), and
-embeddedness (polyline self-intersection test).
+embeddedness.  Embeddedness of a regular, locally strictly convex curve
+(convexity expression of one strict sign) is decided in O(n) by its
+turning number, which is +-1 exactly for embedded ones (Hopf's
+Umlaufsatz); every other curve goes through the O(n^2) polyline
+self-intersection test.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ class CurveReport:
     orientation: str              # "negative" | "positive" | "degenerate"
     regular: bool
     strictly_convex: bool         # convexity margin > tol (negative orientation)
-    embedded: bool                # Jordan polyline test
+    embedded: bool                # turning number or Jordan polyline test
     u_star: float                 # location of the convexity minimum
     tol: float = field(default=DEFAULT_TOL)
 
@@ -229,24 +233,48 @@ def _polyline_self_intersects(points: np.ndarray) -> bool:
     return False
 
 
+def _turning_number(d_alpha, d_beta):
+    """Rotation index of the closed tangent polygon, or None if unresolved.
+
+    The unwrapped change of atan2(beta', alpha') around the closed grid is
+    an exact multiple of 2*pi once every step is resolved.  The answer is
+    only trusted when every step turns the same way by less than pi/2, so
+    a tangent spinning past a coarse sample at low speed cannot alias.
+    """
+    theta = np.arctan2(d_beta, d_alpha)
+    steps = (np.roll(theta, -1) - theta + np.pi) % (2 * np.pi) - np.pi
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        return None
+    if np.max(np.abs(steps)) >= np.pi / 2:
+        return None
+    return int(round(float(np.sum(steps)) / (2 * np.pi)))
+
+
 def classify_curve(curve: PeriodicCurve, n_grid: int = 2048,
                    tol: float = DEFAULT_TOL) -> CurveReport:
-    """Scan margins on a grid, refine the minima, and run the Jordan test.
+    """Scan margins on a grid, refine the extrema, and decide embeddedness.
 
     ``n_grid`` must be at least 8*(degree+1) so the extrema scan cannot
     alias past a genuine dip.  Degenerate curves produce reports with the
     appropriate flags down, never exceptions.
+
+    A regular curve whose convexity expression keeps one strict sign has a
+    strictly monotone tangent angle, so by Hopf's Umlaufsatz it is embedded
+    exactly when its turning number is +-1; that O(n) test decides it.
+    Every other curve, and any curve whose tangent the grid does not
+    resolve, goes through the polyline self-intersection test.
     """
     if n_grid < 8 * (curve.degree + 1):
         raise ValidationError(
             f"n_grid={n_grid} is below 8*(degree+1)={8 * (curve.degree + 1)}")
     grid = np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False)
+    _, _, da, db, dda, ddb = eval_curve(curve, grid)
 
-    speed2 = _speed2(curve, grid)
+    speed2 = da * da + db * db
     reg2, _ = _refined_min(lambda u: _speed2(curve, u), grid, speed2)
     regularity_margin = float(np.sqrt(max(reg2, 0.0)))
 
-    conv = _convexity(curve, grid)
+    conv = dda * db - da * ddb
     convexity_margin, u_star = _refined_min(lambda u: _convexity(curve, u), grid, conv)
 
     if convexity_margin > tol:
@@ -256,9 +284,18 @@ def classify_curve(curve: PeriodicCurve, n_grid: int = 2048,
     else:
         orientation = "degenerate"
 
-    pts_u = np.linspace(0.0, 2 * np.pi, JORDAN_SAMPLES, endpoint=False)
-    alpha, beta, *_ = eval_curve(curve, pts_u)
-    embedded = not _polyline_self_intersects(np.column_stack([alpha, beta]))
+    # Sign-definite convexity: the refined minimum is positive, or the
+    # refined maximum (minimum of the negation) is negative.
+    locally_convex = regularity_margin > tol and (
+        convexity_margin > tol
+        or -_refined_min(lambda u: -_convexity(curve, u), grid, -conv)[0] < -tol)
+    turning = _turning_number(da, db) if locally_convex else None
+    if turning is not None:
+        embedded = abs(turning) == 1
+    else:
+        pts_u = np.linspace(0.0, 2 * np.pi, JORDAN_SAMPLES, endpoint=False)
+        alpha, beta, *_ = eval_curve(curve, pts_u)
+        embedded = not _polyline_self_intersects(np.column_stack([alpha, beta]))
 
     return CurveReport(
         regularity_margin=regularity_margin,

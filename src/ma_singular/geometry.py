@@ -594,39 +594,54 @@ def patch_to_csv(patch: GraphPatch) -> str:
 
 
 def patch_from_csv(text: str) -> GraphPatch:
-    """Rebuild a patch from its CSV; the field reference does not survive."""
+    """Rebuild a patch from its CSV; the field reference does not survive.
+
+    Raises:
+        ValidationError: the text is not a well-formed patch CSV.
+    """
     meta = {}
     v = None
     rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            key = key.strip()
-            if key == "v":
-                v = np.array([float(tok) for tok in value.split()])
-            else:
-                meta[key] = value.strip()
-            continue
-        if line.startswith(_PATCH_COLUMNS[0] + ","):
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    if v is None or "n_u" not in meta:
+    try:
+        for line in text.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, value = line[1:].partition(":")
+                key = key.strip()
+                if key == "v":
+                    v = np.array([float(tok) for tok in value.split()])
+                else:
+                    meta[key] = value.strip()
+                continue
+            if line.startswith(_PATCH_COLUMNS[0] + ","):
+                continue
+            rows.append([float(tok) for tok in line.split(",")])
+        n_u = int(meta["n_u"]) if "n_u" in meta else None
+        r_min = float(meta.get("r_min", "nan"))
+        r_max = float(meta.get("r_max", "nan"))
+    except ValueError as err:
+        raise ValidationError(f"patch CSV has a malformed value: {err}") from None
+    if v is None or n_u is None:
         raise ValidationError("patch CSV is missing its header block")
-    n_u = int(meta["n_u"])
+    if any(len(row) != len(_PATCH_COLUMNS) for row in rows):
+        raise ValidationError(
+            f"patch CSV rows must have {len(_PATCH_COLUMNS)} cells")
     data = np.array(rows)
-    if data.size == 0 or data.shape[0] % n_u:
+    if n_u < 1 or data.size == 0 or data.shape[0] % n_u:
         raise ValidationError("patch CSV row count does not match n_u")
     n_levels = data.shape[0] // n_u
+    if v.size != n_levels:
+        raise ValidationError(
+            f"patch CSV header lists {v.size} v values for {n_levels} levels")
     grids = {name: data[:, i].reshape(n_levels, n_u)
              for i, name in enumerate(_PATCH_COLUMNS)}
     return GraphPatch(
         v=v, u=2.0 * np.pi * np.arange(n_u) / n_u,
         multivalued=meta.get("multivalued", "false") == "true",
-        r_min=float(meta.get("r_min", "nan")),
-        r_max=float(meta.get("r_max", "nan")),
+        r_min=r_min,
+        r_max=r_max,
         provenance=meta.get("provenance", "csv"),
         field=None,
         **grids,

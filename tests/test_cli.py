@@ -13,6 +13,7 @@ from ma_singular.cli import (
     main,
     report_schema,
 )
+from ma_singular.curves import classify_curve
 from ma_singular.errors import ValidationError
 
 SMALL_BOX_FIELD = {
@@ -22,8 +23,13 @@ SMALL_BOX_FIELD = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"report.json holds {name}, which RFC 8259 forbids")
+
+
 def read_report(out_dir):
-    report = json.loads((out_dir / "report.json").read_text())
+    report = json.loads((out_dir / "report.json").read_text(),
+                        parse_constant=_reject_constant)
     jsonschema.validate(report, report_schema())
     return report
 
@@ -121,6 +127,19 @@ def test_construct_box_exit_is_six(tmp_path):
     assert read_report(out)["status"] == "box-exit"
 
 
+def test_box_exit_report_is_strict_json(tmp_path):
+    # The march leaves the box before its first level, so no level has a
+    # positive Jacobian and its minimum is not a number.
+    field = dict(SMALL_BOX_FIELD, box=dict(SMALL_BOX_FIELD["box"],
+                                           x=[-1e-3, 1e-3]))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"field": {"literal": field},
+                               "march": {"R": 0.5, "dv": 0.4}}))
+    out = tmp_path / "run"
+    assert main(["construct", "--config", str(cfg), "--out", str(out)]) == 6
+    assert read_report(out)["jacobian"]["min_over_positive_v"] is None
+
+
 def test_construct_ellipticity_loss_is_five(tmp_path):
     field = dict(SMALL_BOX_FIELD, E="1 - 60*z",
                  box={"x": [-1, 1], "y": [-1, 1], "z": [-1, 1],
@@ -180,10 +199,19 @@ def test_curve_file_and_auto_reverse(tmp_path):
 # roundtrip
 
 
-def test_roundtrip_circle_passes_both_branches(tmp_path):
+def test_roundtrip_circle_passes_both_branches(tmp_path, monkeypatch):
+    import ma_singular.cli as cli
+    calls = []
+
+    def counting_classify(curve, *args, **kwargs):
+        calls.append(curve)
+        return classify_curve(curve, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "classify_curve", counting_classify)
     out = tmp_path / "run"
     code = main(["roundtrip", "--out", str(out)])
     assert code == 0
+    assert len(calls) == 1  # the input curve is classified once
     report = read_report(out)
     assert report["hausdorff"] < 1e-3
     assert report["hausdorff_reflected"] < 1e-3
@@ -241,6 +269,36 @@ def test_plot_renders_previous_run(tmp_path):
 
 def test_plot_without_run_is_two(tmp_path):
     assert main(["plot", "--out", str(tmp_path / "empty")]) == 2
+
+
+@pytest.mark.parametrize("text", ["{bad", "[1, 2]"])
+def test_plot_corrupt_report_is_two(tmp_path, capsys, text):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "report.json").write_text(text)
+    assert main(["plot", "--out", str(out)]) == 2
+    assert "report.json" in capsys.readouterr().err
+
+
+def _corrupt_cell(lines):
+    lines[-1] = "oops," + lines[-1].partition(",")[2]
+
+
+def _empty_v_header(lines):
+    lines[:] = ["# v:" if line.startswith("# v:") else line
+                for line in lines]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_cell, _empty_v_header])
+def test_plot_corrupt_patch_csv_is_two(tmp_path, capsys, corrupt):
+    out = tmp_path / "run"
+    assert main(["construct", "--out", str(out), "--set", "march.R=0.03"]) == 0
+    patch_csv = out / "patch.csv"
+    lines = patch_csv.read_text().splitlines()
+    corrupt(lines)
+    patch_csv.write_text("\n".join(lines) + "\n")
+    assert main(["plot", "--out", str(out)]) == 2
+    assert "patch CSV" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ma_singular.curves import (
+    JORDAN_SAMPLES,
+    CurveReport,
     PeriodicCurve,
+    _polyline_self_intersects,
     builtin_curve,
     builtin_curve_names,
     classify_curve,
@@ -176,3 +179,104 @@ def test_small_perturbations_stay_convex(eps, phase):
     assert rep.regular
     if eps < 0.05:
         assert rep.strictly_convex
+
+
+# Reports as classified by the O(n^2) polyline test alone.  None marks a
+# u_star that only round-off picks: the convexity expression of circle and
+# ellipse is constant, so every u is a minimiser.
+GALLERY_REPORTS = {
+    ("circle", False): (0.9999999999999999, 0.9999999999999998, "negative",
+                        True, True, True, None),
+    ("circle", True): (0.9999999999999999, -1.0000000000000002, "positive",
+                       True, False, True, None),
+    ("ellipse", False): (0.6, 0.47999999999999987, "negative",
+                         True, True, True, None),
+    ("ellipse", True): (0.6, -0.48000000000000015, "positive",
+                        True, False, True, None),
+    ("limacon", False): (0.25, 0.1875, "negative",
+                         True, True, False, 3.141592653589793),
+    ("limacon", True): (0.25, -0.9375000000000001, "positive",
+                        True, False, False, 5.6523322677161374e-09),
+    ("remark42", False): (0.42607077853264674, 0.0, "degenerate",
+                          True, False, False, 0.0),
+    ("remark42", True): (0.42607077853264674, -4.0, "positive",
+                         True, False, False, 4.71238898038469),
+    ("wobble", False): (0.8, 0.72, "negative", True, True, True,
+                        3.141592653589793),
+    ("wobble", True): (0.8, -1.1199999999999999, "positive",
+                       True, False, True, 0.0),
+}
+
+
+@pytest.mark.parametrize("name,reverse", sorted(GALLERY_REPORTS))
+def test_gallery_reports_are_unchanged(name, reverse):
+    curve = builtin_curve(name)
+    rep = classify_curve(curve.reverse() if reverse else curve)
+    reg, conv, orientation, regular, convex, embedded, u_star = \
+        GALLERY_REPORTS[name, reverse]
+    assert isinstance(rep, CurveReport)
+    assert rep.regularity_margin == pytest.approx(reg, rel=1e-12, abs=1e-12)
+    assert rep.convexity_margin == pytest.approx(conv, rel=1e-12, abs=1e-12)
+    assert (rep.orientation, rep.regular, rep.strictly_convex, rep.embedded) \
+        == (orientation, regular, convex, embedded)
+    if u_star is not None:
+        assert rep.u_star == pytest.approx(u_star, rel=1e-12, abs=1e-12)
+
+
+def _complex_curve(modes: dict) -> PeriodicCurve:
+    """alpha + i beta = sum of c_k exp(i k u) over the given modes."""
+    degree = max(abs(k) for k in modes)
+    a_c, a_s, b_c, b_s = (np.zeros(degree + 1) for _ in range(4))
+    for k, c in modes.items():
+        sign = 1.0 if k >= 0 else -1.0
+        # c exp(iku) = (a + ib)(cos |k|u + i sign sin |k|u)
+        a_c[abs(k)] += c.real
+        a_s[abs(k)] -= sign * c.imag
+        b_c[abs(k)] += c.imag
+        b_s[abs(k)] += sign * c.real
+    return PeriodicCurve(a_c, a_s, b_c, b_s)
+
+
+_coefficient = st.floats(min_value=-0.02, max_value=0.02)
+
+
+@settings(deadline=None, max_examples=12)
+@given(m=st.sampled_from([-2, 2, 3]), looped=st.booleans(),
+       t=st.floats(min_value=0.0, max_value=1.0),
+       phase=st.floats(min_value=0.0, max_value=2 * np.pi),
+       scale=st.floats(min_value=0.2, max_value=5.0),
+       noise=st.lists(st.tuples(_coefficient, _coefficient),
+                      min_size=7, max_size=7),
+       reverse=st.booleans())
+@example(m=2, looped=True, t=0.0, phase=0.0, scale=1.0,
+         noise=[(0.0, 0.0)] * 7, reverse=False)
+@example(m=3, looped=True, t=0.5, phase=1.0, scale=0.5,
+         noise=[(0.0, 0.0)] * 7, reverse=True)
+def test_turning_number_agrees_with_polyline(m, looped, t, phase, scale,
+                                             noise, reverse):
+    # exp(iu) + rho exp(imu) has sign-definite convexity with turning number
+    # 1 for rho < 1/m^2 and m for rho > 1/|m|; the looped draws keep rho at
+    # 2/|m| or more, so the inner loops span many polyline samples.
+    rho = (2.0 / abs(m) + t) if looped else 0.8 * t / m ** 2
+    modes = {k: complex(*c) for k, c in zip(range(-3, 4), noise)}
+    modes[1] = modes[1] + 1.0
+    modes[m] = modes[m] + rho
+    rotation = scale * np.exp(1j * phase)
+    curve = _complex_curve({k: rotation * c for k, c in modes.items()})
+    if reverse:
+        curve = curve.reverse()
+
+    u = np.linspace(0.0, 2 * np.pi, JORDAN_SAMPLES, endpoint=False)
+    alpha, beta, da, db, dda, ddb = eval_curve(curve, u)
+    speed2 = da * da + db * db
+    conv = dda * db - da * ddb
+    # Keep curves whose convexity keeps one sign with room to spare, and
+    # whose tangent turns by at most 0.05 rad between polyline samples.
+    assume(np.min(np.abs(conv)) > 1e-3 * scale ** 2)
+    assume(np.all(conv > 0) or np.all(conv < 0))
+    assume(np.max(np.abs(conv) / speed2) * (u[1] - u[0]) < 0.05)
+
+    rep = classify_curve(curve)
+    oracle = not _polyline_self_intersects(np.column_stack([alpha, beta]))
+    assert rep.embedded == oracle
+    assert rep.embedded == (not looped)
