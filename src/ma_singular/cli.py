@@ -283,12 +283,11 @@ def _construct_pipeline(cfg: dict, prepared):
     }
 
     J, min_positive = jacobian(strip)
-    positive_levels = [k for k in range(1, strip.n_levels)
-                       if np.min(J[k]) > 0.0]
+    positive_levels = np.flatnonzero(np.min(J[1:], axis=1) > 0) + 1
     result["jacobian"] = {
         "min_over_positive_v": min_positive,
         "largest_v_with_positive_J": (
-            float(strip.v[positive_levels[-1]]) if positive_levels else None),
+            float(strip.v[positive_levels[-1]]) if positive_levels.size else None),
     }
 
     patch = None
@@ -376,6 +375,14 @@ def _write_svgs(out: Path, cfg: dict, report: dict, strip, patch,
 # Commands
 
 
+def _pipeline_exit(strip, patch) -> int:
+    """Exit code of a pipeline run whose claim is a single-valued patch."""
+    code = _STATUS_EXIT[strip.status]
+    if code == EXIT_OK and (patch is None or patch.multivalued):
+        code = EXIT_MULTIVALUED if patch is not None else EXIT_VALIDATION
+    return code
+
+
 def cmd_construct(cfg: dict) -> int:
     curve, field, strip, patch, residual_report, result = \
         _construct_pipeline(cfg, _prepare(cfg))
@@ -406,9 +413,7 @@ def cmd_roundtrip(cfg: dict) -> int:
         _construct_pipeline(cfg, prepared)
     report = {"command": "roundtrip", "config": cfg}
     report.update(result)
-    code = _STATUS_EXIT[strip.status]
-    if code == EXIT_OK and (patch is None or patch.multivalued):
-        code = EXIT_MULTIVALUED if patch is not None else EXIT_VALIDATION
+    code = _pipeline_exit(strip, patch)
     if code != EXIT_OK:
         report["exit_code"] = code
         _write_outputs(cfg, strip, patch, residual_report, report, curve=curve)
@@ -461,9 +466,7 @@ def cmd_verify(cfg: dict) -> int:
         _construct_pipeline(cfg, _prepare(cfg))
     report = {"command": "verify", "config": cfg, "oracle": oracle}
     report.update(result)
-    code = _STATUS_EXIT[strip.status]
-    if code == EXIT_OK and (patch is None or patch.multivalued):
-        code = EXIT_MULTIVALUED if patch is not None else EXIT_VALIDATION
+    code = _pipeline_exit(strip, patch)
     if code != EXIT_OK:
         report["exit_code"] = code
         _write_outputs(cfg, strip, patch, residual_report, report, curve=curve)

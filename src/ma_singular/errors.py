@@ -21,7 +21,12 @@ class ParseError(ValidationError):
 
 
 class FieldEvalError(RuntimeError):
-    """Base class for failures while evaluating a coefficient field."""
+    """A coefficient field could not be evaluated at a state.
+
+    Raised as is when a coefficient is NaN or infinite (log/sqrt domain,
+    overflow; domain failures are never clamped).  The subclasses below
+    name the box and ellipticity failures.
+    """
 
 
 class OutOfBoxError(FieldEvalError):
@@ -43,13 +48,6 @@ class EllipticityError(FieldEvalError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
-
-
-class NonFiniteError(FieldEvalError):
-    """A coefficient evaluated to NaN or infinity (log/sqrt domain, overflow).
-
-    Domain failures are never clamped; they surface here.
-    """
 
 
 class MarchError(RuntimeError):

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .curves import CurveReport, PeriodicCurve, classify_curve, eval_curve, fit_curve
 from .errors import CoverageError, ValidationError
-from .geometry import GraphPatch, _radius_at_angles, _unwrap_angles
+from .geometry import GraphPatch, _level_cover, _radius_at_angles, _unwrap_angles
 
 __all__ = [
     "LimitGradientResult",
@@ -125,10 +125,10 @@ class PatchSampler:
         self._theta = []
         self._u_grid = patch.u
         for k in range(patch.n_levels):
-            theta, winding = _unwrap_angles(patch.x[k], patch.y[k])
-            if abs(winding) != 1:
+            if _level_cover(patch.x[k], patch.y[k],
+                            (patch.z[k], patch.p[k], patch.q[k])) is None:
                 raise ValidationError("patch level is not star-shaped")
-            self._theta.append(theta)
+            self._theta.append(_unwrap_angles(patch.x[k], patch.y[k])[0])
         query = np.linspace(-np.pi, np.pi, 720, endpoint=False)
         rho_first = _radius_at_angles(patch.x[0], patch.y[0], query)
         rho_last = _radius_at_angles(patch.x[-1], patch.y[-1], query)

@@ -52,20 +52,22 @@ RESIDUAL_J_FLOOR = 1e-6
 # Jacobian of the strip chart
 
 
-def _strip_derivatives(strip: StripSolution, k: int):
-    """(x_u, y_u, p_u, q_u, x_v, y_v, p_v, q_v) at level k.
+def _strip_states(strip: StripSolution, levels) -> np.ndarray:
+    """States (x, y, z, p, q) first: (5, n_u) for an int, else (5, L, n_u)."""
+    return np.moveaxis(strip.states[levels], -2, 0)
 
-    u-derivatives are spectral; v-derivatives re-evaluate the marched
-    system on the stored level, so they are exact for the semi-discrete
-    flow rather than a finite difference across levels.
+
+def _strip_derivatives(strip: StripSolution, levels):
+    """(Z, Z_u, Z_v) on one level index or a selection of levels.
+
+    Each is a (5, n_u) block for an int and (5, L, n_u) for a selection,
+    rows x, y, z, p, q.  u-derivatives are spectral; v-derivatives
+    re-evaluate the marched system on the stored levels, so they are
+    exact for the semi-discrete flow rather than a finite difference
+    across levels.
     """
-    level = strip.level(k)
-    x_u = spectral_du(level[0])
-    y_u = spectral_du(level[1])
-    p_u = spectral_du(level[3])
-    q_u = spectral_du(level[4])
-    rhs = assemble_rhs(level, strip.field)
-    return x_u, y_u, p_u, q_u, rhs[0], rhs[1], rhs[3], rhs[4]
+    Z = _strip_states(strip, levels)
+    return Z, spectral_du(Z), assemble_rhs(Z, strip.field)
 
 
 def jacobian(strip: StripSolution):
@@ -74,11 +76,8 @@ def jacobian(strip: StripSolution):
     Level 0 is identically zero in exact arithmetic (the axis data has
     x = y = 0); it is returned as computed, which is zero to round-off.
     """
-    rows = []
-    for k in range(strip.n_levels):
-        x_u, y_u, _, _, x_v, y_v, _, _ = _strip_derivatives(strip, k)
-        rows.append(x_u * y_v - x_v * y_u)
-    J = np.stack(rows)
+    _, Z_u, Z_v = _strip_derivatives(strip, slice(None))
+    J = Z_u[0] * Z_v[1] - Z_v[0] * Z_u[1]
     min_positive = float(np.min(J[1:])) if strip.n_levels > 1 else float("nan")
     return J, min_positive
 
@@ -102,12 +101,14 @@ def jv_axis(curve: PeriodicCurve, field: CoefficientField, n_u: int = 128) -> np
 
 @dataclass(frozen=True, eq=False)
 class HessianLevel:
-    """Recovered (r, s, t) on one level with its consistency evidence.
+    """Recovered (r, s, t) on stored levels with its consistency evidence.
 
-    ``valid`` marks nodes above the Jacobian guard; guarded nodes carry
-    NaN.  ``sym_defect`` is |s_from_p - s_from_q| before symmetrization;
-    ``fin_residual`` is the worst of the four first-order relations that
-    the marched system satisfies identically in exact arithmetic.
+    Every field has shape (n_u,) for one level and (L, n_u) for a
+    selection of L levels.  ``valid`` marks nodes above the Jacobian
+    guard; guarded nodes carry NaN.  ``sym_defect`` is |s_from_p - s_from_q|
+    before symmetrization; ``fin_residual`` is the worst of the four
+    first-order relations that the marched system satisfies identically
+    in exact arithmetic.
     """
 
     r: np.ndarray
@@ -146,22 +147,28 @@ def hessian_from_derivatives(x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v,
     return r, s, t, sym_defect, J, valid
 
 
-def hessian_from_strip(strip: StripSolution, level: int,
+def hessian_from_strip(strip: StripSolution, level,
                        guard: float = JACOBIAN_GUARD) -> HessianLevel:
-    """Recover the Hessian on one stored level and check the four relations.
+    """Recover the Hessian on stored levels and check the four relations.
 
-    Raises SingularJacobianError when every node is below the guard (the
-    axis level, in particular).
+    ``level`` is one level index, giving (n_u,) fields, or a selection
+    (slice, index list) of L levels, giving (L, n_u) fields.
+
+    Raises SingularJacobianError when every node of a selected level is
+    below the guard (the axis level, in particular); the message names
+    the first such level.
     """
-    x_u, y_u, p_u, q_u, x_v, y_v, p_v, q_v = _strip_derivatives(strip, level)
+    Z, (x_u, y_u, _, p_u, q_u), (x_v, y_v, _, p_v, q_v) = \
+        _strip_derivatives(strip, level)
     r, s, t, sym_defect, J, valid = hessian_from_derivatives(
         x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v, guard=guard)
-    if not np.any(valid):
+    dead = np.atleast_1d(~np.any(valid, axis=-1))
+    if np.any(dead):
+        k = np.atleast_1d(np.arange(strip.n_levels)[level])[np.argmax(dead)]
         raise SingularJacobianError(
-            f"level {level} (v={strip.v[level]:.6g}) has |J| <= {guard} everywhere")
+            f"level {k} (v={strip.v[k]:.6g}) has |J| <= {guard} everywhere")
 
-    block = strip.level(level)
-    a, b, c, e, disc = eval_field(strip.field, tuple(block))
+    a, b, c, e, disc = eval_field(strip.field, tuple(Z))
     root = np.sqrt(disc)
     # The marched system satisfies these four identities exactly; after
     # recovery they are free consistency evidence.
@@ -185,6 +192,12 @@ class ResidualReport:
     level_indices: tuple
     residuals: np.ndarray  # (len(level_indices), n_u); NaN where excluded
     n_nodes: int
+
+
+def _residual(a, b, c, e, hess: HessianLevel) -> np.ndarray:
+    """A r + 2B s + C t + (r t - s^2) - E at the recovered Hessian."""
+    return a * hess.r + 2.0 * b * hess.s + c * hess.t \
+        + hess.r * hess.t - hess.s ** 2 - e
 
 
 def _interior_levels(strip: StripSolution, v_min: float | None,
@@ -211,19 +224,11 @@ def pde_residual(strip: StripSolution, field: CoefficientField | None = None,
     if not idx:
         raise ValidationError(
             f"no stored levels at v >= {v_min:.6g}; strip reached {strip.v[-1]:.6g}")
-    rows = []
-    count = 0
-    for k in idx:
-        hess = hessian_from_strip(strip, k)
-        block = strip.level(k)
-        a, b, c, e, _ = eval_field(field, tuple(block))
-        res = a * hess.r + 2.0 * b * hess.s + c * hess.t \
-            + hess.r * hess.t - hess.s ** 2 - e
-        keep = hess.valid & (np.abs(hess.J) > j_floor)
-        res = np.where(keep, res, np.nan)
-        count += int(np.sum(keep))
-        rows.append(res)
-    residuals = np.stack(rows)
+    hess = hessian_from_strip(strip, idx)
+    a, b, c, e, _ = eval_field(field, tuple(_strip_states(strip, idx)))
+    keep = hess.valid & (np.abs(hess.J) > j_floor)
+    residuals = np.where(keep, _residual(a, b, c, e, hess), np.nan)
+    count = int(np.sum(keep))
     if count == 0:
         raise SingularJacobianError(
             f"no nodes above |J| > {j_floor} in the selected levels")
@@ -388,39 +393,24 @@ def reconstruct_graph(strip: StripSolution, v_min: float | None = None,
             f"graph reconstruction needs >= 2 levels at v >= {v_min:.6g}; "
             f"strip reached v={strip.v[-1]:.6g} with status {strip.status!r}")
 
-    n_u = strip.n_u
-    shape = (len(idx), n_u)
-    x = np.empty(shape)
-    y = np.empty(shape)
-    z = np.empty(shape)
-    p = np.empty(shape)
-    q = np.empty(shape)
-    r = np.empty(shape)
-    s = np.empty(shape)
-    t = np.empty(shape)
-    J = np.empty(shape)
-    residual = np.empty(shape)
-
-    for row, k in enumerate(idx):
-        block = strip.level(k)
-        hess = hessian_from_strip(strip, k)
-        if np.any(hess.J <= 0):
-            raise SingularJacobianError(
-                f"J <= 0 at level {k} (v={strip.v[k]:.6g}); "
-                "the selected interior is not a local graph")
-        a, b, c, e, _ = eval_field(strip.field, tuple(block))
-        x[row], y[row], z[row], p[row], q[row] = block
-        r[row], s[row], t[row] = hess.r, hess.s, hess.t
-        J[row] = hess.J
-        res = a * hess.r + 2.0 * b * hess.s + c * hess.t \
-            + hess.r * hess.t - hess.s ** 2 - e
-        residual[row] = np.where(np.abs(hess.J) > j_floor, res, np.nan)
+    hess = hessian_from_strip(strip, idx)
+    folded = np.any(hess.J <= 0, axis=-1)
+    if np.any(folded):
+        k = idx[int(np.argmax(folded))]
+        raise SingularJacobianError(
+            f"J <= 0 at level {k} (v={strip.v[k]:.6g}); "
+            "the selected interior is not a local graph")
+    Z = _strip_states(strip, idx)
+    a, b, c, e, _ = eval_field(strip.field, tuple(Z))
+    x, y, z, p, q = Z
+    residual = np.where(np.abs(hess.J) > j_floor, _residual(a, b, c, e, hess),
+                        np.nan)
 
     rho = np.hypot(x, y)
     multivalued = not _nested_family(x, y, extra=(z, p, q))
     return GraphPatch(
-        v=strip.v[idx], u=strip.u, x=x, y=y, z=z, p=p, q=q, r=r, s=s, t=t,
-        J=J, residual=residual,
+        v=strip.v[idx], u=strip.u, x=x, y=y, z=z, p=p, q=q,
+        r=hess.r, s=hess.s, t=hess.t, J=hess.J, residual=residual,
         r_min=float(np.min(rho)), r_max=float(np.max(rho)),
         multivalued=multivalued,
         provenance=f"march:levels[{idx[0]}:{idx[-1] + 1}]:{strip.status}",
@@ -522,36 +512,28 @@ def legendre_dual_normals(strip: StripSolution, v_min: float | None = None,
     v_min, idx = _interior_levels(strip, v_min)
     if not idx:
         raise ValidationError(f"no stored levels at v >= {v_min:.6g}")
-    out = np.empty((len(idx), strip.n_u, 3))
-    for row, k in enumerate(idx):
-        x, y, z, p, q = strip.level(k)
-        xi = p + c * x
-        eta = q + a * y
-        z_star = z + 0.5 * c * x ** 2 + 0.5 * a * y ** 2
-        zeta = x * xi + y * eta - z_star
+    (x, y, z, p, q), _, (x_v, y_v, z_v, p_v, q_v) = \
+        _strip_derivatives(strip, idx)
+    xi = p + c * x
+    eta = q + a * y
+    z_star = z + 0.5 * c * x ** 2 + 0.5 * a * y ** 2
+    zeta = x * xi + y * eta - z_star
+    xi_u, eta_u, zeta_u = spectral_du(np.stack([xi, eta, zeta]))
 
-        xi_u = spectral_du(xi)
-        eta_u = spectral_du(eta)
-        zeta_u = spectral_du(zeta)
+    xi_v = p_v + c * x_v
+    eta_v = q_v + a * y_v
+    # Full product rule with the system's z_v; the reduction
+    # d(zeta) = x d(xi) + y d(eta) is left to emerge, not assumed.
+    zeta_v = x_v * xi + x * xi_v + y_v * eta + y * eta_v \
+        - z_v - c * x * x_v - a * y * y_v
 
-        rhs = assemble_rhs(strip.level(k), strip.field)
-        x_v, y_v, z_v, p_v, q_v = rhs
-        xi_v = p_v + c * x_v
-        eta_v = q_v + a * y_v
-        # Full product rule with the system's z_v; the reduction
-        # d(zeta) = x d(xi) + y d(eta) is left to emerge, not assumed.
-        zeta_v = x_v * xi + x * xi_v + y_v * eta + y * eta_v \
-            - z_v - c * x * x_v - a * y * y_v
-
-        normal = np.stack([
-            eta_u * zeta_v - zeta_u * eta_v,
-            zeta_u * xi_v - xi_u * zeta_v,
-            xi_u * eta_v - eta_u * xi_v,
-        ], axis=-1)
-        normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
-        sign = np.where(normal[:, 2] >= 0, 1.0, -1.0)
-        out[row] = normal * sign[:, None]
-    return out
+    normal = np.stack([
+        eta_u * zeta_v - zeta_u * eta_v,
+        zeta_u * xi_v - xi_u * zeta_v,
+        xi_u * eta_v - eta_u * xi_v,
+    ], axis=-1)
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    return normal * np.where(normal[..., 2] >= 0, 1.0, -1.0)[..., None]
 
 
 # ---------------------------------------------------------------------------

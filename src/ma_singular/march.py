@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientField, box_violation, eval_field
+from .coeffs import CoefficientField, eval_field
 from .curves import PeriodicCurve, eval_curve
 from .errors import (
     BoxExitError,
@@ -136,16 +136,14 @@ class StripSolution:
 def assemble_rhs(level: np.ndarray, field: CoefficientField) -> np.ndarray:
     """Z_v for one level: spectral Z_u pushed through the system matrix.
 
-    ``level`` is the (5, n_u) block (x, y, z, p, q).  Rows follow the
+    ``level`` is the (5, n_u) block (x, y, z, p, q), or a (5, ..., n_u)
+    stack of such blocks along the middle axes.  Rows follow the
     quasilinear system; for a pure field they reduce to
     x_v = -q_u/sqrt(E), y_v = p_u/sqrt(E), z_v = (q p_u - p q_u)/sqrt(E),
     p_v = -sqrt(E) y_u, q_v = sqrt(E) x_u.
     """
     x, y, z, p, q = level
-    x_u = spectral_du(x)
-    y_u = spectral_du(y)
-    p_u = spectral_du(p)
-    q_u = spectral_du(q)
+    x_u, y_u, p_u, q_u = spectral_du(level[[0, 1, 3, 4]])
     a, b, c, e, disc = eval_field(field, (x, y, z, p, q))
     root = np.sqrt(disc)
     x_v = (b * x_u - a * y_u - q_u) / root
@@ -220,8 +218,9 @@ def march(curve: PeriodicCurve, field: CoefficientField,
           params: MarchParams | None = None) -> StripSolution:
     """Integrate the strip from the axis to v = R (or -R).
 
-    Initial data outside the field box is a ValidationError: there is no
-    partial solution to salvage.  Later failures follow ``box_policy``:
+    Axis data the field rejects (outside the box, a non-finite
+    coefficient, D <= 0) is a ValidationError: there is no partial
+    solution to salvage.  Later failures follow ``box_policy``:
     "truncate" returns the strip marched so far with a status string,
     "raise" raises the matching error carrying the partial solution.
 
@@ -239,18 +238,14 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     zeros = np.zeros(n_u)
     level = np.stack([zeros, zeros.copy(), zeros.copy(), alpha, beta])
 
-    violation = box_violation(field, level)
-    if violation is not None:
-        name, idx, value = violation
-        lo, hi = field.box[name]
-        raise ValidationError(
-            f"initial data leaves the field box: {name}={value!r} "
-            f"outside [{lo}, {hi}] at grid index {idx}")
-    # Axis ellipticity/evaluation failures surface here, before any step.
-    disc0 = eval_field(field, (level[0], level[1], level[2], level[3], level[4]))[4]
+    # Box, evaluation and ellipticity failures on the axis data are
+    # input errors: they surface here, before any step.
+    try:
+        disc0 = eval_field(field, tuple(level))[4]
+    except FieldEvalError as err:
+        raise ValidationError(f"initial data: {err}") from None
 
     sign = -1.0 if params.negative_v else 1.0
-    factors = _filter_factors(params)
 
     v_list = [0.0]
     levels = [level]
@@ -292,7 +287,7 @@ def march(curve: PeriodicCurve, field: CoefficientField,
                  NonFiniteAbortError)
             break
 
-        nxt -= np.fft.irfft(factors * np.fft.rfft(nxt), n=n_u)
+        nxt = spectral_filter(nxt, params)
         v_now = (step_index + 1) * params.dv if h == params.dv else params.R
         step_index += 1
 
@@ -301,16 +296,12 @@ def march(curve: PeriodicCurve, field: CoefficientField,
                  NonFiniteAbortError)
             break
 
-        violation = box_violation(field, nxt)
-        if violation is not None:
-            name, idx, value = violation
-            fail("box-exit",
-                 f"{name}={value!r} left the box at v={sign * v_now:.6g}, "
-                 f"grid index {idx}", BoxExitError)
-            break
-
         try:
             disc = eval_field(field, tuple(nxt))[4]
+        except OutOfBoxError as err:
+            fail("box-exit", f"state left the box at v={sign * v_now:.6g}: {err}",
+                 BoxExitError)
+            break
         except EllipticityError as err:
             fail("ellipticity", f"ellipticity lost at v={sign * v_now:.6g}: {err}",
                  EllipticityAbortError)

@@ -158,6 +158,17 @@ def test_construct_bad_builtin_is_two(tmp_path, capsys):
     assert "unknown curve" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("E", ["-1", "1/(p-p)"])
+def test_construct_inadmissible_axis_data_is_two(tmp_path, capsys, E):
+    field = dict(SMALL_BOX_FIELD, E=E,
+                 box={"x": [-1, 1], "y": [-1, 1], "z": [-1, 1],
+                      "p": [-4, 4], "q": [-4, 4]})
+    code = main(["construct", "--out", str(tmp_path / "run"),
+                 "--set", f"field.literal={json.dumps(field)}"])
+    assert code == 2
+    assert "error: initial data" in capsys.readouterr().err
+
+
 def test_construct_remark42_completes(tmp_path):
     out = tmp_path / "run"
     code = main(["construct", "--out", str(out),

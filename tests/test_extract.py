@@ -79,13 +79,47 @@ def test_geometric_radii_halve():
 # PatchSampler
 
 
-def test_sampler_matches_radial_closed_form(circle_sampler):
+def assert_radial_gradient(sampler, radii):
     thetas = 2.0 * np.pi * np.arange(64) / 64
-    for r in (0.02, 0.05, 0.1, 0.14):
-        p, q = circle_sampler(r, thetas)
+    for r in radii:
+        p, q = sampler(r, thetas)
         slope = radial_reference_slope(r)
         np.testing.assert_allclose(p, slope * np.cos(thetas), atol=2e-6)
         np.testing.assert_allclose(q, slope * np.sin(thetas), atol=2e-6)
+
+
+def test_sampler_matches_radial_closed_form(circle_sampler):
+    assert_radial_gradient(circle_sampler, (0.02, 0.05, 0.1, 0.14))
+
+
+def test_sampler_samples_twice_traced_circle():
+    # u -> gamma(2u): every level is an exact 2-fold cover of a circle, the
+    # rotational solution at twice the height v, so its band starts at
+    # sinh(2 * 0.015) and r = 0.02 is not covered.
+    twice = PeriodicCurve([0.0, 0.0, 1.0], [0.0], [0.0], [0.0, 0.0, -1.0])
+    patch = reconstruct_graph(march(twice, builtin_field("pure-one"),
+                                    MarchParams()))
+    assert not patch.multivalued
+    assert_radial_gradient(patch_sampler(patch), (0.05, 0.1, 0.14))
+
+
+def test_sampler_samples_doubly_covered_remark42():
+    strip = march(builtin_curve("remark42"), builtin_field("remark42"),
+                  MarchParams(R=0.05, n_u=256))
+    patch = reconstruct_graph(strip)
+    assert not patch.multivalued
+    sampler = patch_sampler(patch)
+    # At a stored node's own radius and angle the sampler returns that
+    # node's gradient.
+    k = patch.n_levels // 2
+    rho = patch.radii()[k]
+    theta = np.arctan2(patch.y[k], patch.x[k])
+    nodes = np.flatnonzero((rho >= sampler.r_lo) & (rho <= sampler.r_hi))
+    assert nodes.size > 16
+    for j in nodes[::nodes.size // 8]:
+        p, q = sampler(rho[j], theta[j:j + 1])
+        assert abs(p[0] - patch.p[k, j]) < 1e-10
+        assert abs(q[0] - patch.q[k, j]) < 1e-10
 
 
 def test_sampler_band_matches_annulus(circle_sampler):

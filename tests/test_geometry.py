@@ -121,6 +121,41 @@ def test_hessian_from_strip_matches_radial_closed_form(circle_strip):
 def test_hessian_from_strip_rejects_axis_level(circle_strip):
     with pytest.raises(SingularJacobianError):
         hessian_from_strip(circle_strip, 0)
+    with pytest.raises(SingularJacobianError, match="level 0 "):
+        hessian_from_strip(circle_strip, [5, 0, 1])
+
+
+def assert_bitwise_equal(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+def test_hessian_from_strip_selection_stacks_single_levels(circle_strip):
+    idx = [1, 7, 50, 150]
+    whole = hessian_from_strip(circle_strip, idx)
+    singles = [hessian_from_strip(circle_strip, k) for k in idx]
+    for name in ("r", "s", "t", "sym_defect", "fin_residual", "J", "valid"):
+        assert_bitwise_equal(getattr(whole, name),
+                             np.stack([getattr(h, name) for h in singles]))
+    by_slice = hessian_from_strip(circle_strip, slice(1, None))
+    assert by_slice.r.shape == (circle_strip.n_levels - 1, circle_strip.n_u)
+    assert_bitwise_equal(by_slice.r[[k - 1 for k in idx]], whole.r)
+    assert_bitwise_equal(jacobian(circle_strip)[0][idx], whole.J)
+
+
+def test_reconstruct_graph_rows_match_hessian_from_strip(circle_strip,
+                                                         circle_patch):
+    levels = np.flatnonzero(np.isin(circle_strip.v, circle_patch.v))
+    assert levels.size == circle_patch.n_levels
+    for row, k in enumerate(levels):
+        hess = hessian_from_strip(circle_strip, int(k))
+        for name in ("r", "s", "t", "J"):
+            assert_bitwise_equal(getattr(circle_patch, name)[row],
+                                 getattr(hess, name))
+    report = pde_residual(circle_strip)
+    rows = np.searchsorted(levels, report.level_indices)
+    assert_bitwise_equal(circle_patch.residual[rows], report.residuals)
 
 
 # ---------------------------------------------------------------------------

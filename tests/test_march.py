@@ -191,6 +191,17 @@ def test_march_rejects_initial_data_outside_box():
         march(CIRCLE, small_box_field(0.9))
 
 
+@pytest.mark.parametrize("E", ["-1", "1/(p-p)"])
+def test_march_rejects_axis_data_the_field_cannot_evaluate(E):
+    # D = -1 < 0 and a non-finite E both fail on the axis, before any step.
+    field = CoefficientField.from_dict({
+        "A": "0", "B": "0", "C": "0", "E": E,
+        "box": {"x": [-1, 1], "y": [-1, 1], "z": [-1, 1],
+                "p": [-4, 4], "q": [-4, 4]}})
+    with pytest.raises(ValidationError, match="initial data"):
+        march(CIRCLE, field)
+
+
 # ---------------------------------------------------------------------------
 # march behaviour
 
