@@ -48,6 +48,7 @@ from .extract import (
     radial_reference_slope,
 )
 from .geometry import (
+    _csv_text,
     jacobian,
     patch_from_csv,
     patch_to_csv,
@@ -230,7 +231,7 @@ def _classification_dict(report) -> dict:
 
 
 def _strip_csv(strip: StripSolution) -> str:
-    lines = [
+    header = [
         f"# status: {strip.status}",
         f"# detail: {strip.detail}",
         f"# params: {json.dumps(vars(strip.params))}",
@@ -238,12 +239,8 @@ def _strip_csv(strip: StripSolution) -> str:
         f"# field: {strip.field.to_json()}",
         "v,u,x,y,z,p,q",
     ]
-    for k in range(strip.n_levels):
-        for j in range(strip.n_u):
-            row = [strip.v[k], strip.u[j]] + [strip.states[k, i, j]
-                                              for i in range(5)]
-            lines.append(",".join(f"{val:.17g}" for val in row))
-    return "\n".join(lines) + "\n"
+    return _csv_text(header, [strip.v[:, None], strip.u]
+                     + [strip.states[:, i] for i in range(5)])
 
 
 def _ellipticity_spot_check(field: CoefficientField, seed: int, n: int = 256):
@@ -275,6 +272,7 @@ def _construct_pipeline(cfg: dict, prepared):
         "detail": strip.detail,
         "march": {
             "levels": int(strip.n_levels),
+            "levels_skipped": int(strip.levels_skipped),
             "v_max": float(strip.v[-1]),
             "min_disc": float(np.min(strip.min_disc)),
             "max_high_frac": float(np.max(strip.high_frac)),

@@ -556,9 +556,24 @@ def curvature_to_field(K, box=None) -> CoefficientField:
 _PATCH_COLUMNS = ("x", "y", "z", "p", "q", "r", "s", "t", "J", "residual")
 
 
+def _csv_text(header, columns) -> str:
+    """``header`` lines, then one "%.17g" CSV row per (level, node).
+
+    ``columns`` broadcast to (levels, n_u); rows run over nodes within a
+    level.  Each level is formatted by one ``%`` over a repeated row
+    template, so the text is built a level at a time.
+    """
+    block = np.stack(np.broadcast_arrays(*columns), axis=-1)
+    n_u, n_cols = block.shape[1:]
+    template = (",".join(["%.17g"] * n_cols) + "\n") * n_u
+    text = ["\n".join(header) + "\n"]
+    text += [template % tuple(level.ravel().tolist()) for level in block]
+    return "".join(text)
+
+
 def patch_to_csv(patch: GraphPatch) -> str:
     """CSV with provenance headers; floats at 17 significant digits."""
-    lines = [
+    header = [
         f"# provenance: {patch.provenance}",
         f"# multivalued: {str(patch.multivalued).lower()}",
         f"# r_min: {patch.r_min:.17g}",
@@ -568,11 +583,7 @@ def patch_to_csv(patch: GraphPatch) -> str:
         "# v: " + " ".join(f"{val:.17g}" for val in patch.v),
         ",".join(_PATCH_COLUMNS),
     ]
-    columns = [getattr(patch, name) for name in _PATCH_COLUMNS]
-    for k in range(patch.n_levels):
-        for j in range(patch.n_u):
-            lines.append(",".join(f"{col[k, j]:.17g}" for col in columns))
-    return "\n".join(lines) + "\n"
+    return _csv_text(header, [getattr(patch, name) for name in _PATCH_COLUMNS])
 
 
 def patch_from_csv(text: str) -> GraphPatch:
@@ -587,8 +598,6 @@ def patch_from_csv(text: str) -> GraphPatch:
     try:
         for line in text.splitlines():
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, value = line[1:].partition(":")
                 key = key.strip()
@@ -596,10 +605,8 @@ def patch_from_csv(text: str) -> GraphPatch:
                     v = np.array([float(tok) for tok in value.split()])
                 else:
                     meta[key] = value.strip()
-                continue
-            if line.startswith(_PATCH_COLUMNS[0] + ","):
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
+            elif line and not line.startswith(_PATCH_COLUMNS[0] + ","):
+                rows.append(line)
         n_u = int(meta["n_u"]) if "n_u" in meta else None
         r_min = float(meta.get("r_min", "nan"))
         r_max = float(meta.get("r_max", "nan"))
@@ -607,12 +614,15 @@ def patch_from_csv(text: str) -> GraphPatch:
         raise ValidationError(f"patch CSV has a malformed value: {err}") from None
     if v is None or n_u is None:
         raise ValidationError("patch CSV is missing its header block")
-    if any(len(row) != len(_PATCH_COLUMNS) for row in rows):
+    if any(row.count(",") != len(_PATCH_COLUMNS) - 1 for row in rows):
         raise ValidationError(
             f"patch CSV rows must have {len(_PATCH_COLUMNS)} cells")
-    data = np.array(rows)
-    if n_u < 1 or data.size == 0 or data.shape[0] % n_u:
+    if n_u < 1 or not rows or len(rows) % n_u:
         raise ValidationError("patch CSV row count does not match n_u")
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as err:
+        raise ValidationError(f"patch CSV has a malformed value: {err}") from None
     n_levels = data.shape[0] // n_u
     if v.size != n_levels:
         raise ValidationError(

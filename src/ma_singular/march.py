@@ -100,7 +100,8 @@ class StripSolution:
     ``states`` has shape (levels, 5, n_u) with component order x,y,z,p,q.
     Level 0 is the axis data exactly.  ``status`` is one of "completed",
     "box-exit", "instability-abort", "ellipticity", "non-finite"; levels
-    stored always passed the stability monitor.
+    stored always passed the stability monitor.  ``levels_skipped`` counts
+    the levels that tripped it once and drove the next step unstored.
     """
 
     v: np.ndarray
@@ -113,6 +114,7 @@ class StripSolution:
     curve: PeriodicCurve
     field: CoefficientField
     params: MarchParams
+    levels_skipped: int = 0
 
     def __post_init__(self):
         for name in ("v", "u", "states", "high_frac", "min_disc"):
@@ -254,7 +256,7 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     discs = [float(np.min(disc0))]
 
     status, detail = "completed", f"reached v={sign * params.R:.6g}"
-    streak = 0
+    streak = skipped = 0
     v_now = 0.0
     step_index = 0
 
@@ -264,7 +266,8 @@ def march(curve: PeriodicCurve, field: CoefficientField,
         if params.box_policy == "raise":
             partial = StripSolution(
                 np.array(v_list), u, np.stack(levels), np.array(fracs),
-                np.array(discs), status, detail, curve, field, params)
+                np.array(discs), status, detail, curve, field, params,
+                skipped)
             raise exc_type(message, partial=partial)
 
     while v_now < params.R - 1e-12 * params.R:
@@ -322,6 +325,7 @@ def march(curve: PeriodicCurve, field: CoefficientField,
                      f"levels at v={sign * v_now:.6g}", InstabilityError)
                 break
             # Offending level drives the next step but is never stored.
+            skipped += 1
             level = nxt
             continue
 
@@ -333,4 +337,5 @@ def march(curve: PeriodicCurve, field: CoefficientField,
         discs.append(float(np.min(disc)))
 
     return StripSolution(np.array(v_list), u, np.stack(levels), np.array(fracs),
-                         np.array(discs), status, detail, curve, field, params)
+                         np.array(discs), status, detail, curve, field, params,
+                         skipped)

@@ -52,7 +52,8 @@ def _data_transform(points_list):
 
 
 def _polyline(px, py, color: str, width: float, closed: bool) -> str:
-    coords = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+    points = np.column_stack([px, py]).ravel().tolist()
+    coords = " ".join(["%.6f,%.6f"] * len(px)) % tuple(points)
     tag = "polygon" if closed else "polyline"
     return (f'<{tag} points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(width)}"/>')
@@ -104,18 +105,23 @@ def image_curves_svg(x: np.ndarray, y: np.ndarray, title: str = "image curves",
     return "\n".join(parts) + "\n"
 
 
-def _heat_color(t: float) -> str:
-    """0 -> blue, 0.5 -> near-white, 1 -> red; linear in RGB."""
-    stops = ((0x21, 0x66, 0xac), (0xf7, 0xf7, 0xf7), (0xb2, 0x18, 0x2b))
-    t = min(max(t, 0.0), 1.0)
-    if t < 0.5:
-        w = t / 0.5
-        lo, hi = stops[0], stops[1]
-    else:
-        w = (t - 0.5) / 0.5
-        lo, hi = stops[1], stops[2]
-    rgb = tuple(int(round(a + (b - a) * w)) for a, b in zip(lo, hi))
-    return "#%02x%02x%02x" % rgb
+#: Heat-map colour stops at t = 0 (blue), 0.5 (near-white) and 1 (red).
+_HEAT_STOPS = np.array([[0x21, 0x66, 0xac], [0xf7, 0xf7, 0xf7],
+                        [0xb2, 0x18, 0x2b]])
+
+#: Fill of cells whose residual is not finite.
+_NAN_FILL = 0xd9d9d9
+
+
+def _heat_rgb(t: np.ndarray) -> np.ndarray:
+    """0xRRGGBB per entry of t, clipped to [0, 1]; linear in RGB per half."""
+    t = np.clip(t, 0.0, 1.0)[..., None]
+    upper = t >= 0.5
+    w = np.where(upper, (t - 0.5) / 0.5, t / 0.5)
+    lo = np.where(upper, _HEAT_STOPS[1], _HEAT_STOPS[0])
+    hi = np.where(upper, _HEAT_STOPS[2], _HEAT_STOPS[1])
+    rgb = np.rint(lo + (hi - lo) * w).astype(np.int64)
+    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
 def residual_strip_svg(residuals: np.ndarray, v: np.ndarray,
@@ -125,23 +131,25 @@ def residual_strip_svg(residuals: np.ndarray, v: np.ndarray,
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     n_levels, n_u = residuals.shape
     stride = max(1, int(np.ceil(n_u / max_cols)))
-    cols = list(range(0, n_u, stride))
-    cell_w = (_SIZE - 2 * _MARGIN) / len(cols)
+    grid = residuals[:, ::stride]
+    n_cols = grid.shape[1]
+    cell_w = (_SIZE - 2 * _MARGIN) / n_cols
     cell_h = (_SIZE - 2 * _MARGIN) / n_levels
+    finite = np.isfinite(grid)
+    mag = np.log10(np.maximum(np.abs(np.where(finite, grid, 0.0)),
+                              10.0 ** log_lo))
+    cells = np.empty((n_levels, n_cols, 3), dtype=object)
+    cells[..., 0] = _MARGIN + np.arange(n_cols) * cell_w
+    cells[..., 1] = (_SIZE - _MARGIN
+                     - np.arange(1, n_levels + 1) * cell_h)[:, None]
+    cells[..., 2] = np.where(
+        finite, _heat_rgb((mag - log_lo) / (log_hi - log_lo)), _NAN_FILL)
+    rect = (f'<rect x="%.6f" y="%.6f" width="{_fmt(cell_w)}" '
+            f'height="{_fmt(cell_h)}" fill="#%06x"/>')
+    rects = ("\n".join([rect] * (n_levels * n_cols))
+             % tuple(cells.ravel().tolist()))
     parts = _header(title)
-    for i in range(n_levels):
-        for jc, j in enumerate(cols):
-            value = residuals[i, j]
-            if not np.isfinite(value):
-                color = "#d9d9d9"
-            else:
-                mag = np.log10(max(abs(value), 10.0 ** log_lo))
-                color = _heat_color((mag - log_lo) / (log_hi - log_lo))
-            x0 = _MARGIN + jc * cell_w
-            y0 = _SIZE - _MARGIN - (i + 1) * cell_h
-            parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
-                         f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
-                         f'fill="{color}"/>')
+    parts.append(rects)
     parts.append(f'<text x="{_MARGIN}" y="{_SIZE - 12}" fill="#444444" '
                  f'font-size="12">v from {v[0]:.4g} to {v[-1]:.4g}, '
                  f'log10 scale {log_lo:g}..{log_hi:g}</text>')

@@ -1,0 +1,215 @@
+"""Artifact text (strip CSV, patch CSV, SVG) against per-cell reference code.
+
+The writers format whole arrays at once; the reference functions below
+format one cell at a time, the way the artifacts were first written.  The
+two must agree byte for byte on every input, including NaN, infinities,
+signed zeros, subnormals and values at the heat-map clip edges.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ma_singular.cli import _strip_csv
+from ma_singular.coeffs import builtin_field
+from ma_singular.curves import builtin_curve
+from ma_singular.geometry import GraphPatch, patch_from_csv, patch_to_csv
+from ma_singular.march import MarchParams, StripSolution
+from ma_singular.svgplot import (
+    _MARGIN,
+    _SIZE,
+    _fmt,
+    _header,
+    _polyline,
+    residual_strip_svg,
+)
+
+PATCH_COLUMNS = ("x", "y", "z", "p", "q", "r", "s", "t", "J", "residual")
+
+
+# ---------------------------------------------------------------------------
+# Per-cell reference writers
+
+
+def reference_strip_csv(strip):
+    lines = [
+        f"# status: {strip.status}",
+        f"# detail: {strip.detail}",
+        f"# params: {json.dumps(vars(strip.params))}",
+        f"# curve: {strip.curve.to_json()}",
+        f"# field: {strip.field.to_json()}",
+        "v,u,x,y,z,p,q",
+    ]
+    for k in range(strip.n_levels):
+        for j in range(strip.n_u):
+            row = [strip.v[k], strip.u[j]] + [strip.states[k, i, j]
+                                              for i in range(5)]
+            lines.append(",".join(f"{val:.17g}" for val in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_patch_to_csv(patch):
+    lines = [
+        f"# provenance: {patch.provenance}",
+        f"# multivalued: {str(patch.multivalued).lower()}",
+        f"# r_min: {patch.r_min:.17g}",
+        f"# r_max: {patch.r_max:.17g}",
+        f"# levels: {patch.n_levels}",
+        f"# n_u: {patch.n_u}",
+        "# v: " + " ".join(f"{val:.17g}" for val in patch.v),
+        ",".join(PATCH_COLUMNS),
+    ]
+    columns = [getattr(patch, name) for name in PATCH_COLUMNS]
+    for k in range(patch.n_levels):
+        for j in range(patch.n_u):
+            lines.append(",".join(f"{col[k, j]:.17g}" for col in columns))
+    return "\n".join(lines) + "\n"
+
+
+def reference_polyline(px, py, color, width, closed):
+    coords = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(px, py))
+    tag = "polygon" if closed else "polyline"
+    return (f'<{tag} points="{coords}" fill="none" stroke="{color}" '
+            f'stroke-width="{_fmt(width)}"/>')
+
+
+def reference_heat_color(t):
+    stops = ((0x21, 0x66, 0xac), (0xf7, 0xf7, 0xf7), (0xb2, 0x18, 0x2b))
+    t = min(max(t, 0.0), 1.0)
+    if t < 0.5:
+        w = t / 0.5
+        lo, hi = stops[0], stops[1]
+    else:
+        w = (t - 0.5) / 0.5
+        lo, hi = stops[1], stops[2]
+    rgb = tuple(int(round(a + (b - a) * w)) for a, b in zip(lo, hi))
+    return "#%02x%02x%02x" % rgb
+
+
+def reference_residual_strip_svg(residuals, v, title="residual", max_cols=128,
+                                 log_lo=-12.0, log_hi=0.0):
+    residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
+    n_levels, n_u = residuals.shape
+    stride = max(1, int(np.ceil(n_u / max_cols)))
+    cols = list(range(0, n_u, stride))
+    cell_w = (_SIZE - 2 * _MARGIN) / len(cols)
+    cell_h = (_SIZE - 2 * _MARGIN) / n_levels
+    parts = _header(title)
+    for i in range(n_levels):
+        for jc, j in enumerate(cols):
+            value = residuals[i, j]
+            if not np.isfinite(value):
+                color = "#d9d9d9"
+            else:
+                mag = np.log10(max(abs(value), 10.0 ** log_lo))
+                color = reference_heat_color((mag - log_lo) / (log_hi - log_lo))
+            x0 = _MARGIN + jc * cell_w
+            y0 = _SIZE - _MARGIN - (i + 1) * cell_h
+            parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
+                         f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
+                         f'fill="{color}"/>')
+    parts.append(f'<text x="{_MARGIN}" y="{_SIZE - 12}" fill="#444444" '
+                 f'font-size="12">v from {v[0]:.4g} to {v[-1]:.4g}, '
+                 f'log10 scale {log_lo:g}..{log_hi:g}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Drawn arrays
+
+#: Values every formatter must get right, and the heat-map edges: the clip
+#: floor 1e-12, the clip ceiling 1, the mid stop 1e-6, and their neighbours.
+#: 1e-9 and 1e-3 put a colour channel exactly halfway between two integers
+#: (green 174.5, red 212.5), where the rounding rule decides the byte.
+EDGE_VALUES = [
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+    1e-12, np.nextafter(1e-12, 0.0), np.nextafter(1e-12, 1.0), -1e-12,
+    1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), -1.0,
+    1e-6, np.nextafter(1e-6, 0.0), np.nextafter(1e-6, 1.0), 1e-9, -1e-3,
+]
+
+cell_values = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.tuples(st.floats(min_value=-13.0, max_value=1.0), st.booleans()).map(
+        lambda pair: (-1.0 if pair[1] else 1.0) * 10.0 ** pair[0]),
+)
+
+
+def grids(n_levels, n_u):
+    return arrays(np.float64, (n_levels, n_u), elements=cell_values)
+
+
+csv_shapes = st.tuples(st.integers(min_value=1, max_value=4),
+                       st.integers(min_value=1, max_value=8))
+
+#: n_u = 256 needs a column stride of 2 at max_cols = 128; 130 and 200 are
+#: not multiples of 128 (nor of 7).
+svg_shapes = st.tuples(st.integers(min_value=1, max_value=3),
+                       st.sampled_from([1, 3, 130, 200, 256]))
+
+
+# ---------------------------------------------------------------------------
+# Byte identity
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data(), csv_shapes)
+def test_strip_csv_matches_per_cell_reference(data, shape):
+    n_levels, n_u = shape
+    states = data.draw(grids(n_levels, 5 * n_u)).reshape(n_levels, 5, n_u)
+    strip = StripSolution(
+        v=data.draw(grids(1, n_levels))[0], u=data.draw(grids(1, n_u))[0],
+        states=states, high_frac=np.zeros(n_levels),
+        min_disc=np.ones(n_levels), status="completed", detail="drawn",
+        curve=builtin_curve("circle"), field=builtin_field("pure-one"),
+        params=MarchParams())
+    assert _strip_csv(strip) == reference_strip_csv(strip)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data(), csv_shapes, st.booleans())
+def test_patch_csv_matches_per_cell_reference(data, shape, multivalued):
+    n_levels, n_u = shape
+    columns = {name: data.draw(grids(n_levels, n_u)) for name in PATCH_COLUMNS}
+    patch = GraphPatch(
+        v=data.draw(grids(1, n_levels))[0],
+        u=2.0 * np.pi * np.arange(n_u) / n_u,
+        r_min=data.draw(cell_values), r_max=data.draw(cell_values),
+        multivalued=multivalued, provenance="drawn", field=None, **columns)
+    text = patch_to_csv(patch)
+    assert text == reference_patch_to_csv(patch)
+    assert patch_to_csv(patch_from_csv(text)) == text
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data(), svg_shapes, st.sampled_from([128, 7]))
+def test_residual_svg_matches_per_cell_reference(data, shape, max_cols):
+    n_levels, n_u = shape
+    residuals = data.draw(grids(n_levels, n_u))
+    v = np.linspace(0.0, 0.15, n_levels)
+    assert (residual_strip_svg(residuals, v, max_cols=max_cols)
+            == reference_residual_strip_svg(residuals, v, max_cols=max_cols))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data(), st.integers(min_value=0, max_value=40), st.booleans())
+def test_polyline_matches_per_cell_reference(data, n, closed):
+    points = data.draw(grids(2, n))
+    assert (_polyline(points[0], points[1], "#1b6ca8", 1.5, closed)
+            == reference_polyline(points[0], points[1], "#1b6ca8", 1.5, closed))
+
+
+def test_residual_svg_matches_reference_on_a_strided_grid():
+    # n_u = 256 needs a column stride of 2; 200 is not a multiple of 128.
+    rng = np.random.default_rng(3)
+    for n_u in (256, 200):
+        residuals = 10.0 ** rng.uniform(-14.0, 1.0, size=(151, n_u))
+        residuals[::7, ::5] = np.nan
+        residuals[1::3] *= -1.0
+        v = np.linspace(0.0, 0.15, 151)
+        assert (residual_strip_svg(residuals, v)
+                == reference_residual_strip_svg(residuals, v))

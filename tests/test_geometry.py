@@ -362,3 +362,29 @@ def test_patch_csv_round_trip_is_exact(circle_patch):
     assert back.multivalued == circle_patch.multivalued
     assert back.provenance == circle_patch.provenance
     assert back.r_min == circle_patch.r_min
+
+
+@pytest.mark.parametrize("variant", [
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text.replace("\n", "\n\n  \n"),
+    lambda text: text.replace("\n", " \t\n"),
+], ids=["crlf", "blank-lines", "trailing-whitespace"])
+def test_patch_from_csv_tolerates_line_noise(circle_patch, variant):
+    back = patch_from_csv(variant(patch_to_csv(circle_patch)))
+    for name in ("v", "u", "x", "y", "z", "p", "q", "r", "s", "t",
+                 "J", "residual"):
+        np.testing.assert_array_equal(getattr(back, name),
+                                      getattr(circle_patch, name),
+                                      err_msg=name)
+
+
+@pytest.mark.parametrize("row", [
+    lambda row: row.rpartition(",")[0],
+    lambda row: row + ",0",
+    lambda row: "oops," + row.partition(",")[2],
+], ids=["short-row", "long-row", "non-numeric-cell"])
+def test_patch_from_csv_rejects_malformed_rows(circle_patch, row):
+    lines = patch_to_csv(circle_patch).splitlines()
+    lines[100] = row(lines[100])
+    with pytest.raises(ValidationError, match="patch CSV"):
+        patch_from_csv("\n".join(lines) + "\n")

@@ -1,5 +1,7 @@
 """Strip march: spectral derivative, RK4 stepping, filter, monitor."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +305,27 @@ def test_monitor_abort_needs_two_consecutive_hits():
     with pytest.raises(InstabilityError):
         march(CIRCLE, PURE_ONE, MarchParams(monitor_threshold=1e-35,
                                             box_policy="raise"))
+
+
+def test_single_monitor_hit_skips_and_counts_one_level(monkeypatch):
+    march_module = importlib.import_module("ma_singular.march")
+    calls = []
+
+    def trip_fifth_call(level, params):
+        calls.append(level)
+        frac, exceeded = stability_monitor(level, params)
+        return frac, exceeded or len(calls) == 5
+
+    params = MarchParams(R=0.02)
+    clean = march(CIRCLE, PURE_ONE, params)
+    monkeypatch.setattr(march_module, "stability_monitor", trip_fifth_call)
+    strip = march(CIRCLE, PURE_ONE, params)
+    assert clean.levels_skipped == 0
+    assert strip.status == "completed"
+    assert strip.levels_skipped == 1
+    assert strip.n_levels == clean.n_levels - 1
+    # The fifth monitored level is the one after step 4.
+    np.testing.assert_array_equal(np.setdiff1d(clean.v, strip.v), [clean.v[4]])
 
 
 def test_strip_level_accessor():
