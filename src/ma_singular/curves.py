@@ -44,8 +44,14 @@ class PeriodicCurve:
     beta_sin: np.ndarray
 
     def __post_init__(self):
-        arrays = [np.atleast_1d(np.asarray(a, dtype=float)) for a in
-                  (self.alpha_cos, self.alpha_sin, self.beta_cos, self.beta_sin)]
+        try:
+            arrays = [np.atleast_1d(np.asarray(a, dtype=float)) for a in
+                      (self.alpha_cos, self.alpha_sin, self.beta_cos,
+                       self.beta_sin)]
+        except (TypeError, ValueError):
+            raise ValidationError("curve coefficients must be numbers") from None
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ValidationError("curve coefficients must be finite")
         m = max(a.size for a in arrays)
         padded = [np.concatenate([a, np.zeros(m - a.size)]) for a in arrays]
         padded[1] = padded[1].copy()

@@ -18,7 +18,13 @@ from scipy.spatial import cKDTree
 
 from .curves import CurveReport, PeriodicCurve, classify_curve, eval_curve, fit_curve
 from .errors import CoverageError, ValidationError
-from .geometry import GraphPatch, _level_cover, _radius_at_angles, _unwrap_angles
+from .geometry import (
+    GraphPatch,
+    _level_cover,
+    _radius_lookup,
+    _radius_table,
+    _unwrap_angles,
+)
 
 __all__ = [
     "LimitGradientResult",
@@ -85,23 +91,6 @@ def _check_radii(radii) -> tuple:
 # Patch sampler
 
 
-def _trig_eval(spec: np.ndarray, n: int, u: np.ndarray, deriv: int = 0):
-    """Evaluate the trigonometric interpolant of an rfft spectrum at u.
-
-    The interpolant of n uniform real samples; deriv in {0, 1}.
-    """
-    k = np.arange(spec.size)
-    a = 2.0 * spec.real / n
-    b = -2.0 * spec.imag / n
-    a[0] *= 0.5
-    if n % 2 == 0:
-        a[-1] *= 0.5
-    ku = np.multiply.outer(u, k)
-    if deriv == 0:
-        return np.cos(ku) @ a + np.sin(ku) @ b
-    return np.sin(ku) @ (-k * a) + np.cos(ku) @ (k * b)
-
-
 class PatchSampler:
     """Evaluate (p, q) of a single-valued patch on circles around the origin.
 
@@ -110,31 +99,50 @@ class PatchSampler:
     and polished with Newton on the trigonometric interpolant, then p, q
     and the radius are evaluated spectrally at that parameter.  Between
     levels the values are blended linearly in radius.  Queries outside
-    the covered band [r_lo, r_hi] raise CoverageError.
+    the covered band [r_lo, r_hi] raise CoverageError; angles must be a
+    finite 1-D array (possibly empty, any real values), else
+    ValidationError.
+
+    Everything that depends only on the patch is built once here: per
+    level the rho(theta) table, the sorted (theta, u) inverse table and
+    the interpolant coefficients of x, y, p and q.
     """
 
     def __init__(self, patch: GraphPatch):
         if patch.multivalued:
             raise ValidationError(
                 "cannot sample a multivalued patch on circles")
-        self._n_u = patch.n_u
-        self._x = patch.x
-        self._y = patch.y
-        self._spec = {name: np.fft.rfft(getattr(patch, name), axis=-1)
-                      for name in ("x", "y", "p", "q")}
-        self._theta = []
-        self._u_grid = patch.u
+        self._tables = []
+        self._inverse = []
         for k in range(patch.n_levels):
-            if _level_cover(patch.x[k], patch.y[k],
-                            (patch.z[k], patch.p[k], patch.q[k])) is None:
+            x, y = patch.x[k], patch.y[k]
+            unwrapped = _unwrap_angles(x, y)
+            if _level_cover(x, y, (patch.z[k], patch.p[k], patch.q[k]),
+                            unwrapped) is None:
                 raise ValidationError("patch level is not star-shaped")
-            self._theta.append(_unwrap_angles(patch.x[k], patch.y[k])[0])
+            self._tables.append(_radius_table(x, y, unwrapped))
+            # The angle table may be decreasing in u for negatively
+            # oriented curves, hence the sort.
+            theta = unwrapped[0]
+            order = np.argsort(theta)
+            self._inverse.append((theta[order], patch.u[order]))
+        # The interpolant of n uniform real samples with rfft spectrum c is
+        # sum_k a_k cos(k u) + b_k sin(k u); its u-derivative has the
+        # coefficients -k a_k (of sin) and k b_k (of cos).
+        n = patch.n_u
+        self._k = np.arange(n // 2 + 1)
+        self._coef = {}
+        for name in ("x", "y", "p", "q"):
+            spec = np.fft.rfft(getattr(patch, name), axis=-1)
+            a = 2.0 * spec.real / n
+            b = -2.0 * spec.imag / n
+            a[:, 0] *= 0.5
+            if n % 2 == 0:
+                a[:, -1] *= 0.5
+            self._coef[name] = (a, b, -self._k * a, self._k * b)
         query = np.linspace(-np.pi, np.pi, 720, endpoint=False)
-        rho_first = _radius_at_angles(patch.x[0], patch.y[0], query)
-        rho_last = _radius_at_angles(patch.x[-1], patch.y[-1], query)
-        self.r_lo = float(np.max(rho_first))
-        self.r_hi = float(np.min(rho_last))
-        self._levels = patch.n_levels
+        self.r_lo = float(np.max(_radius_lookup(self._tables[0], query)))
+        self.r_hi = float(np.min(_radius_lookup(self._tables[-1], query)))
 
     def suggest_radii(self, max_count: int = 5) -> tuple:
         """Largest ratio-2 ladder that fits the covered band, top at 0.8 r_hi."""
@@ -151,35 +159,33 @@ class PatchSampler:
 
     def _level_values(self, k: int, theta_q: np.ndarray):
         """(rho, p, q) of level k at exact angles theta_q."""
-        theta = self._theta[k]
-        n = self._n_u
         # Linear inverse guess on the (theta, u) table, then Newton on the
-        # interpolant; the table may be decreasing in u for negatively
-        # oriented curves, hence the sort.
-        order = np.argsort(theta)
-        theta_sorted = theta[order]
-        u_sorted = self._u_grid[order]
+        # interpolant, with one cos/sin basis per evaluation point set.
+        theta_sorted, u_sorted = self._inverse[k]
         period = 2.0 * np.pi
         lo = theta_sorted[0]
         tq = (theta_q - lo) % period + lo
         u = np.interp(tq, theta_sorted, u_sorted,
                       left=u_sorted[0], right=u_sorted[-1])
-        sx, sy = self._spec["x"][k], self._spec["y"][k]
+        ax, bx, dax, dbx = (c[k] for c in self._coef["x"])
+        ay, by, day, dby = (c[k] for c in self._coef["y"])
         for _ in range(3):
-            x = _trig_eval(sx, n, u)
-            y = _trig_eval(sy, n, u)
-            dx = _trig_eval(sx, n, u, deriv=1)
-            dy = _trig_eval(sy, n, u, deriv=1)
+            ku = np.multiply.outer(u, self._k)
+            C, S = np.cos(ku), np.sin(ku)
+            x = C @ ax + S @ bx
+            y = C @ ay + S @ by
+            dx = S @ dax + C @ dbx
+            dy = S @ day + C @ dby
             f = np.arctan2(y, x) - theta_q
             f = (f + np.pi) % (2.0 * np.pi) - np.pi
             dtheta = (x * dy - y * dx) / (x * x + y * y)
             u = u - f / dtheta
-        x = _trig_eval(sx, n, u)
-        y = _trig_eval(sy, n, u)
-        rho = np.hypot(x, y)
-        p = _trig_eval(self._spec["p"][k], n, u)
-        q = _trig_eval(self._spec["q"][k], n, u)
-        return rho, p, q
+        ku = np.multiply.outer(u, self._k)
+        C, S = np.cos(ku), np.sin(ku)
+        rho = np.hypot(C @ ax + S @ bx, C @ ay + S @ by)
+        ap, bp = (c[k] for c in self._coef["p"][:2])
+        aq, bq = (c[k] for c in self._coef["q"][:2])
+        return rho, C @ ap + S @ bp, C @ aq + S @ bq
 
     def __call__(self, r: float, thetas: np.ndarray):
         r = float(r)
@@ -187,15 +193,18 @@ class PatchSampler:
             raise CoverageError(
                 f"radius {r:.6g} outside covered band "
                 f"[{self.r_lo:.6g}, {self.r_hi:.6g}]")
-        thetas = np.asarray(thetas, dtype=float)
-        rho_tab = np.stack([
-            _radius_at_angles(self._x[k], self._y[k], thetas)
-            for k in range(self._levels)
-        ])
+        try:
+            thetas = np.asarray(thetas, dtype=float)
+        except (TypeError, ValueError):
+            thetas = None
+        if thetas is None or thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
+            raise ValidationError("sampler angles must be a finite 1-D array")
+        rho_tab = np.stack([_radius_lookup(table, thetas)
+                            for table in self._tables])
         idx = np.empty(thetas.size, dtype=int)
         for i in range(thetas.size):
             idx[i] = np.searchsorted(rho_tab[:, i], r, side="right") - 1
-        idx = np.clip(idx, 0, self._levels - 2)
+        idx = np.clip(idx, 0, len(self._tables) - 2)
 
         p_out = np.empty(thetas.size)
         q_out = np.empty(thetas.size)
@@ -321,33 +330,43 @@ def _directed_hausdorff(P: np.ndarray, Q: np.ndarray, tree: cKDTree,
     nearest = np.asarray(nearest, dtype=int).reshape(P.shape[0], k)
     # Candidate segments: those starting at a near vertex or just before it.
     seg_idx = np.concatenate([nearest, (nearest - 1) % n], axis=1)
-    starts = Q[seg_idx]
-    ends = Q[(seg_idx + 1) % n]
-    d = ends - starts
-    rel = P[:, None, :] - starts
-    denom = np.sum(d * d, axis=-1)
-    t = np.clip(np.sum(rel * d, axis=-1) / np.maximum(denom, 1e-300), 0.0, 1.0)
-    foot = starts + t[..., None] * d
-    dist = np.linalg.norm(P[:, None, :] - foot, axis=-1)
-    return float(np.max(np.min(dist, axis=1)))
+    # Segment j runs from Q[j] to Q[j + 1 mod n].
+    qx, qy = Q[:, 0], Q[:, 1]
+    ux, uy = np.roll(qx, -1) - qx, np.roll(qy, -1) - qy
+    denom = np.maximum(ux * ux + uy * uy, 1e-300)[seg_idx]
+    sx, sy, dx, dy = qx[seg_idx], qy[seg_idx], ux[seg_idx], uy[seg_idx]
+    px, py = P[:, :1], P[:, 1:]
+    t = np.clip(((px - sx) * dx + (py - sy) * dy) / denom, 0.0, 1.0)
+    ex = px - (sx + t * dx)
+    ey = py - (sy + t * dy)
+    # sqrt is monotone, so it commutes with the min and the max.
+    return float(np.sqrt(np.max(np.min(ex * ex + ey * ey, axis=1))))
 
 
 def hausdorff_distance(curve_a, curve_b, n: int = 8192) -> float:
     """Hausdorff distance between two closed curves as point sets.
 
-    Accepts PeriodicCurve or (n, 2) vertex arrays; curves are rendered as
+    Accepts PeriodicCurve or (m, 2) vertex arrays; curves are rendered as
     n-gon polylines, so the result is parametrization- and orientation-
-    independent (chord sagitta ~ r (pi/n)^2 sets the floor).
+    independent (chord sagitta ~ r (pi/n)^2 sets the floor).  An empty or
+    non-finite polyline and n < 3 raise ValidationError.
     """
+    if n < 3:
+        raise ValidationError(f"hausdorff_distance needs n >= 3, got {n}")
 
     def polyline(c):
         if isinstance(c, PeriodicCurve):
             u = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
             alpha, beta, *_ = eval_curve(c, u)
-            return np.column_stack([alpha, beta])
-        arr = np.asarray(c, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValidationError("polyline input must have shape (m, 2)")
+            arr = np.column_stack([alpha, beta])
+        else:
+            arr = np.asarray(c, dtype=float)
+            if arr.ndim != 2 or arr.shape[1] != 2:
+                raise ValidationError("polyline input must have shape (m, 2)")
+        if arr.shape[0] == 0:
+            raise ValidationError("polyline is empty")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("polyline vertices must be finite")
         return arr
 
     P = polyline(curve_a)

@@ -308,7 +308,7 @@ def _unwrap_angles(x: np.ndarray, y: np.ndarray):
     return theta, winding
 
 
-def _level_cover(x: np.ndarray, y: np.ndarray, extra_rows=()):
+def _level_cover(x: np.ndarray, y: np.ndarray, extra_rows=(), unwrapped=None):
     """Reduce one level curve to a single star-shaped traversal.
 
     A level with winding m and monotone angle is accepted when it is an
@@ -316,8 +316,9 @@ def _level_cover(x: np.ndarray, y: np.ndarray, extra_rows=()):
     traced constructions produce exactly this, to march round-off, while
     genuinely self-overlapping images do not).  Returns (x_red, y_red)
     or None when the level is not a cover of a star-shaped curve.
+    ``unwrapped`` is ``_unwrap_angles(x, y)`` when the caller has it.
     """
-    theta, winding = _unwrap_angles(x, y)
+    theta, winding = _unwrap_angles(x, y) if unwrapped is None else unwrapped
     m = abs(winding)
     if m == 0:
         return None
@@ -337,15 +338,26 @@ def _level_cover(x: np.ndarray, y: np.ndarray, extra_rows=()):
     return x[:shift], y[:shift]
 
 
-def _radius_at_angles(x: np.ndarray, y: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """rho(theta) by periodic linear interpolation of one closed level curve."""
-    theta, winding = _unwrap_angles(x, y)
+def _radius_table(x: np.ndarray, y: np.ndarray, unwrapped=None):
+    """The rho(theta) table of one closed level curve: (theta_ext, rho_ext, period).
+
+    theta_ext increases and its last entry closes the loop one period
+    after the first.  ``unwrapped`` is ``_unwrap_angles(x, y)`` when the
+    caller has it.
+    """
+    theta, winding = _unwrap_angles(x, y) if unwrapped is None else unwrapped
     rho = np.hypot(x, y)
     if theta[0] > theta[-1]:
         theta, rho = theta[::-1], rho[::-1]
     period = 2.0 * np.pi * abs(winding) if winding != 0 else 2.0 * np.pi
     theta_ext = np.concatenate([theta, [theta[0] + period]])
     rho_ext = np.concatenate([rho, [rho[0]]])
+    return theta_ext, rho_ext, period
+
+
+def _radius_lookup(table, query: np.ndarray) -> np.ndarray:
+    """rho at the query angles by periodic linear interpolation of a table."""
+    theta_ext, rho_ext, period = table
     q = (query - theta_ext[0]) % period + theta_ext[0]
     return np.interp(q, theta_ext, rho_ext)
 
@@ -365,9 +377,9 @@ def _nested_family(x: np.ndarray, y: np.ndarray, extra=()) -> bool:
             return False
         reduced.append(red)
     query = np.linspace(-np.pi, np.pi, 512, endpoint=False)
-    prev = _radius_at_angles(*reduced[0], query)
+    prev = _radius_lookup(_radius_table(*reduced[0]), query)
     for k in range(1, n_levels):
-        cur = _radius_at_angles(*reduced[k], query)
+        cur = _radius_lookup(_radius_table(*reduced[k]), query)
         if not np.all(cur > prev):
             return False
         prev = cur

@@ -1,8 +1,10 @@
 """End-to-end command line behaviour, config handling, and exit codes."""
 
 import importlib
+import importlib.util
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -257,6 +259,21 @@ def test_roundtrip_precondition_is_seven(tmp_path):
     assert read_report(out)["status"] == "precondition-failed"
 
 
+@pytest.mark.parametrize("command", ["construct", "roundtrip"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_non_finite_curve_literal_is_two(tmp_path, capsys, command, bad):
+    # The sine coefficient of the circle made non-finite: construct used to
+    # blame the initial data, roundtrip to call the curve embedded.
+    literal = ('{"alpha_cos": [0, 1], "alpha_sin": [0, %s], '
+               '"beta_cos": [0], "beta_sin": [0, -1]}' % bad)
+    out = tmp_path / "run"
+    code = main([command, "--out", str(out),
+                 "--set", f"curve.literal={literal}"])
+    assert code == 2
+    assert "curve coefficients must be finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_roundtrip_impossible_tolerance_is_eight(tmp_path):
     code = main(["roundtrip", "--out", str(tmp_path / "run"),
                  "--set", "roundtrip.tolerance=1e-12"])
@@ -344,6 +361,22 @@ def test_cli_keeps_the_names_the_benchmark_traces():
                  "curves_overlay_svg", "image_curves_svg",
                  "residual_strip_svg"):
         assert callable(getattr(cli, name, None)), name
+
+
+def test_every_benchmark_trace_target_resolves():
+    # perfbench/spans.py wraps each TARGETS entry by module and dotted
+    # attribute (PatchSampler.__call__, for one); a rename must fail here.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert len(spans.TARGETS) > 6
+    for module, attribute, _ in spans.TARGETS:
+        owner = importlib.import_module(module)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+            assert owner is not None, f"{module}.{attribute}"
+        assert callable(owner), f"{module}.{attribute}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Fourier curves, classification, and the builtin gallery."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -133,6 +135,28 @@ def test_fit_reproduces_fourier_coefficients():
 def test_fit_rejects_underresolved_degree():
     with pytest.raises(ValidationError):
         fit_curve(np.zeros(16), np.zeros(16), degree=8)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_are_rejected(bad):
+    with pytest.raises(ValidationError, match="must be finite"):
+        PeriodicCurve([0.0, 1.0], [0.0, bad], [0.0], [0.0, -1.0])
+    with pytest.raises(ValidationError, match="must be finite"):
+        PeriodicCurve.from_json(json.dumps({
+            "alpha_cos": [0, 1], "alpha_sin": [0, 0], "beta_cos": [bad],
+            "beta_sin": [0, -1]}))
+    # A non-finite extrapolation cannot become a fitted curve either.
+    samples = np.cos(U)
+    samples[7] = bad
+    with pytest.raises(ValidationError, match="must be finite"):
+        fit_curve(samples, np.sin(U), degree=4)
+
+
+def test_non_numeric_coefficients_are_rejected():
+    with pytest.raises(ValidationError, match="must be numbers"):
+        PeriodicCurve.from_dict({"alpha_cos": ["a"], "alpha_sin": [0.0],
+                                 "beta_cos": [0.0], "beta_sin": [0.0]})
 
 
 def test_json_round_trip():

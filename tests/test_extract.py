@@ -134,6 +134,21 @@ def test_sampler_rejects_out_of_band_radius(circle_sampler):
         circle_sampler(1e-4, np.zeros(4))
 
 
+@pytest.mark.parametrize("thetas", [
+    0.5, np.zeros((2, 4)), np.array([0.1, np.nan]),
+    np.array([np.inf, 0.2]), np.array([-np.inf]), ["a", "b"]],
+    ids=["scalar", "2-d", "nan", "inf", "-inf", "strings"])
+def test_sampler_rejects_angles_that_are_not_a_finite_vector(circle_sampler,
+                                                             thetas):
+    with pytest.raises(ValidationError, match="finite 1-D"):
+        circle_sampler(0.1, thetas)
+
+
+def test_sampler_accepts_no_angles(circle_sampler):
+    p, q = circle_sampler(0.1, np.array([]))
+    assert p.shape == (0,) and q.shape == (0,)
+
+
 def test_sampler_suggest_radii_fit_the_band(circle_sampler):
     radii = circle_sampler.suggest_radii()
     assert len(radii) == 4
@@ -238,3 +253,18 @@ def test_hausdorff_reparametrization_invariance():
     a = builtin_curve("ellipse")
     b = a.reverse().shift(1.3)
     assert hausdorff_distance(a, b) < 1e-7
+
+
+@pytest.mark.parametrize("a, b, n", [
+    (np.empty((0, 2)), "circle", 8192),
+    ("circle", np.empty((0, 2)), 8192),
+    (np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]]), "circle", 8192),
+    ("circle", np.array([[0.0, 1.0], [0.5, np.inf]]), 8192),
+    ("circle", "ellipse", 0),
+    ("circle", "ellipse", 2),
+], ids=["empty-a", "empty-b", "nan", "inf", "n=0", "n=2"])
+def test_hausdorff_rejects_empty_or_non_finite_polylines(a, b, n):
+    a = builtin_curve(a) if isinstance(a, str) else a
+    b = builtin_curve(b) if isinstance(b, str) else b
+    with pytest.raises(ValidationError):
+        hausdorff_distance(a, b, n=n)
