@@ -4,12 +4,14 @@ A field packages four analytic expressions in the state variables
 (x, y, z, p, q) together with a closed domain box.  Every evaluation
 checks box membership and the ellipticity discriminant D = A*C - B^2 + E,
 so nothing downstream ever consumes a state where the equation fails to
-be elliptic.
+be elliptic.  A field folds its constant coefficients to scalars once,
+when it is made, and checks the box once per (5, ...) state block.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +40,6 @@ DEFAULT_BOX = {
 }
 
 _ZERO = Num(0.0)
-
-
-def _is_zero_constant(e: Expr) -> bool:
-    return not variables_of(e) and float(evaluate(e, dict.fromkeys(VARIABLES, 0.0))) == 0.0
 
 
 def _validate_box(box) -> dict[str, tuple[float, float]]:
@@ -75,12 +73,24 @@ class CoefficientField:
     box: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "box", _validate_box(self.box))
+        box = _validate_box(self.box)
+        object.__setattr__(self, "box", box)
+        # Bounds in VARIABLES order, for one comparison per state block.
+        object.__setattr__(self, "_lo", np.array([box[n][0] for n in VARIABLES]))
+        object.__setattr__(self, "_hi", np.array([box[n][1] for n in VARIABLES]))
+        # Coefficients without variables are evaluated here, once; None
+        # marks one that depends on the state.  A non-finite constant is
+        # kept as it is and reported when the field is evaluated.
+        with np.errstate(all="ignore"):
+            constants = tuple(None if variables_of(e) else evaluate(e, {})
+                              for e in (self.A, self.B, self.C, self.E))
+        object.__setattr__(self, "_constants", constants)
 
     @property
     def pure(self) -> bool:
         """True when A, B, C vanish identically (det D^2 z = E form)."""
-        return all(_is_zero_constant(e) for e in (self.A, self.B, self.C))
+        return all(value is not None and value == 0.0
+                   for value in self._constants[:3])
 
     def to_dict(self) -> dict:
         return {
@@ -136,6 +146,60 @@ def box_violation(field: CoefficientField, state):
     return None
 
 
+def _box_error(field: CoefficientField, state) -> OutOfBoxError:
+    """The OutOfBoxError for the first violation ``box_violation`` finds."""
+    name, idx, value = box_violation(field, state)
+    lo, hi = field.box[name]
+    where = "" if idx is None else f" at index {idx}"
+    return OutOfBoxError(f"{name}={value!r} outside [{lo}, {hi}]{where}",
+                         variable=name, index=idx)
+
+
+def _field_values(field: CoefficientField, block):
+    """(A, B, C, E, D) on a state block, with D = A*C - B^2 + E.
+
+    ``block`` is a (5, ...) array, or five arrays of one shape, in the
+    order x, y, z, p, q.  A constant coefficient comes back as a scalar,
+    which gives the same bits in elementwise arithmetic as the array it
+    stands for; every other value has the state shape.  Raises as
+    ``eval_field`` does.
+    """
+    states = np.asarray(block)
+    column = (5,) + (1,) * (states.ndim - 1)
+    inside = ((states >= field._lo.reshape(column))
+              & (states <= field._hi.reshape(column)))  # NaN is outside
+    if not inside.all():
+        raise _box_error(field, block)
+
+    shape = states.shape[1:]
+    env = dict(zip(VARIABLES, block))
+    values = []
+    with np.errstate(all="ignore"):
+        for label, expr, value in zip("ABCE", (field.A, field.B, field.C, field.E),
+                                      field._constants):
+            if value is None:
+                value = evaluate(expr, env)
+                finite = np.isfinite(value)
+                if not finite.all():
+                    idx = int(np.argmax(~finite.ravel())) if shape else None
+                    where = "" if idx is None else f" at index {idx}"
+                    raise FieldEvalError(f"coefficient {label} is non-finite{where}")
+            elif not math.isfinite(value) and states.size:
+                where = " at index 0" if shape else ""
+                raise FieldEvalError(f"coefficient {label} is non-finite{where}")
+            values.append(value)
+    a, b, c, e = values
+    disc = a * c - b * b + e
+    if not (disc > 0).all() and states.size:
+        flat = np.atleast_1d(~(disc > 0)).ravel()
+        idx = int(np.argmax(flat)) if shape else None
+        worst = float(np.min(disc))
+        raise EllipticityError(
+            f"ellipticity D = A*C - B^2 + E not positive (min {worst!r})",
+            index=idx)
+    return a, b, c, e, disc
+
+
 def eval_field(field: CoefficientField, state):
     """Evaluate (A, B, C, E, D) at a state, with D = A*C - B^2 + E.
 
@@ -151,39 +215,18 @@ def eval_field(field: CoefficientField, state):
         FieldEvalError: a coefficient evaluates to NaN/inf inside the box.
         EllipticityError: D <= 0 at some state.
     """
-    violation = box_violation(field, state)
-    if violation is not None:
-        name, idx, value = violation
-        lo, hi = field.box[name]
-        where = "" if idx is None else f" at index {idx}"
-        raise OutOfBoxError(
-            f"{name}={value!r} outside [{lo}, {hi}]{where}",
-            variable=name, index=idx)
-
-    env = dict(zip(VARIABLES, (np.asarray(v, dtype=float) for v in state)))
-    shape = np.broadcast_shapes(*(env[name].shape for name in VARIABLES))
-    values = []
-    with np.errstate(all="ignore"):
-        for label in ("A", "B", "C", "E"):
-            raw = evaluate(getattr(field, label), env)
-            arr = np.broadcast_to(np.asarray(raw, dtype=float), shape)
-            if not np.all(np.isfinite(arr)):
-                idx = int(np.argmax(~np.isfinite(arr).ravel())) if shape else None
-                where = "" if idx is None else f" at index {idx}"
-                raise FieldEvalError(f"coefficient {label} is non-finite{where}")
-            values.append(arr)
-    a, b, c, e = values
-    disc = a * c - b * b + e
-    if not np.all(disc > 0):
-        flat = np.atleast_1d(~(disc > 0)).ravel()
-        idx = int(np.argmax(flat)) if shape else None
-        worst = float(np.min(disc))
-        raise EllipticityError(
-            f"ellipticity D = A*C - B^2 + E not positive (min {worst!r})",
-            index=idx)
+    parts = [np.asarray(v, dtype=float) for v in state]
+    block = np.broadcast_arrays(*parts)
+    try:
+        values = _field_values(field, block)
+    except OutOfBoxError:
+        # The index counts within the component as given, which may be
+        # smaller than the broadcast state.
+        raise _box_error(field, parts) from None
+    shape = block[0].shape
     if not shape:
-        return tuple(float(v) for v in (a, b, c, e, disc))
-    return a, b, c, e, disc
+        return tuple(float(v) for v in values)
+    return tuple(np.broadcast_to(v, shape) for v in values)
 
 
 _BUILTIN_FIELDS = {

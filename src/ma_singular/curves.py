@@ -328,6 +328,8 @@ def fit_curve(alpha_samples, beta_samples, degree: int) -> PeriodicCurve:
         raise ValidationError("alpha/beta sample counts differ")
     if degree > (n - 1) // 2:
         raise ValidationError(f"degree {degree} needs more than {n} samples")
+    if not (np.all(np.isfinite(alpha_samples)) and np.all(np.isfinite(beta_samples))):
+        raise ValidationError("curve coefficients must be finite")
 
     def coefficients(samples):
         spec = np.fft.rfft(samples)

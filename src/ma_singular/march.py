@@ -11,11 +11,12 @@ bit-identical output.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientField, eval_field
+from .coeffs import CoefficientField, _field_values, eval_field
 from .curves import PeriodicCurve, eval_curve
 from .errors import (
     BoxExitError,
@@ -135,18 +136,20 @@ class StripSolution:
         return self.states[k]
 
 
-def assemble_rhs(level: np.ndarray, field: CoefficientField) -> np.ndarray:
+def assemble_rhs(level: np.ndarray, field: CoefficientField,
+                 values=None) -> np.ndarray:
     """Z_v for one level: spectral Z_u pushed through the system matrix.
 
     ``level`` is the (5, n_u) block (x, y, z, p, q), or a (5, ..., n_u)
     stack of such blocks along the middle axes.  Rows follow the
     quasilinear system; for a pure field they reduce to
     x_v = -q_u/sqrt(E), y_v = p_u/sqrt(E), z_v = (q p_u - p q_u)/sqrt(E),
-    p_v = -sqrt(E) y_u, q_v = sqrt(E) x_u.
+    p_v = -sqrt(E) y_u, q_v = sqrt(E) x_u.  ``values`` is (A, B, C, E, D)
+    already evaluated at ``level``; without it the field is evaluated here.
     """
     x, y, z, p, q = level
     x_u, y_u, p_u, q_u = spectral_du(level[[0, 1, 3, 4]])
-    a, b, c, e, disc = eval_field(field, (x, y, z, p, q))
+    a, b, c, e, disc = _field_values(field, level) if values is None else values
     root = np.sqrt(disc)
     x_v = (b * x_u - a * y_u - q_u) / root
     y_v = (c * x_u - b * y_u + p_u) / root
@@ -157,18 +160,21 @@ def assemble_rhs(level: np.ndarray, field: CoefficientField) -> np.ndarray:
     return np.stack([x_v, y_v, z_v, p_v, q_v])
 
 
+@functools.lru_cache(maxsize=16)
 def _filter_factors(params: MarchParams) -> np.ndarray:
     """1 - sigma(k) for the compensated filter update, per rfft bin.
 
     sigma(k) = exp(-strength * (k / (cutoff * k_max))^order).  Computed
     via expm1 so the shoulder keeps sub-ulp damping accuracy; factors
     below 1e-18 are then snapped to exact zero so the deep passband is
-    bitwise transparent at any data scale.
+    bitwise transparent at any data scale.  Cached per parameter set and
+    read-only, since every step of a march uses the same factors.
     """
     k = np.arange(params.n_u // 2 + 1, dtype=float)
     k_cut = params.filter_cutoff * (params.n_u / 2)
     f = -np.expm1(-params.filter_strength * (k / k_cut) ** params.filter_order)
     f[f < 1e-18] = 0.0
+    f.flags.writeable = False
     return f
 
 
@@ -208,8 +214,10 @@ def stability_monitor(level: np.ndarray, params: MarchParams) -> tuple[float, bo
     return worst, worst > params.monitor_threshold
 
 
-def _rk4_step(level: np.ndarray, h: float, field: CoefficientField) -> np.ndarray:
-    k1 = assemble_rhs(level, field)
+def _rk4_step(level: np.ndarray, h: float, field: CoefficientField,
+              values) -> np.ndarray:
+    """One RK4 step; ``values`` is the field at ``level``, reused by k1."""
+    k1 = assemble_rhs(level, field, values)
     k2 = assemble_rhs(level + 0.5 * h * k1, field)
     k3 = assemble_rhs(level + 0.5 * h * k2, field)
     k4 = assemble_rhs(level + h * k3, field)
@@ -241,9 +249,10 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     level = np.stack([zeros, zeros.copy(), zeros.copy(), alpha, beta])
 
     # Box, evaluation and ellipticity failures on the axis data are
-    # input errors: they surface here, before any step.
+    # input errors: they surface here, before any step.  Each check's
+    # values feed the k1 stage of the next step.
     try:
-        disc0 = eval_field(field, tuple(level))[4]
+        values = eval_field(field, tuple(level))
     except FieldEvalError as err:
         raise ValidationError(f"initial data: {err}") from None
 
@@ -253,7 +262,7 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     levels = [level]
     frac0, _ = stability_monitor(level, params)
     fracs = [frac0]
-    discs = [float(np.min(disc0))]
+    discs = [float(np.min(values[4]))]
 
     status, detail = "completed", f"reached v={sign * params.R:.6g}"
     streak = skipped = 0
@@ -273,7 +282,7 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     while v_now < params.R - 1e-12 * params.R:
         h = min(params.dv, params.R - v_now)
         try:
-            nxt = _rk4_step(level, sign * h, field)
+            nxt = _rk4_step(level, sign * h, field, values)
         except OutOfBoxError as err:
             fail("box-exit",
                  f"stage state left the box after v={sign * v_now:.6g}: {err}",
@@ -300,7 +309,7 @@ def march(curve: PeriodicCurve, field: CoefficientField,
             break
 
         try:
-            disc = eval_field(field, tuple(nxt))[4]
+            values = _field_values(field, nxt)
         except OutOfBoxError as err:
             fail("box-exit", f"state left the box at v={sign * v_now:.6g}: {err}",
                  BoxExitError)
@@ -334,7 +343,7 @@ def march(curve: PeriodicCurve, field: CoefficientField,
         v_list.append(sign * v_now)
         levels.append(nxt)
         fracs.append(frac)
-        discs.append(float(np.min(disc)))
+        discs.append(float(np.min(values[4])))
 
     return StripSolution(np.array(v_list), u, np.stack(levels), np.array(fracs),
                          np.array(discs), status, detail, curve, field, params,

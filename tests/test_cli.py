@@ -162,7 +162,7 @@ def test_construct_bad_builtin_is_two(tmp_path, capsys):
     assert "unknown curve" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("E", ["-1", "1/(p-p)"])
+@pytest.mark.parametrize("E", ["-1", "1/(p-p)", "1/0"])
 def test_construct_inadmissible_axis_data_is_two(tmp_path, capsys, E):
     field = dict(SMALL_BOX_FIELD, E=E,
                  box={"x": [-1, 1], "y": [-1, 1], "z": [-1, 1],

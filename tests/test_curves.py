@@ -137,7 +137,7 @@ def test_fit_rejects_underresolved_degree():
         fit_curve(np.zeros(16), np.zeros(16), degree=8)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_coefficients_are_rejected(bad):
     with pytest.raises(ValidationError, match="must be finite"):

@@ -328,6 +328,72 @@ def test_single_monitor_hit_skips_and_counts_one_level(monkeypatch):
     np.testing.assert_array_equal(np.setdiff1d(clean.v, strip.v), [clean.v[4]])
 
 
+def _field_with(E="1", x=1.0, pq=4.0):
+    return CoefficientField.from_dict({
+        "A": "0", "B": "0", "C": "0", "E": E,
+        "box": {"x": [-x, x], "y": [-1, 1], "z": [-1, 1],
+                "p": [-pq, pq], "q": [-pq, pq]}})
+
+
+@pytest.mark.parametrize("field, n_levels, status, detail", [
+    (_field_with(x=0.05), 50, "box-exit",
+     "stage state left the box after v=0.049: "
+     "x=0.050020836021085945 outside [-0.05, 0.05] at index 0"),
+    # Every stage of the first step stays inside; the stepped state does not.
+    (_field_with(pq=1.0000005), 1, "box-exit",
+     "state left the box at v=0.001: "
+     "p=1.0000005000000414 outside [-1.0000005, 1.0000005] at index 0"),
+    (_field_with("1 - 60*z"), 12, "ellipticity",
+     "ellipticity lost after v=0.011: "
+     "ellipticity D = A*C - B^2 + E not positive (min -0.095302403484671)"),
+    (_field_with("1 + sqrt(0.05 - z)"), 54, "non-finite",
+     "field evaluation failed after v=0.053: "
+     "coefficient E is non-finite at index 0"),
+], ids=["stage-box-exit", "step-box-exit", "ellipticity", "non-finite"])
+def test_failure_status_and_detail_are_pinned(field, n_levels, status, detail):
+    strip = march(CIRCLE, field, MarchParams())
+    assert (strip.n_levels, strip.status, strip.detail) == (n_levels, status,
+                                                            detail)
+
+
+@pytest.mark.parametrize("E, message", [
+    ("1/0", "initial data: coefficient E is non-finite at index 0"),
+    ("0 - 1", "initial data: ellipticity D = A*C - B^2 + E not positive "
+              "(min -1.0)"),
+])
+def test_constant_field_rejected_on_the_axis(E, message):
+    with pytest.raises(ValidationError) as info:
+        march(CIRCLE, _field_with(E))
+    assert str(info.value) == message
+
+
+def test_march_makes_four_field_evaluations_per_step(monkeypatch):
+    coeffs_module = importlib.import_module("ma_singular.coeffs")
+    march_module = importlib.import_module("ma_singular.march")
+    counts = {"field": 0, "rhs": 0}
+    field_values = coeffs_module._field_values
+    assemble = march_module.assemble_rhs
+
+    def count_field(*args):
+        counts["field"] += 1
+        return field_values(*args)
+
+    def count_rhs(*args):
+        counts["rhs"] += 1
+        return assemble(*args)
+
+    for module in (coeffs_module, march_module):
+        monkeypatch.setattr(module, "_field_values", count_field)
+    monkeypatch.setattr(march_module, "assemble_rhs", count_rhs)
+    strip = march(builtin_curve("remark42"), builtin_field("remark42"),
+                  MarchParams(n_u=256, R=0.05))
+    steps = strip.n_levels - 1
+    assert strip.status == "completed" and steps == 50
+    # k1 reuses the check of the state it starts from: 3 stages + 1 check
+    # per step, and the check on the axis.
+    assert counts == {"field": 4 * steps + 1, "rhs": 4 * steps}
+
+
 def test_strip_level_accessor():
     strip = march(CIRCLE, PURE_ONE, MarchParams(R=0.01))
     level = strip.level(3)
