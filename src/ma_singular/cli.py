@@ -78,6 +78,11 @@ _STATUS_EXIT = {
     "ellipticity": EXIT_ELLIPTICITY,
 }
 
+#: Exit code of an error that ends a command, subclasses before MarchError.
+_ERROR_EXIT = ((ValidationError, EXIT_VALIDATION), (CoverageError, EXIT_TOLERANCE),
+               (BoxExitError, EXIT_BOX), (EllipticityAbortError, EXIT_ELLIPTICITY),
+               (MarchError, EXIT_INSTABILITY))
+
 DEFAULT_CONFIG = {
     "curve": {"builtin": "circle", "file": None, "literal": None,
               "auto_reverse": False},
@@ -201,6 +206,17 @@ def _march_params(cfg: dict) -> MarchParams:
 
 def _prepare(cfg: dict):
     """Fail-fast pass: parse everything before any numerics run."""
+    for key, nullable in (("reconstruct.v_min", True), ("residual.v_min", True),
+                          ("residual.j_floor", False)):
+        section, name = key.split(".")
+        value = cfg[section][name]
+        if nullable and value is None:
+            continue
+        # A bool is an int; the comparison rejects inf, NaN and huge ints.
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not abs(value) <= sys.float_info.max:
+            raise ValidationError(f"{key} must be a finite number"
+                                  f"{' or null' if nullable else ''}, got {value!r}")
     curve = _load_curve(cfg)
     field = _load_field(cfg)
     params = _march_params(cfg)
@@ -611,21 +627,9 @@ def main(argv=None) -> int:
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return EXIT_OK
         return run_command(args.command, cfg)
-    except ValidationError as err:
+    except (ValidationError, CoverageError, MarchError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CoverageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    except BoxExitError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BOX
-    except EllipticityAbortError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ELLIPTICITY
-    except MarchError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INSTABILITY
+        return next(code for cls, code in _ERROR_EXIT if isinstance(err, cls))
 
 
 if __name__ == "__main__":

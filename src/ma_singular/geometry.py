@@ -6,12 +6,13 @@ The marched chart (u, v) is degenerate on the axis v = 0 by construction
 from the axis or treats it explicitly.  Hessian recovery is one 2x2 solve
 per node; the four first-order relations the system satisfies are then
 demoted to residual checks, which makes them genuinely independent
-evidence rather than part of the construction.
+evidence rather than part of the construction.  One cached analysis per
+strip computes all of this once; the public functions are views of it.
 """
 
 from __future__ import annotations
 
-import json
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,54 +50,7 @@ RESIDUAL_J_FLOOR = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# Jacobian of the strip chart
-
-
-def _strip_states(strip: StripSolution, levels) -> np.ndarray:
-    """States (x, y, z, p, q) first: (5, n_u) for an int, else (5, L, n_u)."""
-    return np.moveaxis(strip.states[levels], -2, 0)
-
-
-def _strip_derivatives(strip: StripSolution, levels):
-    """(Z, Z_u, Z_v) on one level index or a selection of levels.
-
-    Each is a (5, n_u) block for an int and (5, L, n_u) for a selection,
-    rows x, y, z, p, q.  u-derivatives are spectral; v-derivatives
-    re-evaluate the marched system on the stored levels, so they are
-    exact for the semi-discrete flow rather than a finite difference
-    across levels.
-    """
-    Z = _strip_states(strip, levels)
-    return Z, spectral_du(Z), assemble_rhs(Z, strip.field)
-
-
-def jacobian(strip: StripSolution):
-    """J = x_u y_v - x_v y_u per (level, node), plus min over v > 0.
-
-    Level 0 is identically zero in exact arithmetic (the axis data has
-    x = y = 0); it is returned as computed, which is zero to round-off.
-    """
-    _, Z_u, Z_v = _strip_derivatives(strip, slice(None))
-    J = Z_u[0] * Z_v[1] - Z_v[0] * Z_u[1]
-    min_positive = float(np.min(J[1:])) if strip.n_levels > 1 else float("nan")
-    return J, min_positive
-
-
-def jv_axis(curve: PeriodicCurve, field: CoefficientField, n_u: int = 128) -> np.ndarray:
-    """The axis derivative J_v(u, 0) = (beta' alpha'' - beta'' alpha') / D.
-
-    D is the ellipticity discriminant at the axis state (0,0,0,alpha,beta).
-    Positive values are what make the image curves leave the origin.
-    """
-    u = 2.0 * np.pi * np.arange(n_u) / n_u
-    alpha, beta, d_alpha, d_beta, dd_alpha, dd_beta = eval_curve(curve, u)
-    zeros = np.zeros(n_u)
-    disc = eval_field(field, (zeros, zeros, zeros, alpha, beta))[4]
-    return (d_beta * dd_alpha - dd_beta * d_alpha) / disc
-
-
-# ---------------------------------------------------------------------------
-# Hessian recovery
+# Hessian recovery: one analysis per strip, read by every view
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,19 +74,18 @@ class HessianLevel:
     valid: np.ndarray
 
 
-def hessian_from_derivatives(x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v,
-                             guard: float = JACOBIAN_GUARD):
+def hessian_from_derivatives(x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v):
     """Pointwise chain-rule Hessian from chart derivatives.
 
     [r s; s t] = [p_u p_v; q_u q_v] · [x_u x_v; y_u y_v]^{-1}.  Returns
-    (r, s, t, sym_defect, J, valid); guarded nodes are NaN.  Inputs may
-    be scalars or arrays of a common shape.
+    (r, s, t, sym_defect, J, valid); nodes with |J| <= JACOBIAN_GUARD
+    are NaN.  Inputs may be scalars or arrays of a common shape.
     """
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in
                                    (x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v)))
     x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v = arrays
     J = x_u * y_v - x_v * y_u
-    valid = np.abs(J) > guard
+    valid = np.abs(J) > JACOBIAN_GUARD
     with np.errstate(invalid="ignore", divide="ignore"):
         safe_J = np.where(valid, J, 1.0)
         r = (p_u * y_v - p_v * y_u) / safe_J
@@ -147,28 +100,29 @@ def hessian_from_derivatives(x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v,
     return r, s, t, sym_defect, J, valid
 
 
-def hessian_from_strip(strip: StripSolution, level,
-                       guard: float = JACOBIAN_GUARD) -> HessianLevel:
-    """Recover the Hessian on stored levels and check the four relations.
+#: A strip is frozen and hashes by identity, so it keys its own analysis.
+_ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    ``level`` is one level index, giving (n_u,) fields, or a selection
-    (slice, index list) of L levels, giving (L, n_u) fields.
 
-    Raises SingularJacobianError when every node of a selected level is
-    below the guard (the axis level, in particular); the message names
-    the first such level.
+def _strip_analysis(strip: StripSolution):
+    """(Z, Z_v, hessian, residual) on all stored levels, made once per strip.
+
+    Z and Z_v are (5, levels, n_u); Z_v re-evaluates the marched system,
+    so it is exact for the semi-discrete flow; the PDE residual is unmasked.
+    Every array is read-only.  A level outside the field's box raises even
+    when it is not selected; a marched strip stores only levels that
+    passed the field check, so only a hand-built strip can hit that.
     """
-    Z, (x_u, y_u, _, p_u, q_u), (x_v, y_v, _, p_v, q_v) = \
-        _strip_derivatives(strip, level)
+    analysis = _ANALYSES.get(strip)
+    if analysis is not None:
+        return analysis
+    Z = np.moveaxis(strip.states, -2, 0)
+    a, b, c, e, disc = values = eval_field(strip.field, tuple(Z))
+    x_u, y_u, _, p_u, q_u = spectral_du(Z)
+    Z_v = assemble_rhs(Z, strip.field, values)
+    x_v, y_v, _, p_v, q_v = Z_v
     r, s, t, sym_defect, J, valid = hessian_from_derivatives(
-        x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v, guard=guard)
-    dead = np.atleast_1d(~np.any(valid, axis=-1))
-    if np.any(dead):
-        k = np.atleast_1d(np.arange(strip.n_levels)[level])[np.argmax(dead)]
-        raise SingularJacobianError(
-            f"level {k} (v={strip.v[k]:.6g}) has |J| <= {guard} everywhere")
-
-    a, b, c, e, disc = eval_field(strip.field, tuple(Z))
+        x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v)
     root = np.sqrt(disc)
     # The marched system satisfies these four identities exactly; after
     # recovery they are free consistency evidence.
@@ -178,9 +132,60 @@ def hessian_from_strip(strip: StripSolution, level,
         root * x_v - ((b - s) * x_u - (a + t) * y_u),
         root * x_u + ((b - s) * x_v - (a + t) * y_v),
     ])
-    fin_residual = np.max(np.abs(rel), axis=0)
-    return HessianLevel(r=r, s=s, t=t, sym_defect=sym_defect,
-                        fin_residual=fin_residual, J=J, valid=valid)
+    hessian = HessianLevel(r=r, s=s, t=t, sym_defect=sym_defect,
+                           fin_residual=np.max(np.abs(rel), axis=0),
+                           J=J, valid=valid)
+    residual = a * r + 2.0 * b * s + c * t + r * t - s ** 2 - e
+    for arr in (Z_v, residual, *vars(hessian).values()):
+        arr.flags.writeable = False
+    analysis = _ANALYSES[strip] = (Z, Z_v, hessian, residual)
+    return analysis
+
+
+def jacobian(strip: StripSolution):
+    """J = x_u y_v - x_v y_u per (level, node), plus min over v > 0.
+
+    Level 0 is identically zero in exact arithmetic (the axis data has
+    x = y = 0); it is returned as computed, which is zero to round-off.
+    J is read-only.
+    """
+    _, _, hessian, _ = _strip_analysis(strip)
+    J = hessian.J
+    min_positive = float(np.min(J[1:])) if strip.n_levels > 1 else float("nan")
+    return J, min_positive
+
+
+def jv_axis(curve: PeriodicCurve, field: CoefficientField, n_u: int = 128) -> np.ndarray:
+    """The axis derivative J_v(u, 0) = (beta' alpha'' - beta'' alpha') / D.
+
+    D is the ellipticity discriminant at the axis state (0,0,0,alpha,beta).
+    Positive values are what make the image curves leave the origin.
+    """
+    u = 2.0 * np.pi * np.arange(n_u) / n_u
+    alpha, beta, d_alpha, d_beta, dd_alpha, dd_beta = eval_curve(curve, u)
+    zeros = np.zeros(n_u)
+    disc = eval_field(field, (zeros, zeros, zeros, alpha, beta))[4]
+    return (d_beta * dd_alpha - dd_beta * d_alpha) / disc
+
+
+def hessian_from_strip(strip: StripSolution, level) -> HessianLevel:
+    """The Hessian and the four relations on stored levels.
+
+    ``level`` is one level index, giving (n_u,) fields, or a selection
+    (slice, index list) of L levels, giving (L, n_u) fields: read-only
+    rows of the strip's analysis, or copies for an index list.
+
+    Raises SingularJacobianError when every node of a selected level is
+    below the guard (the axis level, in particular); the message names
+    the first such level.
+    """
+    _, _, full, _ = _strip_analysis(strip)
+    dead = np.atleast_1d(~np.any(full.valid[level], axis=-1))
+    if np.any(dead):
+        k = np.atleast_1d(np.arange(strip.n_levels)[level])[np.argmax(dead)]
+        raise SingularJacobianError(
+            f"level {k} (v={strip.v[k]:.6g}) has |J| <= {JACOBIAN_GUARD} everywhere")
+    return HessianLevel(**{name: arr[level] for name, arr in vars(full).items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,12 +199,6 @@ class ResidualReport:
     n_nodes: int
 
 
-def _residual(a, b, c, e, hess: HessianLevel) -> np.ndarray:
-    """A r + 2B s + C t + (r t - s^2) - E at the recovered Hessian."""
-    return a * hess.r + 2.0 * b * hess.s + c * hess.t \
-        + hess.r * hess.t - hess.s ** 2 - e
-
-
 def _interior_levels(strip: StripSolution, v_min: float | None,
                      default_frac: float = 0.2):
     if v_min is None:
@@ -208,8 +207,7 @@ def _interior_levels(strip: StripSolution, v_min: float | None,
     return v_min, idx
 
 
-def pde_residual(strip: StripSolution, field: CoefficientField | None = None,
-                 v_min: float | None = None,
+def pde_residual(strip: StripSolution, v_min: float | None = None,
                  j_floor: float = RESIDUAL_J_FLOOR) -> ResidualReport:
     """residual = A r + 2B s + C t + (r t - s^2) - E over the strip interior.
 
@@ -218,16 +216,14 @@ def pde_residual(strip: StripSolution, field: CoefficientField | None = None,
     up the recovery there.  Identically, the residual equals
     (A+t)(C+r) - (B-s)^2 - D.
     """
-    if field is None:
-        field = strip.field
     v_min, idx = _interior_levels(strip, v_min)
     if not idx:
         raise ValidationError(
             f"no stored levels at v >= {v_min:.6g}; strip reached {strip.v[-1]:.6g}")
     hess = hessian_from_strip(strip, idx)
-    a, b, c, e, _ = eval_field(field, tuple(_strip_states(strip, idx)))
+    _, _, _, unmasked = _strip_analysis(strip)
     keep = hess.valid & (np.abs(hess.J) > j_floor)
-    residuals = np.where(keep, _residual(a, b, c, e, hess), np.nan)
+    residuals = np.where(keep, unmasked[idx], np.nan)
     count = int(np.sum(keep))
     if count == 0:
         raise SingularJacobianError(
@@ -386,8 +382,7 @@ def _nested_family(x: np.ndarray, y: np.ndarray, extra=()) -> bool:
     return True
 
 
-def reconstruct_graph(strip: StripSolution, v_min: float | None = None,
-                      j_floor: float = RESIDUAL_J_FLOOR) -> GraphPatch:
+def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> GraphPatch:
     """Emit the strip's interior levels as annulus samples, no re-gridding.
 
     Requires J > 0 on the selected levels (the chart must be locally a
@@ -397,7 +392,8 @@ def reconstruct_graph(strip: StripSolution, v_min: float | None = None,
 
     The default v_min is 0.1 R, lower than the residual report's 0.2 R:
     the annulus should reach close to the singularity, and the Hessian is
-    still well conditioned there (J ~ v, far above the guard).
+    still well conditioned there (J ~ v, far above the guard).  The
+    residual column is masked at |J| <= RESIDUAL_J_FLOOR.
     """
     v_min, idx = _interior_levels(strip, v_min, default_frac=0.1)
     if len(idx) < 2:
@@ -412,11 +408,9 @@ def reconstruct_graph(strip: StripSolution, v_min: float | None = None,
         raise SingularJacobianError(
             f"J <= 0 at level {k} (v={strip.v[k]:.6g}); "
             "the selected interior is not a local graph")
-    Z = _strip_states(strip, idx)
-    a, b, c, e, _ = eval_field(strip.field, tuple(Z))
-    x, y, z, p, q = Z
-    residual = np.where(np.abs(hess.J) > j_floor, _residual(a, b, c, e, hess),
-                        np.nan)
+    Z, _, _, unmasked = _strip_analysis(strip)
+    x, y, z, p, q = Z[:, idx]
+    residual = np.where(np.abs(hess.J) > RESIDUAL_J_FLOOR, unmasked[idx], np.nan)
 
     rho = np.hypot(x, y)
     multivalued = not _nested_family(x, y, extra=(z, p, q))
@@ -524,8 +518,9 @@ def legendre_dual_normals(strip: StripSolution, v_min: float | None = None,
     v_min, idx = _interior_levels(strip, v_min)
     if not idx:
         raise ValidationError(f"no stored levels at v >= {v_min:.6g}")
-    (x, y, z, p, q), _, (x_v, y_v, z_v, p_v, q_v) = \
-        _strip_derivatives(strip, idx)
+    Z, Z_v, _, _ = _strip_analysis(strip)
+    x, y, z, p, q = Z[:, idx]
+    x_v, y_v, z_v, p_v, q_v = Z_v[:, idx]
     xi = p + c * x
     eta = q + a * y
     z_star = z + 0.5 * c * x ** 2 + 0.5 * a * y ** 2

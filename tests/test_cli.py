@@ -274,6 +274,51 @@ def test_non_finite_curve_literal_is_two(tmp_path, capsys, command, bad):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["construct", "roundtrip"])
+@pytest.mark.parametrize("assignment", [
+    'reconstruct.v_min="x"',
+    'residual.v_min="x"',
+    "residual.v_min=[1]",
+    'residual.j_floor="x"',
+    "residual.j_floor=null",
+    "residual.j_floor=true",
+    "residual.v_min=1e400",
+    "reconstruct.v_min=" + "9" * 400,
+])
+def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
+                                                      command, assignment):
+    out = tmp_path / "run"
+    assert main([command, "--out", str(out), "--set", assignment]) == 2
+    key = assignment.partition("=")[0]
+    assert f"error: {key} must be a finite number" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, config, sets, code, message", [
+    ("construct", {"field": {"literal": SMALL_BOX_FIELD}},
+     ["march.box_policy=raise"], 6, "left the box"),
+    ("construct", {"field": {"literal": dict(
+        SMALL_BOX_FIELD, E="1 - 60*z",
+        box={"x": [-1, 1], "y": [-1, 1], "z": [-1, 1],
+             "p": [-4, 4], "q": [-4, 4]})}},
+     ["march.box_policy=raise"], 5, "ellipticity lost"),
+    ("roundtrip", {}, ["extract.radii=[1.0, 0.5, 0.25]"], 8,
+     "outside covered band"),
+], ids=["box-exit", "ellipticity", "coverage"])
+def test_raised_errors_map_to_exit_codes(tmp_path, capsys, command, config,
+                                         sets, code, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (out / "report.json").exists()
+
+
 def test_roundtrip_impossible_tolerance_is_eight(tmp_path):
     code = main(["roundtrip", "--out", str(tmp_path / "run"),
                  "--set", "roundtrip.tolerance=1e-12"])

@@ -1,11 +1,15 @@
 """Jacobian, Hessian recovery, graph reconstruction, reflection, Legendre."""
 
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
+from ma_singular import geometry
 from ma_singular.coeffs import builtin_field, pure_field
 from ma_singular.curves import builtin_curve
-from ma_singular.errors import SingularJacobianError, ValidationError
+from ma_singular.errors import OutOfBoxError, SingularJacobianError, ValidationError
 from ma_singular.geometry import (
     GraphPatch,
     curvature_to_field,
@@ -156,6 +160,54 @@ def test_reconstruct_graph_rows_match_hessian_from_strip(circle_strip,
     report = pde_residual(circle_strip)
     rows = np.searchsorted(levels, report.level_indices)
     assert_bitwise_equal(circle_patch.residual[rows], report.residuals)
+
+
+def test_one_analysis_serves_every_view(monkeypatch):
+    strip = march(builtin_curve("wobble"), PURE_ONE, MarchParams(R=0.05))
+    calls = {"assemble_rhs": 0, "eval_field": 0, "field_values": 0}
+
+    def count(module, name, key):
+        def counted(*args, _original=getattr(module, name), **kwargs):
+            calls[key] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(geometry, "assemble_rhs", "assemble_rhs")
+    count(geometry, "eval_field", "eval_field")
+    # Every evaluation of the field, including one inside assemble_rhs.
+    for module in ("ma_singular.coeffs", "ma_singular.march"):
+        count(importlib.import_module(module), "_field_values", "field_values")
+    jacobian(strip)
+    reconstruct_graph(strip)
+    pde_residual(strip)
+    for _ in range(3):
+        hessian_from_strip(strip, 5)
+    legendre_dual_normals(strip)
+    assert calls == {"assemble_rhs": 1, "eval_field": 1, "field_values": 1}
+
+
+def test_analysis_arrays_are_read_only():
+    strip = march(builtin_curve("circle"), PURE_ONE, MarchParams(R=0.05))
+    with pytest.raises(ValueError, match="read-only"):
+        jacobian(strip)[0][0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        hessian_from_strip(strip, slice(1, None)).r[0] = 1.0
+    first = pde_residual(strip)
+    expected = first.residuals.copy()
+    first.residuals[:] = 0.0   # a fresh array, owned by the caller
+    second = pde_residual(strip)
+    assert_bitwise_equal(second.residuals, expected)
+    assert second.max_abs == first.max_abs
+
+
+def test_unselected_level_outside_the_box_raises(circle_strip):
+    # The analysis evaluates the field on every stored level.  A marched
+    # strip stores only levels inside the box; a hand-built one may not.
+    states = np.array(circle_strip.states)
+    states[-1, 0, 0] = 2.0
+    strip = dataclasses.replace(circle_strip, states=states)
+    with pytest.raises(OutOfBoxError, match="^x=2.0 outside"):
+        hessian_from_strip(strip, 5)
 
 
 # ---------------------------------------------------------------------------
