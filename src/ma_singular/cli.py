@@ -8,7 +8,8 @@ reflection branches), verify (closed-form rotational oracle), plot
 Exit codes separate scientific outcomes from usage errors:
 
     0   success (single-valued where that is the claim)
-    2   validation / config error, nothing was run
+    2   validation / config error, nothing was run; or a completed march
+        that gave no graph patch (report.json says why)
     3   construction succeeded but is multivalued
     4   instability abort or non-finite state
     5   ellipticity lost
@@ -48,15 +49,15 @@ from .extract import (
     radial_reference_slope,
 )
 from .geometry import (
-    _csv_text,
     jacobian,
     patch_from_csv,
     patch_to_csv,
     pde_residual,
     reconstruct_graph,
     reflect_solution,
+    strip_to_csv as _strip_csv,  # the name perfbench/baseline.py traces
 )
-from .march import MarchParams, StripSolution, march
+from .march import MarchParams, march
 from .svgplot import curves_overlay_svg, image_curves_svg, residual_strip_svg
 
 __all__ = ["DEFAULT_CONFIG", "main", "report_schema", "run_command"]
@@ -137,14 +138,17 @@ def _apply_set(config: dict, assignment: str) -> None:
     except json.JSONDecodeError:
         value = raw
     node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
+    *parents, leaf = key.split(".")
+    for part in parents:
         if not isinstance(node.get(part), dict):
             raise ValidationError(f"unknown config key {key!r}")
         node = node[part]
-    if parts[-1] not in node:
+    if leaf not in node:
         raise ValidationError(f"unknown config key {key!r}")
-    node[parts[-1]] = value
+    if isinstance(DEFAULT_CONFIG.get(key), dict):
+        # A whole section merges as in a config file; a non-object is refused.
+        value = _merge(node[leaf], value, f"config.{key}")
+    node[leaf] = value
 
 
 def load_config(path: str | None, sets=(), out: str | None = None) -> dict:
@@ -244,19 +248,6 @@ def _classification_dict(report) -> dict:
         "embedded": bool(report.embedded),
         "u_star": float(report.u_star),
     }
-
-
-def _strip_csv(strip: StripSolution) -> str:
-    header = [
-        f"# status: {strip.status}",
-        f"# detail: {strip.detail}",
-        f"# params: {json.dumps(vars(strip.params))}",
-        f"# curve: {strip.curve.to_json()}",
-        f"# field: {strip.field.to_json()}",
-        "v,u,x,y,z,p,q",
-    ]
-    return _csv_text(header, [strip.v[:, None], strip.u]
-                     + [strip.states[:, i] for i in range(5)])
 
 
 def _ellipticity_spot_check(field: CoefficientField, seed: int, n: int = 256):
@@ -400,9 +391,7 @@ def _pipeline_exit(strip, patch) -> int:
 def cmd_construct(cfg: dict) -> int:
     curve, field, strip, patch, residual_report, result = \
         _construct_pipeline(cfg, _prepare(cfg))
-    code = _STATUS_EXIT[strip.status]
-    if code == EXIT_OK and patch is not None and patch.multivalued:
-        code = EXIT_MULTIVALUED
+    code = _pipeline_exit(strip, patch)
     report = {"command": "construct", "exit_code": code, "config": cfg}
     report.update(result)
     _write_outputs(cfg, strip, patch, residual_report, report, curve=curve)
@@ -533,7 +522,11 @@ def cmd_plot(cfg: dict) -> int:
 
     patch_path = out / _PATCH_CSV
     if patch_path.is_file():
-        patch = patch_from_csv(patch_path.read_text())
+        strip_path = out / _STRIP_CSV
+        if not strip_path.is_file():
+            raise ValidationError(f"{patch_path} needs the {_STRIP_CSV} of its "
+                                  f"run, and {out} has none")
+        patch = patch_from_csv(patch_path.read_text(), strip_path.read_text())
         (out / "images.svg").write_text(image_curves_svg(patch.x, patch.y))
         (out / "residual.svg").write_text(
             residual_strip_svg(patch.residual, patch.v))

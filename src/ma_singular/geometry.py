@@ -12,6 +12,7 @@ strip computes all of this once; the public functions are views of it.
 
 from __future__ import annotations
 
+import json
 import weakref
 from dataclasses import dataclass
 
@@ -40,6 +41,7 @@ __all__ = [
     "reconstruct_graph",
     "reflect_field",
     "reflect_solution",
+    "strip_to_csv",
 ]
 
 #: |J| at or below this is treated as a chart-degenerate node.
@@ -558,9 +560,15 @@ def curvature_to_field(K, box=None) -> CoefficientField:
 
 
 # ---------------------------------------------------------------------------
-# Patch serialization
+# Strip and patch CSV
 
-_PATCH_COLUMNS = ("x", "y", "z", "p", "q", "r", "s", "t", "J", "residual")
+#: Layout version; both files open with "# format: 2" and nothing else is read.
+CSV_FORMAT = 2
+
+#: Each file holds only what the other does not: the patch's x, y, z, p, q
+#: are rows of the strip, and v and u sit in the header of both.
+_STRIP_COLUMNS = ("x", "y", "z", "p", "q")
+_PATCH_COLUMNS = ("r", "s", "t", "J", "residual")
 
 
 def _csv_text(header, columns) -> str:
@@ -578,64 +586,137 @@ def _csv_text(header, columns) -> str:
     return "".join(text)
 
 
-def patch_to_csv(patch: GraphPatch) -> str:
-    """CSV with provenance headers; floats at 17 significant digits."""
+def _grid_header(v, n_u: int) -> list:
+    """The level values and n_u; u_j = 2 pi j / n_u, as the march builds it."""
+    return [f"# n_u: {n_u}", "# v: " + " ".join(f"{val:.17g}" for val in v)]
+
+
+def strip_to_csv(strip: StripSolution) -> str:
+    """The marched levels as CSV, columns x,y,z,p,q; floats at 17 digits."""
     header = [
+        f"# format: {CSV_FORMAT}",
+        f"# status: {strip.status}",
+        f"# detail: {strip.detail}",
+        f"# params: {json.dumps(vars(strip.params))}",
+        f"# curve: {strip.curve.to_json()}",
+        f"# field: {strip.field.to_json()}",
+        *_grid_header(strip.v, strip.n_u),
+        ",".join(_STRIP_COLUMNS),
+    ]
+    return _csv_text(header, [strip.states[:, i] for i in range(5)])
+
+
+def patch_to_csv(patch: GraphPatch) -> str:
+    """The patch's Hessian, J and residual as CSV, with provenance headers.
+
+    x, y, z, p, q are not written: for a patch that ``reconstruct_graph``
+    made they are the strip's rows at the patch's levels, bit for bit, and
+    ``patch_from_csv`` takes them from the strip CSV.
+
+    Raises:
+        ValidationError: the patch was reflected or Legendre transformed
+            (its provenance has a "+" step), so the strip does not hold it.
+    """
+    if "+" in patch.provenance:
+        raise ValidationError(
+            f"patch CSV keeps no x, y, z, p, q, and those of a transformed "
+            f"patch ({patch.provenance}) are not the strip's")
+    header = [
+        f"# format: {CSV_FORMAT}",
         f"# provenance: {patch.provenance}",
         f"# multivalued: {str(patch.multivalued).lower()}",
         f"# r_min: {patch.r_min:.17g}",
         f"# r_max: {patch.r_max:.17g}",
         f"# levels: {patch.n_levels}",
-        f"# n_u: {patch.n_u}",
-        "# v: " + " ".join(f"{val:.17g}" for val in patch.v),
+        *_grid_header(patch.v, patch.n_u),
         ",".join(_PATCH_COLUMNS),
     ]
     return _csv_text(header, [getattr(patch, name) for name in _PATCH_COLUMNS])
 
 
-def patch_from_csv(text: str) -> GraphPatch:
-    """Rebuild a patch from its CSV; the field reference does not survive.
+def _read_csv(text: str, columns, what: str):
+    """(meta, v, cells) of a format-2 CSV; cells is (levels, n_u, columns).
+
+    Blank lines, CRLF line ends and trailing whitespace are tolerated.
 
     Raises:
-        ValidationError: the text is not a well-formed patch CSV.
+        ValidationError: naming ``what``, when the text is not a
+            well-formed format-2 CSV with these columns.
     """
+    lines = text.splitlines()
     meta = {}
-    v = None
-    rows = []
+    head = len(lines)
+    for k, line in enumerate(lines):
+        line = line.strip()
+        if line.startswith("#"):
+            key, _, value = line[1:].partition(":")
+            meta[key.strip()] = value.strip()
+        elif line:
+            head = k
+            break
+    found = meta.get("format")
+    if found != str(CSV_FORMAT):
+        found = f"format {found}" if found else "no '# format:' line (format 1)"
+        raise ValidationError(
+            f"{what} has {found}; only format {CSV_FORMAT} is read")
+    expected = ",".join(columns)
+    if head == len(lines) or lines[head].strip() != expected:
+        raise ValidationError(f"{what} lacks the column line {expected!r}")
     try:
-        for line in text.splitlines():
-            line = line.strip()
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                key = key.strip()
-                if key == "v":
-                    v = np.array([float(tok) for tok in value.split()])
-                else:
-                    meta[key] = value.strip()
-            elif line and not line.startswith(_PATCH_COLUMNS[0] + ","):
-                rows.append(line)
-        n_u = int(meta["n_u"]) if "n_u" in meta else None
+        n_u = int(meta["n_u"])
+        v = np.array([float(tok) for tok in meta["v"].split()])
+    except KeyError as err:
+        raise ValidationError(f"{what} lacks its '# {err.args[0]}:' line") from None
+    except ValueError as err:
+        raise ValidationError(f"{what} has a malformed value: {err}") from None
+    rows = [line for line in lines[head + 1:] if line and not line.isspace()]
+    if n_u < 1 or v.size < 1 or len(rows) != v.size * n_u:
+        raise ValidationError(f"{what} has {len(rows)} rows for {v.size} "
+                              f"levels of {n_u} nodes")
+    try:
+        cells = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as err:
+        raise ValidationError(f"{what} has a malformed row: {err}") from None
+    if cells.shape[1] != len(columns):
+        raise ValidationError(f"{what} rows must have {len(columns)} cells")
+    return meta, v, cells.reshape(v.size, n_u, len(columns))
+
+
+def _level_run(strip_v: np.ndarray, v: np.ndarray) -> int:
+    """First index where ``strip_v`` holds ``v`` bit for bit, contiguously."""
+    have, want = strip_v.view(np.uint64), v.view(np.uint64)
+    for start in np.flatnonzero(have == want[0]):
+        if np.array_equal(have[start:start + want.size], want):
+            return int(start)
+    raise ValidationError("strip CSV does not hold the patch CSV's levels "
+                          "as a contiguous run of its v values")
+
+
+def patch_from_csv(patch_text: str, strip_text: str) -> GraphPatch:
+    """Rebuild a patch from its CSV and the strip CSV of the same run.
+
+    x, y, z, p, q are the strip rows whose v values are the patch's, bit
+    for bit; the field reference does not survive.
+
+    Raises:
+        ValidationError: either text is not a well-formed format-2 CSV,
+            or the strip does not hold the patch's levels.
+    """
+    meta, v, cells = _read_csv(patch_text, _PATCH_COLUMNS, "patch CSV")
+    _, strip_v, states = _read_csv(strip_text, _STRIP_COLUMNS, "strip CSV")
+    n_levels, n_u = cells.shape[:2]
+    if states.shape[1] != n_u:
+        raise ValidationError(f"strip CSV has n_u={states.shape[1]}, "
+                              f"patch CSV has n_u={n_u}")
+    start = _level_run(strip_v, v)
+    try:
         r_min = float(meta.get("r_min", "nan"))
         r_max = float(meta.get("r_max", "nan"))
     except ValueError as err:
         raise ValidationError(f"patch CSV has a malformed value: {err}") from None
-    if v is None or n_u is None:
-        raise ValidationError("patch CSV is missing its header block")
-    if any(row.count(",") != len(_PATCH_COLUMNS) - 1 for row in rows):
-        raise ValidationError(
-            f"patch CSV rows must have {len(_PATCH_COLUMNS)} cells")
-    if n_u < 1 or not rows or len(rows) % n_u:
-        raise ValidationError("patch CSV row count does not match n_u")
-    try:
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError as err:
-        raise ValidationError(f"patch CSV has a malformed value: {err}") from None
-    n_levels = data.shape[0] // n_u
-    if v.size != n_levels:
-        raise ValidationError(
-            f"patch CSV header lists {v.size} v values for {n_levels} levels")
-    grids = {name: data[:, i].reshape(n_levels, n_u)
-             for i, name in enumerate(_PATCH_COLUMNS)}
+    rows = states[start:start + n_levels]
+    grids = {name: rows[..., i] for i, name in enumerate(_STRIP_COLUMNS)}
+    grids.update((name, cells[..., i]) for i, name in enumerate(_PATCH_COLUMNS))
     return GraphPatch(
         v=v, u=2.0 * np.pi * np.arange(n_u) / n_u,
         multivalued=meta.get("multivalued", "false") == "true",

@@ -26,39 +26,45 @@ from ma_singular.svgplot import (
     residual_strip_svg,
 )
 
-PATCH_COLUMNS = ("x", "y", "z", "p", "q", "r", "s", "t", "J", "residual")
+PATCH_COLUMNS = ("r", "s", "t", "J", "residual")
+GRAPH_COLUMNS = ("x", "y", "z", "p", "q") + PATCH_COLUMNS
 
 
 # ---------------------------------------------------------------------------
 # Per-cell reference writers
 
 
+def reference_grid_header(v, n_u):
+    return [f"# n_u: {n_u}", "# v: " + " ".join(f"{val:.17g}" for val in v)]
+
+
 def reference_strip_csv(strip):
     lines = [
+        "# format: 2",
         f"# status: {strip.status}",
         f"# detail: {strip.detail}",
         f"# params: {json.dumps(vars(strip.params))}",
         f"# curve: {strip.curve.to_json()}",
         f"# field: {strip.field.to_json()}",
-        "v,u,x,y,z,p,q",
+        *reference_grid_header(strip.v, strip.n_u),
+        "x,y,z,p,q",
     ]
     for k in range(strip.n_levels):
         for j in range(strip.n_u):
-            row = [strip.v[k], strip.u[j]] + [strip.states[k, i, j]
-                                              for i in range(5)]
+            row = [strip.states[k, i, j] for i in range(5)]
             lines.append(",".join(f"{val:.17g}" for val in row))
     return "\n".join(lines) + "\n"
 
 
 def reference_patch_to_csv(patch):
     lines = [
+        "# format: 2",
         f"# provenance: {patch.provenance}",
         f"# multivalued: {str(patch.multivalued).lower()}",
         f"# r_min: {patch.r_min:.17g}",
         f"# r_max: {patch.r_max:.17g}",
         f"# levels: {patch.n_levels}",
-        f"# n_u: {patch.n_u}",
-        "# v: " + " ".join(f"{val:.17g}" for val in patch.v),
+        *reference_grid_header(patch.v, patch.n_u),
         ",".join(PATCH_COLUMNS),
     ]
     columns = [getattr(patch, name) for name in PATCH_COLUMNS]
@@ -66,6 +72,16 @@ def reference_patch_to_csv(patch):
         for j in range(patch.n_u):
             lines.append(",".join(f"{col[k, j]:.17g}" for col in columns))
     return "\n".join(lines) + "\n"
+
+
+def strip_of(patch):
+    """A strip whose levels are the patch's, as ``reconstruct_graph`` reads them."""
+    states = np.stack([patch.x, patch.y, patch.z, patch.p, patch.q], axis=1)
+    return StripSolution(
+        v=patch.v, u=patch.u, states=states,
+        high_frac=np.zeros(patch.n_levels), min_disc=np.ones(patch.n_levels),
+        status="completed", detail="drawn", curve=builtin_curve("circle"),
+        field=builtin_field("pure-one"), params=MarchParams())
 
 
 def reference_polyline(px, py, color, width, closed):
@@ -174,7 +190,7 @@ def test_strip_csv_matches_per_cell_reference(data, shape):
 @given(st.data(), csv_shapes, st.booleans())
 def test_patch_csv_matches_per_cell_reference(data, shape, multivalued):
     n_levels, n_u = shape
-    columns = {name: data.draw(grids(n_levels, n_u)) for name in PATCH_COLUMNS}
+    columns = {name: data.draw(grids(n_levels, n_u)) for name in GRAPH_COLUMNS}
     patch = GraphPatch(
         v=data.draw(grids(1, n_levels))[0],
         u=2.0 * np.pi * np.arange(n_u) / n_u,
@@ -182,7 +198,10 @@ def test_patch_csv_matches_per_cell_reference(data, shape, multivalued):
         multivalued=multivalued, provenance="drawn", field=None, **columns)
     text = patch_to_csv(patch)
     assert text == reference_patch_to_csv(patch)
-    assert patch_to_csv(patch_from_csv(text)) == text
+    strip_text = reference_strip_csv(strip_of(patch))
+    back = patch_from_csv(text, strip_text)
+    assert patch_to_csv(back) == text
+    assert _strip_csv(strip_of(back)) == strip_text
 
 
 @settings(deadline=None, max_examples=25)

@@ -85,6 +85,28 @@ def test_set_rejects_unknown_key():
         load_config(None, sets=["no-equals-sign"])
 
 
+def test_set_section_merges_like_a_config_file():
+    cfg = load_config(None, sets=['march={"R": 0.05}', "march.n_u=64"])
+    assert cfg["march"] == dict(DEFAULT_CONFIG["march"], R=0.05, n_u=64)
+
+
+@pytest.mark.parametrize("command, assignment", [
+    ("construct", "emit=5"),
+    ("construct", "reconstruct=5"),
+    ("construct", "curve=5"),
+    ("roundtrip", "roundtrip=5"),
+    ("construct", "residual=[1]"),
+    ("construct", 'march="x"'),
+])
+def test_scalar_for_a_config_section_is_two(tmp_path, capsys, command,
+                                            assignment):
+    out = tmp_path / "run"
+    assert main([command, "--out", str(out), "--set", assignment]) == 2
+    key = assignment.partition("=")[0]
+    assert f"error: config.{key} must be an object" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_print_config_exits_zero(capsys):
     assert main(["construct", "--print-config", "--set", "seed=3"]) == 0
     printed = json.loads(capsys.readouterr().out)
@@ -107,9 +129,10 @@ def test_construct_circle_writes_artifacts(tmp_path):
     assert (out / "strip.csv").exists()
     assert (out / "patch.csv").exists()
     assert not (out / "curves.svg").exists()  # svg off by default
-    header = (out / "strip.csv").read_text().splitlines()[:6]
-    assert header[0].startswith("# status: completed")
-    assert header[5] == "v,u,x,y,z,p,q"
+    header = (out / "strip.csv").read_text().splitlines()[:9]
+    assert header[0] == "# format: 2"
+    assert header[1].startswith("# status: completed")
+    assert header[8] == "x,y,z,p,q"
 
 
 def test_construct_multivalued_exits_three(tmp_path):
@@ -171,6 +194,31 @@ def test_construct_inadmissible_axis_data_is_two(tmp_path, capsys, E):
                  "--set", f"field.literal={json.dumps(field)}"])
     assert code == 2
     assert "error: initial data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["construct", "roundtrip", "verify"])
+def test_completed_march_without_a_patch_is_two(tmp_path, command):
+    # v_min above the strip's reach leaves no levels to reconstruct.
+    out = tmp_path / "run"
+    assert main([command, "--out", str(out),
+                 "--set", "reconstruct.v_min=5"]) == 2
+    report = read_report(out)
+    assert report["exit_code"] == 2
+    assert report["status"] == "completed"
+    assert "graph reconstruction needs" in report["patch"]["error"]
+
+
+def test_construct_writes_only_the_cells_it_cannot_derive(tmp_path):
+    # Default circle: 151 strip levels of x,y,z,p,q and 136 patch levels
+    # of r,s,t,J,residual, 128 nodes each; v and u sit in the headers.
+    out = tmp_path / "run"
+    assert main(["construct", "--out", str(out)]) == 0
+    cells = {}
+    for name in ("strip.csv", "patch.csv"):
+        lines = (out / name).read_text().splitlines()
+        body = [line for line in lines if not line.startswith("#")][1:]
+        cells[name] = sum(line.count(",") + 1 for line in body)
+    assert cells == {"strip.csv": 96_640, "patch.csv": 87_040}
 
 
 def test_construct_remark42_completes(tmp_path):
@@ -397,6 +445,60 @@ def test_plot_corrupt_patch_csv_is_two(tmp_path, capsys, corrupt):
     patch_csv.write_text("\n".join(lines) + "\n")
     assert main(["plot", "--out", str(out)]) == 2
     assert "patch CSV" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt",
+                         [_corrupt_cell, _empty_v_header, _short_row])
+def test_plot_corrupt_strip_csv_is_two(tmp_path, capsys, corrupt):
+    out = tmp_path / "run"
+    assert main(["construct", "--out", str(out), "--set", "march.R=0.03"]) == 0
+    strip_csv = out / "strip.csv"
+    lines = strip_csv.read_text().splitlines()
+    corrupt(lines)
+    strip_csv.write_text("\n".join(lines) + "\n")
+    assert main(["plot", "--out", str(out)]) == 2
+    assert "strip CSV" in capsys.readouterr().err
+
+
+def test_plot_patch_without_strip_csv_is_two(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["construct", "--out", str(out), "--set", "march.R=0.03"]) == 0
+    (out / "strip.csv").unlink()
+    assert main(["plot", "--out", str(out)]) == 2
+    assert "strip.csv" in capsys.readouterr().err
+    assert not (out / "images.svg").exists()
+
+
+def format_1_patch_csv(patch):
+    """The format-1 writer: ten columns, no format line."""
+    columns = ("x", "y", "z", "p", "q", "r", "s", "t", "J", "residual")
+    lines = [
+        f"# provenance: {patch.provenance}",
+        f"# multivalued: {str(patch.multivalued).lower()}",
+        f"# r_min: {patch.r_min:.17g}",
+        f"# r_max: {patch.r_max:.17g}",
+        f"# levels: {patch.n_levels}",
+        f"# n_u: {patch.n_u}",
+        "# v: " + " ".join(f"{val:.17g}" for val in patch.v),
+        ",".join(columns),
+    ]
+    grids = [getattr(patch, name) for name in columns]
+    for k in range(patch.n_levels):
+        for j in range(patch.n_u):
+            lines.append(",".join(f"{col[k, j]:.17g}" for col in grids))
+    return "\n".join(lines) + "\n"
+
+
+def test_plot_format_1_patch_csv_is_two(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["construct", "--out", str(out), "--set", "march.R=0.03"]) == 0
+    patch = cli.patch_from_csv((out / "patch.csv").read_text(),
+                               (out / "strip.csv").read_text())
+    (out / "patch.csv").write_text(format_1_patch_csv(patch))
+    assert main(["plot", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "patch CSV has no '# format:' line (format 1)" in err
+    assert "only format 2 is read" in err
 
 
 def test_cli_keeps_the_names_the_benchmark_traces():

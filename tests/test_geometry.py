@@ -25,6 +25,7 @@ from ma_singular.geometry import (
     reconstruct_graph,
     reflect_field,
     reflect_solution,
+    strip_to_csv,
 )
 from ma_singular.march import MarchParams, march
 
@@ -403,17 +404,43 @@ def test_curvature_to_field_rejects_gradient_dependence():
 # Serialization
 
 
-def test_patch_csv_round_trip_is_exact(circle_patch):
-    text = patch_to_csv(circle_patch)
-    back = patch_from_csv(text)
-    for name in ("v", "u", "x", "y", "z", "p", "q", "r", "s", "t",
-                 "J", "residual"):
+GRAPH_ARRAYS = ("v", "u", "x", "y", "z", "p", "q", "r", "s", "t",
+                "J", "residual")
+
+
+def assert_same_bits(back, patch):
+    for name in GRAPH_ARRAYS:
+        np.testing.assert_array_equal(getattr(back, name).view(np.uint64),
+                                      getattr(patch, name).view(np.uint64),
+                                      err_msg=name)
+
+
+@pytest.fixture(scope="module")
+def circle_texts(circle_strip, circle_patch):
+    return patch_to_csv(circle_patch), strip_to_csv(circle_strip)
+
+
+def test_patch_csv_round_trip_is_exact(circle_patch, circle_texts):
+    back = patch_from_csv(*circle_texts)
+    for name in GRAPH_ARRAYS:
         np.testing.assert_array_equal(getattr(back, name),
                                       getattr(circle_patch, name),
                                       err_msg=name)
+    assert_same_bits(back, circle_patch)
     assert back.multivalued == circle_patch.multivalued
     assert back.provenance == circle_patch.provenance
     assert back.r_min == circle_patch.r_min
+
+
+def test_patch_csv_round_trip_is_exact_on_remark42():
+    # n_u = 256, and the patch starts at strip level 5 of 51.
+    strip = march(builtin_curve("remark42"), builtin_field("remark42"),
+                  MarchParams(R=0.05, n_u=256))
+    patch = reconstruct_graph(strip)
+    assert patch.provenance.startswith("march:levels[5:51]")
+    back = patch_from_csv(patch_to_csv(patch), strip_to_csv(strip))
+    assert_same_bits(back, patch)
+    assert (back.r_min, back.r_max) == (patch.r_min, patch.r_max)
 
 
 @pytest.mark.parametrize("variant", [
@@ -421,22 +448,100 @@ def test_patch_csv_round_trip_is_exact(circle_patch):
     lambda text: text.replace("\n", "\n\n  \n"),
     lambda text: text.replace("\n", " \t\n"),
 ], ids=["crlf", "blank-lines", "trailing-whitespace"])
-def test_patch_from_csv_tolerates_line_noise(circle_patch, variant):
-    back = patch_from_csv(variant(patch_to_csv(circle_patch)))
-    for name in ("v", "u", "x", "y", "z", "p", "q", "r", "s", "t",
-                 "J", "residual"):
+def test_patch_from_csv_tolerates_line_noise(circle_patch, circle_texts, variant):
+    back = patch_from_csv(*(variant(text) for text in circle_texts))
+    for name in GRAPH_ARRAYS:
         np.testing.assert_array_equal(getattr(back, name),
                                       getattr(circle_patch, name),
                                       err_msg=name)
 
 
-@pytest.mark.parametrize("row", [
+MALFORMED_ROWS = pytest.mark.parametrize("row", [
     lambda row: row.rpartition(",")[0],
     lambda row: row + ",0",
     lambda row: "oops," + row.partition(",")[2],
 ], ids=["short-row", "long-row", "non-numeric-cell"])
-def test_patch_from_csv_rejects_malformed_rows(circle_patch, row):
-    lines = patch_to_csv(circle_patch).splitlines()
-    lines[100] = row(lines[100])
+
+
+def _corrupt_row(text, row, index=100):
+    lines = text.splitlines()
+    lines[index] = row(lines[index])
+    return "\n".join(lines) + "\n"
+
+
+@MALFORMED_ROWS
+def test_patch_from_csv_rejects_malformed_rows(circle_texts, row):
+    patch_text, strip_text = circle_texts
     with pytest.raises(ValidationError, match="patch CSV"):
-        patch_from_csv("\n".join(lines) + "\n")
+        patch_from_csv(_corrupt_row(patch_text, row), strip_text)
+
+
+@MALFORMED_ROWS
+def test_patch_from_csv_rejects_malformed_strip_rows(circle_texts, row):
+    patch_text, strip_text = circle_texts
+    with pytest.raises(ValidationError, match="strip CSV"):
+        patch_from_csv(patch_text, _corrupt_row(strip_text, row))
+
+
+def test_patch_from_csv_needs_the_strip_of_its_run(circle_patch, circle_texts):
+    patch_text, _ = circle_texts
+    other = march(builtin_curve("circle"), PURE_ONE, MarchParams(dv=0.0015))
+    with pytest.raises(ValidationError, match="contiguous run"):
+        patch_from_csv(patch_text, strip_to_csv(other))
+    short = march(builtin_curve("circle"), PURE_ONE, MarchParams(R=0.1))
+    with pytest.raises(ValidationError, match="contiguous run"):
+        patch_from_csv(patch_text, strip_to_csv(short))
+    coarse = march(builtin_curve("circle"), PURE_ONE, MarchParams(n_u=64))
+    with pytest.raises(ValidationError, match="strip CSV has n_u=64"):
+        patch_from_csv(patch_text, strip_to_csv(coarse))
+
+
+def test_patch_to_csv_refuses_a_transformed_patch(circle_patch):
+    for patch in (reflect_solution(circle_patch), legendre(circle_patch)):
+        with pytest.raises(ValidationError, match="transformed patch"):
+            patch_to_csv(patch)
+
+
+def test_patch_from_csv_checks_the_column_line(circle_texts):
+    patch_text, strip_text = circle_texts
+    # Both files have five columns; only the column line tells them apart.
+    with pytest.raises(ValidationError,
+                       match="patch CSV lacks the column line 'r,s,t,J,residual'"):
+        patch_from_csv(strip_text, patch_text)
+    with pytest.raises(ValidationError,
+                       match="strip CSV lacks the column line 'x,y,z,p,q'"):
+        patch_from_csv(patch_text, strip_text.replace("\nx,y,z,p,q\n", "\n"))
+    header_only = patch_text.partition("\nr,s,t,J,residual\n")[0]
+    with pytest.raises(ValidationError, match="patch CSV lacks the column line"):
+        patch_from_csv(header_only, strip_text)
+
+
+def test_patch_from_csv_counts_rows_against_the_header(circle_texts):
+    patch_text, strip_text = circle_texts
+    with pytest.raises(ValidationError,
+                       match="strip CSV has 19327 rows for 151 levels of 128 nodes"):
+        patch_from_csv(patch_text, strip_text.rstrip("\n").rpartition("\n")[0])
+    no_rows = patch_text.partition("\nr,s,t,J,residual\n")[0] + "\nr,s,t,J,residual\n"
+    with pytest.raises(ValidationError, match="patch CSV has 0 rows"):
+        patch_from_csv(no_rows, strip_text)
+
+
+def test_patch_from_csv_rejects_rows_all_one_cell_short(circle_texts):
+    patch_text, strip_text = circle_texts
+    head, _, body = patch_text.partition("\nr,s,t,J,residual\n")
+    body = "\n".join(row.rpartition(",")[0] for row in body.splitlines())
+    with pytest.raises(ValidationError, match="patch CSV rows must have 5 cells"):
+        patch_from_csv(head + "\nr,s,t,J,residual\n" + body, strip_text)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.partition("\n")[2], "no '# format:' line"),
+    (lambda text: text.replace("# format: 2", "# format: 1", 1), "format 1"),
+], ids=["missing-format", "format-1"])
+@pytest.mark.parametrize("which", ["patch", "strip"])
+def test_patch_from_csv_reads_format_2_only(circle_texts, edit, message, which):
+    texts = list(circle_texts)
+    index = 0 if which == "patch" else 1
+    texts[index] = edit(texts[index])
+    with pytest.raises(ValidationError, match=f"{which} CSV has .*{message}"):
+        patch_from_csv(*texts)
