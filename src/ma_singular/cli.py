@@ -55,6 +55,7 @@ from .geometry import (
     pde_residual,
     reconstruct_graph,
     reflect_solution,
+    strip_from_csv,
     strip_to_csv as _strip_csv,  # the name perfbench/baseline.py traces
 )
 from .march import MarchParams, march
@@ -204,23 +205,37 @@ def _march_params(cfg: dict) -> MarchParams:
             monitor_threshold=float(m["monitor_threshold"]),
             box_policy=str(m["box_policy"]),
             negative_v=bool(m["negative_v"]))
-    except (TypeError, KeyError) as err:
+    except (TypeError, KeyError, ValueError, OverflowError) as err:
         raise ValidationError(f"bad march parameters: {err}") from None
+
+
+#: Config values checked before any numerics run, as (key, what they must be).
+_CHECKED_VALUES = (
+    ("reconstruct.v_min", "a finite number or null"),
+    ("residual.v_min", "a finite number or null"),
+    ("residual.j_floor", "a finite number"),
+    ("roundtrip.tolerance", "a finite number"),
+    ("extract.degree", "a non-negative integer"),
+    ("seed", "a non-negative integer"),
+)
 
 
 def _prepare(cfg: dict):
     """Fail-fast pass: parse everything before any numerics run."""
-    for key, nullable in (("reconstruct.v_min", True), ("residual.v_min", True),
-                          ("residual.j_floor", False)):
-        section, name = key.split(".")
-        value = cfg[section][name]
-        if nullable and value is None:
+    for key, wanted in _CHECKED_VALUES:
+        value = cfg
+        for part in key.split("."):
+            value = value[part]
+        if value is None and wanted.endswith("or null"):
             continue
         # A bool is an int; the comparison rejects inf, NaN and huge ints.
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not abs(value) <= sys.float_info.max:
-            raise ValidationError(f"{key} must be a finite number"
-                                  f"{' or null' if nullable else ''}, got {value!r}")
+        if wanted == "a non-negative integer":
+            ok = isinstance(value, int) and value >= 0
+        else:
+            ok = isinstance(value, (int, float)) \
+                and abs(value) <= sys.float_info.max
+        if isinstance(value, bool) or not ok:
+            raise ValidationError(f"{key} must be {wanted}, got {value!r}")
     curve = _load_curve(cfg)
     field = _load_field(cfg)
     params = _march_params(cfg)
@@ -368,12 +383,16 @@ def _write_svgs(out: Path, cfg: dict, report: dict, strip, patch,
     if patch is not None:
         (out / "images.svg").write_text(image_curves_svg(patch.x, patch.y))
     elif strip is not None and strip.n_levels > 1:
-        (out / "images.svg").write_text(
-            image_curves_svg(strip.states[1:, 0, :], strip.states[1:, 1, :]))
+        (out / "images.svg").write_text(_strip_images_svg(strip.states))
     if residual_report is not None:
         v = [strip.v[k] for k in residual_report.level_indices]
         (out / "residual.svg").write_text(
             residual_strip_svg(residual_report.residuals, np.asarray(v)))
+
+
+def _strip_images_svg(states) -> str:
+    """The image curves of a strip's (levels, 5, n_u) states, axis left out."""
+    return image_curves_svg(states[1:, 0, :], states[1:, 1, :])
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +539,10 @@ def cmd_plot(cfg: dict) -> int:
                 (label, _curve_polyline(PeriodicCurve.from_dict(report[key]))))
     (out / "curves.svg").write_text(curves_overlay_svg(overlays))
 
-    patch_path = out / _PATCH_CSV
+    # The figures of the run's own emit.svg: the patch's levels and its
+    # residual, or without a patch the strip's levels (no residual.svg).
+    patch_path, strip_path = out / _PATCH_CSV, out / _STRIP_CSV
     if patch_path.is_file():
-        strip_path = out / _STRIP_CSV
         if not strip_path.is_file():
             raise ValidationError(f"{patch_path} needs the {_STRIP_CSV} of its "
                                   f"run, and {out} has none")
@@ -530,6 +550,10 @@ def cmd_plot(cfg: dict) -> int:
         (out / "images.svg").write_text(image_curves_svg(patch.x, patch.y))
         (out / "residual.svg").write_text(
             residual_strip_svg(patch.residual, patch.v))
+    elif strip_path.is_file():
+        _, states = strip_from_csv(strip_path.read_text())
+        if len(states) > 1:
+            (out / "images.svg").write_text(_strip_images_svg(states))
     return EXIT_OK
 
 

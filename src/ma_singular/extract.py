@@ -18,13 +18,7 @@ from scipy.spatial import cKDTree
 
 from .curves import CurveReport, PeriodicCurve, classify_curve, eval_curve, fit_curve
 from .errors import CoverageError, ValidationError
-from .geometry import (
-    GraphPatch,
-    _level_cover,
-    _radius_lookup,
-    _radius_table,
-    _unwrap_angles,
-)
+from .geometry import GraphPatch, _level_tables, _radius_lookup
 
 __all__ = [
     "LimitGradientResult",
@@ -103,29 +97,28 @@ class PatchSampler:
     finite 1-D array (possibly empty, any real values), else
     ValidationError.
 
-    Everything that depends only on the patch is built once here: per
-    level the rho(theta) table, the sorted (theta, u) inverse table and
-    the interpolant coefficients of x, y, p and q.
+    Everything that depends only on the patch is built once here, from
+    one angle analysis of all levels: per level the rho(theta) table, the
+    sorted (theta, u) inverse table and the interpolant coefficients of
+    x, y, p and q.  The bracket table of radii at the query angles is
+    kept for the last angle set, since ``limit_gradient`` asks for every
+    radius at the same angles.
     """
 
     def __init__(self, patch: GraphPatch):
         if patch.multivalued:
             raise ValidationError(
                 "cannot sample a multivalued patch on circles")
-        self._tables = []
-        self._inverse = []
-        for k in range(patch.n_levels):
-            x, y = patch.x[k], patch.y[k]
-            unwrapped = _unwrap_angles(x, y)
-            if _level_cover(x, y, (patch.z[k], patch.p[k], patch.q[k]),
-                            unwrapped) is None:
-                raise ValidationError("patch level is not star-shaped")
-            self._tables.append(_radius_table(x, y, unwrapped))
-            # The angle table may be decreasing in u for negatively
-            # oriented curves, hence the sort.
-            theta = unwrapped[0]
-            order = np.argsort(theta)
-            self._inverse.append((theta[order], patch.u[order]))
+        theta, self._tables = _level_tables(
+            patch.x, patch.y, (patch.z, patch.p, patch.q), reduced=False)
+        if self._tables is None:
+            raise ValidationError("patch level is not star-shaped")
+        # The angle table may be decreasing in u for negatively oriented
+        # curves, hence the sort.
+        order = np.argsort(theta, axis=-1)
+        self._inverse = list(zip(np.take_along_axis(theta, order, axis=-1),
+                                 patch.u[order]))
+        self._rho_memo = (None, None)
         # The interpolant of n uniform real samples with rfft spectrum c is
         # sum_k a_k cos(k u) + b_k sin(k u); its u-derivative has the
         # coefficients -k a_k (of sin) and k b_k (of cos).
@@ -199,8 +192,11 @@ class PatchSampler:
             thetas = None
         if thetas is None or thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
             raise ValidationError("sampler angles must be a finite 1-D array")
-        rho_tab = np.stack([_radius_lookup(table, thetas)
-                            for table in self._tables])
+        key = thetas.tobytes()
+        if self._rho_memo[0] != key:
+            self._rho_memo = (key, np.stack([_radius_lookup(table, thetas)
+                                             for table in self._tables]))
+        rho_tab = self._rho_memo[1]
         idx = np.empty(thetas.size, dtype=int)
         for i in range(thetas.size):
             idx[i] = np.searchsorted(rho_tab[:, i], r, side="right") - 1

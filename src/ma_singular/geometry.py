@@ -41,6 +41,7 @@ __all__ = [
     "reconstruct_graph",
     "reflect_field",
     "reflect_solution",
+    "strip_from_csv",
     "strip_to_csv",
 ]
 
@@ -292,65 +293,60 @@ class GraphPatch:
         return np.hypot(self.x, self.y)
 
 
-def _unwrap_angles(x: np.ndarray, y: np.ndarray):
-    """Per-level unwrapped angle tables and the winding number.
+def _level_tables(x: np.ndarray, y: np.ndarray, extra=(), reduced=True):
+    """The angle analysis of every level of a (levels, n_u) block at once.
 
-    Returns (theta, winding) where theta[j] is continuous in j and
-    theta[n] - theta[0] = 2*pi*winding would close the loop.
+    Returns (theta, tables): the unwrapped angles, and per level the
+    rho(theta) table (theta_ext, rho_ext, period), whose theta_ext
+    increases and closes the loop one period after its first entry.
+    tables is None unless every level is a star-shaped curve traversed
+    once, or an exact m-fold cover of one: monotone angle, winding m != 0,
+    and for m >= 2 every row of x, y and ``extra`` (z, p, q; matching
+    x, y alone would accept two sheets at different heights) repeating
+    with period n/m, as the doubly traced constructions do to march
+    round-off.  With ``reduced`` an m-fold cover is tabulated over its
+    first n/m nodes, else over all n with period 2*pi*m.
     """
-    theta = np.unwrap(np.arctan2(y, x))
-    closing = np.arctan2(y[0], x[0]) - theta[-1]
-    closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
-    total = (theta[-1] + closing) - theta[0]
-    winding = int(np.round(total / (2.0 * np.pi)))
-    return theta, winding
+    raw = np.arctan2(y, x)
+    theta = np.unwrap(raw, axis=-1)
+    n = x.shape[-1]
 
+    def winding(last):
+        # theta[last + 1] would close the loop; only the rounded turn count
+        # of the closing step is used.
+        closing = (raw[:, 0] - theta[:, last] + np.pi) % (2.0 * np.pi) - np.pi
+        return np.abs(np.round((theta[:, last] + closing - theta[:, 0])
+                               / (2.0 * np.pi)))
 
-def _level_cover(x: np.ndarray, y: np.ndarray, extra_rows=(), unwrapped=None):
-    """Reduce one level curve to a single star-shaped traversal.
+    folds = winding(-1)
+    steps = np.diff(theta, axis=-1)
+    ok = (folds != 0) & (np.all(steps > 0, axis=-1) | np.all(steps < 0, axis=-1))
+    for m in np.unique(folds[ok & (folds > 1)]).astype(int):
+        rows = np.flatnonzero(folds == m)
+        ok[rows] &= n % m == 0
+        for block in (x, y, *extra):
+            block = block[rows]
+            tol = 1e-8 * (1.0 + np.max(np.abs(block), axis=-1))
+            moved = np.max(np.abs(block - np.roll(block, n // m, axis=-1)), axis=-1)
+            ok[rows] &= ~(moved > tol)
+    if not np.all(ok):
+        return theta, None
 
-    A level with winding m and monotone angle is accepted when it is an
-    exact m-fold cover: every row repeats with period n/m (the doubly
-    traced constructions produce exactly this, to march round-off, while
-    genuinely self-overlapping images do not).  Returns (x_red, y_red)
-    or None when the level is not a cover of a star-shaped curve.
-    ``unwrapped`` is ``_unwrap_angles(x, y)`` when the caller has it.
-    """
-    theta, winding = _unwrap_angles(x, y) if unwrapped is None else unwrapped
-    m = abs(winding)
-    if m == 0:
-        return None
-    steps = np.diff(theta)
-    if not (np.all(steps > 0) or np.all(steps < 0)):
-        return None
-    if m == 1:
-        return x, y
-    n = x.size
-    if n % m:
-        return None
-    shift = n // m
-    for row in (x, y, *extra_rows):
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(row))))
-        if np.max(np.abs(row - np.roll(row, shift))) > tol:
-            return None
-    return x[:shift], y[:shift]
-
-
-def _radius_table(x: np.ndarray, y: np.ndarray, unwrapped=None):
-    """The rho(theta) table of one closed level curve: (theta_ext, rho_ext, period).
-
-    theta_ext increases and its last entry closes the loop one period
-    after the first.  ``unwrapped`` is ``_unwrap_angles(x, y)`` when the
-    caller has it.
-    """
-    theta, winding = _unwrap_angles(x, y) if unwrapped is None else unwrapped
+    tables = [None] * x.shape[0]
     rho = np.hypot(x, y)
-    if theta[0] > theta[-1]:
-        theta, rho = theta[::-1], rho[::-1]
-    period = 2.0 * np.pi * abs(winding) if winding != 0 else 2.0 * np.pi
-    theta_ext = np.concatenate([theta, [theta[0] + period]])
-    rho_ext = np.concatenate([rho, [rho[0]]])
-    return theta_ext, rho_ext, period
+    for m in np.unique(folds).astype(int):
+        rows = np.flatnonzero(folds == m)
+        size = n // m if reduced else n
+        turns = winding(size - 1)[rows]
+        period = np.where(turns != 0, 2.0 * np.pi * turns, 2.0 * np.pi)
+        flip = (theta[rows, 0] > theta[rows, size - 1])[:, None]
+        th, rh = (np.where(flip, a[rows, size - 1::-1], a[rows, :size])
+                  for a in (theta, rho))
+        theta_ext = np.concatenate([th, th[:, :1] + period[:, None]], axis=-1)
+        rho_ext = np.concatenate([rh, rh[:, :1]], axis=-1)
+        for k, table in zip(rows, zip(theta_ext, rho_ext, period)):
+            tables[k] = table
+    return theta, tables
 
 
 def _radius_lookup(table, query: np.ndarray) -> np.ndarray:
@@ -364,20 +360,15 @@ def _nested_family(x: np.ndarray, y: np.ndarray, extra=()) -> bool:
     """True when every level reduces to a star-shaped curve and they nest.
 
     ``extra`` carries further per-level sample rows (z, p, q) that must
-    also repeat on multiply covered levels: matching (x, y) alone would
-    accept two sheets at different heights.
+    also repeat on multiply covered levels.
     """
-    n_levels = x.shape[0]
-    reduced = []
-    for k in range(n_levels):
-        red = _level_cover(x[k], y[k], tuple(e[k] for e in extra))
-        if red is None:
-            return False
-        reduced.append(red)
+    tables = _level_tables(x, y, extra)[1]
+    if tables is None:
+        return False
     query = np.linspace(-np.pi, np.pi, 512, endpoint=False)
-    prev = _radius_lookup(_radius_table(*reduced[0]), query)
-    for k in range(1, n_levels):
-        cur = _radius_lookup(_radius_table(*reduced[k]), query)
+    prev = _radius_lookup(tables[0], query)
+    for table in tables[1:]:
+        cur = _radius_lookup(table, query)
         if not np.all(cur > prev):
             return False
         prev = cur
@@ -692,6 +683,15 @@ def _level_run(strip_v: np.ndarray, v: np.ndarray) -> int:
                           "as a contiguous run of its v values")
 
 
+def strip_from_csv(strip_text: str):
+    """(v, states) of a strip CSV, states (levels, 5, n_u) as in a strip.
+
+    Raises ValidationError when the text is not a format-2 strip CSV.
+    """
+    _, v, cells = _read_csv(strip_text, _STRIP_COLUMNS, "strip CSV")
+    return v, np.moveaxis(cells, -1, 1)
+
+
 def patch_from_csv(patch_text: str, strip_text: str) -> GraphPatch:
     """Rebuild a patch from its CSV and the strip CSV of the same run.
 
@@ -703,10 +703,10 @@ def patch_from_csv(patch_text: str, strip_text: str) -> GraphPatch:
             or the strip does not hold the patch's levels.
     """
     meta, v, cells = _read_csv(patch_text, _PATCH_COLUMNS, "patch CSV")
-    _, strip_v, states = _read_csv(strip_text, _STRIP_COLUMNS, "strip CSV")
+    strip_v, states = strip_from_csv(strip_text)
     n_levels, n_u = cells.shape[:2]
-    if states.shape[1] != n_u:
-        raise ValidationError(f"strip CSV has n_u={states.shape[1]}, "
+    if states.shape[2] != n_u:
+        raise ValidationError(f"strip CSV has n_u={states.shape[2]}, "
                               f"patch CSV has n_u={n_u}")
     start = _level_run(strip_v, v)
     try:
@@ -715,7 +715,7 @@ def patch_from_csv(patch_text: str, strip_text: str) -> GraphPatch:
     except ValueError as err:
         raise ValidationError(f"patch CSV has a malformed value: {err}") from None
     rows = states[start:start + n_levels]
-    grids = {name: rows[..., i] for i, name in enumerate(_STRIP_COLUMNS)}
+    grids = {name: rows[:, i] for i, name in enumerate(_STRIP_COLUMNS)}
     grids.update((name, cells[..., i]) for i, name in enumerate(_PATCH_COLUMNS))
     return GraphPatch(
         v=v, u=2.0 * np.pi * np.arange(n_u) / n_u,

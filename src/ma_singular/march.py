@@ -50,9 +50,12 @@ def spectral_du(values: np.ndarray) -> np.ndarray:
     n = values.shape[-1]
     if n % 2 != 0:
         raise ValidationError(f"spectral_du needs an even grid, got {n}")
-    spec = np.fft.rfft(values)
-    k = np.arange(n // 2 + 1)
-    spec *= 1j * k
+    return _du_of_spectrum(np.fft.rfft(values), n)
+
+
+def _du_of_spectrum(spec: np.ndarray, n: int) -> np.ndarray:
+    """``spectral_du`` from the rfft spectrum, which is overwritten."""
+    spec *= 1j * np.arange(n // 2 + 1)
     spec[..., -1] = 0.0
     return np.fft.irfft(spec, n=n)
 
@@ -137,7 +140,7 @@ class StripSolution:
 
 
 def assemble_rhs(level: np.ndarray, field: CoefficientField,
-                 values=None) -> np.ndarray:
+                 values=None, spectrum=None) -> np.ndarray:
     """Z_v for one level: spectral Z_u pushed through the system matrix.
 
     ``level`` is the (5, n_u) block (x, y, z, p, q), or a (5, ..., n_u)
@@ -146,9 +149,14 @@ def assemble_rhs(level: np.ndarray, field: CoefficientField,
     x_v = -q_u/sqrt(E), y_v = p_u/sqrt(E), z_v = (q p_u - p q_u)/sqrt(E),
     p_v = -sqrt(E) y_u, q_v = sqrt(E) x_u.  ``values`` is (A, B, C, E, D)
     already evaluated at ``level``; without it the field is evaluated here.
+    ``spectrum`` is ``np.fft.rfft(level)`` when the caller has it.
     """
     x, y, z, p, q = level
-    x_u, y_u, p_u, q_u = spectral_du(level[[0, 1, 3, 4]])
+    rows = [0, 1, 3, 4]
+    if spectrum is None:
+        x_u, y_u, p_u, q_u = spectral_du(level[rows])
+    else:
+        x_u, y_u, p_u, q_u = _du_of_spectrum(spectrum[rows], level.shape[-1])
     a, b, c, e, disc = _field_values(field, level) if values is None else values
     root = np.sqrt(disc)
     x_v = (b * x_u - a * y_u - q_u) / root
@@ -197,15 +205,18 @@ def stability_monitor(level: np.ndarray, params: MarchParams) -> tuple[float, bo
     of retained modes; smooth analytic levels give ~1e-16, noise-driven
     blowup heads toward 1/3.  The total includes the DC mode on purpose:
     a level that is all offset and no structure is quiet, not unstable.
+    A complex ``level`` is taken as the level's rfft, which the march
+    computes once for the monitor and the next step's first RK4 stage.
     """
-    level = np.atleast_2d(np.asarray(level, dtype=float))
-    n = level.shape[-1]
-    spec = np.fft.rfft(level)
-    weights = np.full(n // 2 + 1, 2.0)
+    level = np.atleast_2d(np.asarray(level))
+    spec = level if np.iscomplexobj(level) else \
+        np.fft.rfft(np.asarray(level, dtype=float))
+    n_bins = spec.shape[-1]
+    weights = np.full(n_bins, 2.0)
     weights[0] = 1.0
     weights[-1] = 1.0
     energy = weights * np.abs(spec) ** 2
-    k_band = (2 * (n // 2)) // 3
+    k_band = (2 * (n_bins - 1)) // 3
     total = np.sum(energy, axis=-1)
     high = np.sum(energy[..., k_band + 1:], axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -215,9 +226,10 @@ def stability_monitor(level: np.ndarray, params: MarchParams) -> tuple[float, bo
 
 
 def _rk4_step(level: np.ndarray, h: float, field: CoefficientField,
-              values) -> np.ndarray:
-    """One RK4 step; ``values`` is the field at ``level``, reused by k1."""
-    k1 = assemble_rhs(level, field, values)
+              values, spectrum) -> np.ndarray:
+    """One RK4 step; k1 reuses the field ``values`` and the rfft
+    ``spectrum`` of ``level`` that its checks computed."""
+    k1 = assemble_rhs(level, field, values, spectrum)
     k2 = assemble_rhs(level + 0.5 * h * k1, field)
     k3 = assemble_rhs(level + 0.5 * h * k2, field)
     k4 = assemble_rhs(level + h * k3, field)
@@ -250,7 +262,8 @@ def march(curve: PeriodicCurve, field: CoefficientField,
 
     # Box, evaluation and ellipticity failures on the axis data are
     # input errors: they surface here, before any step.  Each check's
-    # values feed the k1 stage of the next step.
+    # field values and the monitor's spectrum feed the k1 stage of the
+    # next step.
     try:
         values = eval_field(field, tuple(level))
     except FieldEvalError as err:
@@ -260,7 +273,8 @@ def march(curve: PeriodicCurve, field: CoefficientField,
 
     v_list = [0.0]
     levels = [level]
-    frac0, _ = stability_monitor(level, params)
+    spectrum = np.fft.rfft(level)
+    frac0, _ = stability_monitor(spectrum, params)
     fracs = [frac0]
     discs = [float(np.min(values[4]))]
 
@@ -282,7 +296,7 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     while v_now < params.R - 1e-12 * params.R:
         h = min(params.dv, params.R - v_now)
         try:
-            nxt = _rk4_step(level, sign * h, field, values)
+            nxt = _rk4_step(level, sign * h, field, values, spectrum)
         except OutOfBoxError as err:
             fail("box-exit",
                  f"stage state left the box after v={sign * v_now:.6g}: {err}",
@@ -324,7 +338,8 @@ def march(curve: PeriodicCurve, field: CoefficientField,
                  NonFiniteAbortError)
             break
 
-        frac, exceeded = stability_monitor(nxt, params)
+        spectrum = np.fft.rfft(nxt)
+        frac, exceeded = stability_monitor(spectrum, params)
         if exceeded:
             streak += 1
             if streak >= 2:

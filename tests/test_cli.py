@@ -342,6 +342,32 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ('seed="abc"', "seed must be a non-negative integer, got 'abc'"),
+    ("seed=-1", "seed must be a non-negative integer, got -1"),
+    ('roundtrip.tolerance="a"',
+     "roundtrip.tolerance must be a finite number, got 'a'"),
+    ("extract.degree=-3", "extract.degree must be a non-negative integer"),
+    ("march.filter_order=1e400",
+     "bad march parameters: cannot convert float infinity to integer"),
+], ids=["seed-string", "seed-negative", "tolerance-string", "degree-negative",
+        "filter-order-overflow"])
+def test_bad_config_values_are_two_before_the_march(tmp_path, capsys,
+                                                    monkeypatch, assignment,
+                                                    message):
+    # Each of these used to end in a traceback and exit 1, the tolerance
+    # and the degree only after the whole march.
+    def no_march(*args):
+        raise AssertionError("marched with a bad config")
+
+    monkeypatch.setattr(cli, "march", no_march)
+    out = tmp_path / "run"
+    assert main(["roundtrip", "--out", str(out), "--set", assignment]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("command, config, sets, code, message", [
     ("construct", {"field": {"literal": SMALL_BOX_FIELD}},
      ["march.box_policy=raise"], 6, "left the box"),
@@ -406,6 +432,22 @@ def test_plot_renders_previous_run(tmp_path):
         assert tree.tag.endswith("svg")
     labels = (out / "curves.svg").read_text()
     assert "recovered" in labels
+
+
+def test_plot_without_a_patch_draws_the_strip_levels(tmp_path):
+    # construct with emit.svg draws images.svg from strip levels 1.. when
+    # there is no patch; plot on strip.csv alone draws the same figure.
+    # residual.svg needs patch.csv, so plot leaves it out.
+    svg, csv = tmp_path / "svg", tmp_path / "csv"
+    no_patch = ["--set", "reconstruct.v_min=5"]
+    assert main(["construct", "--out", str(svg), "--set", "emit.svg=true",
+                 *no_patch]) == 2
+    assert main(["construct", "--out", str(csv), *no_patch]) == 2
+    assert not (csv / "patch.csv").exists()
+    assert main(["plot", "--out", str(csv)]) == 0
+    assert (csv / "images.svg").read_bytes() == (svg / "images.svg").read_bytes()
+    assert (svg / "residual.svg").exists()
+    assert not (csv / "residual.svg").exists()
 
 
 def test_plot_without_run_is_two(tmp_path):

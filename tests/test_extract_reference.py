@@ -1,11 +1,13 @@
 """PatchSampler and Hausdorff distance against their rebuild-per-call forms.
 
-The sampler builds its per-level tables (rho(theta), the sorted inverse
-angle table, the interpolant coefficients) once, and evaluates one
-cos/sin basis per Newton step; the Hausdorff distance works on x/y
+The sampler builds its tables (rho(theta), the sorted inverse angle
+table, the interpolant coefficients) once, from one angle analysis of
+all levels, keeps the bracket table of the last angle set, and evaluates
+one cos/sin basis per Newton step; the Hausdorff distance works on x/y
 components of per-segment data gathered once.  The reference code below
-rebuilds everything on every call, the way extraction was first written.
-The two must agree bit for bit, so the comparisons use np.array_equal.
+analyses one level at a time and rebuilds everything on every call, the
+way extraction was first written.  The two must agree bit for bit, so
+the comparisons use np.array_equal.
 """
 
 import numpy as np
@@ -15,13 +17,137 @@ from scipy.spatial import cKDTree
 
 from ma_singular.coeffs import builtin_field
 from ma_singular.curves import PeriodicCurve, builtin_curve, eval_curve
-from ma_singular.errors import CoverageError
-from ma_singular.extract import _directed_hausdorff, hausdorff_distance, patch_sampler
-from ma_singular.geometry import _unwrap_angles, reconstruct_graph, reflect_solution
+from ma_singular.errors import CoverageError, ValidationError
+from ma_singular.extract import (
+    PatchSampler,
+    _directed_hausdorff,
+    hausdorff_distance,
+    patch_sampler,
+)
+from ma_singular.geometry import (
+    GraphPatch,
+    _level_tables,
+    _nested_family,
+    reconstruct_graph,
+    reflect_solution,
+)
 from ma_singular.march import MarchParams, march
 
 # ---------------------------------------------------------------------------
 # Reference code: every table rebuilt on every call
+
+
+def reference_unwrap_angles(x: np.ndarray, y: np.ndarray):
+    """Per-level unwrapped angle tables and the winding number.
+
+    Returns (theta, winding) where theta[j] is continuous in j and
+    theta[n] - theta[0] = 2*pi*winding would close the loop.
+    """
+    theta = np.unwrap(np.arctan2(y, x))
+    closing = np.arctan2(y[0], x[0]) - theta[-1]
+    closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
+    total = (theta[-1] + closing) - theta[0]
+    winding = int(np.round(total / (2.0 * np.pi)))
+    return theta, winding
+
+
+def reference_level_cover(x: np.ndarray, y: np.ndarray, extra_rows=(), unwrapped=None):
+    """Reduce one level curve to a single star-shaped traversal.
+
+    A level with winding m and monotone angle is accepted when it is an
+    exact m-fold cover: every row repeats with period n/m (the doubly
+    traced constructions produce exactly this, to march round-off, while
+    genuinely self-overlapping images do not).  Returns (x_red, y_red)
+    or None when the level is not a cover of a star-shaped curve.
+    ``unwrapped`` is ``reference_unwrap_angles(x, y)`` when the caller has it.
+    """
+    theta, winding = reference_unwrap_angles(x, y) if unwrapped is None else unwrapped
+    m = abs(winding)
+    if m == 0:
+        return None
+    steps = np.diff(theta)
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        return None
+    if m == 1:
+        return x, y
+    n = x.size
+    if n % m:
+        return None
+    shift = n // m
+    for row in (x, y, *extra_rows):
+        tol = 1e-8 * (1.0 + float(np.max(np.abs(row))))
+        if np.max(np.abs(row - np.roll(row, shift))) > tol:
+            return None
+    return x[:shift], y[:shift]
+
+
+def reference_radius_table(x: np.ndarray, y: np.ndarray, unwrapped=None):
+    """The rho(theta) table of one closed level curve: (theta_ext, rho_ext, period).
+
+    theta_ext increases and its last entry closes the loop one period
+    after the first.  ``unwrapped`` is ``reference_unwrap_angles(x, y)`` when
+    the caller has it.
+    """
+    theta, winding = reference_unwrap_angles(x, y) if unwrapped is None else unwrapped
+    rho = np.hypot(x, y)
+    if theta[0] > theta[-1]:
+        theta, rho = theta[::-1], rho[::-1]
+    period = 2.0 * np.pi * abs(winding) if winding != 0 else 2.0 * np.pi
+    theta_ext = np.concatenate([theta, [theta[0] + period]])
+    rho_ext = np.concatenate([rho, [rho[0]]])
+    return theta_ext, rho_ext, period
+
+
+def reference_radius_lookup(table, query: np.ndarray) -> np.ndarray:
+    """rho at the query angles by periodic linear interpolation of a table."""
+    theta_ext, rho_ext, period = table
+    q = (query - theta_ext[0]) % period + theta_ext[0]
+    return np.interp(q, theta_ext, rho_ext)
+
+
+def reference_nested_family(x: np.ndarray, y: np.ndarray, extra=()) -> bool:
+    """True when every level reduces to a star-shaped curve and they nest.
+
+    ``extra`` carries further per-level sample rows (z, p, q) that must
+    also repeat on multiply covered levels: matching (x, y) alone would
+    accept two sheets at different heights.
+    """
+    n_levels = x.shape[0]
+    reduced = []
+    for k in range(n_levels):
+        red = reference_level_cover(x[k], y[k], tuple(e[k] for e in extra))
+        if red is None:
+            return False
+        reduced.append(red)
+    query = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+    prev = reference_radius_lookup(reference_radius_table(*reduced[0]), query)
+    for k in range(1, n_levels):
+        cur = reference_radius_lookup(reference_radius_table(*reduced[k]), query)
+        if not np.all(cur > prev):
+            return False
+        prev = cur
+    return True
+
+def reference_sampler_tables(patch):
+    """The per-level tables PatchSampler built, one level at a time."""
+    if patch.multivalued:
+        raise ValidationError(
+            "cannot sample a multivalued patch on circles")
+    tables, inverse = [], []
+    for k in range(patch.n_levels):
+        x, y = patch.x[k], patch.y[k]
+        unwrapped = reference_unwrap_angles(x, y)
+        if reference_level_cover(x, y, (patch.z[k], patch.p[k], patch.q[k]),
+                                 unwrapped) is None:
+            raise ValidationError("patch level is not star-shaped")
+        tables.append(reference_radius_table(x, y, unwrapped))
+        theta = unwrapped[0]
+        order = np.argsort(theta)
+        inverse.append((theta[order], patch.u[order]))
+    query = np.linspace(-np.pi, np.pi, 720, endpoint=False)
+    r_lo = float(np.max(reference_radius_lookup(tables[0], query)))
+    r_hi = float(np.min(reference_radius_lookup(tables[-1], query)))
+    return tables, inverse, r_lo, r_hi
 
 
 def reference_trig_eval(spec, n, u, deriv=0):
@@ -38,7 +164,7 @@ def reference_trig_eval(spec, n, u, deriv=0):
 
 
 def reference_radius_at_angles(x, y, query):
-    theta, winding = _unwrap_angles(x, y)
+    theta, winding = reference_unwrap_angles(x, y)
     rho = np.hypot(x, y)
     if theta[0] > theta[-1]:
         theta, rho = theta[::-1], rho[::-1]
@@ -57,7 +183,7 @@ class ReferenceSampler:
         self._spec = {name: np.fft.rfft(getattr(patch, name), axis=-1)
                       for name in ("x", "y", "p", "q")}
         self._u_grid = patch.u
-        self._theta = [_unwrap_angles(patch.x[k], patch.y[k])[0]
+        self._theta = [reference_unwrap_angles(patch.x[k], patch.y[k])[0]
                        for k in range(patch.n_levels)]
         query = np.linspace(-np.pi, np.pi, 720, endpoint=False)
         self.r_lo = float(np.max(
@@ -218,6 +344,158 @@ def test_level_values_match_reference_bitwise(samplers):
         want = reference.level_values(k, thetas)
         for a, b in zip(got, want):
             assert np.array_equal(a, b), k
+
+
+def test_sampler_at_two_angle_sets_in_turn_matches_fresh_samplers():
+    # The bracket table is kept for the last angle set only; switching
+    # sets, and coming back, must give exactly what a new sampler gives.
+    patch = _patch(CONVEX)
+    sampler = patch_sampler(patch)
+    ladder = sampler.suggest_radii()
+    uniform, unsorted = ANGLES["uniform"], ANGLES["unsorted"]
+    for r, thetas in ((ladder[0], uniform), (ladder[1], unsorted),
+                      (ladder[1], uniform), (ladder[2], uniform.copy()),
+                      (ladder[0], unsorted), (ladder[2], unsorted[:40])):
+        p, q = sampler(r, thetas)
+        p_new, q_new = patch_sampler(patch)(r, thetas)
+        assert np.array_equal(p, p_new) and np.array_equal(q, q_new), r
+
+
+# ---------------------------------------------------------------------------
+# One angle analysis of all levels against the per-level helpers
+
+#: Level kinds: winding (0, +-1, 2, 3), monotone or not, and m-fold covers
+#: that repeat exactly, to within the tolerance, or not at all.  "sector"
+#: has a monotone angle that spans less than a turn, so winding 0.
+LEVEL_KINDS = ("star", "star-reversed", "double", "double-sheets",
+               "double-near", "double-far", "triple", "winding-0",
+               "non-monotone", "sector")
+
+
+def _level(kind, n, scale, a, b, c):
+    """x, y, z, p, q rows of one level curve of the given kind."""
+    folds = {"double": 2, "double-sheets": 2, "double-near": 2,
+             "double-far": 2, "triple": 3}.get(kind, 1)
+    size = n // folds if n % folds == 0 else n
+    t = folds * 2.0 * np.pi * np.arange(size) / n
+    wobble = 2.0 if kind == "non-monotone" else 0.5 * a
+    phi = t + wobble * np.sin(t + c)
+    if kind == "star-reversed":
+        phi = -phi
+    elif kind == "sector":
+        phi = 0.4 * t + c
+    rho = scale * (1.0 + 0.25 * b * np.cos(2.0 * t + c))
+    rows = np.stack([rho * np.cos(phi), rho * np.sin(phi),
+                     scale * np.cos(t), np.cos(phi), np.sin(phi)])
+    if kind == "winding-0":
+        rows[0] += 3.0 * scale
+    rows = np.tile(rows, (1, n // size))
+    if kind == "double-sheets":
+        rows[2, size:] += 0.5
+    elif kind in ("double-near", "double-far"):
+        rows[0, size:] += 1e-12 if kind == "double-near" else 1e-5
+    return rows
+
+
+def level_patch(kinds, n, scales, params):
+    """A patch whose level k is ``_level(kinds[k], n, scales[k], ...)``."""
+    x, y, z, p, q = np.stack([_level(kind, n, scale, *abc) for kind, scale, abc
+                              in zip(kinds, scales, params)], axis=1)
+    zeros = np.zeros_like(x)
+    return GraphPatch(
+        v=0.01 * np.arange(1, len(kinds) + 1),
+        u=2.0 * np.pi * np.arange(n) / n, x=x, y=y, z=z, p=p, q=q,
+        r=zeros, s=zeros, t=zeros, J=zeros + 1.0, residual=zeros,
+        r_min=0.0, r_max=1.0, multivalued=False, provenance="test",
+        field=None)
+
+
+def assert_tables_match(got, want):
+    assert len(got) == len(want)
+    for got_table, want_table in zip(got, want):
+        assert [np.asarray(a).tobytes() for a in got_table] == \
+            [np.asarray(a, dtype=float).tobytes() for a in want_table]
+
+
+def assert_tables_match_reference(patch):
+    extra = (patch.z, patch.p, patch.q)
+    # The nested test's tables: one traversal of each level.
+    reduced = [reference_level_cover(patch.x[k], patch.y[k],
+                                     tuple(e[k] for e in extra))
+               for k in range(patch.n_levels)]
+    tables = _level_tables(patch.x, patch.y, extra)[1]
+    if any(red is None for red in reduced):
+        assert tables is None
+    else:
+        assert_tables_match(tables, [reference_radius_table(*red)
+                                     for red in reduced])
+    nested = _nested_family(patch.x, patch.y, extra=extra)
+    assert nested == reference_nested_family(patch.x, patch.y, extra=extra)
+    try:
+        want = reference_sampler_tables(patch)
+    except ValidationError as err:
+        with pytest.raises(ValidationError) as info:
+            PatchSampler(patch)
+        assert str(info.value) == str(err)
+        return nested, None
+    sampler = PatchSampler(patch)
+    tables, inverse, r_lo, r_hi = want
+    assert_tables_match(sampler._tables, tables)
+    assert len(sampler._inverse) == len(inverse)
+    for got, ref in zip(sampler._inverse, inverse):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+    assert (sampler.r_lo, sampler.r_hi) == (r_lo, r_hi)
+    return nested, sampler
+
+
+#: (kinds, n, scales): nested 1- and 2-fold covers, mixed windings, and
+#: each way a level or a family fails.
+LEVEL_CASES = {
+    "star": (("star",) * 3, 16, (1.0, 2.0, 3.0)),
+    "double": (("double",) * 3, 16, (1.0, 2.0, 3.0)),
+    "double-near": (("double", "double-near"), 16, (1.0, 2.0)),
+    "mixed-windings": (("star", "double", "star-reversed", "triple"), 12,
+                       (1.0, 2.0, 3.0, 4.0)),
+    "crossing": (("star", "star"), 16, (2.0, 1.0)),
+    "winding-0": (("star", "winding-0"), 16, (1.0, 2.0)),
+    "sector": (("star", "sector"), 16, (1.0, 2.0)),
+    "non-monotone": (("star", "non-monotone"), 16, (1.0, 2.0)),
+    "double-sheets": (("double", "double-sheets"), 16, (1.0, 2.0)),
+    "double-far": (("double-far", "double"), 16, (1.0, 2.0)),
+    "triple-on-16": (("star", "triple"), 16, (1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name, nested, samples", [
+    ("star", True, True), ("double", True, True), ("double-near", True, True),
+    ("mixed-windings", True, True), ("crossing", False, True),
+    ("winding-0", False, False), ("sector", False, False),
+    ("non-monotone", False, False),
+    ("double-sheets", False, False), ("double-far", False, False),
+    ("triple-on-16", False, False),
+])
+def test_level_tables_match_reference_on_each_case(name, nested, samples):
+    kinds, n, scales = LEVEL_CASES[name]
+    patch = level_patch(kinds, n, scales, [(0.3, 0.5, 0.1)] * len(kinds))
+    got_nested, sampler = assert_tables_match_reference(patch)
+    # The comparison must reach each decision, not only the accepting one.
+    assert (got_nested, sampler is not None) == (nested, samples)
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([12, 16, 24]),
+       st.lists(st.tuples(st.sampled_from(LEVEL_KINDS), st.floats(0.5, 4.0),
+                          st.tuples(_unit, _unit, st.floats(0.0, 6.0))),
+                min_size=2, max_size=5),
+       st.booleans())
+def test_level_tables_match_reference(n, levels, nested):
+    kinds, scales, params = zip(*levels)
+    if nested:
+        scales = np.cumsum(scales)
+    assert_tables_match_reference(level_patch(kinds, n, scales, params))
 
 
 # ---------------------------------------------------------------------------

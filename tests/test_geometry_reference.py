@@ -4,8 +4,9 @@
 ``reconstruct_graph`` and ``legendre_dual_normals`` read one cached
 analysis per strip.  The reference code below is the earlier form: each
 call differentiates its own selection of levels, re-evaluates the field,
-and recovers the Hessian again.  Arrays must agree bit for bit, and
-failures must raise the same exception with the same message.
+and recovers the Hessian again; the nested star-shaped test that decides
+``multivalued`` analyses one level at a time.  Arrays must agree bit for
+bit, and failures must raise the same exception with the same message.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ from ma_singular.geometry import (
     HessianLevel,
     ResidualReport,
     _interior_levels,
-    _nested_family,
     hessian_from_strip,
     jacobian,
     legendre_dual_normals,
@@ -126,6 +126,101 @@ def reference_pde_residual(strip, field=None, v_min=None,
     )
 
 
+# The nested star-shaped test, one level at a time.
+
+
+def reference_unwrap_angles(x: np.ndarray, y: np.ndarray):
+    """Per-level unwrapped angle tables and the winding number.
+
+    Returns (theta, winding) where theta[j] is continuous in j and
+    theta[n] - theta[0] = 2*pi*winding would close the loop.
+    """
+    theta = np.unwrap(np.arctan2(y, x))
+    closing = np.arctan2(y[0], x[0]) - theta[-1]
+    closing = (closing + np.pi) % (2.0 * np.pi) - np.pi
+    total = (theta[-1] + closing) - theta[0]
+    winding = int(np.round(total / (2.0 * np.pi)))
+    return theta, winding
+
+
+def reference_level_cover(x: np.ndarray, y: np.ndarray, extra_rows=(), unwrapped=None):
+    """Reduce one level curve to a single star-shaped traversal.
+
+    A level with winding m and monotone angle is accepted when it is an
+    exact m-fold cover: every row repeats with period n/m (the doubly
+    traced constructions produce exactly this, to march round-off, while
+    genuinely self-overlapping images do not).  Returns (x_red, y_red)
+    or None when the level is not a cover of a star-shaped curve.
+    ``unwrapped`` is ``reference_unwrap_angles(x, y)`` when the caller has it.
+    """
+    theta, winding = reference_unwrap_angles(x, y) if unwrapped is None else unwrapped
+    m = abs(winding)
+    if m == 0:
+        return None
+    steps = np.diff(theta)
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        return None
+    if m == 1:
+        return x, y
+    n = x.size
+    if n % m:
+        return None
+    shift = n // m
+    for row in (x, y, *extra_rows):
+        tol = 1e-8 * (1.0 + float(np.max(np.abs(row))))
+        if np.max(np.abs(row - np.roll(row, shift))) > tol:
+            return None
+    return x[:shift], y[:shift]
+
+
+def reference_radius_table(x: np.ndarray, y: np.ndarray, unwrapped=None):
+    """The rho(theta) table of one closed level curve: (theta_ext, rho_ext, period).
+
+    theta_ext increases and its last entry closes the loop one period
+    after the first.  ``unwrapped`` is ``reference_unwrap_angles(x, y)`` when
+    the caller has it.
+    """
+    theta, winding = reference_unwrap_angles(x, y) if unwrapped is None else unwrapped
+    rho = np.hypot(x, y)
+    if theta[0] > theta[-1]:
+        theta, rho = theta[::-1], rho[::-1]
+    period = 2.0 * np.pi * abs(winding) if winding != 0 else 2.0 * np.pi
+    theta_ext = np.concatenate([theta, [theta[0] + period]])
+    rho_ext = np.concatenate([rho, [rho[0]]])
+    return theta_ext, rho_ext, period
+
+
+def reference_radius_lookup(table, query: np.ndarray) -> np.ndarray:
+    """rho at the query angles by periodic linear interpolation of a table."""
+    theta_ext, rho_ext, period = table
+    q = (query - theta_ext[0]) % period + theta_ext[0]
+    return np.interp(q, theta_ext, rho_ext)
+
+
+def reference_nested_family(x: np.ndarray, y: np.ndarray, extra=()) -> bool:
+    """True when every level reduces to a star-shaped curve and they nest.
+
+    ``extra`` carries further per-level sample rows (z, p, q) that must
+    also repeat on multiply covered levels: matching (x, y) alone would
+    accept two sheets at different heights.
+    """
+    n_levels = x.shape[0]
+    reduced = []
+    for k in range(n_levels):
+        red = reference_level_cover(x[k], y[k], tuple(e[k] for e in extra))
+        if red is None:
+            return False
+        reduced.append(red)
+    query = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+    prev = reference_radius_lookup(reference_radius_table(*reduced[0]), query)
+    for k in range(1, n_levels):
+        cur = reference_radius_lookup(reference_radius_table(*reduced[k]), query)
+        if not np.all(cur > prev):
+            return False
+        prev = cur
+    return True
+
+
 def reference_reconstruct_graph(strip, v_min=None, j_floor=RESIDUAL_J_FLOOR):
     v_min, idx = _interior_levels(strip, v_min, default_frac=0.1)
     if len(idx) < 2:
@@ -147,7 +242,7 @@ def reference_reconstruct_graph(strip, v_min=None, j_floor=RESIDUAL_J_FLOOR):
                         reference_residual(a, b, c, e, hess), np.nan)
 
     rho = np.hypot(x, y)
-    multivalued = not _nested_family(x, y, extra=(z, p, q))
+    multivalued = not reference_nested_family(x, y, extra=(z, p, q))
     return GraphPatch(
         v=strip.v[idx], u=strip.u, x=x, y=y, z=z, p=p, q=q,
         r=hess.r, s=hess.s, t=hess.t, J=hess.J, residual=residual,

@@ -162,6 +162,16 @@ def test_monitor_fraction_matches_hand_count():
     assert exceeded
 
 
+@pytest.mark.parametrize("n", [12, 13])
+def test_monitor_reads_a_spectrum_as_its_level(n):
+    # The march hands the monitor a level's rfft, which k1 reuses; the
+    # bin count alone fixes the weights and the band, for odd n too.
+    params = MarchParams(n_u=16, monitor_threshold=0.1)
+    level = np.random.default_rng(n).normal(size=(5, n))
+    assert stability_monitor(np.fft.rfft(level), params) == \
+        stability_monitor(level, params)
+
+
 def test_monitor_ignores_dc_offset():
     params = MarchParams(n_u=16)
     frac, exceeded = stability_monitor(np.full(16, 3.0), params)
@@ -392,6 +402,26 @@ def test_march_makes_four_field_evaluations_per_step(monkeypatch):
     # k1 reuses the check of the state it starts from: 3 stages + 1 check
     # per step, and the check on the axis.
     assert counts == {"field": 4 * steps + 1, "rhs": 4 * steps}
+
+
+def test_march_transforms_each_level_once_for_monitor_and_k1(monkeypatch):
+    counts = {"rfft": 0, "irfft": 0}
+    for name in list(counts):
+        transform = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _transform=transform, **kwargs):
+            counts[_name] += 1
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    strip = march(builtin_curve("remark42"), builtin_field("remark42"),
+                  MarchParams(n_u=256, R=0.05))
+    steps = strip.n_levels - 1
+    assert strip.status == "completed" and steps == 50
+    # Per step, forward: k2, k3, k4, the filter and the monitor; back: k1 to
+    # k4 and the filter.  k1 differentiates from the monitor's spectrum of
+    # the level it starts from, so only the axis level adds a transform.
+    assert counts == {"rfft": 5 * steps + 1, "irfft": 5 * steps}
 
 
 def test_strip_level_accessor():
