@@ -114,42 +114,71 @@ _SVG_FILES = ("curves.svg", "images.svg", "residual.svg")
 # Config handling
 
 
-def _merge(defaults, overrides, path="config"):
+def _merge(base, overrides, shape=DEFAULT_CONFIG, path="config"):
+    """``base`` with ``overrides`` merged into the sections of ``shape``."""
     if overrides is None:
-        return copy.deepcopy(defaults)
+        return copy.deepcopy(base)
     if not isinstance(overrides, dict):
         raise ValidationError(f"{path} must be an object")
-    merged = copy.deepcopy(defaults)
+    merged = copy.deepcopy(base)
     for key, value in overrides.items():
-        if key not in defaults:
+        if key not in shape:
             raise ValidationError(f"unknown config key {path}.{key}")
-        if isinstance(defaults[key], dict) and defaults[key]:
-            merged[key] = _merge(defaults[key], value, f"{path}.{key}")
+        if isinstance(shape[key], dict):
+            merged[key] = _merge(base[key], value, shape[key], f"{path}.{key}")
         else:
             merged[key] = copy.deepcopy(value)
     return merged
 
 
-def _apply_set(config: dict, assignment: str) -> None:
-    key, sep, raw = assignment.partition("=")
-    if not sep:
-        raise ValidationError(f"--set needs key=value, got {assignment!r}")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = config
-    *parents, leaf = key.split(".")
-    for part in parents:
-        if not isinstance(node.get(part), dict):
-            raise ValidationError(f"unknown config key {key!r}")
-        node = node[part]
-    if leaf not in node:
-        raise ValidationError(f"unknown config key {key!r}")
-    if isinstance(DEFAULT_CONFIG.get(key), dict):
-        # A whole section merges as in a config file; a non-object is refused.
-        value = _merge(node[leaf], value, f"config.{key}")
-    node[leaf] = value
+def _number(value) -> bool:
+    # A bool is not a number here; the comparison rejects inf, NaN and huge ints.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+#: What a config leaf may hold, by the words its error message uses.
+_KINDS = {
+    "a boolean": lambda value: type(value) is bool,
+    "an integer": lambda value: type(value) is int,
+    "a non-negative integer": lambda value: type(value) is int and value >= 0,
+    "a finite number": _number,
+    "a finite number >= 0": lambda value: _number(value) and value >= 0,
+    "a finite number or null": lambda value: value is None or _number(value),
+    "a string": lambda value: type(value) is str,
+    "a string or null": lambda value: value is None or type(value) is str,
+    "an object or null": lambda value: value is None or type(value) is dict,
+    "a list of finite numbers or null": lambda value: value is None or (
+        type(value) is list and all(map(_number, value))),
+    "'radial-reference'": lambda value: value == "radial-reference",
+}
+_DEFAULT_KINDS = {bool: "a boolean", int: "an integer",
+                  float: "a finite number", str: "a string"}
+
+#: The leaves whose default does not give their kind.  The ranges and
+#: names a library call checks (march parameters, radii) are not here.
+_LEAF_KINDS = {
+    "curve.file": "a string or null", "field.file": "a string or null",
+    "curve.literal": "an object or null", "field.literal": "an object or null",
+    "reconstruct.v_min": "a finite number or null",
+    "residual.v_min": "a finite number or null",
+    "residual.j_floor": "a finite number >= 0",
+    "extract.degree": "a non-negative integer",
+    "extract.radii": "a list of finite numbers or null",
+    "verify.oracle": "'radial-reference'",
+    "seed": "a non-negative integer",
+}
+
+
+def _check_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, path: str = ""):
+    """Raise ValidationError unless every leaf of a merged config has its kind."""
+    for key, default in defaults.items():
+        value = cfg[key]
+        if isinstance(default, dict):
+            _check_config(value, default, f"{path}{key}.")
+            continue
+        kind = _LEAF_KINDS.get(path + key) or _DEFAULT_KINDS[type(default)]
+        if not _KINDS[kind](value):
+            raise ValidationError(f"{path}{key} must be {kind}, got {value!r}")
 
 
 def load_config(path: str | None, sets=(), out: str | None = None) -> dict:
@@ -164,9 +193,19 @@ def load_config(path: str | None, sets=(), out: str | None = None) -> dict:
             raise ValidationError(f"config is not valid JSON: {err}") from None
     config = _merge(DEFAULT_CONFIG, user)
     for assignment in sets:
-        _apply_set(config, assignment)
+        key, sep, raw = assignment.partition("=")
+        if not sep:
+            raise ValidationError(f"--set needs key=value, got {assignment!r}")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        for part in reversed(key.split(".")):  # a.b=v is {"a": {"b": v}}
+            value = {part: value}
+        config = _merge(config, value)
     if out is not None:
         config["out"] = out
+    _check_config(config)
     return config
 
 
@@ -194,51 +233,11 @@ def _load_field(cfg: dict) -> CoefficientField:
     return builtin_field(spec["builtin"])
 
 
-def _march_params(cfg: dict) -> MarchParams:
-    m = cfg["march"]
-    try:
-        return MarchParams(
-            R=float(m["R"]), n_u=int(m["n_u"]), dv=float(m["dv"]),
-            filter_strength=float(m["filter_strength"]),
-            filter_order=int(m["filter_order"]),
-            filter_cutoff=float(m["filter_cutoff"]),
-            monitor_threshold=float(m["monitor_threshold"]),
-            box_policy=str(m["box_policy"]),
-            negative_v=bool(m["negative_v"]))
-    except (TypeError, KeyError, ValueError, OverflowError) as err:
-        raise ValidationError(f"bad march parameters: {err}") from None
-
-
-#: Config values checked before any numerics run, as (key, what they must be).
-_CHECKED_VALUES = (
-    ("reconstruct.v_min", "a finite number or null"),
-    ("residual.v_min", "a finite number or null"),
-    ("residual.j_floor", "a finite number"),
-    ("roundtrip.tolerance", "a finite number"),
-    ("extract.degree", "a non-negative integer"),
-    ("seed", "a non-negative integer"),
-)
-
-
 def _prepare(cfg: dict):
     """Fail-fast pass: parse everything before any numerics run."""
-    for key, wanted in _CHECKED_VALUES:
-        value = cfg
-        for part in key.split("."):
-            value = value[part]
-        if value is None and wanted.endswith("or null"):
-            continue
-        # A bool is an int; the comparison rejects inf, NaN and huge ints.
-        if wanted == "a non-negative integer":
-            ok = isinstance(value, int) and value >= 0
-        else:
-            ok = isinstance(value, (int, float)) \
-                and abs(value) <= sys.float_info.max
-        if isinstance(value, bool) or not ok:
-            raise ValidationError(f"{key} must be {wanted}, got {value!r}")
     curve = _load_curve(cfg)
     field = _load_field(cfg)
-    params = _march_params(cfg)
+    params = MarchParams(**cfg["march"])
     params.validate(curve)
     report = classify_curve(curve)
     reversed_curve = False
@@ -441,17 +440,15 @@ def cmd_roundtrip(cfg: dict) -> int:
         _write_outputs(cfg, strip, patch, residual_report, report, curve=curve)
         return code
 
-    tol = float(cfg["roundtrip"]["tolerance"])
     extract_cfg = cfg["extract"]
     extra_curves = []
 
     def one_branch(branch_patch):
         sampler = patch_sampler(branch_patch)
         radii = extract_cfg["radii"]
-        radii = sampler.suggest_radii() if radii is None else tuple(radii)
-        lg = limit_gradient(sampler, radii,
-                            n_theta=int(extract_cfg["n_theta"]),
-                            degree=int(extract_cfg["degree"]))
+        radii = sampler.suggest_radii() if radii is None else radii
+        lg = limit_gradient(sampler, radii, n_theta=extract_cfg["n_theta"],
+                            degree=extract_cfg["degree"])
         distance = hausdorff_distance(curve, lg.curve)
         return lg, distance
 
@@ -472,7 +469,7 @@ def cmd_roundtrip(cfg: dict) -> int:
         extra_curves.append(("recovered (reflected)", lg_r.curve))
         worst = max(worst, distance_r)
 
-    code = EXIT_OK if worst <= tol else EXIT_TOLERANCE
+    code = EXIT_OK if worst <= cfg["roundtrip"]["tolerance"] else EXIT_TOLERANCE
     report["exit_code"] = code
     _write_outputs(cfg, strip, patch, residual_report, report, curve=curve,
                    extra_curves=extra_curves)
@@ -480,13 +477,10 @@ def cmd_roundtrip(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    oracle = cfg["verify"]["oracle"]
-    if oracle != "radial-reference":
-        raise ValidationError(f"unknown oracle {oracle!r}; known: radial-reference")
-
     curve, field, strip, patch, residual_report, result = \
         _construct_pipeline(cfg, _prepare(cfg))
-    report = {"command": "verify", "config": cfg, "oracle": oracle}
+    report = {"command": "verify", "config": cfg,
+              "oracle": cfg["verify"]["oracle"]}
     report.update(result)
     code = _pipeline_exit(strip, patch)
     if code != EXIT_OK:
@@ -499,17 +493,17 @@ def cmd_verify(cfg: dict) -> int:
     slope_err = float(np.max(np.abs(np.hypot(patch.p, patch.q)
                                     - radial_reference_slope(rho))))
     lg = limit_gradient(radial_reference_sampler(), geometric_radii(0.05, 5),
-                        n_theta=int(cfg["extract"]["n_theta"]),
-                        degree=int(cfg["extract"]["degree"]))
+                        n_theta=cfg["extract"]["n_theta"],
+                        degree=cfg["extract"]["degree"])
     circle_dist = hausdorff_distance(builtin_curve("circle"), lg.curve)
     report["oracle_errors"] = {
         "max_z_error": z_err,
         "max_slope_error": slope_err,
         "limit_circle_hausdorff": circle_dist,
     }
-    ok = (z_err <= float(cfg["verify"]["z_tolerance"])
-          and slope_err <= float(cfg["verify"]["slope_tolerance"])
-          and circle_dist <= float(cfg["verify"]["circle_tolerance"]))
+    tol = cfg["verify"]
+    ok = (z_err <= tol["z_tolerance"] and slope_err <= tol["slope_tolerance"]
+          and circle_dist <= tol["circle_tolerance"])
     code = EXIT_OK if ok else EXIT_TOLERANCE
     report["exit_code"] = code
     _write_outputs(cfg, strip, patch, residual_report, report, curve=curve,
@@ -530,7 +524,11 @@ def cmd_plot(cfg: dict) -> int:
     if not isinstance(report, dict):
         raise ValidationError(f"{report_path} does not hold a JSON object")
 
-    run_cfg = _merge(DEFAULT_CONFIG, report.get("config"))
+    try:
+        run_cfg = _merge(DEFAULT_CONFIG, report.get("config"))
+        _check_config(run_cfg)
+    except ValidationError as err:
+        raise ValidationError(f"{err} in {report_path}") from None
     overlays = [("input", _curve_polyline(_load_curve(run_cfg)))]
     for key, label in (("recovered_curve", "recovered"),
                        ("recovered_curve_reflected", "recovered (reflected)")):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,15 +45,21 @@ _ZERO = Num(0.0)
 
 
 def _validate_box(box) -> dict[str, tuple[float, float]]:
-    if set(box) != set(VARIABLES):
+    if not isinstance(box, Mapping) or set(box) != set(VARIABLES):
         raise ValidationError(
-            f"box must bound exactly {', '.join(VARIABLES)}; got {sorted(box)}")
+            f"box must bound exactly {', '.join(VARIABLES)}; got {box!r}")
     out = {}
     for name in VARIABLES:
         bounds = box[name]
-        if len(bounds) != 2:
-            raise ValidationError(f"box[{name!r}] must be a [lo, hi] pair")
-        lo, hi = float(bounds[0]), float(bounds[1])
+        try:
+            lo, hi = bounds
+            if not all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+                       for b in (lo, hi)):
+                raise TypeError  # a string, null or boolean bound
+            lo, hi = float(lo), float(hi)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"box[{name!r}] must be a [lo, hi] pair of "
+                                  f"numbers, got {bounds!r}") from None
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValidationError(f"box[{name!r}] = [{lo}, {hi}] is not a valid range")
         out[name] = (lo, hi)

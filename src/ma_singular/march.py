@@ -225,6 +225,15 @@ def stability_monitor(level: np.ndarray, params: MarchParams) -> tuple[float, bo
     return worst, worst > params.monitor_threshold
 
 
+#: A field failure mid-march as (error, status, what failed, raised error),
+#: most specific error first.  ``{}`` is "stage " inside an RK4 step.
+_FIELD_FAILURES = (
+    (OutOfBoxError, "box-exit", "{}state left the box", BoxExitError),
+    (EllipticityError, "ellipticity", "ellipticity lost", EllipticityAbortError),
+    (FieldEvalError, "non-finite", "field evaluation failed", NonFiniteAbortError),
+)
+
+
 def _rk4_step(level: np.ndarray, h: float, field: CoefficientField,
               values, spectrum) -> np.ndarray:
     """One RK4 step; k1 reuses the field ``values`` and the rfft
@@ -293,24 +302,18 @@ def march(curve: PeriodicCurve, field: CoefficientField,
                 skipped)
             raise exc_type(message, partial=partial)
 
+    def field_failure(err, stage: str, where: str):
+        _, kind, what, exc_type = next(
+            row for row in _FIELD_FAILURES if isinstance(err, row[0]))
+        fail(kind, f"{what.format(stage)} {where} v={sign * v_now:.6g}: {err}",
+             exc_type)
+
     while v_now < params.R - 1e-12 * params.R:
         h = min(params.dv, params.R - v_now)
         try:
             nxt = _rk4_step(level, sign * h, field, values, spectrum)
-        except OutOfBoxError as err:
-            fail("box-exit",
-                 f"stage state left the box after v={sign * v_now:.6g}: {err}",
-                 BoxExitError)
-            break
-        except EllipticityError as err:
-            fail("ellipticity",
-                 f"ellipticity lost after v={sign * v_now:.6g}: {err}",
-                 EllipticityAbortError)
-            break
         except FieldEvalError as err:
-            fail("non-finite",
-                 f"field evaluation failed after v={sign * v_now:.6g}: {err}",
-                 NonFiniteAbortError)
+            field_failure(err, "stage ", "after")
             break
 
         nxt = spectral_filter(nxt, params)
@@ -324,18 +327,8 @@ def march(curve: PeriodicCurve, field: CoefficientField,
 
         try:
             values = _field_values(field, nxt)
-        except OutOfBoxError as err:
-            fail("box-exit", f"state left the box at v={sign * v_now:.6g}: {err}",
-                 BoxExitError)
-            break
-        except EllipticityError as err:
-            fail("ellipticity", f"ellipticity lost at v={sign * v_now:.6g}: {err}",
-                 EllipticityAbortError)
-            break
         except FieldEvalError as err:
-            fail("non-finite",
-                 f"field evaluation failed at v={sign * v_now:.6g}: {err}",
-                 NonFiniteAbortError)
+            field_failure(err, "", "at")
             break
 
         spectrum = np.fft.rfft(nxt)

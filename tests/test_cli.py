@@ -3,12 +3,14 @@
 import importlib
 import importlib.util
 import json
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from ma_singular import cli
 from ma_singular.cli import (
@@ -17,7 +19,8 @@ from ma_singular.cli import (
     main,
     report_schema,
 )
-from ma_singular.curves import classify_curve
+from ma_singular.coeffs import builtin_field_names
+from ma_singular.curves import builtin_curve_names, classify_curve
 from ma_singular.errors import ValidationError
 
 SMALL_BOX_FIELD = {
@@ -342,27 +345,60 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("assignment, message", [
-    ('seed="abc"', "seed must be a non-negative integer, got 'abc'"),
-    ("seed=-1", "seed must be a non-negative integer, got -1"),
-    ('roundtrip.tolerance="a"',
+@pytest.mark.parametrize("command, assignment, message", [
+    ("roundtrip", 'seed="abc"', "seed must be a non-negative integer, got 'abc'"),
+    ("roundtrip", "seed=-1", "seed must be a non-negative integer, got -1"),
+    ("roundtrip", 'roundtrip.tolerance="a"',
      "roundtrip.tolerance must be a finite number, got 'a'"),
-    ("extract.degree=-3", "extract.degree must be a non-negative integer"),
-    ("march.filter_order=1e400",
-     "bad march parameters: cannot convert float infinity to integer"),
+    ("roundtrip", "extract.degree=-3",
+     "extract.degree must be a non-negative integer"),
+    ("roundtrip", "march.filter_order=1e400",
+     "march.filter_order must be an integer, got inf"),
+    *[(command, f"{key}=5", f"{key} must be {kind}, got 5")
+      for command in ("construct", "roundtrip", "verify")
+      for key, kind in (("field.literal", "an object or null"),
+                        ("curve.literal", "an object or null"),
+                        ("curve.file", "a string or null"))],
+    ("roundtrip", "extract.radii=5",
+     "extract.radii must be a list of finite numbers or null, got 5"),
+    ("roundtrip", 'extract.radii="abc"',
+     "extract.radii must be a list of finite numbers or null, got 'abc'"),
+    ("verify", 'verify.z_tolerance="x"',
+     "verify.z_tolerance must be a finite number, got 'x'"),
+    ("construct", "out=null", "out must be a string, got None"),
+    ("construct", 'march.negative_v="false"',
+     "march.negative_v must be a boolean, got 'false'"),
+    ("construct", "march.R=true", "march.R must be a finite number, got True"),
+    ("construct", "march.n_u=128.5", "march.n_u must be an integer, got 128.5"),
+    ("construct", "march.n_u=128.0", "march.n_u must be an integer, got 128.0"),
+    ("roundtrip", "extract.n_theta=2.5",
+     "extract.n_theta must be an integer, got 2.5"),
+    ("construct", 'emit.csv="no"', "emit.csv must be a boolean, got 'no'"),
+    ("construct", "residual.j_floor=-1",
+     "residual.j_floor must be a finite number >= 0, got -1"),
+    ("construct", 'verify.oracle="planar"',
+     "verify.oracle must be 'radial-reference', got 'planar'"),
 ], ids=["seed-string", "seed-negative", "tolerance-string", "degree-negative",
-        "filter-order-overflow"])
+        "filter-order-overflow",
+        *[f"{command}-{key}" for command in ("construct", "roundtrip", "verify")
+          for key in ("field-literal", "curve-literal", "curve-file")],
+        "radii-number", "radii-string", "z-tolerance-string", "out-null",
+        "negative-v-string", "R-bool", "n-u-fraction", "n-u-float",
+        "n-theta-fraction", "emit-csv-string", "j-floor-negative",
+        "oracle-unknown"])
 def test_bad_config_values_are_two_before_the_march(tmp_path, capsys,
-                                                    monkeypatch, assignment,
-                                                    message):
-    # Each of these used to end in a traceback and exit 1, the tolerance
-    # and the degree only after the whole march.
+                                                    monkeypatch, command,
+                                                    assignment, message):
+    # Each of these used to end in a traceback and exit 1, some only after
+    # the whole march, or to be accepted and change what the run did.
     def no_march(*args):
         raise AssertionError("marched with a bad config")
 
     monkeypatch.setattr(cli, "march", no_march)
     out = tmp_path / "run"
-    assert main(["roundtrip", "--out", str(out), "--set", assignment]) == 2
+    # The directory comes through --set, so that out=null can replace it.
+    assert main([command, "--set", f"out={json.dumps(str(out))}",
+                 "--set", assignment]) == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err and "Traceback" not in err
     assert not (out / "report.json").exists()
@@ -454,7 +490,11 @@ def test_plot_without_run_is_two(tmp_path):
     assert main(["plot", "--out", str(tmp_path / "empty")]) == 2
 
 
-@pytest.mark.parametrize("text", ["{bad", "[1, 2]"])
+@pytest.mark.parametrize("text", [
+    "{bad", "[1, 2]",
+    '{"config": {"curve": {"literal": 5}}}',
+    '{"config": {"curve": {"file": 7}}}',
+])
 def test_plot_corrupt_report_is_two(tmp_path, capsys, text):
     out = tmp_path / "run"
     out.mkdir()
@@ -589,3 +629,129 @@ def test_emit_csv_off(tmp_path):
     assert code == 0
     assert not (out / "strip.csv").exists()
     assert (out / "report.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract, fuzzed
+
+
+def _config_leaves(defaults=DEFAULT_CONFIG, path=""):
+    """(dotted key, kind) of every leaf, from the config check's own table."""
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            yield from _config_leaves(default, f"{path}{key}.")
+        else:
+            yield path + key, (cli._LEAF_KINDS.get(path + key)
+                               or cli._DEFAULT_KINDS[type(default)])
+
+
+_COEFFICIENT = st.sampled_from([0.0, 0.05, -0.1, 0.3])
+
+#: Curves of degree <= 2 around a unit circle, either orientation.
+_CURVES = st.builds(
+    lambda a1, b1, rest: {"alpha_cos": [0.0, a1, rest[0]],
+                          "alpha_sin": [0.0, rest[1], rest[2]],
+                          "beta_cos": [0.0, rest[3]],
+                          "beta_sin": [0.0, b1, rest[4]]},
+    st.sampled_from([1.0, 0.8]), st.sampled_from([-1.0, -0.6, 1.0]),
+    st.lists(_COEFFICIENT, min_size=5, max_size=5))
+
+#: Expressions from a small grammar over the state variables.
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["1", "0.5", "x", "y", "z", "p", "q"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda parts: "(%s %s %s)" % parts),
+        st.tuples(st.sampled_from(["sin", "exp", "log", "sqrt"]), inner).map(
+            lambda parts: "%s(%s)" % parts)),
+    max_leaves=4)
+
+_FIELDS = st.fixed_dictionaries({
+    "A": st.just("0") | _EXPRESSIONS.map(lambda e: f"0.01*{e}"),
+    "B": st.just("0") | _EXPRESSIONS.map(lambda e: f"0.01*{e}"),
+    "C": st.just("0"),
+    "E": _EXPRESSIONS.map(lambda e: f"1 + 0.1*{e}") | _EXPRESSIONS,
+    "box": st.sampled_from([SMALL_BOX_FIELD["box"],
+                            {name: [-1, 1] for name in "xyzpq"}]),
+})
+
+#: Valid values of each kind.  Keys below that name a size draw small
+#: values, so that every run stays at n_u <= 32 and R <= 0.02.
+_VALID_KINDS = {
+    "a boolean": st.booleans(),
+    "a non-negative integer": st.integers(0, 40),
+    "a finite number": st.floats(-1.0, 1.0),
+    "a finite number >= 0": st.floats(0.0, 1.0),
+    "a finite number or null": st.none() | st.floats(-0.05, 0.05),
+    "a string or null": st.none() | st.just("no-such-file.json"),
+    "an object or null": st.none(),
+    "a list of finite numbers or null": st.none() | st.lists(
+        st.sampled_from([0.008, 0.004, 0.002, 0.001, -0.001]), max_size=4),
+    "'radial-reference'": st.just("radial-reference"),
+}
+_VALID_KEYS = {
+    "march.R": st.floats(0.002, 0.02),
+    "march.n_u": st.sampled_from([8, 16, 32]),
+    "march.dv": st.floats(0.001, 0.02),
+    "march.filter_strength": st.floats(1.0, 60.0),
+    "march.filter_order": st.integers(2, 24),
+    "march.filter_cutoff": st.floats(0.3, 1.0),
+    "march.monitor_threshold": st.floats(1e-9, 0.1),
+    "march.box_policy": st.sampled_from(["truncate", "raise"]),
+    "curve.builtin": st.sampled_from(builtin_curve_names()),
+    "field.builtin": st.sampled_from(builtin_field_names()),
+    "extract.n_theta": st.integers(8, 128),
+    "extract.degree": st.integers(0, 24),
+}
+#: Values of the wrong kind for most leaves (and of the right kind for a few).
+_ANY_VALUE = st.sampled_from([None, True, 0, -1, 5, 2.5, float("inf"),
+                              float("nan"), "x", [1], {"a": 1}])
+#: Every leaf but the output directory, which is the test's own.
+_LEAVES = [(key, _VALID_KEYS[key] if key in _VALID_KEYS else _VALID_KINDS[kind])
+           for key, kind in _config_leaves() if key != "out"]
+
+
+@st.composite
+def _overrides(draw):
+    """Up to four valid leaf values, and one of any value half the time."""
+    picks = draw(st.lists(st.sampled_from(_LEAVES), max_size=4,
+                          unique_by=lambda leaf: leaf[0]))
+    values = [(key, draw(valid)) for key, valid in picks]
+    if draw(st.booleans()):
+        values.append((draw(st.sampled_from(_LEAVES))[0], draw(_ANY_VALUE)))
+    return values
+
+
+#: The exit codes of the table in the README and the cli docstring.
+_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}
+
+#: The exit codes a report's status allows; exit 2 is a march without a
+#: patch, 3 a multivalued patch and 8 a missed tolerance.
+_STATUS_EXITS = {
+    "completed": {0, 2, 3, 8}, "box-exit": {6}, "instability-abort": {4},
+    "non-finite": {4}, "ellipticity": {5}, "precondition-failed": {7},
+}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(command=st.sampled_from(["construct", "roundtrip", "verify"]),
+       curve=st.none() | _CURVES, field=st.none() | _FIELDS,
+       overrides=_overrides())
+def test_every_input_ends_in_a_documented_exit_code(command, curve, field,
+                                                    overrides):
+    overrides = [("curve.literal", curve), ("field.literal", field),
+                 *overrides]
+    sets = ["march.n_u=32", "march.R=0.02"]
+    sets += [f"{key}={json.dumps(value)}" for key, value in overrides]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        argv = [command, "--out", str(out)]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        code = main(argv)  # an exception escaping main fails the test
+        event(f"exit {code}")
+        assert code in _EXIT_CODES
+        if (out / "report.json").exists():
+            report = read_report(out)
+            assert report["exit_code"] == code
+            assert code in _STATUS_EXITS[report["status"]]

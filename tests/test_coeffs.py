@@ -126,6 +126,15 @@ def test_json_round_trip():
     {"x": (-1, 1), "y": (-1, 1), "z": (-1, 1), "p": (-4, 4)},
     {"x": (-1, 1), "y": (-1, 1), "z": (-1, 1), "p": (-4, 4), "q": (-4, 4),
      "w": (-1, 1)},
+    5,
+    [("x", (-1, 1))],
+    {"x": "ab", "y": (-1, 1), "z": (-1, 1), "p": (-4, 4), "q": (-4, 4)},
+    {"x": [None, 1], "y": (-1, 1), "z": (-1, 1), "p": (-4, 4), "q": (-4, 4)},
+    {"x": [True, 1], "y": (-1, 1), "z": (-1, 1), "p": (-4, 4), "q": (-4, 4)},
+    {"x": (-1, 0, 1), "y": (-1, 1), "z": (-1, 1), "p": (-4, 4), "q": (-4, 4)},
+    {"x": 1, "y": (-1, 1), "z": (-1, 1), "p": (-4, 4), "q": (-4, 4)},
+    {"x": (-10 ** 400, 1), "y": (-1, 1), "z": (-1, 1), "p": (-4, 4),
+     "q": (-4, 4)},
 ])
 def test_bad_boxes_are_rejected(box):
     with pytest.raises(ValidationError):
