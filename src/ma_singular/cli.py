@@ -15,7 +15,12 @@ Exit codes separate scientific outcomes from usage errors:
     5   ellipticity lost
     6   the marched state left the domain box
     7   roundtrip precondition failed (curve not strictly convex Jordan)
-    8   a verification tolerance was exceeded
+    8   a verification tolerance was exceeded, or a roundtrip's extraction
+        left the patch's covered band (report.json -> limit.error)
+
+A failed march is a status of its run, not an exception, and ``main``
+catches only ValidationError.  So exit 2 without report.json means
+nothing ran, and every other exit writes report.json (with emit.json on).
 """
 
 from __future__ import annotations
@@ -31,15 +36,10 @@ import numpy as np
 
 from .coeffs import CoefficientField, builtin_field, eval_field
 from .curves import PeriodicCurve, builtin_curve, classify_curve, eval_curve
-from .errors import (
-    BoxExitError,
-    CoverageError,
-    EllipticityAbortError,
-    MarchError,
-    SingularJacobianError,
-    ValidationError,
-)
+from .errors import CoverageError, SingularJacobianError, ValidationError
 from .extract import (
+    _check_n_theta,
+    _check_radii,
     geometric_radii,
     hausdorff_distance,
     limit_gradient,
@@ -80,25 +80,19 @@ _STATUS_EXIT = {
     "ellipticity": EXIT_ELLIPTICITY,
 }
 
-#: Exit code of an error that ends a command, subclasses before MarchError.
-_ERROR_EXIT = ((ValidationError, EXIT_VALIDATION), (CoverageError, EXIT_TOLERANCE),
-               (BoxExitError, EXIT_BOX), (EllipticityAbortError, EXIT_ELLIPTICITY),
-               (MarchError, EXIT_INSTABILITY))
-
 DEFAULT_CONFIG = {
     "curve": {"builtin": "circle", "file": None, "literal": None,
               "auto_reverse": False},
     "field": {"builtin": "pure-one", "file": None, "literal": None},
     "march": {"R": 0.15, "n_u": 128, "dv": 0.001, "filter_strength": 36.0,
               "filter_order": 16, "filter_cutoff": 1.0,
-              "monitor_threshold": 0.001, "box_policy": "truncate",
-              "negative_v": False},
+              "monitor_threshold": 0.001, "negative_v": False},
     "reconstruct": {"v_min": None},
     "residual": {"v_min": None, "j_floor": 1e-6},
     "extract": {"degree": 16, "n_theta": 256, "radii": None},
     "roundtrip": {"tolerance": 0.001, "reflected": True},
-    "verify": {"oracle": "radial-reference", "z_tolerance": 1e-4,
-               "slope_tolerance": 1e-4, "circle_tolerance": 1e-6},
+    "verify": {"z_tolerance": 1e-4, "slope_tolerance": 1e-4,
+               "circle_tolerance": 1e-6},
     "out": "out",
     "emit": {"csv": True, "json": True, "svg": False},
     "seed": 0,
@@ -149,7 +143,6 @@ _KINDS = {
     "an object or null": lambda value: value is None or type(value) is dict,
     "a list of finite numbers or null": lambda value: value is None or (
         type(value) is list and all(map(_number, value))),
-    "'radial-reference'": lambda value: value == "radial-reference",
 }
 _DEFAULT_KINDS = {bool: "a boolean", int: "an integer",
                   float: "a finite number", str: "a string"}
@@ -164,7 +157,6 @@ _LEAF_KINDS = {
     "residual.j_floor": "a finite number >= 0",
     "extract.degree": "a non-negative integer",
     "extract.radii": "a list of finite numbers or null",
-    "verify.oracle": "'radial-reference'",
     "seed": "a non-negative integer",
 }
 
@@ -239,6 +231,10 @@ def _prepare(cfg: dict):
     field = _load_field(cfg)
     params = MarchParams(**cfg["march"])
     params.validate(curve)
+    extract_cfg = cfg["extract"]
+    if extract_cfg["radii"] is not None:
+        _check_radii(extract_cfg["radii"])
+    _check_n_theta(extract_cfg["n_theta"], extract_cfg["degree"])
     report = classify_curve(curve)
     reversed_curve = False
     if cfg["curve"]["auto_reverse"] and report.orientation == "positive":
@@ -452,7 +448,16 @@ def cmd_roundtrip(cfg: dict) -> int:
         distance = hausdorff_distance(curve, lg.curve)
         return lg, distance
 
-    lg, distance = one_branch(patch)
+    try:
+        lg, distance = one_branch(patch)
+        reflected = (one_branch(reflect_solution(patch))
+                     if cfg["roundtrip"]["reflected"] else None)
+    except CoverageError as err:
+        report["limit"] = {"error": str(err)}
+        report["exit_code"] = EXIT_TOLERANCE
+        _write_outputs(cfg, strip, patch, residual_report, report, curve=curve)
+        return EXIT_TOLERANCE
+
     report["limit"] = {
         "residual": lg.residual, "jordan": bool(lg.jordan),
         "radii": list(lg.radii),
@@ -462,8 +467,8 @@ def cmd_roundtrip(cfg: dict) -> int:
     extra_curves.append(("recovered", lg.curve))
     worst = distance
 
-    if cfg["roundtrip"]["reflected"]:
-        lg_r, distance_r = one_branch(reflect_solution(patch))
+    if reflected is not None:
+        lg_r, distance_r = reflected
         report["hausdorff_reflected"] = distance_r
         report["recovered_curve_reflected"] = lg_r.curve.to_dict()
         extra_curves.append(("recovered (reflected)", lg_r.curve))
@@ -479,8 +484,7 @@ def cmd_roundtrip(cfg: dict) -> int:
 def cmd_verify(cfg: dict) -> int:
     curve, field, strip, patch, residual_report, result = \
         _construct_pipeline(cfg, _prepare(cfg))
-    report = {"command": "verify", "config": cfg,
-              "oracle": cfg["verify"]["oracle"]}
+    report = {"command": "verify", "config": cfg, "oracle": "radial-reference"}
     report.update(result)
     code = _pipeline_exit(strip, patch)
     if code != EXIT_OK:
@@ -642,9 +646,9 @@ def main(argv=None) -> int:
             print(json.dumps(cfg, indent=2, sort_keys=True))
             return EXIT_OK
         return run_command(args.command, cfg)
-    except (ValidationError, CoverageError, MarchError) as err:
+    except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
-        return next(code for cls, code in _ERROR_EXIT if isinstance(err, cls))
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

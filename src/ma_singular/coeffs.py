@@ -111,6 +111,8 @@ class CoefficientField:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CoefficientField":
+        if not isinstance(data, dict):
+            raise ValidationError(f"field literal must be an object, got {data!r}")
         try:
             exprs = {name: _as_expr(data[name]) for name in ("A", "B", "C", "E")}
             box = data["box"]

@@ -50,6 +50,9 @@ class PeriodicCurve:
                        self.beta_sin)]
         except (TypeError, ValueError):
             raise ValidationError("curve coefficients must be numbers") from None
+        if any(a.ndim != 1 for a in arrays) or not any(a.size for a in arrays):
+            raise ValidationError(
+                "curve coefficients must be flat lists, not all of them empty")
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValidationError("curve coefficients must be finite")
         m = max(a.size for a in arrays)
@@ -100,6 +103,8 @@ class PeriodicCurve:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PeriodicCurve":
+        if not isinstance(data, dict):
+            raise ValidationError(f"curve literal must be an object, got {data!r}")
         try:
             return cls(data["alpha_cos"], data["alpha_sin"],
                        data["beta_cos"], data["beta_sin"])

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Scientific outcomes that a caller may want to branch on (box exit,
-ellipticity loss, instability) get their own classes so the CLI can map
-them to distinct exit codes.
+A march does not raise for a failure mid-march: it turns the field
+errors below into the status of the strip it returns, and the CLI maps
+that status to an exit code.
 """
 
 from __future__ import annotations
@@ -48,33 +48,6 @@ class EllipticityError(FieldEvalError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
-
-
-class MarchError(RuntimeError):
-    """Base class for march failures under ``box_policy='raise'``.
-
-    ``partial`` holds the strip accumulated before the failure.
-    """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
-class BoxExitError(MarchError):
-    """The marched state left the field's domain box."""
-
-
-class InstabilityError(MarchError):
-    """The high-mode energy monitor tripped on two consecutive levels."""
-
-
-class EllipticityAbortError(MarchError):
-    """Ellipticity was lost mid-march."""
-
-
-class NonFiniteAbortError(MarchError):
-    """The marched state or a coefficient became non-finite mid-march."""
 
 
 class SingularJacobianError(RuntimeError):

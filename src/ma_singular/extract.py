@@ -81,6 +81,12 @@ def _check_radii(radii) -> tuple:
     return radii
 
 
+def _check_n_theta(n_theta: int, degree: int) -> None:
+    if n_theta < 2 * (degree + 1):
+        raise ValidationError(
+            f"n_theta={n_theta} cannot resolve degree {degree}")
+
+
 # ---------------------------------------------------------------------------
 # Patch sampler
 
@@ -293,9 +299,7 @@ def limit_gradient(sampler, radii, n_theta: int = 256,
         CoverageError: a circle left the sampled annulus.
     """
     radii = _check_radii(radii)
-    if n_theta < 2 * (degree + 1):
-        raise ValidationError(
-            f"n_theta={n_theta} cannot resolve degree {degree}")
+    _check_n_theta(n_theta, degree)
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     p_rows = []
     q_rows = []

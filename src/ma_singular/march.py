@@ -18,16 +18,7 @@ import numpy as np
 
 from .coeffs import CoefficientField, _field_values, eval_field
 from .curves import PeriodicCurve, eval_curve
-from .errors import (
-    BoxExitError,
-    EllipticityAbortError,
-    EllipticityError,
-    FieldEvalError,
-    InstabilityError,
-    NonFiniteAbortError,
-    OutOfBoxError,
-    ValidationError,
-)
+from .errors import EllipticityError, FieldEvalError, OutOfBoxError, ValidationError
 
 __all__ = [
     "MarchParams",
@@ -71,7 +62,6 @@ class MarchParams:
     filter_order: int = 16
     filter_cutoff: float = 1.0
     monitor_threshold: float = 1e-3
-    box_policy: str = "truncate"  # or "raise"
     negative_v: bool = False
 
     def validate(self, curve: PeriodicCurve | None = None) -> None:
@@ -92,9 +82,6 @@ class MarchParams:
                 f"filter_cutoff={self.filter_cutoff} must lie in (0, 1]")
         if self.monitor_threshold <= 0:
             raise ValidationError("monitor threshold must be positive")
-        if self.box_policy not in ("truncate", "raise"):
-            raise ValidationError(
-                f"box_policy must be 'truncate' or 'raise', got {self.box_policy!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,13 +212,21 @@ def stability_monitor(level: np.ndarray, params: MarchParams) -> tuple[float, bo
     return worst, worst > params.monitor_threshold
 
 
-#: A field failure mid-march as (error, status, what failed, raised error),
-#: most specific error first.  ``{}`` is "stage " inside an RK4 step.
+#: A field failure mid-march as (error, status, what failed), most
+#: specific error first.  ``{}`` is "stage " inside an RK4 step.
 _FIELD_FAILURES = (
-    (OutOfBoxError, "box-exit", "{}state left the box", BoxExitError),
-    (EllipticityError, "ellipticity", "ellipticity lost", EllipticityAbortError),
-    (FieldEvalError, "non-finite", "field evaluation failed", NonFiniteAbortError),
+    (OutOfBoxError, "box-exit", "{}state left the box"),
+    (EllipticityError, "ellipticity", "ellipticity lost"),
+    (FieldEvalError, "non-finite", "field evaluation failed"),
 )
+
+
+def _field_failure(err: FieldEvalError, stage: str, where: str,
+                   v: float) -> tuple[str, str]:
+    """(status, detail) of a field failure mid-march."""
+    _, status, what = next(row for row in _FIELD_FAILURES
+                           if isinstance(err, row[0]))
+    return status, f"{what.format(stage)} {where} v={v:.6g}: {err}"
 
 
 def _rk4_step(level: np.ndarray, h: float, field: CoefficientField,
@@ -250,10 +245,9 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     """Integrate the strip from the axis to v = R (or -R).
 
     Axis data the field rejects (outside the box, a non-finite
-    coefficient, D <= 0) is a ValidationError: there is no partial
-    solution to salvage.  Later failures follow ``box_policy``:
-    "truncate" returns the strip marched so far with a status string,
-    "raise" raises the matching error carrying the partial solution.
+    coefficient, D <= 0) is a ValidationError: there is no strip to
+    return.  A later failure ends the march without an exception: the
+    strip marched so far is returned, its status and detail saying why.
 
     Returns:
         StripSolution with status "completed" when v = R was reached, else
@@ -292,28 +286,12 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     v_now = 0.0
     step_index = 0
 
-    def fail(kind: str, message: str, exc_type):
-        nonlocal status, detail
-        status, detail = kind, message
-        if params.box_policy == "raise":
-            partial = StripSolution(
-                np.array(v_list), u, np.stack(levels), np.array(fracs),
-                np.array(discs), status, detail, curve, field, params,
-                skipped)
-            raise exc_type(message, partial=partial)
-
-    def field_failure(err, stage: str, where: str):
-        _, kind, what, exc_type = next(
-            row for row in _FIELD_FAILURES if isinstance(err, row[0]))
-        fail(kind, f"{what.format(stage)} {where} v={sign * v_now:.6g}: {err}",
-             exc_type)
-
     while v_now < params.R - 1e-12 * params.R:
         h = min(params.dv, params.R - v_now)
         try:
             nxt = _rk4_step(level, sign * h, field, values, spectrum)
         except FieldEvalError as err:
-            field_failure(err, "stage ", "after")
+            status, detail = _field_failure(err, "stage ", "after", sign * v_now)
             break
 
         nxt = spectral_filter(nxt, params)
@@ -321,14 +299,14 @@ def march(curve: PeriodicCurve, field: CoefficientField,
         step_index += 1
 
         if not np.all(np.isfinite(nxt)):
-            fail("non-finite", f"non-finite state at v={sign * v_now:.6g}",
-                 NonFiniteAbortError)
+            status = "non-finite"
+            detail = f"non-finite state at v={sign * v_now:.6g}"
             break
 
         try:
             values = _field_values(field, nxt)
         except FieldEvalError as err:
-            field_failure(err, "", "at")
+            status, detail = _field_failure(err, "", "at", sign * v_now)
             break
 
         spectrum = np.fft.rfft(nxt)
@@ -336,10 +314,10 @@ def march(curve: PeriodicCurve, field: CoefficientField,
         if exceeded:
             streak += 1
             if streak >= 2:
-                fail("instability-abort",
-                     f"high-mode fraction {frac:.3g} > "
-                     f"{params.monitor_threshold:.3g} on two consecutive "
-                     f"levels at v={sign * v_now:.6g}", InstabilityError)
+                status = "instability-abort"
+                detail = (f"high-mode fraction {frac:.3g} > "
+                          f"{params.monitor_threshold:.3g} on two consecutive "
+                          f"levels at v={sign * v_now:.6g}")
                 break
             # Offending level drives the next step but is never stored.
             skipped += 1

@@ -89,7 +89,7 @@ def test_criterion_2_axis_jacobian_slope():
 
 
 def test_criterion_3_pde_residual(circle_strip, remark42_strip):
-    # rt - s^2 - 1 and At + Cr + 2Bs + rt - s^2 - E are the same report;
+    # rt - s^2 - 1 and A r + C t + 2Bs + rt - s^2 - E are the same report;
     # the latter equals (A+t)(C+r) - (B-s)^2 - disc identically.
     circle_res = pde_residual(circle_strip).max_abs
     assert circle_res <= 1e-3, f"circle residual {circle_res:.3e} > 1e-3"

@@ -3,9 +3,11 @@
 import importlib
 import importlib.util
 import json
+import shutil
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -279,6 +281,20 @@ def test_curve_file_and_auto_reverse(tmp_path):
     assert report["classification"]["orientation"] == "negative"
 
 
+@pytest.mark.parametrize("text", ["5", "[1]", '"a"'])
+@pytest.mark.parametrize("which", ["curve", "field"])
+def test_non_object_curve_or_field_file_is_two(tmp_path, capsys, which, text):
+    path = tmp_path / f"{which}.json"
+    path.write_text(text)
+    out = tmp_path / "run"
+    assert main(["construct", "--out", str(out),
+                 "--set", f"{which}.file={json.dumps(str(path))}"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {which} literal must be an object" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # roundtrip
 
@@ -377,7 +393,15 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
     ("construct", "residual.j_floor=-1",
      "residual.j_floor must be a finite number >= 0, got -1"),
     ("construct", 'verify.oracle="planar"',
-     "verify.oracle must be 'radial-reference', got 'planar'"),
+     "unknown config key config.verify.oracle"),
+    # limit_gradient's own rules, checked in every command before the march.
+    *[(command, assignment, message)
+      for command in ("construct", "roundtrip", "verify")
+      for assignment, message in (
+          ("extract.n_theta=8", "n_theta=8 cannot resolve degree 16"),
+          ("extract.radii=[0.1,0.04]",
+           "radii must halve (ratio 2): got 0.1 -> 0.04"),
+          ("extract.radii=[0.1]", "limit_gradient needs at least two radii"))],
 ], ids=["seed-string", "seed-negative", "tolerance-string", "degree-negative",
         "filter-order-overflow",
         *[f"{command}-{key}" for command in ("construct", "roundtrip", "verify")
@@ -385,7 +409,10 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
         "radii-number", "radii-string", "z-tolerance-string", "out-null",
         "negative-v-string", "R-bool", "n-u-fraction", "n-u-float",
         "n-theta-fraction", "emit-csv-string", "j-floor-negative",
-        "oracle-unknown"])
+        "oracle-unknown",
+        *[f"{command}-{case}" for command in ("construct", "roundtrip", "verify")
+          for case in ("n-theta-below-degree", "radii-not-halving",
+                       "radii-single")]])
 def test_bad_config_values_are_two_before_the_march(tmp_path, capsys,
                                                     monkeypatch, command,
                                                     assignment, message):
@@ -404,29 +431,19 @@ def test_bad_config_values_are_two_before_the_march(tmp_path, capsys,
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("command, config, sets, code, message", [
-    ("construct", {"field": {"literal": SMALL_BOX_FIELD}},
-     ["march.box_policy=raise"], 6, "left the box"),
-    ("construct", {"field": {"literal": dict(
-        SMALL_BOX_FIELD, E="1 - 60*z",
-        box={"x": [-1, 1], "y": [-1, 1], "z": [-1, 1],
-             "p": [-4, 4], "q": [-4, 4]})}},
-     ["march.box_policy=raise"], 5, "ellipticity lost"),
-    ("roundtrip", {}, ["extract.radii=[1.0, 0.5, 0.25]"], 8,
-     "outside covered band"),
-], ids=["box-exit", "ellipticity", "coverage"])
-def test_raised_errors_map_to_exit_codes(tmp_path, capsys, command, config,
-                                         sets, code, message):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+def test_roundtrip_coverage_failure_is_eight_with_its_report(tmp_path, capsys):
+    # The largest radius lies outside the band the patch covers, so the
+    # extraction stops after a completed march; the report says why.
     out = tmp_path / "run"
-    argv = [command, "--config", str(cfg), "--out", str(out)]
-    for assignment in sets:
-        argv += ["--set", assignment]
-    assert main(argv) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
-    assert not (out / "report.json").exists()
+    assert main(["roundtrip", "--out", str(out),
+                 "--set", "extract.radii=[1.0, 0.5, 0.25]"]) == 8
+    assert capsys.readouterr().err == ""
+    report = read_report(out)
+    assert report["exit_code"] == 8
+    assert report["status"] == "completed"
+    assert report["limit"]["error"].startswith(
+        "radius 1 outside covered band [0.0150006, 0.150563]")
+    assert "hausdorff" not in report
 
 
 def test_roundtrip_impossible_tolerance_is_eight(tmp_path):
@@ -501,6 +518,18 @@ def test_plot_corrupt_report_is_two(tmp_path, capsys, text):
     (out / "report.json").write_text(text)
     assert main(["plot", "--out", str(out)]) == 2
     assert "report.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [5, [1], "a"])
+@pytest.mark.parametrize("key", ["recovered_curve", "recovered_curve_reflected"])
+def test_plot_non_object_recovered_curve_is_two(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "report.json").write_text(json.dumps({key: value}))
+    assert main(["plot", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: curve literal must be an object" in err
+    assert "Traceback" not in err
 
 
 def _corrupt_cell(lines):
@@ -687,7 +716,6 @@ _VALID_KINDS = {
     "an object or null": st.none(),
     "a list of finite numbers or null": st.none() | st.lists(
         st.sampled_from([0.008, 0.004, 0.002, 0.001, -0.001]), max_size=4),
-    "'radial-reference'": st.just("radial-reference"),
 }
 _VALID_KEYS = {
     "march.R": st.floats(0.002, 0.02),
@@ -697,7 +725,6 @@ _VALID_KEYS = {
     "march.filter_order": st.integers(2, 24),
     "march.filter_cutoff": st.floats(0.3, 1.0),
     "march.monitor_threshold": st.floats(1e-9, 0.1),
-    "march.box_policy": st.sampled_from(["truncate", "raise"]),
     "curve.builtin": st.sampled_from(builtin_curve_names()),
     "field.builtin": st.sampled_from(builtin_field_names()),
     "extract.n_theta": st.integers(8, 128),
@@ -748,10 +775,109 @@ def test_every_input_ends_in_a_documented_exit_code(command, curve, field,
         argv = [command, "--out", str(out)]
         for assignment in sets:
             argv += ["--set", assignment]
-        code = main(argv)  # an exception escaping main fails the test
+        strips = []  # what march returned; axis data it rejects returns none
+        real_march = cli.march
+
+        def recording_march(*args):
+            strips.append(real_march(*args))
+            return strips[-1]
+
+        with mock.patch.object(cli, "march", recording_march):
+            code = main(argv)  # an exception escaping main fails the test
         event(f"exit {code}")
         assert code in _EXIT_CODES
-        if (out / "report.json").exists():
+        written = (out / "report.json").exists()
+        if written:
             report = read_report(out)
             assert report["exit_code"] == code
             assert code in _STATUS_EXITS[report["status"]]
+        # Exit 2 without a report means nothing was marched; every other
+        # exit writes one.  Without emit.json no exit writes a report.
+        if dict(overrides).get("emit.json") is not False:
+            assert written == (code != 2 or bool(strips))
+
+
+# ---------------------------------------------------------------------------
+# The plot half of the exit-code contract, fuzzed
+
+
+@pytest.fixture(scope="module")
+def plot_runs(tmp_path_factory):
+    """The artifacts of one real construct and one real roundtrip run."""
+    root = tmp_path_factory.mktemp("plot-runs")
+    for command, curve in (("construct", "ellipse"), ("roundtrip", "circle")):
+        assert main([command, "--out", str(root / command),
+                     "--set", "march.n_u=32", "--set", "march.R=0.05",
+                     "--set", f"curve.builtin={curve}"]) == 0
+    return root
+
+
+_JSON_KINDS = {type(None): "null", bool: "boolean", int: "number",
+               float: "number", str: "string", list: "array", dict: "object"}
+#: One value of each JSON kind.
+_JSON_VALUES = [None, True, 5, "a", [1], {"a": 1}]
+
+
+def _json_paths(value, path=()):
+    """The path of every value in nested objects, the root's included."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_paths(item, path + (key,))
+
+
+def _mutate_report(data, text):
+    """Replace a value with one of another kind, or delete its key."""
+    report = json.loads(text)
+    path = data.draw(st.sampled_from(list(_json_paths(report))))
+    parent = report
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]] if path else report
+    if path and data.draw(st.booleans()):
+        del parent[path[-1]]
+        return json.dumps(report)
+    new = data.draw(st.sampled_from(
+        [value for value in _JSON_VALUES
+         if _JSON_KINDS[type(value)] != _JSON_KINDS[type(old)]]))
+    if not path:
+        return json.dumps(new)
+    parent[path[-1]] = new
+    return json.dumps(report)
+
+
+def _mutate_csv(data, text):
+    """Drop or repeat a header line, put text in a cell, or cut rows."""
+    lines = text.splitlines()
+    head = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    mutation = data.draw(st.sampled_from(["drop", "repeat", "text", "cut"]))
+    if mutation in ("drop", "repeat"):  # a comment or the column line
+        k = data.draw(st.integers(0, head))
+        lines[k:k + 1] = [] if mutation == "drop" else [lines[k]] * 2
+    elif mutation == "text":
+        k = data.draw(st.integers(head + 1, len(lines) - 1))
+        cells = lines[k].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1))] = "oops"
+        lines[k] = ",".join(cells)
+    else:
+        del lines[len(lines) - data.draw(st.integers(1, len(lines) - head - 1)):]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_plot_of_a_mutated_run_exits_zero_or_two(plot_runs, data):
+    run = data.draw(st.sampled_from(["construct", "roundtrip"]))
+    name = data.draw(st.sampled_from(["report.json", "strip.csv", "patch.csv"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        shutil.copytree(plot_runs / run, out)
+        mutate = _mutate_report if name == "report.json" else _mutate_csv
+        (out / name).write_text(mutate(data, (out / name).read_text()))
+        code = main(["plot", "--out", str(out)])  # no exception may escape
+        event(f"{name}: exit {code}")
+        assert code in (0, 2)
+        if code == 0:
+            # Both runs have a patch, so plot owes all three figures.
+            for svg in ("curves.svg", "images.svg", "residual.svg"):
+                assert (out / svg).is_file(), svg

@@ -121,6 +121,12 @@ def test_json_round_trip():
     assert back.to_dict() == f.to_dict()
 
 
+@pytest.mark.parametrize("data", [5, [1], "a", None])
+def test_from_dict_rejects_a_non_object(data):
+    with pytest.raises(ValidationError, match="field literal must be an object"):
+        CoefficientField.from_dict(data)
+
+
 @pytest.mark.parametrize("box", [
     {"x": (1.0, -1.0), "y": (-1, 1), "z": (-1, 1), "p": (-4, 4), "q": (-4, 4)},
     {"x": (-1, 1), "y": (-1, 1), "z": (-1, 1), "p": (-4, 4)},

@@ -159,6 +159,17 @@ def test_non_numeric_coefficients_are_rejected():
                                  "beta_cos": [0.0], "beta_sin": [0.0]})
 
 
+@pytest.mark.parametrize("coefficients", [
+    ([[1.0, 0.0]], [0.0], [0.0], [0.0, -1.0]),
+    ([[1.0], [0.0]], [[0.0], [0.0]], [[0.0], [0.0]], [[0.0], [-1.0]]),
+    ([], [], [], []),
+], ids=["one-nested", "all-nested", "all-empty"])
+def test_coefficients_must_be_flat_and_not_all_empty(coefficients):
+    # Each used to end in a ValueError or IndexError from the padding.
+    with pytest.raises(ValidationError, match="must be flat lists"):
+        PeriodicCurve(*coefficients)
+
+
 def test_json_round_trip():
     c = builtin_curve("remark42")
     back = PeriodicCurve.from_json(c.to_json())
@@ -168,6 +179,12 @@ def test_json_round_trip():
 def test_from_dict_reports_missing_key():
     with pytest.raises(ValidationError):
         PeriodicCurve.from_dict({"alpha_cos": [1.0]})
+
+
+@pytest.mark.parametrize("data", [5, [1], "a", None])
+def test_from_dict_rejects_a_non_object(data):
+    with pytest.raises(ValidationError, match="curve literal must be an object"):
+        PeriodicCurve.from_dict(data)
 
 
 def test_builtin_names_are_sorted_and_resolvable():

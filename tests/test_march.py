@@ -8,12 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ma_singular.coeffs import CoefficientField, builtin_field, pure_field
 from ma_singular.curves import builtin_curve, eval_curve
-from ma_singular.errors import (
-    BoxExitError,
-    EllipticityAbortError,
-    InstabilityError,
-    ValidationError,
-)
+from ma_singular.errors import ValidationError
 from ma_singular.march import (
     MarchParams,
     assemble_rhs,
@@ -185,7 +180,7 @@ def test_monitor_ignores_dc_offset():
 @pytest.mark.parametrize("kwargs", [
     {"R": 0.0}, {"R": -1.0}, {"dv": 0.0}, {"dv": 0.2},
     {"n_u": 100}, {"n_u": 2}, {"filter_cutoff": 0.0},
-    {"filter_cutoff": 1.5}, {"filter_order": 0}, {"box_policy": "clip"},
+    {"filter_cutoff": 1.5}, {"filter_order": 0}, {"filter_strength": 0.0},
     {"monitor_threshold": 0.0},
 ])
 def test_bad_params_rejected(kwargs):
@@ -284,14 +279,6 @@ def test_box_exit_truncates_with_status():
     assert np.all(np.abs(strip.states[:, 3, :]) <= 1.005)
 
 
-def test_box_exit_raises_with_partial_when_asked():
-    with pytest.raises(BoxExitError) as info:
-        march(CIRCLE, small_box_field(1.005), MarchParams(box_policy="raise"))
-    partial = info.value.partial
-    assert partial.status == "box-exit"
-    assert partial.n_levels > 50
-
-
 def test_ellipticity_loss_mid_march():
     f = CoefficientField.from_dict({
         "A": "0", "B": "0", "C": "0", "E": "1 - 60*z",
@@ -300,8 +287,6 @@ def test_ellipticity_loss_mid_march():
     strip = march(CIRCLE, f, MarchParams())
     assert strip.status == "ellipticity"
     assert strip.v[-1] < 0.15
-    with pytest.raises(EllipticityAbortError):
-        march(CIRCLE, f, MarchParams(box_policy="raise"))
 
 
 def test_monitor_abort_needs_two_consecutive_hits():
@@ -312,9 +297,6 @@ def test_monitor_abort_needs_two_consecutive_hits():
     assert strip.status == "instability-abort"
     assert strip.n_levels >= 1
     assert np.all(strip.high_frac <= 1e-35) or strip.n_levels == 1
-    with pytest.raises(InstabilityError):
-        march(CIRCLE, PURE_ONE, MarchParams(monitor_threshold=1e-35,
-                                            box_policy="raise"))
 
 
 def test_single_monitor_hit_skips_and_counts_one_level(monkeypatch):
