@@ -1,13 +1,16 @@
-"""PatchSampler and Hausdorff distance against their rebuild-per-call forms.
+"""PatchSampler against its rebuild-per-call form, Hausdorff distance
+against brute force.
 
 The sampler builds its tables (rho(theta), the sorted inverse angle
 table, the interpolant coefficients) once, from one angle analysis of
-all levels, keeps the bracket table of the last angle set, and evaluates
-one cos/sin basis per Newton step; the Hausdorff distance works on x/y
-components of per-segment data gathered once.  The reference code below
-analyses one level at a time and rebuilds everything on every call, the
-way extraction was first written.  The two must agree bit for bit, so
-the comparisons use np.array_equal.
+all levels, keeps the bracket table of the last angle set, finds every
+bracket with one count over that table, and evaluates one cos/sin basis
+per Newton step.  The reference code below analyses one level at a time,
+rebuilds everything on every call and brackets each angle with its own
+searchsorted, the way extraction was first written.  The two must agree
+bit for bit, so the comparisons use np.array_equal.  The Hausdorff
+distance solves for foot points; its reference is the distance between
+dense point samples of the two curves.
 """
 
 import numpy as np
@@ -18,12 +21,7 @@ from scipy.spatial import cKDTree
 from ma_singular.coeffs import builtin_field
 from ma_singular.curves import PeriodicCurve, builtin_curve, eval_curve
 from ma_singular.errors import CoverageError, ValidationError
-from ma_singular.extract import (
-    PatchSampler,
-    _directed_hausdorff,
-    hausdorff_distance,
-    patch_sampler,
-)
+from ma_singular.extract import PatchSampler, hausdorff_distance, patch_sampler
 from ma_singular.geometry import (
     GraphPatch,
     _level_tables,
@@ -227,10 +225,7 @@ class ReferenceSampler:
             reference_radius_at_angles(self._x[k], self._y[k], thetas)
             for k in range(self._levels)
         ])
-        idx = np.empty(thetas.size, dtype=int)
-        for i in range(thetas.size):
-            idx[i] = np.searchsorted(rho_tab[:, i], r, side="right") - 1
-        idx = np.clip(idx, 0, self._levels - 2)
+        idx = reference_brackets(rho_tab, r)
         p_out = np.empty(thetas.size)
         q_out = np.empty(thetas.size)
         for k in np.unique(idx):
@@ -243,21 +238,31 @@ class ReferenceSampler:
         return p_out, q_out
 
 
-def reference_directed_hausdorff(P, Q, tree, k=6):
-    n = Q.shape[0]
-    k = min(k, n)
-    _, nearest = tree.query(P, k=k)
-    nearest = np.asarray(nearest, dtype=int).reshape(P.shape[0], k)
-    seg_idx = np.concatenate([nearest, (nearest - 1) % n], axis=1)
-    starts = Q[seg_idx]
-    ends = Q[(seg_idx + 1) % n]
-    d = ends - starts
-    rel = P[:, None, :] - starts
-    denom = np.sum(d * d, axis=-1)
-    t = np.clip(np.sum(rel * d, axis=-1) / np.maximum(denom, 1e-300), 0.0, 1.0)
-    foot = starts + t[..., None] * d
-    dist = np.linalg.norm(P[:, None, :] - foot, axis=-1)
-    return float(np.max(np.min(dist, axis=1)))
+def reference_brackets(rho_tab, r):
+    """Per column of rho_tab, the last row <= r, clipped to a level pair."""
+    idx = np.empty(rho_tab.shape[1], dtype=int)
+    for i in range(rho_tab.shape[1]):
+        idx[i] = np.searchsorted(rho_tab[:, i], r, side="right") - 1
+    return np.clip(idx, 0, rho_tab.shape[0] - 2)
+
+
+def reference_directed_distance(curve_a, curve_b, m=2 ** 16, coarse=2 ** 12):
+    """max over m samples of A of the distance to the nearest of m of B.
+
+    Exact for those point sets without searching all m of B for each of A:
+    the coarse samples of B are among the m, so the distance U to them is
+    at least the distance D to all m, and at most D + h, where h is the
+    largest distance from one of the m to its nearest coarse sample.  Only
+    samples of A with U >= max U - h can hold the maximum of D.
+    """
+    u = 2.0 * np.pi * np.arange(m) / m
+    P = np.column_stack(eval_curve(curve_a, u)[:2])
+    Q = np.column_stack(eval_curve(curve_b, u)[:2])
+    coarse_tree = cKDTree(Q[::m // coarse])
+    h = np.max(coarse_tree.query(Q)[0])
+    upper = coarse_tree.query(P)[0]
+    candidates = P[upper >= np.max(upper) - h]
+    return float(np.max(cKDTree(Q).query(candidates)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +349,19 @@ def test_level_values_match_reference_bitwise(samplers):
         want = reference.level_values(k, thetas)
         for a, b in zip(got, want):
             assert np.array_equal(a, b), k
+
+
+@pytest.mark.parametrize("angles", sorted(ANGLES))
+def test_brackets_match_searchsorted_loop(samplers, angles):
+    # One count over the radius table equals a searchsorted per angle
+    # where every column increases, which nested levels guarantee.
+    sampler, _ = samplers
+    thetas = ANGLES[angles]
+    for r in _radii(sampler) + (0.5 * sampler.r_lo, 2.0 * sampler.r_hi):
+        got = sampler._brackets(r, thetas)
+        rho_tab = sampler._rho_memo[1]
+        assert np.all(np.diff(rho_tab, axis=0) > 0)
+        assert np.array_equal(got, reference_brackets(rho_tab, r)), r
 
 
 def test_sampler_at_two_angle_sets_in_turn_matches_fresh_samplers():
@@ -501,37 +519,17 @@ def test_level_tables_match_reference(n, levels, nested):
 # ---------------------------------------------------------------------------
 # Hausdorff distance
 
-_coord = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
-_vertex = st.tuples(_coord, _coord)
 
-
-@st.composite
-def closed_polylines(draw):
-    """1 to 12 distinct draws, each repeated 1-3 times: short polylines and
-    zero-length segments are both common."""
-    base = draw(st.lists(_vertex, min_size=1, max_size=12))
-    repeats = draw(st.lists(st.integers(1, 3), min_size=len(base),
-                            max_size=len(base)))
-    return np.repeat(np.array(base, dtype=float).reshape(-1, 2), repeats,
-                     axis=0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(closed_polylines(), closed_polylines())
-def test_directed_hausdorff_matches_reference_bitwise(P, Q):
-    tree = cKDTree(Q)
-    got = _directed_hausdorff(P, Q, tree)
-    assert got == reference_directed_hausdorff(P, Q, tree)
-    expected = max(got, reference_directed_hausdorff(Q, P, cKDTree(P)))
-    assert hausdorff_distance(P, Q) == expected
-
-
-def test_hausdorff_of_curves_matches_reference_bitwise():
-    u = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
-    for a, b in (("ellipse", "wobble"), ("circle", "remark42")):
-        P = np.column_stack(eval_curve(builtin_curve(a), u)[:2])
-        Q = np.column_stack(eval_curve(builtin_curve(b), u)[:2])
-        expected = max(reference_directed_hausdorff(P, Q, cKDTree(Q)),
-                       reference_directed_hausdorff(Q, P, cKDTree(P)))
-        assert hausdorff_distance(builtin_curve(a), builtin_curve(b)) == expected
-
+@pytest.mark.parametrize("a, b, full_search", [
+    ("ellipse", "wobble", 0.4641924390), ("circle", "remark42", 0.7357913842)],
+    ids=["ellipse-wobble", "circle-remark42"])
+def test_hausdorff_of_far_apart_curves_matches_brute_force(a, b, full_search):
+    # The largest distance lies between samples, on a segment normal to
+    # both curves; each point of the twice-traced remark42 is reached at
+    # two parameters.  full_search is what a search of all 2^16 x 2^16
+    # pairs reads.
+    a, b = builtin_curve(a), builtin_curve(b)
+    reference = max(reference_directed_distance(a, b),
+                    reference_directed_distance(b, a))
+    assert reference == pytest.approx(full_search, abs=1e-10)
+    assert abs(hausdorff_distance(a, b) - reference) <= 1e-7
