@@ -36,7 +36,12 @@ import numpy as np
 
 from .coeffs import CoefficientField, builtin_field, eval_field
 from .curves import PeriodicCurve, builtin_curve, classify_curve, eval_curve
-from .errors import CoverageError, SingularJacobianError, ValidationError
+from .errors import (
+    CoverageError,
+    FieldEvalError,
+    SingularJacobianError,
+    ValidationError,
+)
 from .extract import (
     _check_n_theta,
     _check_radii,
@@ -270,7 +275,7 @@ def _ellipticity_spot_check(field: CoefficientField, seed: int, n: int = 256):
     try:
         disc = eval_field(field, tuple(state))[4]
         return {"n": n, "min_disc": float(np.min(disc)), "error": None}
-    except Exception as err:  # noqa: BLE001 - reported, not fatal
+    except FieldEvalError as err:  # reported, not fatal
         return {"n": n, "min_disc": None, "error": str(err)}
 
 
@@ -317,19 +322,18 @@ def _construct_pipeline(cfg: dict, prepared):
     except (ValidationError, SingularJacobianError) as err:
         result["patch"] = {"error": str(err)}
 
-    residual_report = None
     try:
-        residual_report = pde_residual(strip, v_min=cfg["residual"]["v_min"],
-                                       j_floor=cfg["residual"]["j_floor"])
+        residual = pde_residual(strip, v_min=cfg["residual"]["v_min"],
+                                j_floor=cfg["residual"]["j_floor"])
         result["residual"] = {
-            "max_abs": residual_report.max_abs,
-            "rms": residual_report.rms,
-            "n_nodes": residual_report.n_nodes,
+            "max_abs": residual.max_abs,
+            "rms": residual.rms,
+            "n_nodes": residual.n_nodes,
         }
     except (ValidationError, SingularJacobianError) as err:
         result["residual"] = {"error": str(err)}
 
-    return curve, field, strip, patch, residual_report, result
+    return curve, strip, patch, result
 
 
 def _strict_json(value):
@@ -343,8 +347,7 @@ def _strict_json(value):
     return value
 
 
-def _write_outputs(cfg: dict, strip, patch, residual_report, report: dict,
-                   curve=None, extra_curves=()):
+def _write_outputs(cfg: dict, curve: PeriodicCurve, strip, patch, report: dict):
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     if cfg["emit"]["csv"] and strip is not None:
@@ -356,8 +359,18 @@ def _write_outputs(cfg: dict, strip, patch, residual_report, report: dict,
             json.dumps(_strict_json(report), indent=2, sort_keys=True,
                        allow_nan=False) + "\n")
     if cfg["emit"]["svg"]:
-        _write_svgs(out, cfg, report, strip, patch, residual_report,
-                    curve=curve, extra_curves=extra_curves)
+        _write_svgs(out, _figure_curves(curve, report),
+                    None if strip is None else strip.states, patch)
+
+
+def _figure_curves(curve: PeriodicCurve, report: dict) -> list:
+    """The input curve and the report's recovered curves, with their labels."""
+    curves = [("input", curve)]
+    for key, label in (("recovered_curve", "recovered"),
+                       ("recovered_curve_reflected", "recovered (reflected)")):
+        if key in report:
+            curves.append((label, PeriodicCurve.from_dict(report[key])))
+    return curves
 
 
 def _curve_polyline(curve: PeriodicCurve, n: int = 720) -> np.ndarray:
@@ -366,28 +379,23 @@ def _curve_polyline(curve: PeriodicCurve, n: int = 720) -> np.ndarray:
     return np.column_stack([alpha, beta])
 
 
-def _write_svgs(out: Path, cfg: dict, report: dict, strip, patch,
-                residual_report, curve=None, extra_curves=()):
-    overlays = []
-    if curve is not None:
-        overlays.append(("input", _curve_polyline(curve)))
-    for label, extra in extra_curves:
-        overlays.append((label, _curve_polyline(extra)))
-    if overlays:
-        (out / "curves.svg").write_text(curves_overlay_svg(overlays))
+def _write_svgs(out: Path, curves: list, states, patch):
+    """The figures of a run; ``emit.svg`` and ``plot`` both draw them here.
+
+    ``curves.svg`` overlays the labelled curves.  With a patch,
+    ``images.svg`` draws its levels and ``residual.svg`` its residual;
+    without one, ``images.svg`` draws the strip's (levels, 5, n_u)
+    ``states`` after the axis, and there is no ``residual.svg``.
+    """
+    (out / "curves.svg").write_text(curves_overlay_svg(
+        [(label, _curve_polyline(curve)) for label, curve in curves]))
     if patch is not None:
         (out / "images.svg").write_text(image_curves_svg(patch.x, patch.y))
-    elif strip is not None and strip.n_levels > 1:
-        (out / "images.svg").write_text(_strip_images_svg(strip.states))
-    if residual_report is not None:
-        v = [strip.v[k] for k in residual_report.level_indices]
         (out / "residual.svg").write_text(
-            residual_strip_svg(residual_report.residuals, np.asarray(v)))
-
-
-def _strip_images_svg(states) -> str:
-    """The image curves of a strip's (levels, 5, n_u) states, axis left out."""
-    return image_curves_svg(states[1:, 0, :], states[1:, 1, :])
+            residual_strip_svg(patch.residual, patch.v))
+    elif states is not None and len(states) > 1:
+        (out / "images.svg").write_text(
+            image_curves_svg(states[1:, 0, :], states[1:, 1, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +411,11 @@ def _pipeline_exit(strip, patch) -> int:
 
 
 def cmd_construct(cfg: dict) -> int:
-    curve, field, strip, patch, residual_report, result = \
-        _construct_pipeline(cfg, _prepare(cfg))
+    curve, strip, patch, result = _construct_pipeline(cfg, _prepare(cfg))
     code = _pipeline_exit(strip, patch)
     report = {"command": "construct", "exit_code": code, "config": cfg}
     report.update(result)
-    _write_outputs(cfg, strip, patch, residual_report, report, curve=curve)
+    _write_outputs(cfg, curve, strip, patch, report)
     return code
 
 
@@ -419,25 +426,24 @@ def cmd_roundtrip(cfg: dict) -> int:
         report = {
             "command": "roundtrip", "exit_code": EXIT_PRECONDITION,
             "config": cfg, "classification": _classification_dict(cls),
+            "auto_reversed": prepared[4],
             "status": "precondition-failed",
             "detail": "curve must be regular, strictly convex (negatively "
                       "oriented) and embedded",
         }
-        _write_outputs(cfg, None, None, None, report)
+        _write_outputs(cfg, prepared[0], None, None, report)
         return EXIT_PRECONDITION
 
-    curve, field, strip, patch, residual_report, result = \
-        _construct_pipeline(cfg, prepared)
+    curve, strip, patch, result = _construct_pipeline(cfg, prepared)
     report = {"command": "roundtrip", "config": cfg}
     report.update(result)
     code = _pipeline_exit(strip, patch)
     if code != EXIT_OK:
         report["exit_code"] = code
-        _write_outputs(cfg, strip, patch, residual_report, report, curve=curve)
+        _write_outputs(cfg, curve, strip, patch, report)
         return code
 
     extract_cfg = cfg["extract"]
-    extra_curves = []
 
     def one_branch(branch_patch):
         sampler = patch_sampler(branch_patch)
@@ -455,7 +461,7 @@ def cmd_roundtrip(cfg: dict) -> int:
     except CoverageError as err:
         report["limit"] = {"error": str(err)}
         report["exit_code"] = EXIT_TOLERANCE
-        _write_outputs(cfg, strip, patch, residual_report, report, curve=curve)
+        _write_outputs(cfg, curve, strip, patch, report)
         return EXIT_TOLERANCE
 
     report["limit"] = {
@@ -464,32 +470,28 @@ def cmd_roundtrip(cfg: dict) -> int:
     }
     report["hausdorff"] = distance
     report["recovered_curve"] = lg.curve.to_dict()
-    extra_curves.append(("recovered", lg.curve))
     worst = distance
 
     if reflected is not None:
         lg_r, distance_r = reflected
         report["hausdorff_reflected"] = distance_r
         report["recovered_curve_reflected"] = lg_r.curve.to_dict()
-        extra_curves.append(("recovered (reflected)", lg_r.curve))
         worst = max(worst, distance_r)
 
     code = EXIT_OK if worst <= cfg["roundtrip"]["tolerance"] else EXIT_TOLERANCE
     report["exit_code"] = code
-    _write_outputs(cfg, strip, patch, residual_report, report, curve=curve,
-                   extra_curves=extra_curves)
+    _write_outputs(cfg, curve, strip, patch, report)
     return code
 
 
 def cmd_verify(cfg: dict) -> int:
-    curve, field, strip, patch, residual_report, result = \
-        _construct_pipeline(cfg, _prepare(cfg))
+    curve, strip, patch, result = _construct_pipeline(cfg, _prepare(cfg))
     report = {"command": "verify", "config": cfg, "oracle": "radial-reference"}
     report.update(result)
     code = _pipeline_exit(strip, patch)
     if code != EXIT_OK:
         report["exit_code"] = code
-        _write_outputs(cfg, strip, patch, residual_report, report, curve=curve)
+        _write_outputs(cfg, curve, strip, patch, report)
         return code
 
     rho = patch.radii()
@@ -510,8 +512,7 @@ def cmd_verify(cfg: dict) -> int:
           and circle_dist <= tol["circle_tolerance"])
     code = EXIT_OK if ok else EXIT_TOLERANCE
     report["exit_code"] = code
-    _write_outputs(cfg, strip, patch, residual_report, report, curve=curve,
-                   extra_curves=[("limit gradient", lg.curve)])
+    _write_outputs(cfg, curve, strip, patch, report)
     return code
 
 
@@ -533,29 +534,20 @@ def cmd_plot(cfg: dict) -> int:
         _check_config(run_cfg)
     except ValidationError as err:
         raise ValidationError(f"{err} in {report_path}") from None
-    overlays = [("input", _curve_polyline(_load_curve(run_cfg)))]
-    for key, label in (("recovered_curve", "recovered"),
-                       ("recovered_curve_reflected", "recovered (reflected)")):
-        if key in report:
-            overlays.append(
-                (label, _curve_polyline(PeriodicCurve.from_dict(report[key]))))
-    (out / "curves.svg").write_text(curves_overlay_svg(overlays))
+    curve = _load_curve(run_cfg)
+    if report.get("auto_reversed") is True:
+        curve = curve.reverse()
 
-    # The figures of the run's own emit.svg: the patch's levels and its
-    # residual, or without a patch the strip's levels (no residual.svg).
+    patch = states = None
     patch_path, strip_path = out / _PATCH_CSV, out / _STRIP_CSV
     if patch_path.is_file():
         if not strip_path.is_file():
             raise ValidationError(f"{patch_path} needs the {_STRIP_CSV} of its "
                                   f"run, and {out} has none")
         patch = patch_from_csv(patch_path.read_text(), strip_path.read_text())
-        (out / "images.svg").write_text(image_curves_svg(patch.x, patch.y))
-        (out / "residual.svg").write_text(
-            residual_strip_svg(patch.residual, patch.v))
     elif strip_path.is_file():
         _, states = strip_from_csv(strip_path.read_text())
-        if len(states) > 1:
-            (out / "images.svg").write_text(_strip_images_svg(states))
+    _write_svgs(out, _figure_curves(curve, report), states, patch)
     return EXIT_OK
 
 

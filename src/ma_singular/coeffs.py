@@ -94,12 +94,6 @@ class CoefficientField:
                               for e in (self.A, self.B, self.C, self.E))
         object.__setattr__(self, "_constants", constants)
 
-    @property
-    def pure(self) -> bool:
-        """True when A, B, C vanish identically (det D^2 z = E form)."""
-        return all(value is not None and value == 0.0
-                   for value in self._constants[:3])
-
     def to_dict(self) -> dict:
         return {
             "A": to_string(self.A),

@@ -422,17 +422,19 @@ def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> Graph
 
 
 def reflect_field(field: CoefficientField) -> CoefficientField:
-    """phi~(x,y,z,p,q) = phi(-x,-y,-z,p,q) for a pure field, box mirrored."""
-    if not field.pure:
-        raise ValidationError("the reflection construction needs a pure field "
-                              "(A = B = C = 0)")
+    """The field that z~(x, y) = -z(-x, -y) solves, with the box mirrored.
+
+    With rho(x, y, z, p, q) = (-x, -y, -z, p, q): A~ = -A o rho,
+    B~ = -B o rho, C~ = -C o rho and E~ = E o rho, so D = A C - B^2 + E
+    is unchanged.
+    """
     mapping = {name: Neg(Var(name)) for name in ("x", "y", "z")}
     box = dict(field.box)
     for name in ("x", "y", "z"):
         lo, hi = field.box[name]
         box[name] = (-hi, -lo)
-    return CoefficientField(field.A, field.B, field.C,
-                            substitute(field.E, mapping), box)
+    A, B, C = (Neg(substitute(e, mapping)) for e in (field.A, field.B, field.C))
+    return CoefficientField(A, B, C, substitute(field.E, mapping), box)
 
 
 def reflect_solution(patch: GraphPatch) -> GraphPatch:
@@ -440,11 +442,11 @@ def reflect_solution(patch: GraphPatch) -> GraphPatch:
 
     Sample map (x,y,z,p,q,r,s,t) -> (-x,-y,-z,p,q,-r,-s,-t).  J and the
     residual are invariant, so they are carried over unchanged; the field
-    reference is reflected alongside.
+    reference is reflected alongside (``reflect_field``).  A patch without
+    a field (a Legendre dual) raises ValidationError.
     """
-    if patch.field is None or not patch.field.pure:
-        raise ValidationError("reflect_solution is defined for patches of a "
-                              "pure field")
+    if patch.field is None:
+        raise ValidationError("reflect_solution needs a patch with a field")
     return GraphPatch(
         v=patch.v, u=patch.u,
         x=-patch.x, y=-patch.y, z=-patch.z, p=patch.p, q=patch.q,

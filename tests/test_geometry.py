@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from ma_singular import geometry
-from ma_singular.coeffs import builtin_field, pure_field
+from ma_singular.coeffs import (
+    DEFAULT_BOX,
+    CoefficientField,
+    builtin_field,
+    eval_field,
+    pure_field,
+)
 from ma_singular.curves import builtin_curve
 from ma_singular.errors import OutOfBoxError, SingularJacobianError, ValidationError
 from ma_singular.geometry import (
@@ -291,16 +297,8 @@ def test_reflect_field_fixes_pure_one():
 def test_reflect_field_flips_odd_dependence():
     f = pure_field("1 + x")
     g = reflect_field(f)
-    from ma_singular.coeffs import eval_field
     assert eval_field(g, (0.25, 0, 0, 0, 0))[3] == 0.75
     assert g.box == f.box  # symmetric default box mirrors onto itself
-
-
-def test_reflect_field_needs_pure():
-    bad = builtin_field("remark42")
-    object.__setattr__  # silence lint; remark42 has B = p^2
-    with pytest.raises(ValidationError):
-        reflect_field(bad)
 
 
 def test_reflect_solution_flips_height_and_hessian(circle_patch):
@@ -324,6 +322,28 @@ def test_reflected_patch_still_solves_the_equation(circle_patch):
     ref = reflect_solution(circle_patch)
     rt = ref.r * ref.t - ref.s**2
     np.testing.assert_allclose(rt, 1.0, atol=1e-9)
+
+
+def equation_residual(patch):
+    """A r + 2 B s + C t + r t - s^2 - E at the patch's samples."""
+    A, B, C, E, _ = eval_field(patch.field,
+                               (patch.x, patch.y, patch.z, patch.p, patch.q))
+    r, s, t = patch.r, patch.s, patch.t
+    return A * r + 2 * B * s + C * t + r * t - s * s - E
+
+
+def test_reflected_patch_solves_the_reflected_general_equation():
+    field = CoefficientField.from_dict({
+        "A": "0.3 + x", "B": "0.1*q", "C": "0.2 + y*p",
+        "E": "1 + 0.5*p^2 + z", "box": DEFAULT_BOX})
+    patch = reconstruct_graph(march(builtin_curve("ellipse"), field,
+                                    MarchParams()))
+    direct = equation_residual(patch)
+    assert np.max(np.abs(direct)) < 1e-9
+    # Every term keeps its value under the reflection, so the residual
+    # of the reflected samples against the reflected field is the same.
+    np.testing.assert_array_equal(
+        equation_residual(reflect_solution(patch)), direct)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +409,8 @@ def test_dual_normals_match_closed_form(circle_strip):
 
 def test_curvature_to_field_builds_expected_structure():
     f = curvature_to_field("2")
-    assert f.pure
-    from ma_singular.coeffs import eval_field
-    E = eval_field(f, (0.0, 0.0, 0.0, 1.0, 2.0))[3]
+    A, B, C, E, _ = eval_field(f, (0.0, 0.0, 0.0, 1.0, 2.0))
+    assert (A, B, C) == (0.0, 0.0, 0.0)
     assert E == pytest.approx(2.0 * 36.0)  # K (1 + 1 + 4)^2
 
 
