@@ -21,12 +21,15 @@ Exit codes separate scientific outcomes from usage errors:
 A failed march is a status of its run, not an exception, and ``main``
 catches only ValidationError.  So exit 2 without report.json means
 nothing ran, and every other exit writes report.json (with emit.json on).
+A run that writes rewrites or removes each artifact an earlier run left
+in its out directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -54,6 +57,7 @@ from .extract import (
     radial_reference_slope,
 )
 from .geometry import (
+    RESIDUAL_J_FLOOR,
     jacobian,
     patch_from_csv,
     patch_to_csv,
@@ -89,11 +93,9 @@ DEFAULT_CONFIG = {
     "curve": {"builtin": "circle", "file": None, "literal": None,
               "auto_reverse": False},
     "field": {"builtin": "pure-one", "file": None, "literal": None},
-    "march": {"R": 0.15, "n_u": 128, "dv": 0.001, "filter_strength": 36.0,
-              "filter_order": 16, "filter_cutoff": 1.0,
-              "monitor_threshold": 0.001, "negative_v": False},
+    "march": dataclasses.asdict(MarchParams()),
     "reconstruct": {"v_min": None},
-    "residual": {"v_min": None, "j_floor": 1e-6},
+    "residual": {"v_min": None, "j_floor": RESIDUAL_J_FLOOR},
     "extract": {"degree": 16, "n_theta": 256, "radii": None},
     "roundtrip": {"tolerance": 0.001, "reflected": True},
     "verify": {"z_tolerance": 1e-4, "slope_tolerance": 1e-4,
@@ -107,6 +109,8 @@ _STRIP_CSV = "strip.csv"
 _PATCH_CSV = "patch.csv"
 _REPORT_JSON = "report.json"
 _SVG_FILES = ("curves.svg", "images.svg", "residual.svg")
+#: Every file a run writes into its out directory.
+_ARTIFACTS = (_STRIP_CSV, _PATCH_CSV, _REPORT_JSON, *_SVG_FILES)
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +182,25 @@ def _check_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, path: str = ""):
             raise ValidationError(f"{path}{key} must be {kind}, got {value!r}")
 
 
+def _read(path, what: str, as_json: bool = False):
+    """The text of a file the CLI reads, or with ``as_json`` its JSON value.
+
+    A missing, unreadable, non-UTF-8 or unparsable (or too deeply nested)
+    file raises ValidationError naming ``what`` and the path.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text) if as_json else text
+    except OSError as err:
+        raise ValidationError(f"cannot read {what} {path}: {err.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"{what} {path} is not UTF-8 text") from None
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise ValidationError(f"{what} {path} is not valid JSON: {err}") from None
+
+
 def load_config(path: str | None, sets=(), out: str | None = None) -> dict:
-    user = None
-    if path is not None:
-        file = Path(path)
-        if not file.is_file():
-            raise ValidationError(f"config file not found: {path}")
-        try:
-            user = json.loads(file.read_text())
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"config is not valid JSON: {err}") from None
+    user = None if path is None else _read(path, "config file", as_json=True)
     config = _merge(DEFAULT_CONFIG, user)
     for assignment in sets:
         key, sep, raw = assignment.partition("=")
@@ -195,7 +208,7 @@ def load_config(path: str | None, sets=(), out: str | None = None) -> dict:
             raise ValidationError(f"--set needs key=value, got {assignment!r}")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             value = raw
         for part in reversed(key.split(".")):  # a.b=v is {"a": {"b": v}}
             value = {part: value}
@@ -206,34 +219,23 @@ def load_config(path: str | None, sets=(), out: str | None = None) -> dict:
     return config
 
 
-def _load_curve(cfg: dict) -> PeriodicCurve:
-    spec = cfg["curve"]
-    if spec.get("literal") is not None:
-        return PeriodicCurve.from_dict(spec["literal"])
-    if spec.get("file") is not None:
-        path = Path(spec["file"])
-        if not path.is_file():
-            raise ValidationError(f"curve file not found: {spec['file']}")
-        return PeriodicCurve.from_json(path.read_text())
-    return builtin_curve(spec["builtin"])
-
-
-def _load_field(cfg: dict) -> CoefficientField:
-    spec = cfg["field"]
-    if spec.get("literal") is not None:
-        return CoefficientField.from_dict(spec["literal"])
-    if spec.get("file") is not None:
-        path = Path(spec["file"])
-        if not path.is_file():
-            raise ValidationError(f"field file not found: {spec['file']}")
-        return CoefficientField.from_json(path.read_text())
-    return builtin_field(spec["builtin"])
+def _load(cfg: dict, section: str, from_dict, builtin):
+    """The curve or field of a config section: literal, then file, then builtin."""
+    spec = cfg[section]
+    if spec["literal"] is not None:
+        return from_dict(spec["literal"])
+    if spec["file"] is not None:
+        return from_dict(_read(spec["file"], f"{section} file", as_json=True))
+    return builtin(spec["builtin"])
 
 
 def _prepare(cfg: dict):
     """Fail-fast pass: parse everything before any numerics run."""
-    curve = _load_curve(cfg)
-    field = _load_field(cfg)
+    out = Path(cfg["out"])
+    if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
+        raise ValidationError(f"out {out} is not a directory")
+    curve = _load(cfg, "curve", PeriodicCurve.from_dict, builtin_curve)
+    field = _load(cfg, "field", CoefficientField.from_dict, builtin_field)
     params = MarchParams(**cfg["march"])
     params.validate(curve)
     extract_cfg = cfg["extract"]
@@ -280,11 +282,7 @@ def _ellipticity_spot_check(field: CoefficientField, seed: int, n: int = 256):
 
 
 def _construct_pipeline(cfg: dict, prepared):
-    """march + diagnostics + reconstruction; shared by several commands.
-
-    ``prepared`` is the tuple ``_prepare(cfg)`` returned, so a command that
-    has already classified its input curve does not classify it again.
-    """
+    """march + diagnostics + reconstruction of what ``_prepare`` returned."""
     curve, field, params, report, reversed_curve = prepared
     strip = march(curve, field, params)
     result = {
@@ -333,7 +331,7 @@ def _construct_pipeline(cfg: dict, prepared):
     except (ValidationError, SingularJacobianError) as err:
         result["residual"] = {"error": str(err)}
 
-    return curve, strip, patch, result
+    return strip, patch, result
 
 
 def _strict_json(value):
@@ -347,55 +345,49 @@ def _strict_json(value):
     return value
 
 
-def _write_outputs(cfg: dict, curve: PeriodicCurve, strip, patch, report: dict):
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    if cfg["emit"]["csv"] and strip is not None:
-        (out / _STRIP_CSV).write_text(_strip_csv(strip))
-        if patch is not None:
-            (out / _PATCH_CSV).write_text(patch_to_csv(patch))
-    if cfg["emit"]["json"]:
-        (out / _REPORT_JSON).write_text(
-            json.dumps(_strict_json(report), indent=2, sort_keys=True,
-                       allow_nan=False) + "\n")
-    if cfg["emit"]["svg"]:
-        _write_svgs(out, _figure_curves(curve, report),
-                    None if strip is None else strip.states, patch)
-
-
-def _figure_curves(curve: PeriodicCurve, report: dict) -> list:
-    """The input curve and the report's recovered curves, with their labels."""
-    curves = [("input", curve)]
-    for key, label in (("recovered_curve", "recovered"),
-                       ("recovered_curve_reflected", "recovered (reflected)")):
-        if key in report:
-            curves.append((label, PeriodicCurve.from_dict(report[key])))
-    return curves
-
-
 def _curve_polyline(curve: PeriodicCurve, n: int = 720) -> np.ndarray:
     u = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     alpha, beta, *_ = eval_curve(curve, u)
     return np.column_stack([alpha, beta])
 
 
-def _write_svgs(out: Path, curves: list, states, patch):
-    """The figures of a run; ``emit.svg`` and ``plot`` both draw them here.
+def _figures(curve: PeriodicCurve, report: dict, states, patch) -> dict:
+    """The SVGs of a run by file name; ``emit.svg`` and ``plot`` both draw here.
 
-    ``curves.svg`` overlays the labelled curves.  With a patch,
-    ``images.svg`` draws its levels and ``residual.svg`` its residual;
-    without one, ``images.svg`` draws the strip's (levels, 5, n_u)
-    ``states`` after the axis, and there is no ``residual.svg``.
+    ``curves.svg`` overlays the input curve and the report's recovered
+    curves.  With a patch, ``images.svg`` draws its levels and
+    ``residual.svg`` its residual; without one, ``images.svg`` draws the
+    strip's (levels, 5, n_u) ``states`` after the axis, and
+    ``residual.svg`` is None.
     """
-    (out / "curves.svg").write_text(curves_overlay_svg(
-        [(label, _curve_polyline(curve)) for label, curve in curves]))
+    curves = [("input", _curve_polyline(curve))]
+    for key, label in (("recovered_curve", "recovered"),
+                       ("recovered_curve_reflected", "recovered (reflected)")):
+        if key in report:
+            curves.append((label, _curve_polyline(
+                PeriodicCurve.from_dict(report[key]))))
+    figures = dict.fromkeys(_SVG_FILES)
+    figures["curves.svg"] = curves_overlay_svg(curves)
     if patch is not None:
-        (out / "images.svg").write_text(image_curves_svg(patch.x, patch.y))
-        (out / "residual.svg").write_text(
-            residual_strip_svg(patch.residual, patch.v))
+        figures["images.svg"] = image_curves_svg(patch.x, patch.y)
+        figures["residual.svg"] = residual_strip_svg(patch.residual, patch.v)
     elif states is not None and len(states) > 1:
-        (out / "images.svg").write_text(
-            image_curves_svg(states[1:, 0, :], states[1:, 1, :]))
+        figures["images.svg"] = image_curves_svg(states[1:, 0, :],
+                                                 states[1:, 1, :])
+    return figures
+
+
+def _write_outputs(out: Path, artifacts: dict):
+    """Write each artifact that has text; remove the file of each that is None.
+
+    So no file an earlier run left in ``out`` outlives a run that writes.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in artifacts.items():
+        if text is None:
+            (out / name).unlink(missing_ok=True)
+        else:
+            (out / name).write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -410,39 +402,52 @@ def _pipeline_exit(strip, patch) -> int:
     return code
 
 
-def cmd_construct(cfg: dict) -> int:
-    curve, strip, patch, result = _construct_pipeline(cfg, _prepare(cfg))
-    code = _pipeline_exit(strip, patch)
-    report = {"command": "construct", "exit_code": code, "config": cfg}
-    report.update(result)
-    _write_outputs(cfg, curve, strip, patch, report)
-    return code
+def _run(cfg: dict, head: dict, judge=None, convex: bool = False):
+    """(exit code, artifacts) of one marching command.
 
-
-def cmd_roundtrip(cfg: dict) -> int:
+    ``head`` starts the report.  ``judge(cfg, curve, patch, report)`` runs
+    only when the pipeline exits 0; it adds its findings to the report and
+    returns the exit code.  With ``convex`` a curve that is not regular,
+    strictly convex and embedded ends the run before the march.
+    """
     prepared = _prepare(cfg)
-    cls = prepared[3]
-    if not (cls.regular and cls.strictly_convex and cls.embedded):
-        report = {
-            "command": "roundtrip", "exit_code": EXIT_PRECONDITION,
-            "config": cfg, "classification": _classification_dict(cls),
-            "auto_reversed": prepared[4],
+    curve, _, _, cls, auto_reversed = prepared
+    report = {**head, "config": cfg}
+    strip = patch = None
+    if convex and not (cls.regular and cls.strictly_convex and cls.embedded):
+        code = EXIT_PRECONDITION
+        report.update({
+            "classification": _classification_dict(cls),
+            "auto_reversed": auto_reversed,
             "status": "precondition-failed",
             "detail": "curve must be regular, strictly convex (negatively "
                       "oriented) and embedded",
-        }
-        _write_outputs(cfg, prepared[0], None, None, report)
-        return EXIT_PRECONDITION
+        })
+    else:
+        strip, patch, result = _construct_pipeline(cfg, prepared)
+        report.update(result)
+        code = _pipeline_exit(strip, patch)
+        if code == EXIT_OK and judge is not None:
+            code = judge(cfg, curve, patch, report)
+    report["exit_code"] = code
 
-    curve, strip, patch, result = _construct_pipeline(cfg, prepared)
-    report = {"command": "roundtrip", "config": cfg}
-    report.update(result)
-    code = _pipeline_exit(strip, patch)
-    if code != EXIT_OK:
-        report["exit_code"] = code
-        _write_outputs(cfg, curve, strip, patch, report)
-        return code
+    emit = cfg["emit"]
+    artifacts = dict.fromkeys(_ARTIFACTS)
+    if emit["csv"] and strip is not None:
+        artifacts[_STRIP_CSV] = _strip_csv(strip)
+        if patch is not None:
+            artifacts[_PATCH_CSV] = patch_to_csv(patch)
+    if emit["json"]:
+        artifacts[_REPORT_JSON] = json.dumps(
+            _strict_json(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if emit["svg"]:
+        artifacts.update(_figures(curve, report,
+                                  None if strip is None else strip.states, patch))
+    return code, artifacts
 
+
+def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> int:
+    """The limit gradient of each reflection branch against the input curve."""
     extract_cfg = cfg["extract"]
 
     def one_branch(branch_patch):
@@ -460,8 +465,6 @@ def cmd_roundtrip(cfg: dict) -> int:
                      if cfg["roundtrip"]["reflected"] else None)
     except CoverageError as err:
         report["limit"] = {"error": str(err)}
-        report["exit_code"] = EXIT_TOLERANCE
-        _write_outputs(cfg, curve, strip, patch, report)
         return EXIT_TOLERANCE
 
     report["limit"] = {
@@ -478,22 +481,11 @@ def cmd_roundtrip(cfg: dict) -> int:
         report["recovered_curve_reflected"] = lg_r.curve.to_dict()
         worst = max(worst, distance_r)
 
-    code = EXIT_OK if worst <= cfg["roundtrip"]["tolerance"] else EXIT_TOLERANCE
-    report["exit_code"] = code
-    _write_outputs(cfg, curve, strip, patch, report)
-    return code
+    return EXIT_OK if worst <= cfg["roundtrip"]["tolerance"] else EXIT_TOLERANCE
 
 
-def cmd_verify(cfg: dict) -> int:
-    curve, strip, patch, result = _construct_pipeline(cfg, _prepare(cfg))
-    report = {"command": "verify", "config": cfg, "oracle": "radial-reference"}
-    report.update(result)
-    code = _pipeline_exit(strip, patch)
-    if code != EXIT_OK:
-        report["exit_code"] = code
-        _write_outputs(cfg, curve, strip, patch, report)
-        return code
-
+def _judge_verify(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> int:
+    """The patch and a recovered limit curve against the radial reference."""
     rho = patch.radii()
     z_err = float(np.max(np.abs(patch.z - radial_reference_height(rho))))
     slope_err = float(np.max(np.abs(np.hypot(patch.p, patch.q)
@@ -510,22 +502,27 @@ def cmd_verify(cfg: dict) -> int:
     tol = cfg["verify"]
     ok = (z_err <= tol["z_tolerance"] and slope_err <= tol["slope_tolerance"]
           and circle_dist <= tol["circle_tolerance"])
-    code = EXIT_OK if ok else EXIT_TOLERANCE
-    report["exit_code"] = code
-    _write_outputs(cfg, curve, strip, patch, report)
-    return code
+    return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_plot(cfg: dict) -> int:
+def cmd_construct(cfg: dict):
+    return _run(cfg, {"command": "construct"})
+
+
+def cmd_roundtrip(cfg: dict):
+    return _run(cfg, {"command": "roundtrip"}, _judge_roundtrip, convex=True)
+
+
+def cmd_verify(cfg: dict):
+    return _run(cfg, {"command": "verify", "oracle": "radial-reference"},
+                _judge_verify)
+
+
+def cmd_plot(cfg: dict):
+    """(EXIT_OK, the figures) of the run whose artifacts are in ``out``."""
     out = Path(cfg["out"])
     report_path = out / _REPORT_JSON
-    if not report_path.is_file():
-        raise ValidationError(
-            f"no {_REPORT_JSON} in {out}; run construct/roundtrip/verify first")
-    try:
-        report = json.loads(report_path.read_text())
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"{report_path} is not valid JSON: {err}") from None
+    report = _read(report_path, "report", as_json=True)
     if not isinstance(report, dict):
         raise ValidationError(f"{report_path} does not hold a JSON object")
 
@@ -534,21 +531,18 @@ def cmd_plot(cfg: dict) -> int:
         _check_config(run_cfg)
     except ValidationError as err:
         raise ValidationError(f"{err} in {report_path}") from None
-    curve = _load_curve(run_cfg)
+    curve = _load(run_cfg, "curve", PeriodicCurve.from_dict, builtin_curve)
     if report.get("auto_reversed") is True:
         curve = curve.reverse()
 
     patch = states = None
     patch_path, strip_path = out / _PATCH_CSV, out / _STRIP_CSV
     if patch_path.is_file():
-        if not strip_path.is_file():
-            raise ValidationError(f"{patch_path} needs the {_STRIP_CSV} of its "
-                                  f"run, and {out} has none")
-        patch = patch_from_csv(patch_path.read_text(), strip_path.read_text())
+        patch = patch_from_csv(_read(patch_path, "patch CSV"),
+                               _read(strip_path, f"strip CSV of {_PATCH_CSV}"))
     elif strip_path.is_file():
-        _, states = strip_from_csv(strip_path.read_text())
-    _write_svgs(out, _figure_curves(curve, report), states, patch)
-    return EXIT_OK
+        _, states = strip_from_csv(_read(strip_path, "strip CSV"))
+    return EXIT_OK, _figures(curve, report, states, patch)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +558,10 @@ _COMMANDS = {
 
 
 def run_command(name: str, cfg: dict) -> int:
-    return _COMMANDS[name](cfg)
+    """Run a command and write its artifacts into ``cfg["out"]``."""
+    code, artifacts = _COMMANDS[name](cfg)
+    _write_outputs(Path(cfg["out"]), artifacts)
+    return code
 
 
 def report_schema() -> dict:

@@ -7,7 +7,9 @@ right-associative, then unary minus, then ``* /``, then ``+ -``, so
 ``2^3^2`` is 512 and ``-x^2`` means ``-(x^2)``.
 
 Trees are immutable; ``parse_expr(to_string(e))`` reproduces ``e``
-node for node, which is what the serialization layer relies on.
+node for node, which is what the serialization layer relies on.  The
+parser and every tree walker recurse once per level, so ``parse_expr``
+refuses an expression nested deeper than ``MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ _BINDING = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_BINDING = 30  # between mul/div and pow
 _ATOM_BINDING = 100
 
+#: Deepest accepted nesting of parentheses, calls and unary minus, and
+#: deepest accepted tree (so a sum of at most MAX_DEPTH terms).
+MAX_DEPTH = 256
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
@@ -109,6 +115,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -124,53 +131,66 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
         return tok
 
-    def expression(self, rbp: int) -> Expr:
-        left = self._nud(self.advance())
+    def expression(self, rbp: int) -> tuple[Expr, int]:
+        """The next expression binding tighter than ``rbp``, and its depth."""
+        self.nesting += 1
+        _check_depth(self.nesting, self.peek())
+        left, depth = self._nud(self.advance())
         while self.peek().kind in _BINDING and _BINDING[self.peek().kind] > rbp:
-            left = self._led(self.advance(), left)
-        return left
+            tok = self.advance()
+            left, depth = self._led(tok, left, depth)
+            _check_depth(depth, tok)
+        self.nesting -= 1
+        return left, depth
 
-    def _nud(self, tok: _Token) -> Expr:
+    def _nud(self, tok: _Token) -> tuple[Expr, int]:
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "ident":
             if tok.text in FUNCTIONS:
                 self.expect("(")
-                arg = self.expression(0)
+                arg, depth = self.expression(0)
                 self.expect(")")
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), depth + 1
             if tok.text in VARIABLES:
-                return Var(tok.text)
+                return Var(tok.text), 1
             raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "(":
             inner = self.expression(0)
             self.expect(")")
             return inner
         if tok.kind == "-":
-            operand = self.expression(_UNARY_BINDING)
+            operand, depth = self.expression(_UNARY_BINDING)
             if isinstance(operand, Num):
-                return Num(-operand.value)  # fold so literals round-trip as one node
-            return Neg(operand)
+                return Num(-operand.value), 1  # fold so literals round-trip as one node
+            return Neg(operand), depth + 1
         raise ParseError(f"unexpected token {tok.text or 'end of input'!r}", tok.pos)
 
-    def _led(self, tok: _Token, left: Expr) -> Expr:
+    def _led(self, tok: _Token, left: Expr, left_depth: int) -> tuple[Expr, int]:
         lbp = _BINDING[tok.kind]
         if tok.kind == "^":
-            right = self.expression(lbp - 1)  # right-associative
+            right, right_depth = self.expression(lbp - 1)  # right-associative
         else:
-            right = self.expression(lbp)
-        return BinOp(tok.kind, left, right)
+            right, right_depth = self.expression(lbp)
+        return BinOp(tok.kind, left, right), max(left_depth, right_depth) + 1
+
+
+def _check_depth(depth: int, tok: _Token) -> None:
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                         tok.pos)
 
 
 def parse_expr(text: str) -> Expr:
     """Parse an expression string into a tree.
 
     Raises:
-        ParseError: On syntax errors or identifiers outside the grammar,
-            with the source position attached.
+        ParseError: On syntax errors, identifiers outside the grammar or
+            nesting deeper than ``MAX_DEPTH``, with the source position
+            attached.
     """
     parser = _Parser(_tokenize(text))
-    tree = parser.expression(0)
+    tree, _ = parser.expression(0)
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(f"trailing input {trailing.text!r}", trailing.pos)

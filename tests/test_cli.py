@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, config handling, and exit codes."""
 
+import contextlib
 import importlib
 import importlib.util
 import json
@@ -44,6 +45,31 @@ def read_report(out_dir):
     return report
 
 
+def write_raw(path, text):
+    """Write ``text`` as UTF-8, but each lone surrogate U+DCxx as the byte xx,
+    so that a test can put bytes that are not UTF-8 into a file."""
+    path.write_bytes(text.encode(errors="surrogateescape"))
+
+
+#: Not UTF-8, and JSON nested past the interpreter's recursion limit.
+NOT_UTF8 = "\udcff\udcfe{}"
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@contextlib.contextmanager
+def recorded_marches():
+    """Record what each ``march`` of the CLI returns, in the yielded list."""
+    strips = []
+    real_march = cli.march
+
+    def recording_march(*args):
+        strips.append(real_march(*args))
+        return strips[-1]
+
+    with mock.patch.object(cli, "march", recording_march):
+        yield strips
+
+
 # ---------------------------------------------------------------------------
 # Config plumbing
 
@@ -72,6 +98,40 @@ def test_unknown_keys_are_rejected(tmp_path):
 def test_missing_config_file():
     with pytest.raises(ValidationError):
         load_config("/no/such/file.json")
+
+
+@pytest.mark.parametrize("text", [NOT_UTF8, TOO_DEEP],
+                         ids=["not-utf8", "too-deep"])
+@pytest.mark.parametrize("source", ["config", "curve.file", "field.file"])
+def test_unreadable_input_file_is_two(tmp_path, capsys, source, text):
+    path = tmp_path / "input.json"
+    write_raw(path, text)
+    out = tmp_path / "run"
+    argv = ["construct", "--out", str(out)]
+    if source == "config":
+        argv += ["--config", str(path)]
+    else:
+        argv += ["--set", f"{source}={json.dumps(str(path))}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f" {path} is not " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["construct", "roundtrip", "verify"])
+@pytest.mark.parametrize("below", [False, True], ids=["out", "parent"])
+def test_out_naming_a_file_is_two_before_the_march(tmp_path, capsys, command,
+                                                   below):
+    # A file at --out, or at a directory --out would be made in.
+    file = tmp_path / "file"
+    file.write_text("kept")
+    out = file / "run" if below else file
+    with recorded_marches() as strips:
+        assert main([command, "--out", str(out)]) == 2
+    assert strips == []
+    assert f"error: out {out} is not a directory" in capsys.readouterr().err
+    assert file.read_text() == "kept"
 
 
 def test_set_overrides_parse_json_values():
@@ -103,6 +163,8 @@ def test_set_section_merges_like_a_config_file():
     ("roundtrip", "roundtrip=5"),
     ("construct", "residual=[1]"),
     ("construct", 'march="x"'),
+    # Not JSON to the parser, so a string, like any other such value.
+    pytest.param("construct", "curve=" + TOO_DEEP, id="construct-too-deep"),
 ])
 def test_scalar_for_a_config_section_is_two(tmp_path, capsys, command,
                                             assignment):
@@ -189,6 +251,19 @@ def test_construct_bad_builtin_is_two(tmp_path, capsys):
                  "--set", "curve.builtin=astroid"])
     assert code == 2
     assert "unknown curve" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("E", ["(" * 493 + "1" + ")" * 493, "-" * 493 + "p",
+                               "+".join(["1"] * 993)],
+                         ids=["parentheses", "unary-minus", "sum"])
+def test_field_expression_nested_too_deeply_is_two(tmp_path, capsys, E):
+    field = dict(SMALL_BOX_FIELD, E=E)
+    out = tmp_path / "run"
+    assert main(["construct", "--out", str(out),
+                 "--set", f"field.literal={json.dumps(field)}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: expression nested deeper than 256 levels")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("E", ["-1", "1/(p-p)", "1/0"])
@@ -537,11 +612,13 @@ def test_plot_without_run_is_two(tmp_path):
     "{bad", "[1, 2]",
     '{"config": {"curve": {"literal": 5}}}',
     '{"config": {"curve": {"file": 7}}}',
+    pytest.param(NOT_UTF8, id="not-utf8"),
+    pytest.param(TOO_DEEP, id="too-deep"),
 ])
 def test_plot_corrupt_report_is_two(tmp_path, capsys, text):
     out = tmp_path / "run"
     out.mkdir()
-    (out / "report.json").write_text(text)
+    write_raw(out / "report.json", text)
     assert main(["plot", "--out", str(out)]) == 2
     assert "report.json" in capsys.readouterr().err
 
@@ -571,28 +648,32 @@ def _short_row(lines):
     lines[-1] = lines[-1].rpartition(",")[0]
 
 
+def _not_utf8(lines):
+    lines[-1] += NOT_UTF8
+
+
 @pytest.mark.parametrize("corrupt",
-                         [_corrupt_cell, _empty_v_header, _short_row])
+                         [_corrupt_cell, _empty_v_header, _short_row, _not_utf8])
 def test_plot_corrupt_patch_csv_is_two(tmp_path, capsys, corrupt):
     out = tmp_path / "run"
     assert main(["construct", "--out", str(out), "--set", "march.R=0.03"]) == 0
     patch_csv = out / "patch.csv"
     lines = patch_csv.read_text().splitlines()
     corrupt(lines)
-    patch_csv.write_text("\n".join(lines) + "\n")
+    write_raw(patch_csv, "\n".join(lines) + "\n")
     assert main(["plot", "--out", str(out)]) == 2
     assert "patch CSV" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("corrupt",
-                         [_corrupt_cell, _empty_v_header, _short_row])
+                         [_corrupt_cell, _empty_v_header, _short_row, _not_utf8])
 def test_plot_corrupt_strip_csv_is_two(tmp_path, capsys, corrupt):
     out = tmp_path / "run"
     assert main(["construct", "--out", str(out), "--set", "march.R=0.03"]) == 0
     strip_csv = out / "strip.csv"
     lines = strip_csv.read_text().splitlines()
     corrupt(lines)
-    strip_csv.write_text("\n".join(lines) + "\n")
+    write_raw(strip_csv, "\n".join(lines) + "\n")
     assert main(["plot", "--out", str(out)]) == 2
     assert "strip CSV" in capsys.readouterr().err
 
@@ -778,6 +859,24 @@ def _overrides(draw):
 #: The exit codes of the table in the README and the cli docstring.
 _EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}
 
+#: Every file a run may write into its out directory.
+_ARTIFACTS = ("strip.csv", "patch.csv", "report.json",
+              "curves.svg", "images.svg", "residual.svg")
+_SVGS = _ARTIFACTS[3:]
+
+
+def _fill_stale(out, names):
+    """An earlier run's files: each of ``names`` in ``out`` holds "stale"."""
+    out.mkdir(exist_ok=True)
+    for name in names:
+        (out / name).write_text("stale")
+
+
+def _stale(out, names):
+    return {name for name in names
+            if (out / name).is_file() and (out / name).read_text() == "stale"}
+
+
 #: The exit codes a report's status allows; exit 2 is a march without a
 #: patch, 3 a multivalued patch and 8 a missed tolerance.
 _STATUS_EXITS = {
@@ -800,21 +899,21 @@ def test_every_input_ends_in_a_documented_exit_code(command, curve, field,
     sets += [f"{key}={json.dumps(value)}" for key, value in overrides]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
+        _fill_stale(out, _ARTIFACTS)
         argv = [command, "--out", str(out)]
         for assignment in sets:
             argv += ["--set", assignment]
-        strips = []  # what march returned; axis data it rejects returns none
-        real_march = cli.march
-
-        def recording_march(*args):
-            strips.append(real_march(*args))
-            return strips[-1]
-
-        with mock.patch.object(cli, "march", recording_march):
+        # strips: what march returned; axis data it rejects returns none.
+        with recorded_marches() as strips:
             code = main(argv)  # an exception escaping main fails the test
         event(f"exit {code}")
         assert code in _EXIT_CODES
-        written = (out / "report.json").exists()
+        # A run that gets to write its report rewrites or removes every
+        # artifact an earlier run left; exit 2 before the march leaves them.
+        marched = code != 2 or bool(strips)
+        stale = _stale(out, _ARTIFACTS)
+        assert stale == (set() if marched else set(_ARTIFACTS))
+        written = (out / "report.json").exists() and not stale
         if written:
             report = read_report(out)
             assert report["exit_code"] == code
@@ -822,7 +921,7 @@ def test_every_input_ends_in_a_documented_exit_code(command, curve, field,
         # Exit 2 without a report means nothing was marched; every other
         # exit writes one.  Without emit.json no exit writes a report.
         if dict(overrides).get("emit.json") is not False:
-            assert written == (code != 2 or bool(strips))
+            assert written == marched
 
 
 # ---------------------------------------------------------------------------
@@ -931,6 +1030,11 @@ def _mutate_report(data, text):
     return json.dumps(report)
 
 
+def _unreadable(data, text):
+    """Append bytes that are not UTF-8, or nest JSON past the recursion limit."""
+    return text + NOT_UTF8 if data.draw(st.booleans()) else TOO_DEEP
+
+
 def _mutate_csv(data, text):
     """Drop or repeat a header line, put text in a cell, or cut rows."""
     lines = text.splitlines()
@@ -957,12 +1061,17 @@ def test_plot_of_a_mutated_run_exits_zero_or_two(plot_runs, data):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "run"
         shutil.copytree(plot_runs / run, out)
-        mutate = _mutate_report if name == "report.json" else _mutate_csv
-        (out / name).write_text(mutate(data, (out / name).read_text()))
+        _fill_stale(out, _SVGS)
+        mutate = data.draw(st.sampled_from(
+            [_mutate_report if name == "report.json" else _mutate_csv,
+             _unreadable]))
+        write_raw(out / name, mutate(data, (out / name).read_text()))
         code = main(["plot", "--out", str(out)])  # no exception may escape
-        event(f"{name}: exit {code}")
+        event(f"{name}, {mutate.__name__}: exit {code}")
         assert code in (0, 2)
         if code == 0:
             # Both runs have a patch, so plot owes all three figures.
-            for svg in ("curves.svg", "images.svg", "residual.svg"):
+            for svg in _SVGS:
                 assert (out / svg).is_file(), svg
+        # Exit 0 redraws every figure; exit 2 leaves the earlier ones.
+        assert _stale(out, _SVGS) == (set() if code == 0 else set(_SVGS))

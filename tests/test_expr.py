@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from ma_singular.errors import ParseError
 from ma_singular.expr import (
+    MAX_DEPTH,
     evaluate,
     parse_expr,
     substitute,
@@ -69,6 +70,38 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse_expr("1 + @")
     assert info.value.position == 4
+
+
+#: An expression n levels deep, by the way it nests.
+_DEPTH_N = {
+    "parentheses": lambda n: "(" * (n - 1) + "x" + ")" * (n - 1),
+    "calls": lambda n: "sin(" * (n - 1) + "x" + ")" * (n - 1),
+    "unary-minus": lambda n: "-" * (n - 1) + "x",
+    "sum": lambda n: "+".join(["x"] * n),
+    "power": lambda n: "^".join(["x"] * n),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DEPTH_N))
+def test_max_depth_parses_and_one_level_more_does_not(kind):
+    tree = parse_expr(_DEPTH_N[kind](MAX_DEPTH))
+    assert parse_expr(to_string(tree)) == tree
+    assert variables_of(tree) == {"x"}
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse_expr(_DEPTH_N[kind](MAX_DEPTH + 1))
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(" * 493 + "1" + ")" * 493, 256),   # the 257th "("
+    ("-" * 493 + "p", 256),               # the 257th "-"
+    ("+".join(["1"] * 993), 511),         # the 256th "+"
+    ("(" * 100_000, 256),
+], ids=["parentheses", "unary-minus", "sum", "unclosed"])
+def test_too_deep_expression_fails_where_it_crosses_the_bound(text, position):
+    # Past the bound the parser or a tree walker would run out of stack.
+    with pytest.raises(ParseError) as info:
+        parse_expr(text)
+    assert info.value.position == position
 
 
 def test_variables_of():
