@@ -229,11 +229,19 @@ def _load(cfg: dict, section: str, from_dict, builtin):
     return builtin(spec["builtin"])
 
 
+def _check_artifact_paths(out: Path, names) -> None:
+    """Refuse a run that would write or remove something not a regular file."""
+    for name in names:
+        if (out / name).exists() and not (out / name).is_file():
+            raise ValidationError(f"{out / name} exists and is not a regular file")
+
+
 def _prepare(cfg: dict):
     """Fail-fast pass: parse everything before any numerics run."""
     out = Path(cfg["out"])
     if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
         raise ValidationError(f"out {out} is not a directory")
+    _check_artifact_paths(out, _ARTIFACTS)
     curve = _load(cfg, "curve", PeriodicCurve.from_dict, builtin_curve)
     field = _load(cfg, "field", CoefficientField.from_dict, builtin_field)
     params = MarchParams(**cfg["march"])
@@ -521,6 +529,7 @@ def cmd_verify(cfg: dict):
 def cmd_plot(cfg: dict):
     """(EXIT_OK, the figures) of the run whose artifacts are in ``out``."""
     out = Path(cfg["out"])
+    _check_artifact_paths(out, _SVG_FILES)
     report_path = out / _REPORT_JSON
     report = _read(report_path, "report", as_json=True)
     if not isinstance(report, dict):

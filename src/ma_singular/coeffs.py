@@ -121,7 +121,7 @@ class CoefficientField:
     def from_json(cls, text: str) -> "CoefficientField":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
             raise ValidationError(f"field literal is not valid JSON: {err}") from None
         return cls.from_dict(data)
 

@@ -118,7 +118,7 @@ class PeriodicCurve:
     def from_json(cls, text: str) -> "PeriodicCurve":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
             raise ValidationError(f"curve literal is not valid JSON: {err}") from None
         return cls.from_dict(data)
 

@@ -69,7 +69,10 @@ def geometric_radii(r0: float, count: int = 5) -> tuple:
 
 
 def _check_radii(radii) -> tuple:
-    radii = tuple(float(r) for r in radii)
+    try:
+        radii = tuple(float(r) for r in radii)
+    except (TypeError, ValueError):
+        raise ValidationError(f"radii must be numbers, got {radii!r}") from None
     if len(radii) < 2:
         raise ValidationError("limit_gradient needs at least two radii")
     for a, b in zip(radii, radii[1:]):
@@ -81,7 +84,14 @@ def _check_radii(radii) -> tuple:
     return radii
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_n_theta(n_theta: int, degree: int) -> None:
+    if not (_is_count(n_theta) and _is_count(degree) and degree >= 0):
+        raise ValidationError("n_theta and degree must be integers, degree >= 0: "
+                              f"got {n_theta!r}, {degree!r}")
     if n_theta < 2 * (degree + 1):
         raise ValidationError(
             f"n_theta={n_theta} cannot resolve degree {degree}")
@@ -105,10 +115,11 @@ class PatchSampler:
 
     Everything that depends only on the patch is built once here, from
     one angle analysis of all levels: per level the rho(theta) table, the
-    sorted (theta, u) inverse table and the interpolant coefficients of
-    x, y, p and q.  The bracket table of radii at the query angles is
-    kept for the last angle set, since ``limit_gradient`` asks for every
-    radius at the same angles.
+    sorted (theta, u) inverse table and the complex interpolant
+    coefficients of x, y, p and q.  The bracket table of radii at the
+    query angles is kept for the last angle set, since ``limit_gradient``
+    asks for every radius at the same angles.  A call solves all its
+    (angle, level) pairs at once, and no pair's bits depend on the others.
     """
 
     def __init__(self, patch: GraphPatch):
@@ -122,23 +133,18 @@ class PatchSampler:
         # The angle table may be decreasing in u for negatively oriented
         # curves, hence the sort.
         order = np.argsort(theta, axis=-1)
-        self._inverse = list(zip(np.take_along_axis(theta, order, axis=-1),
-                                 patch.u[order]))
+        self._inverse = (np.take_along_axis(theta, order, axis=-1),
+                         patch.u[order])
         self._rho_memo = (None, None)
-        # The interpolant of n uniform real samples with rfft spectrum c is
-        # sum_k a_k cos(k u) + b_k sin(k u); its u-derivative has the
-        # coefficients -k a_k (of sin) and k b_k (of cos).
+        # The interpolant of n uniform real samples with rfft spectrum s is
+        # Re sum_k c_k e^{iku} with c = 2 s / n, halved at k = 0 and at
+        # Nyquist; its u-derivative is Re sum_k i k c_k e^{iku}.
         n = patch.n_u
         self._k = np.arange(n // 2 + 1)
-        self._coef = {}
-        for name in ("x", "y", "p", "q"):
-            spec = np.fft.rfft(getattr(patch, name), axis=-1)
-            a = 2.0 * spec.real / n
-            b = -2.0 * spec.imag / n
-            a[:, 0] *= 0.5
-            if n % 2 == 0:
-                a[:, -1] *= 0.5
-            self._coef[name] = (a, b, -self._k * a, self._k * b)
+        coef = 2.0 * np.fft.rfft(np.stack([patch.x, patch.y, patch.p, patch.q],
+                                          axis=1), axis=-1) / n
+        coef[..., [0, -1] if n % 2 == 0 else [0]] *= 0.5
+        self._xy, self._pq = coef[:, :2].copy(), coef[:, 2:].copy()
         query = np.linspace(-np.pi, np.pi, 720, endpoint=False)
         self.r_lo = float(np.max(_radius_lookup(self._tables[0], query)))
         self.r_hi = float(np.min(_radius_lookup(self._tables[-1], query)))
@@ -156,35 +162,30 @@ class PatchSampler:
                 "radius halving")
         return geometric_radii(r0, count)
 
-    def _level_values(self, k: int, theta_q: np.ndarray):
-        """(rho, p, q) of level k at exact angles theta_q."""
-        # Linear inverse guess on the (theta, u) table, then Newton on the
-        # interpolant, with one cos/sin basis per evaluation point set.
-        theta_sorted, u_sorted = self._inverse[k]
-        period = 2.0 * np.pi
-        lo = theta_sorted[0]
-        tq = (theta_q - lo) % period + lo
-        u = np.interp(tq, theta_sorted, u_sorted,
-                      left=u_sorted[0], right=u_sorted[-1])
-        ax, bx, dax, dbx = (c[k] for c in self._coef["x"])
-        ay, by, day, dby = (c[k] for c in self._coef["y"])
-        for _ in range(3):
-            ku = np.multiply.outer(u, self._k)
-            C, S = np.cos(ku), np.sin(ku)
-            x = C @ ax + S @ bx
-            y = C @ ay + S @ by
-            dx = S @ dax + C @ dbx
-            dy = S @ day + C @ dby
+    def _solve(self, lev: np.ndarray, theta_q: np.ndarray):
+        """(e^{iku}, rho) where level lev[i] meets angle theta_q[i], per pair."""
+        # Linear guess on the level's sorted (theta, u) table, 3 Newton steps.
+        theta_sorted, u_sorted = self._inverse
+        lo = theta_sorted[lev, 0]
+        tq = (theta_q - lo) % (2.0 * np.pi) + lo
+        j = np.clip(np.count_nonzero(theta_sorted[lev] <= tq[:, None], axis=1)
+                    - 1, 0, theta_sorted.shape[1] - 2)
+        t0, t1 = theta_sorted[lev, j], theta_sorted[lev, j + 1]
+        u0, u1 = u_sorted[lev, j], u_sorted[lev, j + 1]
+        u = np.where(tq < t1, u0 + (tq - t0) * ((u1 - u0) / (t1 - t0)), u1)
+        xy = self._xy[lev]
+        for step in range(4):
+            basis = np.repeat(np.exp(1j * u)[:, None], self._k.size, axis=1)
+            basis[:, 0] = 1.0
+            np.cumprod(basis, axis=1, out=basis)
+            x, y = np.einsum("icj,ij->ci", xy, basis).real
+            if step == 3:
+                return basis, np.hypot(x, y)
+            dx, dy = -np.einsum("icj,ij->ci", xy, basis * self._k).imag
             f = np.arctan2(y, x) - theta_q
             f = (f + np.pi) % (2.0 * np.pi) - np.pi
             dtheta = (x * dy - y * dx) / (x * x + y * y)
             u = u - f / dtheta
-        ku = np.multiply.outer(u, self._k)
-        C, S = np.cos(ku), np.sin(ku)
-        rho = np.hypot(C @ ax + S @ bx, C @ ay + S @ by)
-        ap, bp = (c[k] for c in self._coef["p"][:2])
-        aq, bq = (c[k] for c in self._coef["q"][:2])
-        return rho, C @ ap + S @ bp, C @ aq + S @ bq
 
     def _brackets(self, r: float, thetas: np.ndarray) -> np.ndarray:
         """Per angle, the level k with rho_k <= r < rho_{k+1}, clipped: nested
@@ -208,17 +209,14 @@ class PatchSampler:
             thetas = None
         if thetas is None or thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
             raise ValidationError("sampler angles must be a finite 1-D array")
+        # One solve over the pairs (angle, level below r), (angle, level above).
         idx = self._brackets(r, thetas)
-        p_out = np.empty(thetas.size)
-        q_out = np.empty(thetas.size)
-        for k in np.unique(idx):
-            sel = idx == k
-            rho_a, p_a, q_a = self._level_values(k, thetas[sel])
-            rho_b, p_b, q_b = self._level_values(k + 1, thetas[sel])
-            w = (r - rho_a) / (rho_b - rho_a)
-            p_out[sel] = (1.0 - w) * p_a + w * p_b
-            q_out[sel] = (1.0 - w) * q_a + w * q_b
-        return p_out, q_out
+        lev = np.concatenate([idx, idx + 1])
+        basis, rho = self._solve(lev, np.concatenate([thetas, thetas]))
+        p, q = np.einsum("icj,ij->ci", self._pq[lev], basis).real
+        m = thetas.size
+        w = (r - rho[:m]) / (rho[m:] - rho[:m])
+        return (1.0 - w) * p[:m] + w * p[m:], (1.0 - w) * q[:m] + w * q[m:]
 
 
 def patch_sampler(patch: GraphPatch) -> PatchSampler:
@@ -298,6 +296,7 @@ def limit_gradient(sampler, radii, n_theta: int = 256,
 
     Raises:
         CoverageError: a circle left the sampled annulus.
+        ValidationError: radii, n_theta or degree is malformed.
     """
     radii = _check_radii(radii)
     _check_n_theta(n_theta, degree)
@@ -366,11 +365,11 @@ def hausdorff_distance(curve_a: PeriodicCurve, curve_b: PeriodicCurve,
     are solved for with its exact derivatives: there is no chord floor, and
     parametrization and orientation do not matter.  Near a ridge, where two
     feet are equally near, it keeps the accuracy of the 4n seed samples.  A
-    non-curve argument and n < 3 raise ValidationError.
+    non-curve argument and n not an integer >= 3 raise ValidationError.
     """
     if not all(isinstance(c, PeriodicCurve) for c in (curve_a, curve_b)):
         raise ValidationError("hausdorff_distance takes two PeriodicCurves")
-    if n < 3:
-        raise ValidationError(f"hausdorff_distance needs n >= 3, got {n}")
+    if not _is_count(n) or n < 3:
+        raise ValidationError(f"hausdorff_distance needs an integer n >= 3, got {n!r}")
     return max(_directed_distance(curve_a, curve_b, n),
                _directed_distance(curve_b, curve_a, n))

@@ -90,7 +90,7 @@ class SphereCurve:
     def from_json(cls, text: str) -> "SphereCurve":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
             raise ValidationError(f"sphere curve is not valid JSON: {err}") from None
         try:
             return cls(np.asarray(data["sigma"], dtype=float),

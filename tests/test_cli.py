@@ -134,6 +134,24 @@ def test_out_naming_a_file_is_two_before_the_march(tmp_path, capsys, command,
     assert file.read_text() == "kept"
 
 
+@pytest.mark.parametrize("command", ["construct", "roundtrip", "verify"])
+def test_artifact_path_that_is_a_directory_is_two_before_the_march(
+        tmp_path, capsys, command):
+    # report.json is written last, so a directory there would fail only
+    # after the march and the CSV files; patch.csv may only be removed.
+    out = tmp_path / "run"
+    for name in ("report.json", "patch.csv"):
+        (out / name / "inside").mkdir(parents=True)
+        with recorded_marches() as strips:
+            assert main([command, "--out", str(out)]) == 2
+        assert strips == []
+        err = capsys.readouterr().err
+        assert f"error: {out / name} exists and is not a regular file" in err
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) \
+            == [name, f"{name}/inside"]
+        shutil.rmtree(out / name)
+
+
 def test_set_overrides_parse_json_values():
     cfg = load_config(None, sets=["march.R=0.3", "emit.svg=true",
                                   "curve.builtin=ellipse",
@@ -606,6 +624,18 @@ def test_plot_redraws_the_figures_of_emit_svg(tmp_path, command, sets):
 
 def test_plot_without_run_is_two(tmp_path):
     assert main(["plot", "--out", str(tmp_path / "empty")]) == 2
+
+
+def test_plot_with_a_directory_at_a_figure_path_is_two(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["construct", "--out", str(out)]) == 0
+    before = sorted(p.name for p in out.iterdir())
+    (out / "curves.svg").mkdir()
+    assert main(["plot", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {out / 'curves.svg'} exists and is not a regular file" in err
+    assert sorted(p.name for p in out.iterdir()) == sorted(before + ["curves.svg"])
+    assert not any((out / "curves.svg").iterdir())
 
 
 @pytest.mark.parametrize("text", [

@@ -119,6 +119,11 @@ def test_json_round_trip():
     assert back.to_dict() == f.to_dict()
 
 
+def test_from_json_rejects_too_deep_nesting():
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        CoefficientField.from_json("[" * 100000)
+
+
 @pytest.mark.parametrize("data", [5, [1], "a", None])
 def test_from_dict_rejects_a_non_object(data):
     with pytest.raises(ValidationError, match="field literal must be an object"):

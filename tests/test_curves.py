@@ -176,6 +176,11 @@ def test_json_round_trip():
     assert back == c
 
 
+def test_from_json_rejects_too_deep_nesting():
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        PeriodicCurve.from_json("[" * 100000)
+
+
 def test_from_dict_reports_missing_key():
     with pytest.raises(ValidationError):
         PeriodicCurve.from_dict({"alpha_cos": [1.0]})

@@ -195,6 +195,25 @@ def test_limit_gradient_rejects_ragged_radii():
         limit_gradient(radial_reference_sampler(), (0.05, 0.03, 0.02))
 
 
+def test_limit_gradient_rejects_fractional_n_theta():
+    # 64.5 would otherwise sample 65 angles.
+    with pytest.raises(ValidationError, match="must be integers"):
+        limit_gradient(radial_reference_sampler(), geometric_radii(0.05, 3),
+                       n_theta=64.5, degree=8)
+
+
+def test_limit_gradient_rejects_negative_degree():
+    with pytest.raises(ValidationError, match="degree >= 0"):
+        limit_gradient(radial_reference_sampler(), geometric_radii(0.05, 3),
+                       n_theta=64, degree=-1)
+
+
+@pytest.mark.parametrize("radii", [["a", "b"], None], ids=["strings", "none"])
+def test_limit_gradient_rejects_radii_that_are_not_numbers(radii):
+    with pytest.raises(ValidationError, match="radii must be numbers"):
+        limit_gradient(radial_reference_sampler(), radii)
+
+
 def test_roundtrip_recovers_input_circle(circle_sampler):
     lg = limit_gradient(circle_sampler, circle_sampler.suggest_radii())
     dist = hausdorff_distance(builtin_curve("circle"), lg.curve)
@@ -279,7 +298,8 @@ def test_hausdorff_of_curve_against_its_own_shift(name):
     (np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), "circle", 1024),
     ("circle", "ellipse", 0),
     ("circle", "ellipse", 2),
-], ids=["empty-a", "empty-b", "nan", "inf", "array", "n=0", "n=2"])
+    ("circle", "ellipse", 100.5),
+], ids=["empty-a", "empty-b", "nan", "inf", "array", "n=0", "n=2", "n=100.5"])
 def test_hausdorff_rejects_empty_or_non_finite_polylines(a, b, n):
     # Arrays of points are not curves, whatever their contents.
     a = builtin_curve(a) if isinstance(a, str) else a

@@ -114,6 +114,11 @@ def test_json_round_trip():
     np.testing.assert_array_equal(back.v0, sphere.v0)
 
 
+def test_from_json_rejects_too_deep_nesting():
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        SphereCurve.from_json("[" * 100000)
+
+
 def test_tilted_basis_round_trips():
     # Any right-handed orthonormal frame works, not just the axes.
     rot = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
