@@ -22,7 +22,8 @@ from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateCurveError, ValidationError
 
-#: Default samples for the Jordan polyline test.
+#: Fewest grid points of ``classify_curve``; a curve of degree d is scanned
+#: at max(JORDAN_SAMPLES, 8*(d+1)), which the polyline test reuses.
 JORDAN_SAMPLES = 2048
 
 #: Margins below this count as degenerate rather than signed.
@@ -261,13 +262,13 @@ def _turning_number(d_alpha, d_beta):
     return int(round(float(np.sum(steps)) / (2 * np.pi)))
 
 
-def classify_curve(curve: PeriodicCurve, n_grid: int = 2048,
+def classify_curve(curve: PeriodicCurve,
                    tol: float = DEFAULT_TOL) -> CurveReport:
     """Scan margins on a grid, refine the extrema, and decide embeddedness.
 
-    ``n_grid`` must be at least 8*(degree+1) so the extrema scan cannot
-    alias past a genuine dip.  Degenerate curves produce reports with the
-    appropriate flags down, never exceptions.
+    The grid has max(JORDAN_SAMPLES, 8*(degree+1)) points, so the extrema
+    scan cannot alias past a genuine dip at any degree.  Degenerate curves
+    produce reports with the appropriate flags down, never exceptions.
 
     A regular curve whose convexity expression keeps one strict sign has a
     strictly monotone tangent angle, so by Hopf's Umlaufsatz it is embedded
@@ -275,11 +276,9 @@ def classify_curve(curve: PeriodicCurve, n_grid: int = 2048,
     Every other curve, and any curve whose tangent the grid does not
     resolve, goes through the polyline self-intersection test.
     """
-    if n_grid < 8 * (curve.degree + 1):
-        raise ValidationError(
-            f"n_grid={n_grid} is below 8*(degree+1)={8 * (curve.degree + 1)}")
+    n_grid = max(JORDAN_SAMPLES, 8 * (curve.degree + 1))
     grid = np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False)
-    _, _, da, db, dda, ddb = eval_curve(curve, grid)
+    alpha, beta, da, db, dda, ddb = eval_curve(curve, grid)
 
     speed2 = da * da + db * db
     reg2, _ = _refined_min(lambda u: _speed2(curve, u), grid, speed2)
@@ -304,8 +303,6 @@ def classify_curve(curve: PeriodicCurve, n_grid: int = 2048,
     if turning is not None:
         embedded = abs(turning) == 1
     else:
-        pts_u = np.linspace(0.0, 2 * np.pi, JORDAN_SAMPLES, endpoint=False)
-        alpha, beta, *_ = eval_curve(curve, pts_u)
         embedded = not _polyline_self_intersects(np.column_stack([alpha, beta]))
 
     return CurveReport(

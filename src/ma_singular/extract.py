@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .curves import CurveReport, PeriodicCurve, classify_curve, eval_curve, fit_curve
 from .errors import CoverageError, ValidationError
-from .geometry import GraphPatch, _level_tables, _radius_lookup
+from .geometry import GraphPatch, _level_tables, _radii_at
 
 __all__ = [
     "LimitGradientResult",
@@ -113,9 +113,9 @@ class PatchSampler:
     finite 1-D array (possibly empty, any real values), else
     ValidationError.
 
-    Everything that depends only on the patch is built once here, from
-    one angle analysis of all levels: per level the rho(theta) table, the
-    sorted (theta, u) inverse table and the complex interpolant
+    Everything that depends only on the patch is built once here: the
+    angle tables of all levels (angles in increasing order, rho at them,
+    and u at them through the node order) and the complex interpolant
     coefficients of x, y, p and q.  The bracket table of radii at the
     query angles is kept for the last angle set, since ``limit_gradient``
     asks for every radius at the same angles.  A call solves all its
@@ -126,15 +126,12 @@ class PatchSampler:
         if patch.multivalued:
             raise ValidationError(
                 "cannot sample a multivalued patch on circles")
-        theta, self._tables = _level_tables(
-            patch.x, patch.y, (patch.z, patch.p, patch.q), reduced=False)
+        self._tables = _level_tables(patch.x, patch.y,
+                                     (patch.z, patch.p, patch.q))
         if self._tables is None:
             raise ValidationError("patch level is not star-shaped")
-        # The angle table may be decreasing in u for negatively oriented
-        # curves, hence the sort.
-        order = np.argsort(theta, axis=-1)
-        self._inverse = (np.take_along_axis(theta, order, axis=-1),
-                         patch.u[order])
+        # u at the increasing angles: reversed for negatively oriented curves.
+        self._u = patch.u[self._tables[2]]
         self._rho_memo = (None, None)
         # The interpolant of n uniform real samples with rfft spectrum s is
         # Re sum_k c_k e^{iku} with c = 2 s / n, halved at k = 0 and at
@@ -146,8 +143,8 @@ class PatchSampler:
         coef[..., [0, -1] if n % 2 == 0 else [0]] *= 0.5
         self._xy, self._pq = coef[:, :2].copy(), coef[:, 2:].copy()
         query = np.linspace(-np.pi, np.pi, 720, endpoint=False)
-        self.r_lo = float(np.max(_radius_lookup(self._tables[0], query)))
-        self.r_hi = float(np.min(_radius_lookup(self._tables[-1], query)))
+        inner, outer = _radii_at(self._tables, query, [0, -1])
+        self.r_lo, self.r_hi = float(np.max(inner)), float(np.min(outer))
 
     def suggest_radii(self, max_count: int = 5) -> tuple:
         """Largest ratio-2 ladder that fits the covered band, top at 0.8 r_hi."""
@@ -164,14 +161,16 @@ class PatchSampler:
 
     def _solve(self, lev: np.ndarray, theta_q: np.ndarray):
         """(e^{iku}, rho) where level lev[i] meets angle theta_q[i], per pair."""
-        # Linear guess on the level's sorted (theta, u) table, 3 Newton steps.
-        theta_sorted, u_sorted = self._inverse
-        lo = theta_sorted[lev, 0]
+        # Linear guess on the level's (theta, u) table, 3 Newton steps.  The
+        # closing entry counts only when every entry does, so the clip to
+        # n - 2 makes j the same as without it.
+        theta, u_table = self._tables[0], self._u
+        lo = theta[lev, 0]
         tq = (theta_q - lo) % (2.0 * np.pi) + lo
-        j = np.clip(np.count_nonzero(theta_sorted[lev] <= tq[:, None], axis=1)
-                    - 1, 0, theta_sorted.shape[1] - 2)
-        t0, t1 = theta_sorted[lev, j], theta_sorted[lev, j + 1]
-        u0, u1 = u_sorted[lev, j], u_sorted[lev, j + 1]
+        j = np.clip(np.count_nonzero(theta[lev] <= tq[:, None], axis=1) - 1,
+                    0, u_table.shape[1] - 2)
+        t0, t1 = theta[lev, j], theta[lev, j + 1]
+        u0, u1 = u_table[lev, j], u_table[lev, j + 1]
         u = np.where(tq < t1, u0 + (tq - t0) * ((u1 - u0) / (t1 - t0)), u1)
         xy = self._xy[lev]
         for step in range(4):
@@ -192,10 +191,10 @@ class PatchSampler:
         levels make each column of the radius table increase."""
         key = thetas.tobytes()
         if self._rho_memo[0] != key:
-            self._rho_memo = (key, np.stack([_radius_lookup(table, thetas)
-                                             for table in self._tables]))
-        return np.clip(np.count_nonzero(self._rho_memo[1] <= r, axis=0) - 1,
-                       0, len(self._tables) - 2)
+            self._rho_memo = (key, _radii_at(self._tables, thetas))
+        rho = self._rho_memo[1]
+        return np.clip(np.count_nonzero(rho <= r, axis=0) - 1,
+                       0, rho.shape[0] - 2)
 
     def __call__(self, r: float, thetas: np.ndarray):
         r = float(r)

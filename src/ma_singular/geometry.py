@@ -293,32 +293,27 @@ class GraphPatch:
         return np.hypot(self.x, self.y)
 
 
-def _level_tables(x: np.ndarray, y: np.ndarray, extra=(), reduced=True):
-    """The angle analysis of every level of a (levels, n_u) block at once.
+def _level_tables(x: np.ndarray, y: np.ndarray, extra=()):
+    """The angle analysis of every level of a (levels, n) block at once.
 
-    Returns (theta, tables): the unwrapped angles, and per level the
-    rho(theta) table (theta_ext, rho_ext, period), whose theta_ext
-    increases and closes the loop one period after its first entry.
-    tables is None unless every level is a star-shaped curve traversed
-    once, or an exact m-fold cover of one: monotone angle, winding m != 0,
-    and for m >= 2 every row of x, y and ``extra`` (z, p, q; matching
-    x, y alone would accept two sheets at different heights) repeating
-    with period n/m, as the doubly traced constructions do to march
-    round-off.  With ``reduced`` an m-fold cover is tabulated over its
-    first n/m nodes, else over all n with period 2*pi*m.
+    None unless every level is a star-shaped curve traversed once, or an
+    exact m-fold cover of one: monotone angle, winding m != 0, and for
+    m >= 2 every row of x, y and ``extra`` (z, p, q; matching x, y alone
+    would accept two sheets at different heights) repeating with period
+    n/m, as the doubly traced constructions do to march round-off.  Else
+    (theta, rho, order, period), per level over all n nodes: the unwrapped
+    angles in increasing order, closed by an entry one period 2*pi*m after
+    the first, rho at those entries, the node order of the first n entries
+    (identity or reversal), and the period.
     """
     raw = np.arctan2(y, x)
     theta = np.unwrap(raw, axis=-1)
     n = x.shape[-1]
-
-    def winding(last):
-        # theta[last + 1] would close the loop; only the rounded turn count
-        # of the closing step is used.
-        closing = (raw[:, 0] - theta[:, last] + np.pi) % (2.0 * np.pi) - np.pi
-        return np.abs(np.round((theta[:, last] + closing - theta[:, 0])
-                               / (2.0 * np.pi)))
-
-    folds = winding(-1)
+    # theta[n] would close the loop; only the rounded turn count of the
+    # closing step is used.
+    closing = (raw[:, 0] - theta[:, -1] + np.pi) % (2.0 * np.pi) - np.pi
+    folds = np.abs(np.round((theta[:, -1] + closing - theta[:, 0])
+                            / (2.0 * np.pi)))
     steps = np.diff(theta, axis=-1)
     ok = (folds != 0) & (np.all(steps > 0, axis=-1) | np.all(steps < 0, axis=-1))
     for m in np.unique(folds[ok & (folds > 1)]).astype(int):
@@ -330,49 +325,37 @@ def _level_tables(x: np.ndarray, y: np.ndarray, extra=(), reduced=True):
             moved = np.max(np.abs(block - np.roll(block, n // m, axis=-1)), axis=-1)
             ok[rows] &= ~(moved > tol)
     if not np.all(ok):
-        return theta, None
+        return None
 
-    tables = [None] * x.shape[0]
-    rho = np.hypot(x, y)
-    for m in np.unique(folds).astype(int):
-        rows = np.flatnonzero(folds == m)
-        size = n // m if reduced else n
-        turns = winding(size - 1)[rows]
-        period = np.where(turns != 0, 2.0 * np.pi * turns, 2.0 * np.pi)
-        flip = (theta[rows, 0] > theta[rows, size - 1])[:, None]
-        th, rh = (np.where(flip, a[rows, size - 1::-1], a[rows, :size])
-                  for a in (theta, rho))
-        theta_ext = np.concatenate([th, th[:, :1] + period[:, None]], axis=-1)
-        rho_ext = np.concatenate([rh, rh[:, :1]], axis=-1)
-        for k, table in zip(rows, zip(theta_ext, rho_ext, period)):
-            tables[k] = table
-    return theta, tables
+    flip = theta[:, :1] > theta[:, -1:]
+    order = np.where(flip, np.arange(n)[::-1], np.arange(n))
+    theta, rho = (np.where(flip, a[:, ::-1], a) for a in (theta, np.hypot(x, y)))
+    period = 2.0 * np.pi * folds
+    return (np.concatenate([theta, theta[:, :1] + period[:, None]], axis=-1),
+            np.concatenate([rho, rho[:, :1]], axis=-1), order, period)
 
 
-def _radius_lookup(table, query: np.ndarray) -> np.ndarray:
-    """rho at the query angles by periodic linear interpolation of a table."""
-    theta_ext, rho_ext, period = table
-    q = (query - theta_ext[0]) % period + theta_ext[0]
-    return np.interp(q, theta_ext, rho_ext)
+def _radii_at(tables, query: np.ndarray, levels=slice(None)) -> np.ndarray:
+    """rho at the query angles on the selected levels, (levels, queries),
+    by periodic linear interpolation of each level's table."""
+    theta, rho, _, period = tables
+    return np.stack([np.interp((query - th[0]) % per + th[0], th, rh)
+                     for th, rh, per in zip(theta[levels], rho[levels],
+                                            period[levels])])
 
 
 def _nested_family(x: np.ndarray, y: np.ndarray, extra=()) -> bool:
-    """True when every level reduces to a star-shaped curve and they nest.
+    """True when every level is a star-shaped curve and they nest: rho
+    increases strictly with the level at 512 angles.
 
     ``extra`` carries further per-level sample rows (z, p, q) that must
     also repeat on multiply covered levels.
     """
-    tables = _level_tables(x, y, extra)[1]
+    tables = _level_tables(x, y, extra)
     if tables is None:
         return False
-    query = np.linspace(-np.pi, np.pi, 512, endpoint=False)
-    prev = _radius_lookup(tables[0], query)
-    for table in tables[1:]:
-        cur = _radius_lookup(table, query)
-        if not np.all(cur > prev):
-            return False
-        prev = cur
-    return True
+    rho = _radii_at(tables, np.linspace(-np.pi, np.pi, 512, endpoint=False))
+    return bool(np.all(np.diff(rho, axis=0) > 0))
 
 
 def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> GraphPatch:

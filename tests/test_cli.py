@@ -918,6 +918,10 @@ _STATUS_EXITS = {
 @settings(max_examples=50, deadline=None, derandomize=True)
 @example(command="roundtrip", curve=None, field=None,
          overrides=[("field.builtin", "remark42")])
+@example(command="roundtrip", curve=None, field=None,
+         overrides=[("extract.degree", 300), ("extract.n_theta", 1024)])
+@example(command="verify", curve=None, field=None,
+         overrides=[("extract.degree", 300), ("extract.n_theta", 1024)])
 @given(command=st.sampled_from(["construct", "roundtrip", "verify"]),
        curve=st.none() | _CURVES, field=st.none() | _FIELDS,
        overrides=_overrides())

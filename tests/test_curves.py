@@ -115,9 +115,17 @@ def test_remark42_margin_vanishes_at_zero_only():
     assert np.all(-k[interior] > 1e-3)
 
 
-def test_classify_rejects_coarse_grid():
-    with pytest.raises(ValidationError):
-        classify_curve(builtin_curve("circle"), n_grid=4)
+def test_classify_sizes_its_grid_from_the_degree():
+    # A degree-300 curve needs more than JORDAN_SAMPLES grid points; the
+    # grid grows to 8*(degree+1) instead of refusing the curve.
+    alpha_cos = np.zeros(301)
+    alpha_cos[1], alpha_cos[300] = 1.0, 1e-6
+    beta_sin = np.zeros(301)
+    beta_sin[1] = -1.0
+    curve = PeriodicCurve(alpha_cos, np.zeros(301), np.zeros(301), beta_sin)
+    assert 8 * (curve.degree + 1) > JORDAN_SAMPLES
+    rep = classify_curve(curve)
+    assert rep.regular and rep.strictly_convex and rep.embedded
 
 
 def test_fit_reproduces_fourier_coefficients():

@@ -1,9 +1,9 @@
 """PatchSampler against its rebuild-per-call form, Hausdorff distance
 against brute force.
 
-The sampler builds its tables (rho(theta), the sorted inverse angle
-table, the interpolant coefficients) once, from one angle analysis of
-all levels, keeps the bracket table of the last angle set, finds every
+The sampler builds its tables (per level the increasing angles, rho and
+u at them, the interpolant coefficients) once, from one angle analysis
+of all levels, keeps the bracket table of the last angle set, finds every
 bracket with one count over that table, and solves for all (angle,
 level) pairs of a call in one Newton pass.  The reference code below
 analyses one level at a time, rebuilds everything on every call,
@@ -449,16 +449,19 @@ def assert_tables_match(got, want):
 
 def assert_tables_match_reference(patch):
     extra = (patch.z, patch.p, patch.q)
-    # The nested test's tables: one traversal of each level.
-    reduced = [reference_level_cover(patch.x[k], patch.y[k],
-                                     tuple(e[k] for e in extra))
-               for k in range(patch.n_levels)]
-    tables = _level_tables(patch.x, patch.y, extra)[1]
-    if any(red is None for red in reduced):
+    # One table per whole level: an m-fold cover over all its nodes.
+    levels = range(patch.n_levels)
+    covers = [reference_level_cover(patch.x[k], patch.y[k],
+                                    tuple(e[k] for e in extra))
+              for k in levels]
+    tables = _level_tables(patch.x, patch.y, extra)
+    if any(cover is None for cover in covers):
         assert tables is None
     else:
-        assert_tables_match(tables, [reference_radius_table(*red)
-                                     for red in reduced])
+        theta, rho, _, period = tables
+        assert_tables_match(list(zip(theta, rho, period)),
+                            [reference_radius_table(patch.x[k], patch.y[k])
+                             for k in levels])
     nested = _nested_family(patch.x, patch.y, extra=extra)
     assert nested == reference_nested_family(patch.x, patch.y, extra=extra)
     try:
@@ -470,9 +473,12 @@ def assert_tables_match_reference(patch):
         return nested, None
     sampler = PatchSampler(patch)
     tables, inverse, r_lo, r_hi = want
-    assert_tables_match(sampler._tables, tables)
-    assert len(sampler._inverse[0]) == len(inverse)
-    for got, ref in zip(zip(*sampler._inverse), inverse):
+    theta, rho, _, period = sampler._tables
+    assert_tables_match(list(zip(theta, rho, period)), tables)
+    # Without its closing entry, the angle table and u at its angles are
+    # the sorted inverse table.
+    assert len(sampler._u) == len(inverse)
+    for got, ref in zip(zip(theta[:, :-1], sampler._u), inverse):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
     assert (sampler.r_lo, sampler.r_hi) == (r_lo, r_hi)
     return nested, sampler
