@@ -17,21 +17,25 @@ Exit codes separate scientific outcomes from usage errors:
     7   roundtrip precondition failed (curve not strictly convex Jordan)
     8   a verification tolerance was exceeded, or a roundtrip's extraction
         left the patch's covered band (report.json -> limit.error)
+    9   an artifact could not be written (a full disk, say); out holds the
+        earlier run's files
 
 A failed march is a status of its run, not an exception, and ``main``
-catches only ValidationError.  So exit 2 without report.json means
-nothing ran, and every other exit writes report.json (with emit.json on).
-A run that writes rewrites or removes each artifact an earlier run left
-in its out directory.
+catches only ValidationError and ArtifactWriteError.  So exit 2 without
+report.json means nothing ran, and every other exit but 9 writes
+report.json (with emit.json on).  A run that writes rewrites or removes
+each artifact an earlier run left in its out directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -40,6 +44,7 @@ import numpy as np
 from .coeffs import CoefficientField, builtin_field, eval_field
 from .curves import PeriodicCurve, builtin_curve, classify_curve, eval_curve
 from .errors import (
+    ArtifactWriteError,
     CoverageError,
     FieldEvalError,
     SingularJacobianError,
@@ -80,6 +85,7 @@ EXIT_ELLIPTICITY = 5
 EXIT_BOX = 6
 EXIT_PRECONDITION = 7
 EXIT_TOLERANCE = 8
+EXIT_WRITE = 9
 
 _STATUS_EXIT = {
     "completed": EXIT_OK,
@@ -389,13 +395,31 @@ def _write_outputs(out: Path, artifacts: dict):
     """Write each artifact that has text; remove the file of each that is None.
 
     So no file an earlier run left in ``out`` outlives a run that writes.
+    Every text is written as UTF-8 under a temporary name in ``out`` before
+    any is renamed into place, so a write that fails (a full disk, say)
+    leaves ``out`` as it was and raises ArtifactWriteError naming the file.
     """
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in artifacts.items():
-        if text is None:
-            (out / name).unlink(missing_ok=True)
-        else:
-            (out / name).write_text(text)
+    staged = {}
+    target = out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in artifacts.items():
+            if text is not None:
+                target = out / name
+                staged[name] = out / f".{name}.tmp"
+                staged[name].write_text(text, encoding="utf-8")
+        for name, text in artifacts.items():
+            target = out / name
+            if text is None:
+                target.unlink(missing_ok=True)
+            else:
+                os.replace(staged.pop(name), target)
+    except OSError as err:
+        for path in staged.values():
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
+        raise ArtifactWriteError(
+            f"cannot write {target}: {err.strerror or err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +671,9 @@ def main(argv=None) -> int:
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ArtifactWriteError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_WRITE
 
 
 if __name__ == "__main__":

@@ -160,6 +160,47 @@ def eval_curve(curve: PeriodicCurve, u):
     return alpha, beta, d_alpha, d_beta, dd_alpha, dd_beta
 
 
+def _spectra(curve: PeriodicCurve) -> np.ndarray:
+    """Complex c, (6, degree+1): ``eval_curve`` output i is Re sum_k c[i, k] e^{iku}."""
+    k = np.arange(curve.degree + 1)
+    c = np.stack([curve.alpha_cos - 1j * curve.alpha_sin,
+                  curve.beta_cos - 1j * curve.beta_sin])
+    return np.concatenate([c, 1j * k * c, -(k * k) * c])
+
+
+def _eval_uniform(curve: PeriodicCurve, n: int):
+    """``eval_curve`` at u_j = 2*pi*j/n, j < n, by one inverse FFT.
+
+    The spectra are zero-padded onto m points, m the least multiple of n
+    with m >= 2*degree + 2, so every mode lies below Nyquist and none
+    folds onto another; every (m/n)-th point is kept.
+    """
+    stride = -(-(2 * curve.degree + 2) // n)
+    m = n * stride
+    spec = np.zeros((6, m // 2 + 1), dtype=complex)
+    spec[:, :curve.degree + 1] = _spectra(curve)
+    spec[:, 1:] *= 0.5  # Re(c e^{iku}) is c/2 at k plus its conjugate at -k
+    return tuple(np.fft.irfft(spec, m, norm="forward")[:, ::stride])
+
+
+def _running_basis(u: np.ndarray, size: int) -> np.ndarray:
+    """(u.size, size) complex e^{iku}, k < size: one exponential, then a cumprod."""
+    basis = np.repeat(np.exp(1j * u)[:, None], size, axis=1)
+    basis[:, 0] = 1.0
+    np.cumprod(basis, axis=1, out=basis)
+    return basis
+
+
+def _eval_running(curve: PeriodicCurve, u):
+    """``eval_curve`` at a 1-D array u, with e^{iku} as a running product.
+
+    One complex exponential per point and a cumprod over k replace the
+    dense cos/sin matrices, as in ``PatchSampler``'s Newton solve.
+    """
+    basis = _running_basis(np.asarray(u, dtype=float), curve.degree + 1)
+    return tuple((basis @ _spectra(curve).T).real.T)
+
+
 def signed_curvature(curve: PeriodicCurve, u):
     """Signed curvature (alpha' beta'' - alpha'' beta') / |gamma'|^3.
 
@@ -267,7 +308,9 @@ def classify_curve(curve: PeriodicCurve,
     """Scan margins on a grid, refine the extrema, and decide embeddedness.
 
     The grid has max(JORDAN_SAMPLES, 8*(degree+1)) points, so the extrema
-    scan cannot alias past a genuine dip at any degree.  Degenerate curves
+    scan cannot alias past a genuine dip at any degree; its values and
+    both derivatives come from one inverse FFT, and only the polish of an
+    extremum evaluates the series off the grid.  Degenerate curves
     produce reports with the appropriate flags down, never exceptions.
 
     A regular curve whose convexity expression keeps one strict sign has a
@@ -278,7 +321,7 @@ def classify_curve(curve: PeriodicCurve,
     """
     n_grid = max(JORDAN_SAMPLES, 8 * (curve.degree + 1))
     grid = np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False)
-    alpha, beta, da, db, dda, ddb = eval_curve(curve, grid)
+    alpha, beta, da, db, dda, ddb = _eval_uniform(curve, n_grid)
 
     speed2 = da * da + db * db
     reg2, _ = _refined_min(lambda u: _speed2(curve, u), grid, speed2)

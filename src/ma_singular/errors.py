@@ -60,3 +60,7 @@ class DegenerateCurveError(RuntimeError):
 
 class CoverageError(RuntimeError):
     """A sampling circle left the annulus covered by the graph patch."""
+
+
+class ArtifactWriteError(OSError):
+    """An artifact could not be written into a run's out directory."""

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .curves import CurveReport, PeriodicCurve, classify_curve, eval_curve, fit_curve
+from .curves import (
+    CurveReport,
+    PeriodicCurve,
+    _eval_running,
+    _eval_uniform,
+    _running_basis,
+    classify_curve,
+    fit_curve,
+)
 from .errors import CoverageError, ValidationError
 from .geometry import GraphPatch, _level_tables, _radii_at
 
@@ -174,9 +182,7 @@ class PatchSampler:
         u = np.where(tq < t1, u0 + (tq - t0) * ((u1 - u0) / (t1 - t0)), u1)
         xy = self._xy[lev]
         for step in range(4):
-            basis = np.repeat(np.exp(1j * u)[:, None], self._k.size, axis=1)
-            basis[:, 0] = 1.0
-            np.cumprod(basis, axis=1, out=basis)
+            basis = _running_basis(u, self._k.size)
             x, y = np.einsum("icj,ij->ci", xy, basis).real
             if step == 3:
                 return basis, np.hypot(x, y)
@@ -328,17 +334,21 @@ def _directed_distance(curve_a, curve_b, n: int) -> float:
     where g' <= 0.  A step is kept only if the squared distance does not
     grow, else halved for the next try.  The top foot distance is refined
     by the vertex of the parabola through it and its neighbours, if concave.
+    The samples and seeds, with their derivatives, come from one inverse
+    FFT each, so the first round reads B off the seed grid; the Newton
+    iterates evaluate B with a running-product basis e^{iku}.
     """
     s = 2.0 * np.pi * np.arange(4 * n) / (4 * n)
-    ax, ay = eval_curve(curve_a, s[::4])[:2]
-    bx, by = eval_curve(curve_b, s)[:2]
-    _, nearest = cKDTree(np.column_stack([bx, by])).query(
+    ax, ay = _eval_uniform(curve_a, n)[:2]
+    seeds = _eval_uniform(curve_b, 4 * n)
+    _, nearest = cKDTree(np.column_stack(seeds[:2])).query(
         np.column_stack([ax, ay]))
     t = t_best = s[nearest]
     d2_best = np.full(n, np.inf)
     step = np.zeros(n)
-    for _ in range(5):
-        x, y, dx, dy, ddx, ddy = eval_curve(curve_b, t)
+    for i in range(5):
+        x, y, dx, dy, ddx, ddy = ([v[nearest] for v in seeds] if i == 0
+                                  else _eval_running(curve_b, t))
         ex, ey = x - ax, y - ay
         d2 = ex * ex + ey * ey
         keep = d2 <= d2_best

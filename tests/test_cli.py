@@ -1,9 +1,11 @@
 """End-to-end command line behaviour, config handling, and exit codes."""
 
 import contextlib
+import errno
 import importlib
 import importlib.util
 import json
+import os
 import shutil
 import tempfile
 import xml.etree.ElementTree as ET
@@ -886,7 +888,8 @@ def _overrides(draw):
     return values
 
 
-#: The exit codes of the table in the README and the cli docstring.
+#: The exit codes of the table in the README and the cli docstring, but
+#: 9, which only a write that fails gives.
 _EXIT_CODES = {0, 2, 3, 4, 5, 6, 7, 8}
 
 #: Every file a run may write into its out directory.
@@ -956,6 +959,53 @@ def test_every_input_ends_in_a_documented_exit_code(command, curve, field,
         # exit writes one.  Without emit.json no exit writes a report.
         if dict(overrides).get("emit.json") is not False:
             assert written == marched
+
+
+# ---------------------------------------------------------------------------
+# A write that fails after the march
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("failing", [1, 2, 3, None],
+                         ids=["first", "middle", "last", "none"])
+def test_a_failing_write_is_nine_and_leaves_the_earlier_run(
+        tmp_path, capsys, monkeypatch, failing):
+    # The earlier run drew figures the failing one would remove.  The k-th
+    # write into out (strip.csv, patch.csv, report.json in turn) writes
+    # half its text and then finds the disk full.
+    out = tmp_path / "run"
+    argv = ["construct", "--out", str(out), "--set", "march.R=0.05"]
+    assert main(argv + ["--set", "emit.svg=true"]) == 0
+    earlier = _files(out)
+    assert sorted(earlier) == sorted(_ARTIFACTS)
+
+    real_write = Path.write_text
+    writes = []
+
+    def write_text(self, text, *args, **kwargs):
+        if self.parent == out:
+            writes.append(self)
+            if len(writes) == failing:
+                real_write(self, text[:len(text) // 2], *args, **kwargs)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                              str(self))
+        return real_write(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    code = main(argv + ["--set", "curve.builtin=wobble"])
+    err = capsys.readouterr().err
+    if failing is None:
+        assert code == 0 and err == ""
+        assert sorted(_files(out)) == ["patch.csv", "report.json", "strip.csv"]
+        assert read_report(out)["config"]["curve"]["builtin"] == "wobble"
+        return
+    name = ("strip.csv", "patch.csv", "report.json")[failing - 1]
+    assert code == 9
+    assert err == f"error: cannot write {out / name}: No space left on device\n"
+    assert _files(out) == earlier
 
 
 # ---------------------------------------------------------------------------

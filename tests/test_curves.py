@@ -10,7 +10,10 @@ from ma_singular.curves import (
     JORDAN_SAMPLES,
     CurveReport,
     PeriodicCurve,
+    _eval_running,
+    _eval_uniform,
     _polyline_self_intersects,
+    _spectra,
     builtin_curve,
     builtin_curve_names,
     classify_curve,
@@ -128,6 +131,50 @@ def test_classify_sizes_its_grid_from_the_degree():
     assert rep.regular and rep.strictly_convex and rep.embedded
 
 
+def _random_curve(degree, rng, decay=0.0):
+    k = np.arange(degree + 1)
+    return PeriodicCurve(*(rng.standard_normal(degree + 1) / (1.0 + k) ** decay
+                           for _ in range(4)))
+
+
+def _assert_outputs_close(got, want, rtol):
+    assert len(got) == len(want) == 6
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w))
+
+
+UNIFORM_SIZES = [3, 4, 7, 64, 1024, 4096]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 16, 64, 127, 300])
+def test_uniform_grid_evaluation_matches_eval_curve(degree):
+    # n <= 2*degree is included: an inverse FFT of length n would fold
+    # modes together there.  The coefficients decay like a smooth curve's;
+    # eval_curve's own phase error k*u*eps grows with k, so undamped high
+    # modes would measure eval_curve, not the FFT.
+    rng = np.random.default_rng(degree)
+    curve = _random_curve(degree, rng, decay=3.0)
+    for n in UNIFORM_SIZES:
+        u = 2.0 * np.pi * np.arange(n) / n
+        _assert_outputs_close(_eval_uniform(curve, n), eval_curve(curve, u),
+                              1e-13)
+    u = rng.uniform(0.0, 2.0 * np.pi, 500)
+    _assert_outputs_close(_eval_running(curve, u), eval_curve(curve, u), 1e-13)
+
+
+@pytest.mark.parametrize("degree", [16, 127, 300])
+def test_uniform_grid_evaluation_is_exact_for_unit_modes(degree):
+    # Against e^{iku_j} at the exactly reduced angle 2*pi*(k*j mod n)/n,
+    # undamped modes agree to a few ulps of each output's largest value.
+    curve = _random_curve(degree, np.random.default_rng(degree))
+    k = np.arange(degree + 1)
+    for n in UNIFORM_SIZES:
+        phase = 2.0 * np.pi * (np.multiply.outer(np.arange(n), k) % n) / n
+        want = tuple((np.exp(1j * phase) @ _spectra(curve).T).real.T)
+        _assert_outputs_close(_eval_uniform(curve, n), want, 1e-14)
+
+
 def test_fit_reproduces_fourier_coefficients():
     c = builtin_curve("wobble")
     n = 64
@@ -237,7 +284,10 @@ def test_small_perturbations_stay_convex(eps, phase):
 
 # Reports as classified by the O(n^2) polyline test alone.  None marks a
 # u_star that only round-off picks: the convexity expression of circle and
-# ellipse is constant, so every u is a minimiser.
+# ellipse is constant, so every u is a minimiser.  A pair (u, period) marks
+# minima tied across a period: remark42 is traced twice per period, so its
+# convexity expression reaches -4.0 at both pi/2 and 3*pi/2, and the grid
+# values' round-off picks one of them.
 GALLERY_REPORTS = {
     ("circle", False): (0.9999999999999999, 0.9999999999999998, "negative",
                         True, True, True, None),
@@ -254,7 +304,7 @@ GALLERY_REPORTS = {
     ("remark42", False): (0.42607077853264674, 0.0, "degenerate",
                           True, False, False, 0.0),
     ("remark42", True): (0.42607077853264674, -4.0, "positive",
-                         True, False, False, 4.71238898038469),
+                         True, False, False, (np.pi / 2, np.pi)),
     ("wobble", False): (0.8, 0.72, "negative", True, True, True,
                         3.141592653589793),
     ("wobble", True): (0.8, -1.1199999999999999, "positive",
@@ -264,8 +314,8 @@ GALLERY_REPORTS = {
 
 @pytest.mark.parametrize("name,reverse", sorted(GALLERY_REPORTS))
 def test_gallery_reports_are_unchanged(name, reverse):
-    curve = builtin_curve(name)
-    rep = classify_curve(curve.reverse() if reverse else curve)
+    curve = builtin_curve(name).reverse() if reverse else builtin_curve(name)
+    rep = classify_curve(curve)
     reg, conv, orientation, regular, convex, embedded, u_star = \
         GALLERY_REPORTS[name, reverse]
     assert isinstance(rep, CurveReport)
@@ -273,8 +323,16 @@ def test_gallery_reports_are_unchanged(name, reverse):
     assert rep.convexity_margin == pytest.approx(conv, rel=1e-12, abs=1e-12)
     assert (rep.orientation, rep.regular, rep.strictly_convex, rep.embedded) \
         == (orientation, regular, convex, embedded)
-    if u_star is not None:
+    if isinstance(u_star, tuple):
+        u_star, period = u_star
+        offset = (rep.u_star - u_star) % period
+        assert min(offset, period - offset) <= 1e-12
+    elif u_star is not None:
         assert rep.u_star == pytest.approx(u_star, rel=1e-12, abs=1e-12)
+    # Wherever the tie falls, u_star is where the margin is attained.
+    _, _, da, db, dda, ddb = eval_curve(curve, rep.u_star)
+    assert dda * db - da * ddb == pytest.approx(rep.convexity_margin,
+                                                rel=1e-12, abs=1e-12)
 
 
 def _complex_curve(modes: dict) -> PeriodicCurve:

@@ -15,18 +15,36 @@ products sum a row differently depending on how many rows share it, so
 its bits are not a fixed point, while the sampler's row sums are, which
 a permuted call and single-angle calls check exactly.  The Hausdorff
 distance solves for foot points; its reference is the distance between
-dense point samples of the two curves.
+dense point samples of the two curves, or at a few samples a nearest-
+sample search polished by a scalar minimisation.
 """
+
+import importlib.util
+import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
 from ma_singular.coeffs import builtin_field
-from ma_singular.curves import PeriodicCurve, builtin_curve, eval_curve
+from ma_singular.curves import (
+    PeriodicCurve,
+    builtin_curve,
+    builtin_curve_names,
+    eval_curve,
+    fit_curve,
+)
 from ma_singular.errors import CoverageError, ValidationError
-from ma_singular.extract import PatchSampler, hausdorff_distance, patch_sampler
+from ma_singular.extract import (
+    PatchSampler,
+    hausdorff_distance,
+    limit_gradient,
+    patch_sampler,
+)
 from ma_singular.geometry import (
     GraphPatch,
     _level_tables,
@@ -268,6 +286,33 @@ def reference_directed_distance(curve_a, curve_b, m=2 ** 16, coarse=2 ** 12):
     upper = coarse_tree.query(P)[0]
     candidates = P[upper >= np.max(upper) - h]
     return float(np.max(cKDTree(Q).query(candidates)[0]))
+
+
+def reference_sampled_distance(curve_a, curve_b, n, m=2 ** 14):
+    """One direction of ``hausdorff_distance(curve_a, curve_b, n)``, by search.
+
+    Each of the n samples of A finds its nearest of m samples of B, and a
+    bounded scalar minimisation of the distance to B over the two sample
+    spacings around it gives the foot.  The top distance gets the parabola
+    refinement the function documents.
+    """
+    P = np.column_stack(eval_curve(curve_a, 2.0 * np.pi * np.arange(n) / n)[:2])
+    s = 2.0 * np.pi * np.arange(m) / m
+    _, j = cKDTree(np.column_stack(eval_curve(curve_b, s)[:2])).query(P)
+
+    def foot(point, u):
+        # Over the offset from u: the bounded search's tolerance is relative.
+        def dist(t):
+            return float(np.hypot(*(np.array(eval_curve(curve_b, u + t)[:2])
+                                    - point)))
+        return minimize_scalar(dist, bounds=(-s[1], s[1]), method="bounded",
+                               options={"xatol": 1e-13}).fun
+
+    d = np.array([foot(point, s[i]) for point, i in zip(P, j)])
+    k = int(np.argmax(d))
+    f_prev, f_top, f_next = d[[k - 1, k, (k + 1) % n]]
+    bend = f_prev - 2.0 * f_top + f_next
+    return f_top - (f_prev - f_next) ** 2 / (8.0 * bend) if bend < 0 else f_top
 
 
 # ---------------------------------------------------------------------------
@@ -551,3 +596,80 @@ def test_hausdorff_of_far_apart_curves_matches_brute_force(a, b, full_search):
                     reference_directed_distance(b, a))
     assert reference == pytest.approx(full_search, abs=1e-10)
     assert abs(hausdorff_distance(a, b) - reference) <= 1e-7
+
+
+def _noisy_fit(curve, seed, scale=1e-3, n=256):
+    """A degree-16 Fourier fit of the curve's samples plus seeded noise."""
+    alpha, beta = eval_curve(curve, 2.0 * np.pi * np.arange(n) / n)[:2]
+    noise = scale * np.random.default_rng(seed).standard_normal((2, n))
+    return fit_curve(alpha + noise[0], beta + noise[1], 16)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+@pytest.mark.parametrize("name", ["wobble", "convex"])
+def test_hausdorff_at_few_samples_matches_brute_force(name, n):
+    # n <= 2 * degree: the samples and seeds of degree-16 curves must not
+    # fold modes together, however few they are.
+    a = CONVEX if name == "convex" else builtin_curve(name)
+    b = _noisy_fit(a, n)
+    reference = max(reference_sampled_distance(a, b, n),
+                    reference_sampled_distance(b, a, n))
+    assert reference > 1e-4
+    assert abs(hausdorff_distance(a, b, n) - reference) <= 1e-14
+
+
+# hausdorff_distance as it read when every evaluation went through
+# eval_curve's dense cos/sin matrices.  The inverse-FFT grids and the
+# running-product Newton rounds move these by round-off alone, which is
+# absolute: a 3e-6 distance moved by 4e-16 has moved 1e-10 relative.
+GALLERY_DISTANCES = {
+    ("circle", "ellipse"): 0.4,
+    ("circle", "limacon"): 0.9992256820646391,
+    ("circle", "remark42"): 0.7357913966965913,
+    ("circle", "wobble"): 0.10000000000000009,
+    ("ellipse", "limacon"): 0.7758252135015735,
+    ("ellipse", "remark42"): 0.45233668774000113,
+    ("ellipse", "wobble"): 0.4641924312717421,
+    ("limacon", "remark42"): 0.5649813420076424,
+    ("limacon", "wobble"): 0.8995552076398818,
+    ("remark42", "wobble"): 0.8132515395361821,
+}
+# Per seed of the roundtrip-convex benchmark stream, the distance from the
+# input curve to the recovered one on the direct and the reflected branch.
+ROUNDTRIP_DISTANCES = {
+    1: (3.964317886845804e-06, 3.9643178866769e-06),
+    2: (3.1334815334648356e-06, 3.1334815332890783e-06),
+    3: (3.4248428186139993e-06, 3.424842818683019e-06),
+}
+
+
+def test_gallery_distances_are_pinned():
+    assert set(GALLERY_DISTANCES) == set(
+        itertools.combinations(builtin_curve_names(), 2))
+    for (a, b), pinned in GALLERY_DISTANCES.items():
+        got = hausdorff_distance(builtin_curve(a), builtin_curve(b))
+        assert abs(got - pinned) <= 1e-15, (a, b)
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", sorted(ROUNDTRIP_DISTANCES))
+def test_roundtrip_distances_are_pinned(seed):
+    # The first curve of the roundtrip-convex stream for the seed, marched
+    # and extracted the way the roundtrip command does by default.
+    workloads = _benchmark_workloads()
+    curve = PeriodicCurve.from_dict(
+        workloads.convex_curve(np.random.default_rng([seed, 2])))
+    patch = _patch(curve)
+    for branch, pinned in zip((patch, reflect_solution(patch)),
+                              ROUNDTRIP_DISTANCES[seed]):
+        sampler = patch_sampler(branch)
+        lg = limit_gradient(sampler, sampler.suggest_radii())
+        assert abs(hausdorff_distance(curve, lg.curve) - pinned) <= 1e-15
