@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateCurveError, ValidationError
 
@@ -215,26 +214,34 @@ def signed_curvature(curve: PeriodicCurve, u):
     return (da * ddb - dda * db) / speed2 ** 1.5
 
 
-def _convexity(curve: PeriodicCurve, u):
-    _, _, da, db, dda, ddb = eval_curve(curve, u)
-    return dda * db - da * ddb
+def _series(samples: np.ndarray) -> np.ndarray:
+    """c with samples_j = Re sum_k c_k e^{iku_j}, u_j = 2*pi*j/n, along the last
+    axis: 2 rfft / n, halved at k = 0 and Nyquist (``_spectra``'s convention)."""
+    n = samples.shape[-1]
+    c = 2.0 * np.fft.rfft(samples, axis=-1) / n
+    c[..., [0, -1] if n % 2 == 0 else [0]] *= 0.5
+    return c
 
 
-def _speed2(curve: PeriodicCurve, u):
-    _, _, da, db, _, _ = eval_curve(curve, u)
-    return da * da + db * db
-
-
-def _refined_min(fun, grid, values) -> tuple[float, float]:
-    """Polish the grid minimum of a periodic scalar function."""
+def _refined_min(values: np.ndarray, degree: int) -> tuple[float, float]:
+    """(min, argmin) of the trigonometric polynomial of degree <= 2*degree
+    sampled as ``values`` at u_j = 2*pi*j/n: Newton steps on its ``_series``
+    from the grid minimum, kept if they lower it within one grid step."""
+    h = 2 * np.pi / values.size
     j = int(np.argmin(values))
-    h = grid[1] - grid[0]
-    lo, hi = grid[j] - h, grid[j] + h
-    result = minimize_scalar(fun, bounds=(lo, hi), method="bounded",
-                             options={"xatol": 1e-12})
-    if result.fun < values[j]:
-        return float(result.fun), float(result.x % (2 * np.pi))
-    return float(values[j]), float(grid[j])
+    c = _series(values)[:2 * degree + 1]
+    k = np.arange(c.size)
+    u = j * h
+    for _ in range(4):
+        terms = c * np.exp(1j * k * u)
+        d1, d2 = (1j * k * terms).sum().real, -(k * k * terms).sum().real
+        if not abs(d1) < h * d2:  # a constant, or a step past the grid step
+            break
+        u -= d1 / d2
+    value = (c * np.exp(1j * k * u)).sum().real
+    if value < values[j] and abs(u - j * h) <= h:
+        return float(value), float(u % (2 * np.pi))
+    return float(values[j]), float(j * h)
 
 
 def _polyline_self_intersects(points: np.ndarray) -> bool:
@@ -309,9 +316,11 @@ def classify_curve(curve: PeriodicCurve,
 
     The grid has max(JORDAN_SAMPLES, 8*(degree+1)) points, so the extrema
     scan cannot alias past a genuine dip at any degree; its values and
-    both derivatives come from one inverse FFT, and only the polish of an
-    extremum evaluates the series off the grid.  Degenerate curves
-    produce reports with the appropriate flags down, never exceptions.
+    both derivatives come from one inverse FFT.  Speed squared and the
+    convexity expression have degree <= 2*degree, so their grid samples fix
+    them exactly and each extremum is polished on their series, with no
+    further curve evaluation.  Degenerate curves produce reports with the
+    appropriate flags down, never exceptions.
 
     A regular curve whose convexity expression keeps one strict sign has a
     strictly monotone tangent angle, so by Hopf's Umlaufsatz it is embedded
@@ -320,15 +329,13 @@ def classify_curve(curve: PeriodicCurve,
     resolve, goes through the polyline self-intersection test.
     """
     n_grid = max(JORDAN_SAMPLES, 8 * (curve.degree + 1))
-    grid = np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False)
     alpha, beta, da, db, dda, ddb = _eval_uniform(curve, n_grid)
 
-    speed2 = da * da + db * db
-    reg2, _ = _refined_min(lambda u: _speed2(curve, u), grid, speed2)
+    reg2, _ = _refined_min(da * da + db * db, curve.degree)
     regularity_margin = float(np.sqrt(max(reg2, 0.0)))
 
     conv = dda * db - da * ddb
-    convexity_margin, u_star = _refined_min(lambda u: _convexity(curve, u), grid, conv)
+    convexity_margin, u_star = _refined_min(conv, curve.degree)
 
     if convexity_margin > tol:
         orientation = "negative"
@@ -341,7 +348,7 @@ def classify_curve(curve: PeriodicCurve,
     # refined maximum (minimum of the negation) is negative.
     locally_convex = regularity_margin > tol and (
         convexity_margin > tol
-        or -_refined_min(lambda u: -_convexity(curve, u), grid, -conv)[0] < -tol)
+        or -_refined_min(-conv, curve.degree)[0] < -tol)
     turning = _turning_number(da, db) if locally_convex else None
     if turning is not None:
         embedded = abs(turning) == 1
@@ -376,18 +383,9 @@ def fit_curve(alpha_samples, beta_samples, degree: int) -> PeriodicCurve:
     if not (np.all(np.isfinite(alpha_samples)) and np.all(np.isfinite(beta_samples))):
         raise ValidationError("curve coefficients must be finite")
 
-    def coefficients(samples):
-        spec = np.fft.rfft(samples)
-        cos_c = np.zeros(degree + 1)
-        sin_c = np.zeros(degree + 1)
-        cos_c[0] = spec[0].real / n
-        cos_c[1:] = 2.0 * spec[1:degree + 1].real / n
-        sin_c[1:] = -2.0 * spec[1:degree + 1].imag / n
-        return cos_c, sin_c
-
-    a_c, a_s = coefficients(alpha_samples)
-    b_c, b_s = coefficients(beta_samples)
-    return PeriodicCurve(a_c, a_s, b_c, b_s)
+    # Re(c e^{iku}) = Re c cos ku - Im c sin ku, with c from ``_series``.
+    a, b = _series(np.stack([alpha_samples, beta_samples]))[:, :degree + 1]
+    return PeriodicCurve(a.real, -a.imag, b.real, -b.imag)
 
 
 _BUILTIN_CURVES = {

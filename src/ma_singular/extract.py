@@ -22,6 +22,7 @@ from .curves import (
     _eval_running,
     _eval_uniform,
     _running_basis,
+    _series,
     classify_curve,
     fit_curve,
 )
@@ -71,8 +72,9 @@ def richardson_extrapolate(values):
 
 def geometric_radii(r0: float, count: int = 5) -> tuple:
     """(r0, r0/2, ..., r0 * 2^{-(count-1)})."""
-    if not (r0 > 0) or count < 2:
-        raise ValidationError("need r0 > 0 and count >= 2")
+    if not (r0 > 0 and np.isfinite(r0) and _is_count(count) and count >= 2):
+        raise ValidationError(
+            f"need finite r0 > 0 and integer count >= 2: got {r0!r}, {count!r}")
     return tuple(r0 * 0.5 ** k for k in range(count))
 
 
@@ -141,14 +143,10 @@ class PatchSampler:
         # u at the increasing angles: reversed for negatively oriented curves.
         self._u = patch.u[self._tables[2]]
         self._rho_memo = (None, None)
-        # The interpolant of n uniform real samples with rfft spectrum s is
-        # Re sum_k c_k e^{iku} with c = 2 s / n, halved at k = 0 and at
-        # Nyquist; its u-derivative is Re sum_k i k c_k e^{iku}.
-        n = patch.n_u
-        self._k = np.arange(n // 2 + 1)
-        coef = 2.0 * np.fft.rfft(np.stack([patch.x, patch.y, patch.p, patch.q],
-                                          axis=1), axis=-1) / n
-        coef[..., [0, -1] if n % 2 == 0 else [0]] *= 0.5
+        # Per level the interpolant Re sum_k c_k e^{iku} of ``_series``; its
+        # u-derivative is Re sum_k i k c_k e^{iku}.
+        self._k = np.arange(patch.n_u // 2 + 1)
+        coef = _series(np.stack([patch.x, patch.y, patch.p, patch.q], axis=1))
         self._xy, self._pq = coef[:, :2].copy(), coef[:, 2:].copy()
         query = np.linspace(-np.pi, np.pi, 720, endpoint=False)
         inner, outer = _radii_at(self._tables, query, [0, -1])

@@ -7,6 +7,8 @@ import importlib.util
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -774,6 +776,16 @@ def test_every_benchmark_trace_target_resolves():
             owner = getattr(owner, part, None)
             assert owner is not None, f"{module}.{attribute}"
         assert callable(owner), f"{module}.{attribute}"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Every console-script call pays the import; scipy.optimize alone holds
+    # about half of the scipy modules a command would otherwise load.
+    code = ("import sys, ma_singular.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------

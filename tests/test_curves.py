@@ -13,6 +13,7 @@ from ma_singular.curves import (
     _eval_running,
     _eval_uniform,
     _polyline_self_intersects,
+    _refined_min,
     _spectra,
     builtin_curve,
     builtin_curve_names,
@@ -287,7 +288,9 @@ def test_small_perturbations_stay_convex(eps, phase):
 # ellipse is constant, so every u is a minimiser.  A pair (u, period) marks
 # minima tied across a period: remark42 is traced twice per period, so its
 # convexity expression reaches -4.0 at both pi/2 and 3*pi/2, and the grid
-# values' round-off picks one of them.
+# values' round-off picks one of them.  Reversed limacon has alpha even and
+# beta odd in u, so its convexity expression is even with its minimum at
+# u = 0, which round-off may report as 2*pi.
 GALLERY_REPORTS = {
     ("circle", False): (0.9999999999999999, 0.9999999999999998, "negative",
                         True, True, True, None),
@@ -300,7 +303,7 @@ GALLERY_REPORTS = {
     ("limacon", False): (0.25, 0.1875, "negative",
                          True, True, False, 3.141592653589793),
     ("limacon", True): (0.25, -0.9375000000000001, "positive",
-                        True, False, False, 5.6523322677161374e-09),
+                        True, False, False, (0.0, 2 * np.pi)),
     ("remark42", False): (0.42607077853264674, 0.0, "degenerate",
                           True, False, False, 0.0),
     ("remark42", True): (0.42607077853264674, -4.0, "positive",
@@ -333,6 +336,47 @@ def test_gallery_reports_are_unchanged(name, reverse):
     _, _, da, db, dda, ddb = eval_curve(curve, rep.u_star)
     assert dda * db - da * ddb == pytest.approx(rep.convexity_margin,
                                                 rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_u_star_follows_a_shift_of_the_curve(seed, benchmark_workloads):
+    # u_star of gamma(u + s) is u_star(gamma) - s only if both are the true
+    # minimiser; a polish that stops short of it moves with the grid.
+    rng = np.random.default_rng([seed, 2])
+    for _ in range(4):
+        curve = PeriodicCurve.from_dict(benchmark_workloads.convex_curve(rng))
+        # Odd modes only: gamma(u + pi) = -gamma(u), so minima tie across pi.
+        odd = not any(np.any(getattr(curve, name)[::2]) for name in
+                      ("alpha_cos", "alpha_sin", "beta_cos", "beta_sin"))
+        period = np.pi if odd else 2 * np.pi
+        u_star = classify_curve(curve).u_star
+        for s in (0.3, 1.1, 2.9):
+            offset = (classify_curve(curve.shift(s)).u_star - u_star + s) % period
+            assert min(offset, period - offset) <= 1e-12, (seed, s)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 5, 16])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_refined_min_finds_the_minimum_of_the_series(degree, seed):
+    # A random trigonometric polynomial of degree 2*degree on classify's grid.
+    rng = np.random.default_rng([seed, degree])
+    n = max(JORDAN_SAMPLES, 8 * (degree + 1))
+    k = np.arange(2 * degree + 1)
+    a, b = rng.standard_normal((2, k.size))
+    grid = 2 * np.pi * np.arange(n) / n
+    values = np.cos(np.outer(grid, k)) @ a + np.sin(np.outer(grid, k)) @ b
+    value, u = _refined_min(values, degree)
+    assert value <= values.min()
+    slope = np.sum(k * (b * np.cos(k * u) - a * np.sin(k * u)))
+    assert abs(slope) <= 1e-12 * np.sum(k * (np.abs(a) + np.abs(b)))
+    assert value == pytest.approx(np.cos(k * u) @ a + np.sin(k * u) @ b,
+                                  rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("degree", [0, 16])
+def test_refined_min_of_a_constant_keeps_the_grid_point(degree):
+    values = np.full(JORDAN_SAMPLES, 0.48)
+    assert _refined_min(values, degree) == (0.48, 0.0)
 
 
 def _complex_curve(modes: dict) -> PeriodicCurve:

@@ -19,10 +19,7 @@ dense point samples of the two curves, or at a few samples a nearest-
 sample search polished by a scalar minimisation.
 """
 
-import importlib.util
 import itertools
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -651,22 +648,12 @@ def test_gallery_distances_are_pinned():
         assert abs(got - pinned) <= 1e-15, (a, b)
 
 
-def _benchmark_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", sorted(ROUNDTRIP_DISTANCES))
-def test_roundtrip_distances_are_pinned(seed):
+def test_roundtrip_distances_are_pinned(seed, benchmark_workloads):
     # The first curve of the roundtrip-convex stream for the seed, marched
     # and extracted the way the roundtrip command does by default.
-    workloads = _benchmark_workloads()
     curve = PeriodicCurve.from_dict(
-        workloads.convex_curve(np.random.default_rng([seed, 2])))
+        benchmark_workloads.convex_curve(np.random.default_rng([seed, 2])))
     patch = _patch(curve)
     for branch, pinned in zip((patch, reflect_solution(patch)),
                               ROUNDTRIP_DISTANCES[seed]):
