@@ -176,7 +176,8 @@ def _field_values(field: CoefficientField, block):
         raise _box_error(field, block)
 
     shape = states.shape[1:]
-    env = dict(zip(VARIABLES, block))
+    # Only a coefficient that depends on the state reads the variables.
+    env = dict(zip(VARIABLES, block)) if None in field._constants else None
     values = []
     with np.errstate(all="ignore"):
         for label, expr, value in zip("ABCE", (field.A, field.B, field.C, field.E),

@@ -11,6 +11,7 @@ GraphPatch, the others are closed forms used as oracles.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,8 @@ def richardson_extrapolate(values):
 
 def geometric_radii(r0: float, count: int = 5) -> tuple:
     """(r0, r0/2, ..., r0 * 2^{-(count-1)})."""
-    if not (r0 > 0 and np.isfinite(r0) and _is_count(count) and count >= 2):
+    if not (isinstance(r0, numbers.Real) and not isinstance(r0, bool)
+            and r0 > 0 and np.isfinite(r0) and _is_count(count) and count >= 2):
         raise ValidationError(
             f"need finite r0 > 0 and integer count >= 2: got {r0!r}, {count!r}")
     return tuple(r0 * 0.5 ** k for k in range(count))

@@ -121,8 +121,9 @@ def _strip_analysis(strip: StripSolution):
         return analysis
     Z = np.moveaxis(strip.states, -2, 0)
     a, b, c, e, disc = values = eval_field(strip.field, tuple(Z))
-    x_u, y_u, _, p_u, q_u = spectral_du(Z)
-    Z_v = assemble_rhs(Z, strip.field, values)
+    Z_u = spectral_du(Z)
+    x_u, y_u, _, p_u, q_u = Z_u
+    Z_v = assemble_rhs(Z, strip.field, values, Z_u)
     x_v, y_v, _, p_v, q_v = Z_v
     r, s, t, sym_defect, J, valid = hessian_from_derivatives(
         x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v)

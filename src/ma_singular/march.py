@@ -44,9 +44,17 @@ def spectral_du(values: np.ndarray) -> np.ndarray:
     return _du_of_spectrum(np.fft.rfft(values), n)
 
 
+@functools.lru_cache(maxsize=16)
+def _du_factors(n: int) -> np.ndarray:
+    """i k per rfft bin of an n-point grid; cached per size and read-only."""
+    factors = 1j * np.arange(n // 2 + 1)
+    factors.flags.writeable = False
+    return factors
+
+
 def _du_of_spectrum(spec: np.ndarray, n: int) -> np.ndarray:
     """``spectral_du`` from the rfft spectrum, which is overwritten."""
-    spec *= 1j * np.arange(n // 2 + 1)
+    spec *= _du_factors(n)
     spec[..., -1] = 0.0
     return np.fft.irfft(spec, n=n)
 
@@ -127,7 +135,7 @@ class StripSolution:
 
 
 def assemble_rhs(level: np.ndarray, field: CoefficientField,
-                 values=None, spectrum=None) -> np.ndarray:
+                 values=None, level_u=None) -> np.ndarray:
     """Z_v for one level: spectral Z_u pushed through the system matrix.
 
     ``level`` is the (5, n_u) block (x, y, z, p, q), or a (5, ..., n_u)
@@ -136,23 +144,20 @@ def assemble_rhs(level: np.ndarray, field: CoefficientField,
     x_v = -q_u/sqrt(E), y_v = p_u/sqrt(E), z_v = (q p_u - p q_u)/sqrt(E),
     p_v = -sqrt(E) y_u, q_v = sqrt(E) x_u.  ``values`` is (A, B, C, E, D)
     already evaluated at ``level``; without it the field is evaluated here.
-    ``spectrum`` is ``np.fft.rfft(level)`` when the caller has it.
+    ``level_u`` is ``spectral_du(level)`` when the caller has it.
     """
-    x, y, z, p, q = level
-    rows = [0, 1, 3, 4]
-    if spectrum is None:
-        x_u, y_u, p_u, q_u = spectral_du(level[rows])
-    else:
-        x_u, y_u, p_u, q_u = _du_of_spectrum(spectrum[rows], level.shape[-1])
+    p, q = level[3], level[4]
+    x_u, y_u, _, p_u, q_u = spectral_du(level) if level_u is None else level_u
     a, b, c, e, disc = _field_values(field, level) if values is None else values
     root = np.sqrt(disc)
-    x_v = (b * x_u - a * y_u - q_u) / root
-    y_v = (c * x_u - b * y_u + p_u) / root
-    z_v = ((b * p + c * q) * x_u - (a * p + b * q) * y_u
-           + q * p_u - p * q_u) / root
-    p_v = (-e * y_u + b * p_u + c * q_u) / root
-    q_v = (e * x_u - a * p_u - b * q_u) / root
-    return np.stack([x_v, y_v, z_v, p_v, q_v])
+    out = np.empty(np.shape(level))
+    np.divide(b * x_u - a * y_u - q_u, root, out=out[0])
+    np.divide(c * x_u - b * y_u + p_u, root, out=out[1])
+    np.divide((b * p + c * q) * x_u - (a * p + b * q) * y_u
+              + q * p_u - p * q_u, root, out=out[2])
+    np.divide(-e * y_u + b * p_u + c * q_u, root, out=out[3])
+    np.divide(e * x_u - a * p_u - b * q_u, root, out=out[4])
+    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -185,6 +190,17 @@ def spectral_filter(level: np.ndarray, params: MarchParams) -> np.ndarray:
     return level - np.fft.irfft(correction, n=level.shape[-1])
 
 
+@functools.lru_cache(maxsize=16)
+def _monitor_weights(n_bins: int) -> np.ndarray:
+    """Energy weight per rfft bin: 1 at DC and the last bin, 2 between
+    (each of those bins stands for a conjugate pair); read-only."""
+    weights = np.full(n_bins, 2.0)
+    weights[0] = 1.0
+    weights[-1] = 1.0
+    weights.flags.writeable = False
+    return weights
+
+
 def stability_monitor(level: np.ndarray, params: MarchParams) -> tuple[float, bool]:
     """(worst high-mode energy fraction, exceeded flag) for a level.
 
@@ -199,10 +215,7 @@ def stability_monitor(level: np.ndarray, params: MarchParams) -> tuple[float, bo
     spec = level if np.iscomplexobj(level) else \
         np.fft.rfft(np.asarray(level, dtype=float))
     n_bins = spec.shape[-1]
-    weights = np.full(n_bins, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    energy = weights * np.abs(spec) ** 2
+    energy = _monitor_weights(n_bins) * np.abs(spec) ** 2
     k_band = (2 * (n_bins - 1)) // 3
     total = np.sum(energy, axis=-1)
     high = np.sum(energy[..., k_band + 1:], axis=-1)
@@ -232,8 +245,9 @@ def _field_failure(err: FieldEvalError, stage: str, where: str,
 def _rk4_step(level: np.ndarray, h: float, field: CoefficientField,
               values, spectrum) -> np.ndarray:
     """One RK4 step; k1 reuses the field ``values`` and the rfft
-    ``spectrum`` of ``level`` that its checks computed."""
-    k1 = assemble_rhs(level, field, values, spectrum)
+    ``spectrum`` of ``level`` that its checks computed (it is overwritten)."""
+    k1 = assemble_rhs(level, field, values,
+                      _du_of_spectrum(spectrum, level.shape[-1]))
     k2 = assemble_rhs(level + 0.5 * h * k1, field)
     k3 = assemble_rhs(level + 0.5 * h * k2, field)
     k4 = assemble_rhs(level + h * k3, field)

@@ -20,7 +20,7 @@ from ma_singular.coeffs import (
     builtin_field,
     eval_field,
 )
-from ma_singular.curves import builtin_curve, eval_curve
+from ma_singular.curves import PeriodicCurve, builtin_curve, eval_curve
 from ma_singular.errors import EllipticityError, FieldEvalError, OutOfBoxError
 from ma_singular.expr import VARIABLES, evaluate
 from ma_singular.march import MarchParams, march, spectral_du, stability_monitor
@@ -263,16 +263,35 @@ def test_components_of_different_shapes_match_reference(bad):
 # The march
 
 
+#: Every coefficient depends on the state, so no RHS row multiplies a
+#: folded scalar.
+VARYING = CoefficientField.from_dict({"A": "0.01*x", "B": "0.3*y*p",
+                                      "C": "0.1*z", "E": "2 + z",
+                                      "box": DEFAULT_BOX})
+
+
 @pytest.mark.parametrize("curve, field, params", [
     ("circle", "pure-one", MarchParams()),
     ("wobble", "pure-one", MarchParams()),
     ("remark42", "remark42", MarchParams(n_u=256, R=0.05)),
     ("ellipse", "pure-one", MarchParams(R=0.05, negative_v=True)),
+    ("wobble", VARYING, MarchParams()),
+    # First curve of each convex workload stream, seed 1.
+    ("roundtrip-convex", "pure-one", MarchParams()),
+    ("construct-convex", "pure-one", MarchParams()),
 ])
-def test_march_matches_reference_bitwise(curve, field, params):
-    strip = march(builtin_curve(curve), builtin_field(field), params)
-    states, min_disc, high_frac = reference_march(
-        builtin_curve(curve), builtin_field(field), params)
+def test_march_matches_reference_bitwise(curve, field, params,
+                                         benchmark_workloads):
+    workload = benchmark_workloads.WORKLOADS.get(curve)
+    if workload is None:
+        curve = builtin_curve(curve)
+    else:
+        literal = next(workload.ops(1))[0].config["curve"]["literal"]
+        curve = PeriodicCurve.from_dict(literal)
+    if isinstance(field, str):
+        field = builtin_field(field)
+    strip = march(curve, field, params)
+    states, min_disc, high_frac = reference_march(curve, field, params)
     assert strip.status == "completed" and strip.levels_skipped == 0
     assert np.array_equal(strip.states, states)
     assert np.array_equal(strip.min_disc, min_disc)

@@ -72,7 +72,7 @@ def test_geometric_radii_halve():
     radii = geometric_radii(0.12, 4)
     assert radii == (0.12, 0.06, 0.03, 0.015)
     for r0, count in ((-1.0, 5), (np.inf, 3), (np.nan, 3), (0.1, 2.5),
-                      (0.1, True), (0.1, 1)):
+                      (0.1, True), (0.1, 1), ("a", 3), (True, 3)):
         with pytest.raises(ValidationError):
             geometric_radii(r0, count)
 

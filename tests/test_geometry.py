@@ -193,6 +193,19 @@ def test_one_analysis_serves_every_view(monkeypatch):
     assert calls == {"assemble_rhs": 1, "eval_field": 1, "field_values": 1}
 
 
+def test_strip_analysis_transforms_once(monkeypatch):
+    strip = march(builtin_curve("wobble"), PURE_ONE, MarchParams(R=0.05))
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    jacobian(strip)
+    # Z_u serves the analysis and the re-evaluated system alike.
+    assert counts == {"rfft": 1, "irfft": 1}
+
+
 def test_analysis_arrays_are_read_only():
     strip = march(builtin_curve("circle"), PURE_ONE, MarchParams(R=0.05))
     with pytest.raises(ValueError, match="read-only"):

@@ -107,6 +107,29 @@ def test_rhs_matches_closed_form_off_axis():
     np.testing.assert_allclose(q_v, -np.sinh(v) * np.sin(u), atol=1e-12)
 
 
+@pytest.mark.parametrize("stack", [False, True], ids=["level", "stack"])
+def test_rhs_from_given_derivatives_is_bitwise_the_same(stack):
+    strip = march(builtin_curve("remark42"), builtin_field("remark42"),
+                  MarchParams(n_u=256, R=0.05))
+    level = np.moveaxis(strip.states[10:13], -2, 0) if stack else strip.states[10]
+    expected = assemble_rhs(level, strip.field)
+    level_u = spectral_du(level)
+    got = assemble_rhs(level, strip.field, None, level_u)
+    assert got.shape == level.shape
+    assert np.array_equal(got, expected)
+    # The derivatives are read, not overwritten.
+    assert np.array_equal(level_u, spectral_du(level))
+
+
+def test_cached_tables_are_read_only():
+    march_module = importlib.import_module("ma_singular.march")
+    for table in (march_module._du_factors(128),
+                  march_module._monitor_weights(65),
+                  march_module._filter_factors(MarchParams())):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # filter and monitor
 
