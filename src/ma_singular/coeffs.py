@@ -5,7 +5,8 @@ A field packages four analytic expressions in the state variables
 checks box membership and the ellipticity discriminant D = A*C - B^2 + E,
 so nothing downstream ever consumes a state where the equation fails to
 be elliptic.  A field folds its constant coefficients to scalars once,
-when it is made, and checks the box once per (5, ...) state block.
+when it is made, D too when all four are constant, and checks the box
+once per (5, ...) state block.
 """
 
 from __future__ import annotations
@@ -87,12 +88,20 @@ class CoefficientField:
         object.__setattr__(self, "_lo", np.array([box[n][0] for n in VARIABLES]))
         object.__setattr__(self, "_hi", np.array([box[n][1] for n in VARIABLES]))
         # Coefficients without variables are evaluated here, once; None
-        # marks one that depends on the state.  A non-finite constant is
-        # kept as it is and reported when the field is evaluated.
+        # marks one that depends on the state, and D is constant when
+        # A, B, C and E all are.  A non-finite constant or a constant
+        # D <= 0 is kept as it is and reported when the field is evaluated.
         with np.errstate(all="ignore"):
-            constants = tuple(None if variables_of(e) else evaluate(e, {})
-                              for e in (self.A, self.B, self.C, self.E))
-        object.__setattr__(self, "_constants", constants)
+            constants = [None if variables_of(e) else evaluate(e, {})
+                         for e in (self.A, self.B, self.C, self.E)]
+            a, b, c, e = constants
+            constants.append(None if None in constants else a * c - b * b + e)
+        object.__setattr__(self, "_constants", tuple(constants))
+        # What every in-box evaluation returns when nothing depends on the
+        # state and nothing fails; None sends evaluation down the checks.
+        valid = (constants[4] is not None and all(map(math.isfinite, constants))
+                 and constants[4] > 0)
+        object.__setattr__(self, "_folded", tuple(constants) if valid else None)
 
     def to_dict(self) -> dict:
         return {
@@ -165,8 +174,9 @@ def _field_values(field: CoefficientField, block):
     ``block`` is a (5, ...) array, or five arrays of one shape, in the
     order x, y, z, p, q.  A constant coefficient comes back as a scalar,
     which gives the same bits in elementwise arithmetic as the array it
-    stands for; every other value has the state shape.  Raises as
-    ``eval_field`` does.
+    stands for; every other value has the state shape.  A field of four
+    valid constants returns the tuple it folded when it was made.  Raises
+    as ``eval_field`` does.
     """
     states = np.asarray(block)
     column = (5,) + (1,) * (states.ndim - 1)
@@ -174,6 +184,8 @@ def _field_values(field: CoefficientField, block):
               & (states <= field._hi.reshape(column)))  # NaN is outside
     if not inside.all():
         raise _box_error(field, block)
+    if field._folded is not None:
+        return field._folded
 
     shape = states.shape[1:]
     # Only a coefficient that depends on the state reads the variables.
@@ -181,7 +193,7 @@ def _field_values(field: CoefficientField, block):
     values = []
     with np.errstate(all="ignore"):
         for label, expr, value in zip("ABCE", (field.A, field.B, field.C, field.E),
-                                      field._constants):
+                                      field._constants[:4]):
             if value is None:
                 value = evaluate(expr, env)
                 finite = np.isfinite(value)

@@ -15,7 +15,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .curves import (
     CurveReport,
@@ -338,6 +337,9 @@ def _directed_distance(curve_a, curve_b, n: int) -> float:
     FFT each, so the first round reads B off the seed grid; the Newton
     iterates evaluate B with a running-product basis e^{iku}.
     """
+    # Imported here, so that only the commands that measure a distance load scipy.
+    from scipy.spatial import cKDTree
+
     s = 2.0 * np.pi * np.arange(4 * n) / (4 * n)
     ax, ay = _eval_uniform(curve_a, n)[:2]
     seeds = _eval_uniform(curve_b, 4 * n)

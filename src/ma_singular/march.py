@@ -134,6 +134,41 @@ class StripSolution:
         return self.states[k]
 
 
+#: Stands for a coefficient that is the constant 1.
+_UNIT = object()
+
+
+def _sum_terms(terms):
+    """The sum of the terms +-coef * values, given as (negative, coef,
+    values), taken left to right.
+
+    A coef of None (a constant zero) drops its term and ``_UNIT`` (a
+    constant one) takes the values as they are, so every sum keeps the
+    bits of the full sum up to the sign of an exact zero.  None when
+    every term drops.
+    """
+    total = None
+    for negative, coef, values in terms:
+        if coef is None:
+            continue
+        term = values if coef is _UNIT else coef * values
+        if total is None:
+            total = -term if negative else term
+        elif negative:
+            total = total - term
+        else:
+            total = total + term
+    return total
+
+
+def _coefficient(value, constant):
+    """A coefficient as ``_sum_terms`` takes it: None for the constant
+    0, ``_UNIT`` for the constant 1, else its value."""
+    if constant is None:
+        return value
+    return None if constant == 0 else _UNIT if constant == 1 else value
+
+
 def assemble_rhs(level: np.ndarray, field: CoefficientField,
                  values=None, level_u=None) -> np.ndarray:
     """Z_v for one level: spectral Z_u pushed through the system matrix.
@@ -144,19 +179,33 @@ def assemble_rhs(level: np.ndarray, field: CoefficientField,
     x_v = -q_u/sqrt(E), y_v = p_u/sqrt(E), z_v = (q p_u - p q_u)/sqrt(E),
     p_v = -sqrt(E) y_u, q_v = sqrt(E) x_u.  ``values`` is (A, B, C, E, D)
     already evaluated at ``level``; without it the field is evaluated here.
-    ``level_u`` is ``spectral_du(level)`` when the caller has it.
+    ``level_u`` is ``spectral_du(level)`` when the caller has it.  Terms
+    whose coefficient is the constant 0 are skipped, and so are a product
+    by a constant 1 and the division by a constant sqrt(D) = 1; the sums
+    keep their order, so only the sign of an exact zero can differ from
+    the full formula.
     """
     p, q = level[3], level[4]
     x_u, y_u, _, p_u, q_u = spectral_du(level) if level_u is None else level_u
-    a, b, c, e, disc = _field_values(field, level) if values is None else values
-    root = np.sqrt(disc)
+    values = _field_values(field, level) if values is None else values
+    a, b, c, e, disc = map(_coefficient, values, field._constants)
+    rows = (
+        ((False, b, x_u), (True, a, y_u), (True, _UNIT, q_u)),
+        ((False, c, x_u), (True, b, y_u), (False, _UNIT, p_u)),
+        ((False, _sum_terms(((False, b, p), (False, c, q))), x_u),
+         (True, _sum_terms(((False, a, p), (False, b, q))), y_u),
+         (False, q, p_u), (True, p, q_u)),
+        ((True, e, y_u), (False, b, p_u), (False, c, q_u)),
+        ((False, e, x_u), (True, a, p_u), (True, b, q_u)),
+    )
     out = np.empty(np.shape(level))
-    np.divide(b * x_u - a * y_u - q_u, root, out=out[0])
-    np.divide(c * x_u - b * y_u + p_u, root, out=out[1])
-    np.divide((b * p + c * q) * x_u - (a * p + b * q) * y_u
-              + q * p_u - p * q_u, root, out=out[2])
-    np.divide(-e * y_u + b * p_u + c * q_u, root, out=out[3])
-    np.divide(e * x_u - a * p_u - b * q_u, root, out=out[4])
+    root = None if disc is _UNIT else np.sqrt(disc)
+    for row, terms in zip(out, rows):
+        total = _sum_terms(terms)
+        if root is None:
+            row[...] = total
+        else:
+            np.divide(total, root, out=row)
     return out
 
 

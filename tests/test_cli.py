@@ -788,6 +788,24 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_construct_and_plot_leave_scipy_unloaded(tmp_path):
+    # Only the Hausdorff distance of roundtrip and verify needs scipy.
+    out = str(tmp_path / "run")
+    code = ("import sys; from ma_singular.cli import main; "
+            "assert main(['construct', '--print-config']) == 0; "
+            f"assert main(['construct', '--out', {out!r}]) == 0; "
+            f"assert main(['plot', '--out', {out!r}]) == 0; "
+            "loaded = sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'); "
+            "sys.exit(repr(loaded) if loaded else 0)")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                         text=True)
+    assert run.returncode == 0, run.stderr
+
+
 def test_import_builds_no_march_table():
     # The march's tables are made on first use, so import time (what a
     # console-script call pays before any work) does not grow with them.

@@ -16,14 +16,22 @@ from hypothesis import given, settings, strategies as st
 from ma_singular.coeffs import (
     DEFAULT_BOX,
     CoefficientField,
+    _field_values,
     box_violation,
     builtin_field,
     eval_field,
+    pure_field,
 )
 from ma_singular.curves import PeriodicCurve, builtin_curve, eval_curve
 from ma_singular.errors import EllipticityError, FieldEvalError, OutOfBoxError
 from ma_singular.expr import VARIABLES, evaluate
-from ma_singular.march import MarchParams, march, spectral_du, stability_monitor
+from ma_singular.march import (
+    MarchParams,
+    assemble_rhs,
+    march,
+    spectral_du,
+    stability_monitor,
+)
 
 # ---------------------------------------------------------------------------
 # Reference code: per-component box check, every coefficient on every call
@@ -268,6 +276,9 @@ def test_components_of_different_shapes_match_reference(bad):
 VARYING = CoefficientField.from_dict({"A": "0.01*x", "B": "0.3*y*p",
                                       "C": "0.1*z", "E": "2 + z",
                                       "box": DEFAULT_BOX})
+#: Four constants, none 0 and D = 1.05: no RHS term drops, no division.
+CONSTANT = CoefficientField.from_dict({"A": "0.3", "B": "0.1", "C": "0.2",
+                                       "E": "1", "box": DEFAULT_BOX})
 
 
 @pytest.mark.parametrize("curve, field, params", [
@@ -279,6 +290,9 @@ VARYING = CoefficientField.from_dict({"A": "0.01*x", "B": "0.3*y*p",
     # First curve of each convex workload stream, seed 1.
     ("roundtrip-convex", "pure-one", MarchParams()),
     ("construct-convex", "pure-one", MarchParams()),
+    ("wobble", CONSTANT, MarchParams()),
+    # Only A, B and C drop; the division by sqrt(2) stays.
+    ("ellipse", pure_field(2), MarchParams()),
 ])
 def test_march_matches_reference_bitwise(curve, field, params,
                                          benchmark_workloads):
@@ -293,6 +307,89 @@ def test_march_matches_reference_bitwise(curve, field, params,
     strip = march(curve, field, params)
     states, min_disc, high_frac = reference_march(curve, field, params)
     assert strip.status == "completed" and strip.levels_skipped == 0
-    assert np.array_equal(strip.states, states)
-    assert np.array_equal(strip.min_disc, min_disc)
-    assert np.array_equal(strip.high_frac, high_frac)
+    # Bytes, so that the sign of every zero is pinned too.
+    assert strip.states.tobytes() == states.tobytes()
+    assert strip.min_disc.tobytes() == min_disc.tobytes()
+    assert strip.high_frac.tobytes() == high_frac.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The RHS of a field with folded constants
+
+#: Coefficient kinds: the constant 0 (its terms drop), another constant
+#: and one that depends on the state.
+_KINDS = {"A": ("0", "0.3", "0.3 + 0.1*x"),
+          "B": ("0", "-0.2", "0.2*y*p"),
+          "C": ("0", "0.4", "0.4 - 0.1*q")}
+
+
+def _levels(shape):
+    """Random levels inside the box, the first of them the axis level
+    x = y = z = 0, so that x_u and y_u are exact zeros there."""
+    rng = np.random.default_rng(11)
+    level = rng.uniform(-0.5, 0.5, size=(5,) + shape)
+    u = 2.0 * np.pi * np.arange(shape[-1]) / shape[-1]
+    first = level[(slice(None),) + (0,) * (len(shape) - 1)]
+    first[:3] = 0.0
+    first[3], first[4] = np.cos(u), -np.sin(u)
+    return level
+
+
+@pytest.mark.parametrize("shape", [(64,), (3, 64)], ids=["level", "stack"])
+@pytest.mark.parametrize("E", ["1", "2", "1 + p^4"])
+@pytest.mark.parametrize("A", _KINDS["A"])
+@pytest.mark.parametrize("B", _KINDS["B"])
+@pytest.mark.parametrize("C", _KINDS["C"])
+def test_rhs_matches_full_formula(A, B, C, E, shape):
+    field = CoefficientField.from_dict({"A": A, "B": B, "C": C, "E": E,
+                                        "box": DEFAULT_BOX})
+    level = _levels(shape)
+    want = reference_assemble_rhs(level, field)
+    for values in (None, eval_field(field, tuple(level))):
+        got = assemble_rhs(level, field, values)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        # Only the sign of an exact zero may differ from the full formula.
+        differs = got.view(np.uint64) != want.view(np.uint64)
+        assert np.all(got[differs] == 0.0) and np.all(want[differs] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Failures of a field of four constants, which folds its values
+
+
+def _block(bad=()):
+    block = np.random.default_rng(5).uniform(-0.5, 0.5, size=(5, 2, 3))
+    for row, flat, value in bad:
+        block[row].reshape(-1)[flat] = value
+    return block
+
+
+@pytest.mark.parametrize("literal, bad", [
+    # Outside the box in q first and in y later: y is the one reported.
+    ({}, [(4, 0, 9.0), (1, 4, -2.0)]),
+    ({}, [(2, 5, np.nan)]),
+    ({"E": "0 - 1"}, []),
+    ({"B": "2"}, []),
+    ({"A": "1/0"}, []),
+    ({"C": "log(0)", "E": "0 - 1"}, []),
+])
+def test_folded_field_fails_on_every_call(literal, bad):
+    field = CoefficientField.from_dict(
+        {"A": "0", "B": "0", "C": "0", "E": "1", **literal, "box": DEFAULT_BOX})
+    block = _block(bad)
+    _, want = _outcome(reference_eval_field, field, tuple(block))
+    assert want is not None
+    for _ in range(2):
+        with pytest.raises(FieldEvalError) as info:
+            _field_values(field, block)
+        err = info.value
+        assert type(err) is type(want) and str(err) == str(want)
+        assert getattr(err, "variable", None) == getattr(want, "variable", None)
+        assert getattr(err, "index", None) == getattr(want, "index", None)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3), (0,)])
+def test_folded_field_returns_what_it_folded(shape):
+    field = builtin_field("pure-one")
+    assert _field_values(field, np.zeros((5,) + shape)) is field._folded
