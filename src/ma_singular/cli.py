@@ -15,8 +15,10 @@ Exit codes separate scientific outcomes from usage errors:
     5   ellipticity lost
     6   the marched state left the domain box
     7   roundtrip precondition failed (curve not strictly convex Jordan)
-    8   a verification tolerance was exceeded, or a roundtrip's extraction
-        left the patch's covered band (report.json -> limit.error)
+    8   a verification tolerance was exceeded, a roundtrip's extraction
+        left the patch's covered band (report.json -> limit.error), or a
+        roundtrip recovered a limit curve that is not a Jordan curve
+        (report.json -> limit.detail)
     9   an artifact could not be written (a full disk, say); out holds the
         earlier run's files
 
@@ -507,12 +509,19 @@ def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> in
     report["recovered_curve"] = lg.curve.to_dict()
     worst = distance
 
+    not_jordan = [] if lg.jordan else ["direct"]
     if reflected is not None:
         lg_r, distance_r = reflected
         report["hausdorff_reflected"] = distance_r
         report["recovered_curve_reflected"] = lg_r.curve.to_dict()
         worst = max(worst, distance_r)
+        not_jordan += [] if lg_r.jordan else ["reflected"]
 
+    if not_jordan:
+        report["limit"]["detail"] = (
+            "the recovered limit curve is not a regular embedded (Jordan) "
+            "curve on the " + " and the ".join(f"{b} branch" for b in not_jordan))
+        return EXIT_TOLERANCE
     return EXIT_OK if worst <= cfg["roundtrip"]["tolerance"] else EXIT_TOLERANCE
 
 
@@ -637,7 +646,14 @@ def report_schema() -> dict:
             "patch": {"type": "object"},
             "residual": {"type": "object"},
             "ellipticity_spot_check": {"type": "object"},
-            "limit": {"type": "object"},
+            "limit": {
+                "type": "object",
+                "properties": {
+                    "error": {"type": "string"},
+                    "detail": {"type": "string"},
+                    "jordan": {"type": "boolean"},
+                },
+            },
             "hausdorff": {"type": "number"},
             "hausdorff_reflected": {"type": "number"},
             "recovered_curve": {"type": "object"},

@@ -325,26 +325,97 @@ def limit_gradient(sampler, radii, n_theta: int = 256,
 # Hausdorff distance between closed curves
 
 
+# Elements per block of a nearest-seed scan, 128 rows of 4096 seeds, so that
+# a far-apart pair, whose rows all take the brute force, keeps a small peak.
+_SCAN_BLOCK = 1 << 19
+
+
+def _squared_distances(px, py, sx, sy):
+    """(rows, k) squared distances from points (px, py) to (rows, k) or (k,) seeds."""
+    d2 = sx - px[:, None]
+    d2 *= d2
+    dy = sy - py[:, None]
+    dy *= dy
+    d2 += dy
+    return d2
+
+
+def _nearest_seeds(px, py, sx, sy):
+    """Index of the nearest seed (sx, sy) to each point (px, py), exactly.
+
+    The cell method of Bentley, Weide & Yao (ACM TOMS 6, 1980).  The seeds,
+    samples of a closed curve, go into square cells of side h, twice the
+    largest gap between consecutive seeds, and are sorted by the key
+    cx * ny + cy, so the cells (cx, cy-1..cy+1) of one column are one run
+    of keys.  Each point scans the three runs around its own cell.  Every
+    seed outside those nine cells is farther than h, so a best seed within
+    h (less a rounding margin) is the nearest.  The other points take a
+    brute-force argmin over all seeds, as do all points when the seeds
+    span no cell (a point curve).  Both scans go by blocks of rows.
+    """
+    nearest = np.zeros(px.size, dtype=np.intp)
+    unsure = np.arange(px.size)
+    h = 2.0 * np.sqrt(np.max(np.diff(sx, append=sx[0]) ** 2
+                             + np.diff(sy, append=sy[0]) ** 2))
+    x0, y0 = sx.min(), sy.min()
+    nx = ny = np.inf
+    if 0.0 < h < np.inf:  # a point curve has no gap to size cells by
+        nx, ny = np.floor((sx.max() - x0) / h) + 1, np.floor((sy.max() - y0) / h) + 1
+    if nx * ny < 2.0 ** 62:  # else the cell key would overflow int64
+        nx, ny = int(nx), int(ny)
+
+        def cell(v, v0, count):
+            # Points beyond the seeds' cells by more than one land next to them.
+            return np.floor(np.clip(v - v0, -h, count * h) / h).astype(np.int64)
+
+        key = cell(sx, x0, nx) * ny + cell(sy, y0, ny)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        cx, cy = cell(px, x0, nx), cell(py, y0, ny)
+        columns = (cx + np.array([[-1], [0], [1]])) * ny
+        lo = np.searchsorted(key, columns + np.maximum(cy - 1, 0), "left").T
+        hi = np.searchsorted(key, columns + np.minimum(cy + 1, ny - 1), "right").T
+        width = np.arange(max(int(np.max(hi - lo)), 1))
+        best = np.empty(px.size)
+        rows = max(1, _SCAN_BLOCK // (3 * width.size))
+        for start in range(0, px.size, rows):
+            block = slice(start, start + rows)
+            # A row scans its three runs, each padded to the widest run.
+            pos = lo[block, :, None] + width
+            outside = (pos >= hi[block, :, None]).reshape(len(pos), -1)
+            cand = order[np.minimum(pos, order.size - 1)].reshape(outside.shape)
+            d2 = _squared_distances(px[block], py[block], sx[cand], sy[cand])
+            d2[outside] = np.inf
+            col = np.argmin(d2, axis=1)
+            rowsel = np.arange(col.size)
+            nearest[block], best[block] = cand[rowsel, col], d2[rowsel, col]
+        # Cell indices round by about n ulps of a cell, far below the margin.
+        unsure = np.flatnonzero(~(best <= (h * (1.0 - 1e-6)) ** 2))
+    rows = max(1, _SCAN_BLOCK // sx.size)
+    for start in range(0, unsure.size, rows):
+        block = unsure[start:start + rows]
+        d2 = _squared_distances(px[block], py[block], sx, sy)
+        nearest[block] = np.argmin(d2, axis=1)
+    return nearest
+
+
 def _directed_distance(curve_a, curve_b, n: int) -> float:
     """max over n samples of A of the distance to B, by Newton foot points.
 
-    Each sample starts at its nearest of 4n samples of B and takes 4 Newton
-    steps on g(u) = (b(u) - a) . b'(u), g' = |b'|^2 + (b - a) . b'', none
-    where g' <= 0.  A step is kept only if the squared distance does not
-    grow, else halved for the next try.  The top foot distance is refined
-    by the vertex of the parabola through it and its neighbours, if concave.
-    The samples and seeds, with their derivatives, come from one inverse
-    FFT each, so the first round reads B off the seed grid; the Newton
-    iterates evaluate B with a running-product basis e^{iku}.
+    Each sample starts at its nearest of 4n samples of B, found exactly by
+    ``_nearest_seeds``, and takes 4 Newton steps on g(u) = (b(u) - a) . b'(u),
+    g' = |b'|^2 + (b - a) . b'', none where g' <= 0.  A step is kept only if
+    the squared distance does not grow, else halved for the next try.  The
+    top foot distance is refined by the vertex of the parabola through it
+    and its neighbours, if concave.  The samples and seeds, with their
+    derivatives, come from one inverse FFT each, so the first round reads B
+    off the seed grid; the Newton iterates evaluate B with a running-product
+    basis e^{iku}.
     """
-    # Imported here, so that only the commands that measure a distance load scipy.
-    from scipy.spatial import cKDTree
-
     s = 2.0 * np.pi * np.arange(4 * n) / (4 * n)
     ax, ay = _eval_uniform(curve_a, n)[:2]
     seeds = _eval_uniform(curve_b, 4 * n)
-    _, nearest = cKDTree(np.column_stack(seeds[:2])).query(
-        np.column_stack([ax, ay]))
+    nearest = _nearest_seeds(ax, ay, seeds[0], seeds[1])
     t = t_best = s[nearest]
     d2_best = np.full(n, np.inf)
     step = np.zeros(n)

@@ -1,6 +1,7 @@
 """End-to-end command line behaviour, config handling, and exit codes."""
 
 import contextlib
+import dataclasses
 import errno
 import importlib
 import importlib.util
@@ -416,6 +417,36 @@ def test_roundtrip_circle_passes_both_branches(tmp_path, monkeypatch):
     assert report["limit"]["jordan"] is True
 
 
+@pytest.mark.parametrize("not_jordan, detail", [
+    ((0,), "on the direct branch"),
+    ((1,), "on the reflected branch"),
+    ((0, 1), "on the direct branch and the reflected branch"),
+], ids=["direct", "reflected", "both"])
+def test_roundtrip_recovered_curve_that_is_not_jordan_is_eight(
+        tmp_path, monkeypatch, not_jordan, detail):
+    # The recovered curves are classified in branch order, direct first.
+    import ma_singular.extract as extract
+    calls = []
+
+    def classify(curve, *args, **kwargs):
+        calls.append(curve)
+        report = classify_curve(curve, *args, **kwargs)
+        return dataclasses.replace(report,
+                                   embedded=len(calls) - 1 not in not_jordan)
+
+    monkeypatch.setattr(extract, "classify_curve", classify)
+    out = tmp_path / "run"
+    assert main(["roundtrip", "--out", str(out)]) == 8
+    assert len(calls) == 2
+    report = read_report(out)
+    assert report["limit"]["jordan"] is (0 not in not_jordan)
+    assert report["limit"]["detail"] == (
+        "the recovered limit curve is not a regular embedded (Jordan) curve "
+        + detail)
+    # The distances alone would pass.
+    assert max(report["hausdorff"], report["hausdorff_reflected"]) < 1e-3
+
+
 def test_roundtrip_precondition_is_seven(tmp_path):
     out = tmp_path / "run"
     code = main(["roundtrip", "--out", str(out),
@@ -788,21 +819,37 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_construct_and_plot_leave_scipy_unloaded(tmp_path):
-    # Only the Hausdorff distance of roundtrip and verify needs scipy.
-    out = str(tmp_path / "run")
-    code = ("import sys; from ma_singular.cli import main; "
+def _every_command_in_a_fresh_python(tmp_path, prologue, epilogue):
+    """Run construct, plot, roundtrip and verify in one new interpreter."""
+    out = [str(tmp_path / name) for name in ("construct", "roundtrip", "verify")]
+    code = (f"{prologue}; from ma_singular.cli import main; "
             "assert main(['construct', '--print-config']) == 0; "
-            f"assert main(['construct', '--out', {out!r}]) == 0; "
-            f"assert main(['plot', '--out', {out!r}]) == 0; "
-            "loaded = sorted(m for m in sys.modules "
-            "if m.partition('.')[0] == 'scipy'); "
-            "sys.exit(repr(loaded) if loaded else 0)")
+            f"assert main(['construct', '--out', {out[0]!r}]) == 0; "
+            f"assert main(['plot', '--out', {out[0]!r}]) == 0; "
+            f"assert main(['roundtrip', '--out', {out[1]!r}]) == 0; "
+            f"assert main(['verify', '--out', {out[2]!r}]) == 0; "
+            f"{epilogue}")
     env = dict(os.environ,
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                         text=True)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+
+
+def test_commands_leave_scipy_unloaded(tmp_path):
+    # numpy is the one runtime dependency: no command loads a scipy module.
+    run = _every_command_in_a_fresh_python(
+        tmp_path, "import sys",
+        "loaded = sorted(m for m in sys.modules "
+        "if m.partition('.')[0] == 'scipy'); "
+        "sys.exit(repr(loaded) if loaded else 0)")
+    assert run.returncode == 0, run.stderr
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # A None entry in sys.modules makes every import of scipy fail.
+    run = _every_command_in_a_fresh_python(
+        tmp_path, "import sys; sys.modules['scipy'] = None", "pass")
     assert run.returncode == 0, run.stderr
 
 

@@ -292,6 +292,16 @@ def test_hausdorff_of_curve_against_its_own_shift(name):
         assert hausdorff_distance(a, a.reverse().shift(shift)) < 1e-12
 
 
+def test_hausdorff_of_a_point_curve():
+    # A point's seeds have no gap to size the nearest-seed cells by.  The
+    # circle's farthest sample from the point lies 1 + |(0.1, 0.3)| away.
+    point = PeriodicCurve([0.1], [0.0], [0.3], [0.0])
+    circle = builtin_curve("circle")
+    assert abs(hausdorff_distance(point, circle) - 1.3162277660138604) <= 1e-15
+    assert abs(hausdorff_distance(circle, point) - 1.3162277660138604) <= 1e-15
+    assert hausdorff_distance(point, point) == 0.0
+
+
 @pytest.mark.parametrize("a, b, n", [
     (np.empty((0, 2)), "circle", 1024),
     ("circle", np.empty((0, 2)), 1024),
