@@ -17,8 +17,9 @@ Exit codes separate scientific outcomes from usage errors:
     7   roundtrip precondition failed (curve not strictly convex Jordan)
     8   a verification tolerance was exceeded, a roundtrip's extraction
         left the patch's covered band (report.json -> limit.error), or a
-        roundtrip recovered a limit curve that is not a Jordan curve
-        (report.json -> limit.detail)
+        roundtrip recovered a limit curve outside the class M2 of regular,
+        strictly convex Jordan curves (report.json -> limit.detail names
+        the branch, and the report gives no distance for it)
     9   an artifact could not be written (a full disk, say); out holds the
         earlier run's files
 
@@ -480,6 +481,18 @@ def _run(cfg: dict, head: dict, judge=None, convex: bool = False):
     return code, artifacts
 
 
+def _m2_distance(curve: PeriodicCurve, lg) -> float | None:
+    """``hausdorff_distance`` from ``curve`` to the limit curve of ``lg``, or
+    None when that limit is not in M2 or the judge's grid cannot resolve
+    its tangent."""
+    if not lg.jordan:
+        return None
+    try:
+        return hausdorff_distance(curve, lg.curve)
+    except ValidationError:
+        return None
+
+
 def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> int:
     """The limit gradient of each reflection branch against the input curve."""
     extract_cfg = cfg["extract"]
@@ -490,39 +503,35 @@ def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> in
         radii = sampler.suggest_radii() if radii is None else radii
         lg = limit_gradient(sampler, radii, n_theta=extract_cfg["n_theta"],
                             degree=extract_cfg["degree"])
-        distance = hausdorff_distance(curve, lg.curve)
-        return lg, distance
+        return lg, _m2_distance(curve, lg)
 
     try:
-        lg, distance = one_branch(patch)
-        reflected = (one_branch(reflect_solution(patch))
-                     if cfg["roundtrip"]["reflected"] else None)
+        branches = {"direct": one_branch(patch)}
+        if cfg["roundtrip"]["reflected"]:
+            branches["reflected"] = one_branch(reflect_solution(patch))
     except CoverageError as err:
         report["limit"] = {"error": str(err)}
         return EXIT_TOLERANCE
 
-    report["limit"] = {
-        "residual": lg.residual, "jordan": bool(lg.jordan),
-        "radii": list(lg.radii),
-    }
-    report["hausdorff"] = distance
-    report["recovered_curve"] = lg.curve.to_dict()
-    worst = distance
+    lg = branches["direct"][0]
+    report["limit"] = {"residual": lg.residual, "radii": list(lg.radii)}
+    distances, outside = [], []
+    for name, (lg, distance) in branches.items():
+        suffix = "" if name == "direct" else "_reflected"
+        report["limit"]["jordan" + suffix] = bool(lg.jordan)
+        report["recovered_curve" + suffix] = lg.curve.to_dict()
+        if distance is None:
+            outside.append(f"{name} branch")
+        else:
+            report["hausdorff" + suffix] = distance
+            distances.append(distance)
 
-    not_jordan = [] if lg.jordan else ["direct"]
-    if reflected is not None:
-        lg_r, distance_r = reflected
-        report["hausdorff_reflected"] = distance_r
-        report["recovered_curve_reflected"] = lg_r.curve.to_dict()
-        worst = max(worst, distance_r)
-        not_jordan += [] if lg_r.jordan else ["reflected"]
-
-    if not_jordan:
+    if outside:
         report["limit"]["detail"] = (
-            "the recovered limit curve is not a regular embedded (Jordan) "
-            "curve on the " + " and the ".join(f"{b} branch" for b in not_jordan))
+            "the recovered limit curve is not a regular, strictly convex "
+            "Jordan curve (class M2) on the " + " and the ".join(outside))
         return EXIT_TOLERANCE
-    return EXIT_OK if worst <= cfg["roundtrip"]["tolerance"] else EXIT_TOLERANCE
+    return EXIT_OK if max(distances) <= cfg["roundtrip"]["tolerance"] else EXIT_TOLERANCE
 
 
 def _judge_verify(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> int:
@@ -534,7 +543,7 @@ def _judge_verify(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> int:
     lg = limit_gradient(radial_reference_sampler(), geometric_radii(0.05, 5),
                         n_theta=cfg["extract"]["n_theta"],
                         degree=cfg["extract"]["degree"])
-    circle_dist = hausdorff_distance(builtin_curve("circle"), lg.curve)
+    circle_dist = _m2_distance(builtin_curve("circle"), lg)
     report["oracle_errors"] = {
         "max_z_error": z_err,
         "max_slope_error": slope_err,
@@ -542,7 +551,7 @@ def _judge_verify(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> int:
     }
     tol = cfg["verify"]
     ok = (z_err <= tol["z_tolerance"] and slope_err <= tol["slope_tolerance"]
-          and circle_dist <= tol["circle_tolerance"])
+          and circle_dist is not None and circle_dist <= tol["circle_tolerance"])
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
@@ -652,6 +661,7 @@ def report_schema() -> dict:
                     "error": {"type": "string"},
                     "detail": {"type": "string"},
                     "jordan": {"type": "boolean"},
+                    "jordan_reflected": {"type": "boolean"},
                 },
             },
             "hausdorff": {"type": "number"},

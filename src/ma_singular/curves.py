@@ -132,6 +132,7 @@ class CurveReport:
     orientation: str              # "negative" | "positive" | "degenerate"
     regular: bool
     strictly_convex: bool         # convexity margin > tol (negative orientation)
+    locally_convex: bool          # regular, convexity of one strict sign
     embedded: bool                # turning number or Jordan polyline test
     u_star: float                 # location of the convexity minimum
     tol: float = field(default=DEFAULT_TOL)
@@ -361,6 +362,7 @@ def classify_curve(curve: PeriodicCurve,
         orientation=orientation,
         regular=regularity_margin > tol,
         strictly_convex=convexity_margin > tol,
+        locally_convex=locally_convex,
         embedded=embedded,
         u_star=u_star,
         tol=tol,

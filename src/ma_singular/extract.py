@@ -6,7 +6,9 @@ limit curve linearly in rho (smooth-up-to-boundary expansion), so
 Richardson extrapolation over radii r0, r0/2, r0/4, ... recovers the
 boundary values to high order from a handful of circles.  Samplers are
 plain callables (r, thetas) -> (p, q); one interpolates a reconstructed
-GraphPatch, the others are closed forms used as oracles.
+GraphPatch, the others are closed forms used as oracles.  Recovered
+curves are judged by ``hausdorff_distance``, which for the strictly convex
+curves of the class M2 is the largest gap between support functions.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (
+    JORDAN_SAMPLES,
     CurveReport,
     PeriodicCurve,
     _eval_running,
     _eval_uniform,
     _running_basis,
     _series,
+    _turning_number,
     classify_curve,
     fit_curve,
 )
@@ -280,8 +284,9 @@ class LimitGradientResult:
 
     @property
     def jordan(self) -> bool:
-        """True when the fitted limit is a regular embedded curve."""
-        return self.classification.regular and self.classification.embedded
+        """True when the fitted limit is in the class M2: a regular, strictly
+        convex Jordan curve, in either orientation."""
+        return self.classification.locally_convex and self.classification.embedded
 
 
 def limit_gradient(sampler, radii, n_theta: int = 256,
@@ -322,136 +327,61 @@ def limit_gradient(sampler, radii, n_theta: int = 256,
 
 
 # ---------------------------------------------------------------------------
-# Hausdorff distance between closed curves
+# Hausdorff distance between strictly convex curves
 
 
-# Elements per block of a nearest-seed scan, 128 rows of 4096 seeds, so that
-# a far-apart pair, whose rows all take the brute force, keeps a small peak.
-_SCAN_BLOCK = 1 << 19
+def _support_function(curve: PeriodicCurve, n: int) -> np.ndarray:
+    """h(theta_j) = max_u <gamma(u), e(theta_j)> at theta_j = 2*pi*j/n.
 
-
-def _squared_distances(px, py, sx, sy):
-    """(rows, k) squared distances from points (px, py) to (rows, k) or (k,) seeds."""
-    d2 = sx - px[:, None]
-    d2 *= d2
-    dy = sy - py[:, None]
-    dy *= dy
-    d2 += dy
-    return d2
-
-
-def _nearest_seeds(px, py, sx, sy):
-    """Index of the nearest seed (sx, sy) to each point (px, py), exactly.
-
-    The cell method of Bentley, Weide & Yao (ACM TOMS 6, 1980).  The seeds,
-    samples of a closed curve, go into square cells of side h, twice the
-    largest gap between consecutive seeds, and are sorted by the key
-    cx * ny + cy, so the cells (cx, cy-1..cy+1) of one column are one run
-    of keys.  Each point scans the three runs around its own cell.  Every
-    seed outside those nine cells is farther than h, so a best seed within
-    h (less a rounding margin) is the nearest.  The other points take a
-    brute-force argmin over all seeds, as do all points when the seeds
-    span no cell (a point curve).  Both scans go by blocks of rows.
+    The tangent angle on ``classify_curve``'s grid must turn strictly
+    monotonically through exactly one turn, in either orientation (its
+    turning number is +-1), else ValidationError.  The outward-normal
+    angle, unwrapped and made increasing, gives each theta_j a linear
+    guess of its support parameter, which 3 Newton steps on
+    g(u) = <gamma'(u), e(theta_j)>, g' = <gamma''(u), e(theta_j)>, polish.
     """
-    nearest = np.zeros(px.size, dtype=np.intp)
-    unsure = np.arange(px.size)
-    h = 2.0 * np.sqrt(np.max(np.diff(sx, append=sx[0]) ** 2
-                             + np.diff(sy, append=sy[0]) ** 2))
-    x0, y0 = sx.min(), sy.min()
-    nx = ny = np.inf
-    if 0.0 < h < np.inf:  # a point curve has no gap to size cells by
-        nx, ny = np.floor((sx.max() - x0) / h) + 1, np.floor((sy.max() - y0) / h) + 1
-    if nx * ny < 2.0 ** 62:  # else the cell key would overflow int64
-        nx, ny = int(nx), int(ny)
-
-        def cell(v, v0, count):
-            # Points beyond the seeds' cells by more than one land next to them.
-            return np.floor(np.clip(v - v0, -h, count * h) / h).astype(np.int64)
-
-        key = cell(sx, x0, nx) * ny + cell(sy, y0, ny)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        cx, cy = cell(px, x0, nx), cell(py, y0, ny)
-        columns = (cx + np.array([[-1], [0], [1]])) * ny
-        lo = np.searchsorted(key, columns + np.maximum(cy - 1, 0), "left").T
-        hi = np.searchsorted(key, columns + np.minimum(cy + 1, ny - 1), "right").T
-        width = np.arange(max(int(np.max(hi - lo)), 1))
-        best = np.empty(px.size)
-        rows = max(1, _SCAN_BLOCK // (3 * width.size))
-        for start in range(0, px.size, rows):
-            block = slice(start, start + rows)
-            # A row scans its three runs, each padded to the widest run.
-            pos = lo[block, :, None] + width
-            outside = (pos >= hi[block, :, None]).reshape(len(pos), -1)
-            cand = order[np.minimum(pos, order.size - 1)].reshape(outside.shape)
-            d2 = _squared_distances(px[block], py[block], sx[cand], sy[cand])
-            d2[outside] = np.inf
-            col = np.argmin(d2, axis=1)
-            rowsel = np.arange(col.size)
-            nearest[block], best[block] = cand[rowsel, col], d2[rowsel, col]
-        # Cell indices round by about n ulps of a cell, far below the margin.
-        unsure = np.flatnonzero(~(best <= (h * (1.0 - 1e-6)) ** 2))
-    rows = max(1, _SCAN_BLOCK // sx.size)
-    for start in range(0, unsure.size, rows):
-        block = unsure[start:start + rows]
-        d2 = _squared_distances(px[block], py[block], sx, sy)
-        nearest[block] = np.argmin(d2, axis=1)
-    return nearest
-
-
-def _directed_distance(curve_a, curve_b, n: int) -> float:
-    """max over n samples of A of the distance to B, by Newton foot points.
-
-    Each sample starts at its nearest of 4n samples of B, found exactly by
-    ``_nearest_seeds``, and takes 4 Newton steps on g(u) = (b(u) - a) . b'(u),
-    g' = |b'|^2 + (b - a) . b'', none where g' <= 0.  A step is kept only if
-    the squared distance does not grow, else halved for the next try.  The
-    top foot distance is refined by the vertex of the parabola through it
-    and its neighbours, if concave.  The samples and seeds, with their
-    derivatives, come from one inverse FFT each, so the first round reads B
-    off the seed grid; the Newton iterates evaluate B with a running-product
-    basis e^{iku}.
-    """
-    s = 2.0 * np.pi * np.arange(4 * n) / (4 * n)
-    ax, ay = _eval_uniform(curve_a, n)[:2]
-    seeds = _eval_uniform(curve_b, 4 * n)
-    nearest = _nearest_seeds(ax, ay, seeds[0], seeds[1])
-    t = t_best = s[nearest]
-    d2_best = np.full(n, np.inf)
-    step = np.zeros(n)
-    for i in range(5):
-        x, y, dx, dy, ddx, ddy = ([v[nearest] for v in seeds] if i == 0
-                                  else _eval_running(curve_b, t))
-        ex, ey = x - ax, y - ay
-        d2 = ex * ex + ey * ey
-        keep = d2 <= d2_best
-        t_best, d2_best = np.where(keep, t, t_best), np.where(keep, d2, d2_best)
-        dg = dx * dx + dy * dy + ex * ddx + ey * ddy
-        newton = np.divide(-(ex * dx + ey * dy), dg, out=np.zeros(n),
-                           where=dg > 0)
-        step = np.where(keep, newton, 0.5 * step)
-        t = t_best + step
-    k = int(np.argmax(d2_best))
-    f_prev, f_top, f_next = np.sqrt(d2_best[[k - 1, k, (k + 1) % n]])
-    bend = f_prev - 2.0 * f_top + f_next
-    if bend < 0:
-        f_top -= (f_prev - f_next) ** 2 / (8.0 * bend)
-    return float(f_top)
+    n_grid = max(JORDAN_SAMPLES, 8 * (curve.degree + 1))
+    da, db = _eval_uniform(curve, n_grid)[2:4]
+    turn = _turning_number(da, db)
+    if turn not in (1, -1):
+        raise ValidationError("hausdorff_distance needs regular, strictly "
+                              "convex embedded curves")
+    # The outward normal is the tangent turned by -turn * pi/2; times turn,
+    # its angle increases through one turn.
+    psi = turn * np.unwrap(np.arctan2(db, da)) - 0.5 * np.pi
+    psi = np.append(psi, psi[0] + 2.0 * np.pi)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    target = (turn * theta - psi[0]) % (2.0 * np.pi) + psi[0]
+    u = np.interp(target, psi, 2.0 * np.pi * np.arange(n_grid + 1) / n_grid)
+    cos, sin = np.cos(theta), np.sin(theta)
+    for step in range(4):
+        x, y, dx, dy, ddx, ddy = _eval_running(curve, u)
+        if step == 3:
+            return x * cos + y * sin
+        u = u - (dx * cos + dy * sin) / (ddx * cos + ddy * sin)
 
 
 def hausdorff_distance(curve_a: PeriodicCurve, curve_b: PeriodicCurve,
                        n: int = 1024) -> float:
-    """Hausdorff distance between the images of two closed PeriodicCurves.
+    """Hausdorff distance between two strictly convex closed PeriodicCurves.
 
-    Each curve is sampled at n points, whose foot points on the other curve
-    are solved for with its exact derivatives: there is no chord floor, and
-    parametrization and orientation do not matter.  Near a ridge, where two
-    feet are equally near, it keeps the accuracy of the 4n seed samples.  A
-    non-curve argument and n not an integer >= 3 raise ValidationError.
+    For convex bodies it is max over theta of |h_a - h_b|, the gap of their
+    support functions (Schneider, Convex Bodies, 2nd ed., Lemma 1.8.14).
+    Both are solved for at n uniform angles with exact derivatives, so
+    parametrization and orientation do not matter, and the top gap is
+    refined by the vertex of the parabola through it and its neighbours,
+    if concave.  A non-curve argument, n not an integer >= 3, and a curve
+    whose tangent does not turn strictly monotonically through one turn
+    (not regular, convex and embedded) raise ValidationError.
     """
     if not all(isinstance(c, PeriodicCurve) for c in (curve_a, curve_b)):
         raise ValidationError("hausdorff_distance takes two PeriodicCurves")
     if not _is_count(n) or n < 3:
         raise ValidationError(f"hausdorff_distance needs an integer n >= 3, got {n!r}")
-    return max(_directed_distance(curve_a, curve_b, n),
-               _directed_distance(curve_b, curve_a, n))
+    gap = np.abs(_support_function(curve_a, n) - _support_function(curve_b, n))
+    k = int(np.argmax(gap))
+    f_prev, f_top, f_next = gap[[k - 1, k, (k + 1) % n]]
+    bend = f_prev - 2.0 * f_top + f_next
+    if bend < 0:
+        f_top -= (f_prev - f_next) ** 2 / (8.0 * bend)
+    return float(f_top)

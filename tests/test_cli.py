@@ -13,6 +13,7 @@ import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import jsonschema
@@ -28,7 +29,7 @@ from ma_singular.cli import (
     report_schema,
 )
 from ma_singular.coeffs import CoefficientField, builtin_field_names, eval_field
-from ma_singular.curves import builtin_curve_names, classify_curve
+from ma_singular.curves import PeriodicCurve, builtin_curve_names, classify_curve
 from ma_singular.errors import FieldEvalError, ValidationError
 from ma_singular.geometry import reflect_field
 
@@ -440,11 +441,62 @@ def test_roundtrip_recovered_curve_that_is_not_jordan_is_eight(
     assert len(calls) == 2
     report = read_report(out)
     assert report["limit"]["jordan"] is (0 not in not_jordan)
+    assert report["limit"]["jordan_reflected"] is (1 not in not_jordan)
     assert report["limit"]["detail"] == (
-        "the recovered limit curve is not a regular embedded (Jordan) curve "
-        + detail)
-    # The distances alone would pass.
-    assert max(report["hausdorff"], report["hausdorff_reflected"]) < 1e-3
+        "the recovered limit curve is not a regular, strictly convex Jordan "
+        "curve (class M2) " + detail)
+    # Only a branch in M2 gets a distance, and it alone would pass.
+    for key, branch in (("hausdorff", 0), ("hausdorff_reflected", 1)):
+        assert (key in report) is (branch not in not_jordan)
+        assert report.get(key, 0.0) < 1e-3
+
+
+def test_roundtrip_recovered_curve_that_is_jordan_but_not_convex_is_eight(
+        tmp_path, monkeypatch):
+    # A mode-3 ripple of relative size 0.2 in the gradient's length makes
+    # the recovered curves star-shaped about the origin, hence Jordan, with
+    # curvature of both signs.
+    patch_sampler = cli.patch_sampler
+
+    def rippled(branch_patch):
+        sampler = patch_sampler(branch_patch)
+
+        def sample(r, thetas):
+            p, q = sampler(r, thetas)
+            ripple = 1.0 + 0.2 * np.cos(3.0 * np.asarray(thetas))
+            return ripple * p, ripple * q
+
+        sample.suggest_radii = sampler.suggest_radii
+        return sample
+
+    monkeypatch.setattr(cli, "patch_sampler", rippled)
+    out = tmp_path / "run"
+    assert main(["roundtrip", "--out", str(out)]) == 8
+    report = read_report(out)
+    assert report["limit"]["detail"] == (
+        "the recovered limit curve is not a regular, strictly convex Jordan "
+        "curve (class M2) on the direct branch and the reflected branch")
+    assert report["limit"]["jordan"] is report["limit"]["jordan_reflected"] is False
+    assert "hausdorff" not in report and "hausdorff_reflected" not in report
+    for key in ("recovered_curve", "recovered_curve_reflected"):
+        recovered = classify_curve(PeriodicCurve.from_dict(report[key]))
+        assert recovered.regular and recovered.embedded
+        assert not recovered.locally_convex
+
+
+def test_judge_gives_no_distance_where_hausdorff_distance_refuses():
+    # An ellipse with axes 1 and 1e-3, its vertices between grid points, is
+    # in M2 by classify_curve (the polyline test finds it embedded), but its
+    # tangent turns more than pi/2 between two of the judge's grid points,
+    # so hausdorff_distance refuses it.  The judge reports no distance
+    # rather than let the ValidationError reach main's exit 2.
+    thin = PeriodicCurve([0.0, 1.0], [0.0], [0.0], [0.0, -1e-3]).shift(
+        np.pi / 2048)
+    report = classify_curve(thin)
+    assert report.locally_convex and report.embedded
+    with pytest.raises(ValidationError):
+        cli.hausdorff_distance(thin, thin)
+    assert cli._m2_distance(thin, SimpleNamespace(curve=thin, jordan=True)) is None
 
 
 def test_roundtrip_precondition_is_seven(tmp_path):
@@ -593,6 +645,13 @@ def test_verify_radial_oracle(tmp_path):
     assert errors["max_z_error"] < 1e-4
     assert errors["max_slope_error"] < 1e-4
     assert errors["limit_circle_hausdorff"] < 1e-6
+
+
+def test_verify_limit_outside_m2_is_eight(tmp_path):
+    # At degree 0 the fitted limit is a point: no distance, and exit 8.
+    out = tmp_path / "run"
+    assert main(["verify", "--out", str(out), "--set", "extract.degree=0"]) == 8
+    assert read_report(out)["oracle_errors"]["limit_circle_hausdorff"] is None
 
 
 def test_verify_unknown_oracle_is_two(tmp_path):

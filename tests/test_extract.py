@@ -7,6 +7,7 @@ from ma_singular.coeffs import builtin_field
 from ma_singular.curves import PeriodicCurve, builtin_curve, eval_curve
 from ma_singular.errors import CoverageError, ValidationError
 from ma_singular.extract import (
+    _support_function,
     geometric_radii,
     hausdorff_distance,
     limit_gradient,
@@ -281,25 +282,40 @@ def test_hausdorff_reparametrization_invariance():
     assert hausdorff_distance(a, b) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["circle", "wobble", "remark42"])
+@pytest.mark.parametrize("name", ["circle", "wobble"])
 def test_hausdorff_of_curve_against_its_own_shift(name):
     # Shifts by a half sample and by an unrelated amount, in both
-    # orientations.  remark42 (the curve the construct-remark42 benchmark
-    # workload shifts) is traced twice per period.
+    # orientations.
     a = builtin_curve(name)
     for shift in (np.pi / 1024, 0.7):
         assert hausdorff_distance(a, a.shift(shift)) < 1e-12
         assert hausdorff_distance(a, a.reverse().shift(shift)) < 1e-12
 
 
-def test_hausdorff_of_a_point_curve():
-    # A point's seeds have no gap to size the nearest-seed cells by.  The
-    # circle's farthest sample from the point lies 1 + |(0.1, 0.3)| away.
-    point = PeriodicCurve([0.1], [0.0], [0.3], [0.0])
+@pytest.mark.parametrize("name, support", [
+    ("circle", lambda t: np.ones_like(t)),
+    ("ellipse", lambda t: np.sqrt(0.64 * np.cos(t) ** 2 + 0.36 * np.sin(t) ** 2)),
+], ids=["circle", "ellipse"])
+def test_support_function_of_circle_and_ellipse(name, support):
+    # In both orientations and from any start.
+    n = 1024
+    want = support(2.0 * np.pi * np.arange(n) / n)
+    a = builtin_curve(name)
+    for curve in (a, a.reverse(), a.shift(0.7), a.reverse().shift(2.9)):
+        assert np.max(np.abs(_support_function(curve, n) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("curve", [
+    builtin_curve("remark42"),  # curvature zeros, traced twice
+    builtin_curve("limacon"),  # locally convex, turning number 2
+    PeriodicCurve([0.1], [0.0], [0.3], [0.0]),
+    limit_gradient(paraboloid_sampler(), geometric_radii(0.05, 5)).curve,
+], ids=["remark42", "limacon", "point", "paraboloid-limit"])
+def test_hausdorff_rejects_curves_that_are_not_strictly_convex(curve):
     circle = builtin_curve("circle")
-    assert abs(hausdorff_distance(point, circle) - 1.3162277660138604) <= 1e-15
-    assert abs(hausdorff_distance(circle, point) - 1.3162277660138604) <= 1e-15
-    assert hausdorff_distance(point, point) == 0.0
+    for a, b in ((curve, circle), (circle, curve)):
+        with pytest.raises(ValidationError, match="strictly convex"):
+            hausdorff_distance(a, b)
 
 
 @pytest.mark.parametrize("a, b, n", [
