@@ -483,14 +483,24 @@ def _run(cfg: dict, head: dict, judge=None, convex: bool = False):
 
 def _m2_distance(curve: PeriodicCurve, lg) -> float | None:
     """``hausdorff_distance`` from ``curve`` to the limit curve of ``lg``, or
-    None when that limit is not in M2 or the judge's grid cannot resolve
-    its tangent."""
+    None when that limit is not in M2 (``lg.jordan`` is False) or the
+    judge's grid cannot resolve the tangent of one of the two curves
+    (``lg.jordan`` is True); ``_NO_DISTANCE`` words both causes."""
     if not lg.jordan:
         return None
     try:
         return hausdorff_distance(curve, lg.curve)
     except ValidationError:
         return None
+
+
+#: Why ``_m2_distance`` gave no distance, by ``lg.jordan``.
+_NO_DISTANCE = {
+    False: ("the recovered limit curve is not a regular, strictly convex "
+            "Jordan curve (class M2)"),
+    True: ("the Hausdorff judge's grid does not resolve the tangent of the "
+           "input or the recovered limit curve"),
+}
 
 
 def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> int:
@@ -515,21 +525,21 @@ def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> in
 
     lg = branches["direct"][0]
     report["limit"] = {"residual": lg.residual, "radii": list(lg.radii)}
-    distances, outside = [], []
+    distances, undecided = [], {}
     for name, (lg, distance) in branches.items():
         suffix = "" if name == "direct" else "_reflected"
         report["limit"]["jordan" + suffix] = bool(lg.jordan)
         report["recovered_curve" + suffix] = lg.curve.to_dict()
         if distance is None:
-            outside.append(f"{name} branch")
+            undecided.setdefault(bool(lg.jordan), []).append(f"{name} branch")
         else:
             report["hausdorff" + suffix] = distance
             distances.append(distance)
 
-    if outside:
-        report["limit"]["detail"] = (
-            "the recovered limit curve is not a regular, strictly convex "
-            "Jordan curve (class M2) on the " + " and the ".join(outside))
+    if undecided:
+        report["limit"]["detail"] = "; ".join(
+            f"{_NO_DISTANCE[jordan]} on the " + " and the ".join(names)
+            for jordan, names in sorted(undecided.items()))
         return EXIT_TOLERANCE
     return EXIT_OK if max(distances) <= cfg["roundtrip"]["tolerance"] else EXIT_TOLERANCE
 

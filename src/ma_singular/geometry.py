@@ -12,6 +12,7 @@ strip computes all of this once; the public functions are views of it.
 
 from __future__ import annotations
 
+import functools
 import json
 import weakref
 from dataclasses import dataclass
@@ -549,19 +550,185 @@ _STRIP_COLUMNS = ("x", "y", "z", "p", "q")
 _PATCH_COLUMNS = ("r", "s", "t", "J", "residual")
 
 
+#: Cells per chunk of ``_csv_text``: whole levels, at least one.  It bounds
+#: the formatter's temporaries, a few hundred bytes per cell.
+_CSV_CHUNK_CELLS = 4096
+
+#: Decimal exponents k that ``_decimal_digits`` tables: those of
+#: 1e-250 < |x| < 1e250, and one more on each side for a log10 miss.
+_K_LO, _K_HI = -252, 251
+
+#: Rows of ``_format_17g``'s block, one byte per cell each: sign, "0.000"
+#: prefix (fixed notation below 1), 17 digits and a point, exponent
+#: ("e+dd" or "e-ddd"), separator.  The longest "%.17g" text has 24 bytes.
+_SIGN, _PREFIX, _DIGITS, _EXPONENT, _SEP = (
+    0, slice(1, 6), slice(6, 24), slice(24, 29), 29)
+
+
 def _csv_text(header, columns) -> str:
     """``header`` lines, then one "%.17g" CSV row per (level, node).
 
     ``columns`` broadcast to (levels, n_u); rows run over nodes within a
-    level.  Each level is formatted by one ``%`` over a repeated row
-    template, so the text is built a level at a time.
+    level.  ``_format_17g`` writes a chunk of whole levels at a time, and
+    the chunks are joined once at the end.
     """
-    block = np.stack(np.broadcast_arrays(*columns), axis=-1)
-    n_u, n_cols = block.shape[1:]
-    template = (",".join(["%.17g"] * n_cols) + "\n") * n_u
+    columns = np.broadcast_arrays(*columns)
+    n_levels, n_u = columns[0].shape
+    step = max(1, _CSV_CHUNK_CELLS // max(1, n_u * len(columns)))
+    seps = np.full((step * n_u, len(columns)), ord(","), np.uint8)
+    seps[:, -1] = ord("\n")
+    seps = seps.ravel()
     text = ["\n".join(header) + "\n"]
-    text += [template % tuple(level.ravel().tolist()) for level in block]
+    for lo in range(0, n_levels, step):
+        cells = np.stack([col[lo:lo + step] for col in columns], axis=-1).ravel()
+        text.append(_format_17g(cells.astype(np.float64, copy=False),
+                                seps[:cells.size]))
     return "".join(text)
+
+
+@functools.cache
+def _format_tables():
+    """(scale, digits, zeros, prefix, exponent), built on first use, read-only.
+
+    Column k - _K_LO of scale is 10^(16 - k) as the double-double hi + lo,
+    with hi split into halves of 26 bits for Dekker's product: rows hi,
+    hi_big, hi_small, lo.  Row g of digits holds the 4 ASCII digits of
+    g < 10^4, and zeros[g] counts their trailing zeros.  Column k - _K_LO
+    of prefix holds "0." and -1 - k zeros for -4 <= k <= -1, and of
+    exponent "e%+03d" % k for k < -4 or k > 16; NULs fill the rest.
+    """
+    ks = range(_K_LO, _K_HI + 1)
+    scale = np.empty((4, len(ks)))
+    prefix = np.zeros((5, len(ks)), np.uint8)
+    exponent = np.zeros((5, len(ks)), np.uint8)
+    for i, k in enumerate(ks):
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        hi = num / den  # int / int is correctly rounded
+        hi_num, hi_den = hi.as_integer_ratio()
+        scale[0, i] = hi
+        scale[3, i] = (num * hi_den - hi_num * den) / (den * hi_den)
+        if -4 <= k < 0:
+            prefix[:1 - k, i] = list(b"0." + b"0" * (-1 - k))
+        elif not 0 <= k <= 16:
+            text = f"e{k:+03d}".encode()
+            exponent[:len(text), i] = list(text)
+    big = scale[0] * 134217729.0  # Veltkamp's split, 2^27 + 1
+    scale[1] = big - (big - scale[0])
+    scale[2] = scale[0] - scale[1]
+    q = np.arange(10 ** 4)
+    digits = np.empty((q.size, 4), np.uint8)
+    zeros = np.zeros(q.size, np.int64)
+    for i in range(4):
+        digits[:, 3 - i] = q // 10 ** i % 10 + ord("0")
+        zeros += q % 10 ** (i + 1) == 0
+    tables = (scale, digits, zeros.astype(np.uint8), prefix, exponent)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _decimal_digits(x: np.ndarray):
+    """(k, n, ok): each float64 cell as N 10^(k - 16), where certified.
+
+    For 1e-250 < |x| < 1e250, k = floor(log10 |x|) and the 17 digits
+    N = round(|x| 10^(16 - k)) come from the double-double 10^(16 - k) and
+    Dekker's exact product (Numer. Math. 18, 1971), whose parts neither
+    overflow nor underflow in that range: floor and fraction of
+    |x| 10^(16 - k) are off by less than 2^-47.  As in Grisu3 (Loitsch,
+    PLDI 2010), a cell is certified only when that error cannot change N
+    or k: its fraction is more than 2^-40 from 1/2 (ties, and near-ties,
+    would need the exact value), and 10^16 < floor < 10^17 - 1, so N has
+    17 digits and log10 did not miss.  A zero is certified with k = N = 0.
+    The other cells (NaN, infinities, extreme magnitudes, near-ties, log10
+    misses) have N = 0 and ok False.
+    """
+    scale = _format_tables()[0]
+    a = np.abs(x)
+    fast = (a > 1e-250) & (a < 1e250)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.int16)
+    hi, hi_big, hi_small, lo = np.take(scale, k - _K_LO, axis=1)
+    p = a * hi
+    a_big = a * 134217729.0
+    a_big -= a_big - a
+    a_small = a - a_big
+    # rest = (p's rounding error, exactly) + a lo, in place.
+    rest = a_big * hi_big
+    rest -= p
+    rest += a_big * hi_small
+    rest += a_small * hi_big
+    rest += a_small * hi_small
+    rest += a * lo
+    whole = np.floor(rest)
+    rest -= whole
+    floor = p.astype(np.int64)
+    floor += whole.astype(np.int64)
+    fast &= ((floor > 10 ** 16) & (floor < 10 ** 17 - 1)
+             & (np.abs(rest - 0.5) > 2.0 ** -40))
+    floor += rest > 0.5
+    floor[~fast] = 0
+    return k, floor, fast | (x == 0.0)
+
+
+def _format_17g(x: np.ndarray, seps: np.ndarray) -> str:
+    """Each float64 cell of ``x`` as "%.17g", followed by its byte of ``seps``.
+
+    Cells that ``_decimal_digits`` certifies are laid out as Python's %g
+    does: fixed notation for -4 <= k < 17, else "e%+03d", and no trailing
+    zeros after the point.  Their text goes into a (30, cells) byte block,
+    one column per cell and NULs where a cell has no byte; "%.17g" itself
+    writes the other cells into the same block.
+    """
+    k, n, ok = _decimal_digits(x)
+    prefix, exponent = _format_tables()[3:]
+    block = np.zeros((30, x.size), np.uint8)
+    block[_SIGN] = np.signbit(x) * np.uint8(ord("-"))
+    block[_PREFIX] = np.take(prefix, k - _K_LO, axis=1)
+    _place_digits(block[_DIGITS], k, n)
+    block[_EXPONENT] = np.take(exponent, k - _K_LO, axis=1)
+    block[_SEP] = seps
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        # Each text fills the _SEP rows before the separator, NUL-padded.
+        text = np.array(["%.17g" % v for v in x[slow].tolist()], f"S{_SEP}")
+        block[:_SEP, slow] = text.view(np.uint8).reshape(slow.size, _SEP).T
+    return block.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _place_digits(region: np.ndarray, k: np.ndarray, n: np.ndarray) -> None:
+    """Write the 17 digits N of each cell, and its point, into ``region``.
+
+    ``region`` is (18, cells).  The digits drop the trailing zeros of the
+    fraction and keep those of the integer part.  The point follows digit
+    ``point`` - 1 when a digit follows it; below 1 in fixed notation
+    (-4 <= k < 0) the prefix holds it instead.  Its temporaries are freed
+    before ``_format_17g`` turns the block into text.
+    """
+    digit_table, zero_table = _format_tables()[1:3]
+    groups = []  # N as a leading digit and four groups of 4 digits
+    for _ in range(4):
+        high = n // 10 ** 4
+        groups.insert(0, n - high * 10 ** 4)
+        n = high
+    digits = np.empty((17, n.size), np.uint8)
+    digits[0] = n + ord("0")
+    for i, group in enumerate(groups):
+        digits[1 + 4 * i:5 + 4 * i] = np.take(digit_table, group, axis=0).T
+    zeros = [np.take(zero_table, group) for group in groups]
+    trailing = zeros[3] + (groups[3] == 0) * (
+        zeros[2] + (groups[2] == 0) * (zeros[1] + (groups[1] == 0) * zeros[0]))
+    n_digits = np.int16(17) - trailing
+
+    point = np.where(k < 0, 18, k + 1)
+    point[(k < -4) | (k > 16)] = 1
+    rows = np.arange(17, dtype=np.int16)[:, None]
+    digits *= rows < np.maximum(n_digits, point * (k >= 0))
+    before = rows < point
+    np.multiply(digits, before, out=region[:17])
+    digits *= np.logical_not(before, out=before)
+    region[1:] += digits
+    dotted = np.flatnonzero(n_digits > point)
+    region[point[dotted], dotted] = ord(".")
 
 
 def _grid_header(v, n_u: int) -> list:

@@ -6,17 +6,27 @@ two must agree byte for byte on every input, including NaN, infinities,
 signed zeros, subnormals and values at the heat-map clip edges.
 """
 
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ma_singular.cli import _strip_csv
 from ma_singular.coeffs import builtin_field
 from ma_singular.curves import builtin_curve
-from ma_singular.geometry import GraphPatch, patch_from_csv, patch_to_csv
-from ma_singular.march import MarchParams, StripSolution
+from ma_singular.geometry import (
+    _CSV_CHUNK_CELLS,
+    RESIDUAL_J_FLOOR,
+    GraphPatch,
+    _format_17g,
+    patch_from_csv,
+    patch_to_csv,
+    reconstruct_graph,
+)
+from ma_singular.march import MarchParams, StripSolution, march
 from ma_singular.svgplot import (
     _MARGIN,
     _SIZE,
@@ -72,6 +82,10 @@ def reference_patch_to_csv(patch):
         for j in range(patch.n_u):
             lines.append(",".join(f"{col[k, j]:.17g}" for col in columns))
     return "\n".join(lines) + "\n"
+
+
+def reference_17g(values, sep=","):
+    return "".join(f"{val:.17g}{sep}" for val in values.tolist())
 
 
 def strip_of(patch):
@@ -232,3 +246,105 @@ def test_residual_svg_matches_reference_on_a_strided_grid():
         v = np.linspace(0.0, 0.15, 151)
         assert (residual_strip_svg(residuals, v)
                 == reference_residual_strip_svg(residuals, v))
+
+
+# ---------------------------------------------------------------------------
+# The cell formatter against "%.17g"
+
+#: Cells whose certificate decides the text: exact ties (to even, down and
+#: up), a value whose log10 rounds up to -6, the edges of fixed notation
+#: (1e-5 and 1e17 are in exponent form, 1e-4 and 1e16 are not), and the
+#: smallest subnormal.
+PINNED_CELLS = {
+    1234567890123456.25: "1234567890123456.2",
+    1234567890123456.75: "1234567890123456.8",
+    -9.9999999999999995e-07: "-9.9999999999999995e-07",
+    1e-5: "1.0000000000000001e-05",
+    1e-4: "0.0001",
+    1e16: "10000000000000000",
+    1e17: "1e+17",
+    5e-324: "4.9406564584124654e-324",
+}
+
+
+def seps_of(values, sep=","):
+    return np.full(values.size, ord(sep), np.uint8)
+
+
+@settings(deadline=None, max_examples=300)
+@given(arrays(np.float64, st.integers(min_value=1, max_value=40),
+              elements=st.floats()))
+def test_cells_match_17g(values):
+    assert _format_17g(values, seps_of(values)) == reference_17g(values)
+
+
+def test_pinned_cells_match_17g():
+    values = np.array(list(PINNED_CELLS))
+    text = _format_17g(values, seps_of(values, "\n"))
+    assert text.splitlines() == list(PINNED_CELLS.values())
+    assert text == reference_17g(values, "\n")
+
+
+def edge_cells():
+    """1.5 times each power of ten, and each power and its neighbours, from
+    the smallest normal to the largest finite double, both signs."""
+    powers = 10.0 ** np.arange(-307.0, 309.0)
+    values = np.concatenate([1.5 * powers[:-1], powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, np.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_cells_at_the_layout_edges_match_17g():
+    values = edge_cells()
+    assert _format_17g(values, seps_of(values)) == reference_17g(values)
+
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf])
+def test_cells_match_17g_when_log10_misses(monkeypatch, direction):
+    # A log10 that errs by an ulp at every cell, either way, puts k off by
+    # one at powers of ten and their neighbours; the certificate must send
+    # those cells to "%.17g".
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), direction))
+    values = edge_cells()
+    assert _format_17g(values, seps_of(values)) == reference_17g(values)
+
+
+def test_random_cells_match_17g():
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(20000) * 10.0 ** rng.integers(-30, 31, 20000)
+    sevenths = np.arange(1, 10001) / 7.0
+    for values in (bits, scaled, sevenths):
+        assert _format_17g(values, seps_of(values)) == reference_17g(values)
+
+
+@pytest.mark.parametrize("n_levels, n_u", [(29, 128), (3, 2048)])
+def test_strip_csv_matches_reference_across_chunks(n_levels, n_u):
+    # 29 levels of 640 cells fill whole chunks and end in part of one; a
+    # level of 2048 nodes is wider than a chunk, so each chunk is one level.
+    per_chunk = _CSV_CHUNK_CELLS // (5 * n_u)
+    assert per_chunk == 0 or (n_levels > per_chunk and n_levels % per_chunk)
+    rng = np.random.default_rng(n_u)
+    states = (rng.standard_normal((n_levels, 5, n_u))
+              * 10.0 ** rng.integers(-8, 9, (n_levels, 5, n_u)))
+    states[0, :3] = 0.0  # the axis level maps to the origin
+    strip = StripSolution(
+        v=np.linspace(0.0, 0.15, n_levels), u=2.0 * np.pi * np.arange(n_u) / n_u,
+        states=states, high_frac=np.zeros(n_levels),
+        min_disc=np.ones(n_levels), status="completed", detail="drawn",
+        curve=builtin_curve("circle"), field=builtin_field("pure-one"),
+        params=MarchParams())
+    assert _strip_csv(strip) == reference_strip_csv(strip)
+
+
+def test_patch_csv_with_masked_residual_matches_reference():
+    patch = reconstruct_graph(march(builtin_curve("ellipse"),
+                                    builtin_field("pure-one"), MarchParams()))
+    # Nodes at the Jacobian floor, as reconstruct_graph masks them.
+    J = patch.J.copy()
+    J[::7, ::3] = 0.5 * RESIDUAL_J_FLOOR
+    residual = np.where(np.abs(J) > RESIDUAL_J_FLOOR, patch.residual, np.nan)
+    patch = dataclasses.replace(patch, J=J, residual=residual)
+    assert np.isnan(patch.residual).any()
+    assert patch_to_csv(patch) == reference_patch_to_csv(patch)

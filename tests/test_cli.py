@@ -484,7 +484,8 @@ def test_roundtrip_recovered_curve_that_is_jordan_but_not_convex_is_eight(
         assert not recovered.locally_convex
 
 
-def test_judge_gives_no_distance_where_hausdorff_distance_refuses():
+def test_judge_gives_no_distance_where_hausdorff_distance_refuses(
+        tmp_path, monkeypatch):
     # An ellipse with axes 1 and 1e-3, its vertices between grid points, is
     # in M2 by classify_curve (the polyline test finds it embedded), but its
     # tangent turns more than pi/2 between two of the judge's grid points,
@@ -497,6 +498,50 @@ def test_judge_gives_no_distance_where_hausdorff_distance_refuses():
     with pytest.raises(ValidationError):
         cli.hausdorff_distance(thin, thin)
     assert cli._m2_distance(thin, SimpleNamespace(curve=thin, jordan=True)) is None
+
+    # A roundtrip whose judge is refused on both branches, whose recovered
+    # curves are in M2, exits 8 and names the grid, not M2.
+    def refuse(curve_a, curve_b, n=1024):
+        raise ValidationError("hausdorff_distance needs regular, strictly "
+                              "convex embedded curves")
+
+    monkeypatch.setattr(cli, "hausdorff_distance", refuse)
+    out = tmp_path / "run"
+    assert main(["roundtrip", "--out", str(out), "--set", "emit.csv=false"]) == 8
+    report = read_report(out)
+    assert report["limit"]["jordan"] is report["limit"]["jordan_reflected"] is True
+    assert report["limit"]["detail"] == (
+        "the Hausdorff judge's grid does not resolve the tangent of the input "
+        "or the recovered limit curve on the direct branch and the reflected "
+        "branch")
+    assert "hausdorff" not in report and "hausdorff_reflected" not in report
+
+
+def test_roundtrip_detail_names_each_cause_of_no_distance(tmp_path, monkeypatch):
+    # The direct branch is made to leave M2 and the judge refuses the
+    # reflected one: the detail gives each branch its own cause.
+    import ma_singular.extract as extract
+    calls = []
+
+    def classify(curve, *args, **kwargs):
+        calls.append(curve)
+        report = classify_curve(curve, *args, **kwargs)
+        return dataclasses.replace(report, embedded=len(calls) > 1)
+
+    def refuse(curve_a, curve_b, n=1024):
+        raise ValidationError("hausdorff_distance needs regular, strictly "
+                              "convex embedded curves")
+
+    monkeypatch.setattr(extract, "classify_curve", classify)
+    monkeypatch.setattr(cli, "hausdorff_distance", refuse)
+    out = tmp_path / "run"
+    assert main(["roundtrip", "--out", str(out), "--set", "emit.csv=false"]) == 8
+    report = read_report(out)
+    assert report["limit"]["detail"] == (
+        "the recovered limit curve is not a regular, strictly convex Jordan "
+        "curve (class M2) on the direct branch; the Hausdorff judge's grid "
+        "does not resolve the tangent of the input or the recovered limit "
+        "curve on the reflected branch")
 
 
 def test_roundtrip_precondition_is_seven(tmp_path):
