@@ -84,9 +84,10 @@ class CoefficientField:
     def __post_init__(self):
         box = _validate_box(self.box)
         object.__setattr__(self, "box", box)
-        # Bounds in VARIABLES order, for one comparison per state block.
-        object.__setattr__(self, "_lo", np.array([box[n][0] for n in VARIABLES]))
-        object.__setattr__(self, "_hi", np.array([box[n][1] for n in VARIABLES]))
+        # Bounds in VARIABLES order as a (5, 1) column, which a (5, n)
+        # level compares against as it is.
+        object.__setattr__(self, "_lo", np.array([[box[n][0]] for n in VARIABLES]))
+        object.__setattr__(self, "_hi", np.array([[box[n][1]] for n in VARIABLES]))
         # Coefficients without variables are evaluated here, once; None
         # marks one that depends on the state, and D is constant when
         # A, B, C and E all are.  A non-finite constant or a constant
@@ -179,10 +180,13 @@ def _field_values(field: CoefficientField, block):
     as ``eval_field`` does.
     """
     states = np.asarray(block)
-    column = (5,) + (1,) * (states.ndim - 1)
-    inside = ((states >= field._lo.reshape(column))
-              & (states <= field._hi.reshape(column)))  # NaN is outside
-    if not inside.all():
+    lo, hi = field._lo, field._hi
+    if states.ndim != 2:
+        column = (5,) + (1,) * (states.ndim - 1)
+        lo, hi = lo.reshape(column), hi.reshape(column)
+    inside = states >= lo
+    inside &= states <= hi  # NaN is outside
+    if np.count_nonzero(inside) < inside.size:
         raise _box_error(field, block)
     if field._folded is not None:
         return field._folded

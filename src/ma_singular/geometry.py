@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import warnings
 import weakref
 from dataclasses import dataclass
 
@@ -779,25 +780,43 @@ def patch_to_csv(patch: GraphPatch) -> str:
     return _csv_text(header, [getattr(patch, name) for name in _PATCH_COLUMNS])
 
 
+#: Characters of whole lines per chunk of ``_read_csv``: at least one line.
+#: It bounds the reader's temporaries, about 7 bytes per character.
+#: Chunks of ``_CSV_CHUNK_CELLS`` cells need their line ends found one
+#: ``str.find`` at a time: 3 ms more per default strip.csv on a 2-core
+#: x86-64 host, about 15% of its read.
+_CSV_READ_CHARS = 1 << 17
+
+#: The line boundaries of ``str.splitlines`` other than "\n" and "\r\n",
+#: each made "\n" before a CSV is read.
+_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_TO_NEWLINE = str.maketrans(dict.fromkeys(_LINE_BREAKS, "\n"))
+
+
 def _read_csv(text: str, columns, what: str):
     """(meta, v, cells) of a format-2 CSV; cells is (levels, n_u, columns).
 
-    Blank lines, CRLF line ends and trailing whitespace are tolerated.
+    Blank lines, CRLF line ends and trailing whitespace are tolerated.  The
+    rows are read a chunk of whole lines at a time, and every cell as
+    ``np.loadtxt`` reads it: the same texts are accepted, with the same
+    bits, and a refused row gets loadtxt's message.
 
     Raises:
         ValidationError: naming ``what``, when the text is not a
             well-formed format-2 CSV with these columns.
     """
-    lines = text.splitlines()
-    meta = {}
-    head = len(lines)
-    for k, line in enumerate(lines):
-        line = line.strip()
+    if any(char in text for char in _LINE_BREAKS):
+        text = text.replace("\r\n", "\n").translate(_TO_NEWLINE)
+    meta, column_line, pos = {}, None, 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        line, pos = text[pos:end].strip(), end + 1
         if line.startswith("#"):
             key, _, value = line[1:].partition(":")
             meta[key.strip()] = value.strip()
         elif line:
-            head = k
+            column_line = line
             break
     found = meta.get("format")
     if found != str(CSV_FORMAT):
@@ -805,7 +824,7 @@ def _read_csv(text: str, columns, what: str):
         raise ValidationError(
             f"{what} has {found}; only format {CSV_FORMAT} is read")
     expected = ",".join(columns)
-    if head == len(lines) or lines[head].strip() != expected:
+    if column_line != expected:
         raise ValidationError(f"{what} lacks the column line {expected!r}")
     try:
         n_u = int(meta["n_u"])
@@ -814,17 +833,146 @@ def _read_csv(text: str, columns, what: str):
         raise ValidationError(f"{what} lacks its '# {err.args[0]}:' line") from None
     except ValueError as err:
         raise ValidationError(f"{what} has a malformed value: {err}") from None
-    rows = [line for line in lines[head + 1:] if line and not line.isspace()]
-    if n_u < 1 or v.size < 1 or len(rows) != v.size * n_u:
-        raise ValidationError(f"{what} has {len(rows)} rows for {v.size} "
+
+    n_cols, n_rows = len(columns), v.size * max(n_u, 0)
+    # A row takes at least 2 n_cols characters with its line end, so a
+    # text too short for the header's rows is refused by its count below.
+    fits = n_rows * 2 * n_cols <= len(text) - pos + 1
+    cells = np.empty((n_rows if fits else 0, n_cols))
+    count, width, fault = 0, None, None
+    while pos < len(text):
+        end = text.find("\n", pos + _CSV_READ_CHARS)
+        end = len(text) if end < 0 else end + 1
+        chunk, pos = text[pos:end], end
+        if fault is None:
+            try:
+                rows, width = _chunk_cells(chunk, n_cols, width, count)
+            except ValueError as err:
+                fault = err
+        if fault is not None:
+            # The row count is checked before the fault is reported.
+            count += len(_rows(chunk))
+            continue
+        if len(rows) and width == n_cols and count + len(rows) <= len(cells):
+            cells[count:count + len(rows)] = rows
+        count += len(rows)
+    if n_u < 1 or v.size < 1 or count != n_rows:
+        raise ValidationError(f"{what} has {count} rows for {v.size} "
                               f"levels of {n_u} nodes")
-    try:
-        cells = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-    except ValueError as err:
-        raise ValidationError(f"{what} has a malformed row: {err}") from None
-    if cells.shape[1] != len(columns):
-        raise ValidationError(f"{what} rows must have {len(columns)} cells")
-    return meta, v, cells.reshape(v.size, n_u, len(columns))
+    if fault is not None:
+        raise ValidationError(f"{what} has a malformed row: {fault}")
+    if width != n_cols:
+        raise ValidationError(f"{what} rows must have {n_cols} cells")
+    return meta, v, cells.reshape(v.size, n_u, n_cols)
+
+
+def _chunk_cells(chunk: str, n_cols: int, width, first: int):
+    """(rows, width): the cells of the lines of ``chunk`` that are not blank.
+
+    ``width`` is the cell count of the text's first row, None until that
+    row is read, and ``first`` counts the rows before ``chunk``.  Rows of
+    n_cols cells come from ``_certified_cells`` when it takes the chunk;
+    otherwise each line is split here, and its cells read one at a time.
+
+    Raises:
+        ValueError: loadtxt's message for the first row it would refuse.
+    """
+    if width in (None, n_cols):
+        rows = _certified_cells(chunk, n_cols)
+        if rows is not None:
+            return rows, n_cols
+    rows = []
+    for line in _rows(chunk):
+        texts = line.split(",")
+        width = width or len(texts)
+        if len(texts) != width:
+            raise ValueError(
+                f"the number of columns changed from {width} to {len(texts)} "
+                f"at row {first + len(rows) + 1}; use `usecols` to select a "
+                f"subset and avoid this error")
+        rows.append([_cell_value(cell, first + len(rows), col)
+                     for col, cell in enumerate(texts)])
+    return rows, width
+
+
+def _cell_value(text: str, row: int, col: int) -> float:
+    """One cell as ``np.loadtxt`` reads it: ``float`` of the stripped text,
+    which must be ASCII and have no "_".
+
+    Raises:
+        ValueError: loadtxt's message, which names the row from 0 and the
+            column from 1.
+    """
+    value = text.strip()
+    if value.isascii() and "_" not in value:
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ValueError(f"could not convert string {text!r:.100} to float64 "
+                     f"at row {row}, column {col + 1}.")
+
+
+def _rows(chunk: str) -> list:
+    """The rows of ``chunk``: its lines that are not blank."""
+    return [line for line in chunk.split("\n") if line and not line.isspace()]
+
+
+_FLOAT64 = np.finfo(np.float64)
+
+
+def _certified_cells(chunk: str, n_cols: int):
+    """The (lines, n_cols) float64 cells of ``chunk``, or None.
+
+    One ``np.fromstring`` call reads every cell with the C library's
+    correctly rounded strtold into long double.  Rounding that to float64
+    rounds twice, which can err only where the long double is a float64
+    midpoint (Clinger, PLDI 1990; below a power of two, the midpoint under
+    it is a quarter of the spacing above).  Those cells, and every nonzero
+    one outside the normal float64 range, are read again by ``float`` from
+    their own line.  None when the chunk is not plain CSV: non-ASCII, a
+    line without n_cols cells (a blank one too), a cell strtold cannot
+    read, syntax that only strtold reads ("x", "X" or "(": hex floats and
+    NaN payloads), or a space or tab, which numpy reads as 0 when it is
+    all a cell holds.
+    """
+    if not chunk.isascii() or any(char in chunk for char in "xX( \t"):
+        return None
+    data = chunk.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    codes = np.frombuffer(data, np.uint8)
+    seps = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    # Line after line, n_cols - 1 commas and then the line end.
+    row = np.array([ord(",")] * (n_cols - 1) + [ord("\n")], np.uint8)
+    if seps.size % n_cols or np.any(codes[seps].reshape(-1, n_cols) != row):
+        return None
+    ends = seps[n_cols - 1::n_cols]
+    with warnings.catch_warnings():
+        # numpy < 2 warns, and returns the cells before one it cannot read.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            wide = np.fromstring(data[:-1].replace(b"\n", b","),
+                                 np.longdouble, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if wide.size != ends.size * n_cols:
+        return None
+    with np.errstate(all="ignore"):  # overflow to, and from, infinity
+        cells = wide.astype(np.float64)
+        near = cells.astype(np.longdouble)
+        # When wide is the midpoint of cells and a float64 neighbour,
+        # 2 wide - cells is that neighbour, exactly; else it lies between.
+        across = 2 * wide - near
+        redo = (wide != near) & (across.astype(np.float64) == across)
+    size = np.abs(cells)
+    redo |= ~((size >= _FLOAT64.tiny) & (size <= _FLOAT64.max)) & (wide != 0)
+    lines = ends.tolist()
+    for i in np.flatnonzero(redo).tolist():
+        row, col = divmod(i, n_cols)
+        start = lines[row - 1] + 1 if row else 0
+        cells[i] = float(chunk[start:lines[row]].split(",")[col])
+    return cells.reshape(-1, n_cols)
 
 
 def _level_run(strip_v: np.ndarray, v: np.ndarray) -> int:

@@ -124,6 +124,12 @@ def _heat_rgb(t: np.ndarray) -> np.ndarray:
     return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
 
 
+def _texts(template: str, values: np.ndarray) -> np.ndarray:
+    """``template % value`` for each value, as an object array."""
+    return np.array([template % value for value in values.tolist()],
+                    dtype=object)
+
+
 def residual_strip_svg(residuals: np.ndarray, v: np.ndarray,
                        title: str = "residual", max_cols: int = 128,
                        log_lo: float = -12.0, log_hi: float = 0.0) -> str:
@@ -138,16 +144,19 @@ def residual_strip_svg(residuals: np.ndarray, v: np.ndarray,
     finite = np.isfinite(grid)
     mag = np.log10(np.maximum(np.abs(np.where(finite, grid, 0.0)),
                               10.0 ** log_lo))
-    cells = np.empty((n_levels, n_cols, 3), dtype=object)
-    cells[..., 0] = _MARGIN + np.arange(n_cols) * cell_w
-    cells[..., 1] = (_SIZE - _MARGIN
-                     - np.arange(1, n_levels + 1) * cell_h)[:, None]
-    cells[..., 2] = np.where(
-        finite, _heat_rgb((mag - log_lo) / (log_hi - log_lo)), _NAN_FILL)
-    rect = (f'<rect x="%.6f" y="%.6f" width="{_fmt(cell_w)}" '
-            f'height="{_fmt(cell_h)}" fill="#%06x"/>')
-    rects = ("\n".join([rect] * (n_levels * n_cols))
-             % tuple(cells.ravel().tolist()))
+    fill = np.where(finite, _heat_rgb((mag - log_lo) / (log_hi - log_lo)),
+                    _NAN_FILL)
+    # Each column's x, each level's y and each distinct fill is formatted
+    # once; the text of a cell joins the three.
+    xs = _MARGIN + np.arange(n_cols) * cell_w
+    ys = _SIZE - _MARGIN - np.arange(1, n_levels + 1) * cell_h
+    fills, index = np.unique(fill, return_inverse=True)
+    size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="#'
+    pieces = np.empty((n_levels, n_cols, 3), dtype=object)
+    pieces[..., 0] = _texts('<rect x="%.6f" y="', xs)
+    pieces[..., 1] = _texts("%.6f" + size, ys)[:, None]
+    pieces[..., 2] = _texts('%06x"/>\n', fills)[index.reshape(fill.shape)]
+    rects = "".join(pieces.ravel().tolist())[:-1]
     parts = _header(title)
     parts.append(rects)
     parts.append(f'<text x="{_MARGIN}" y="{_SIZE - 12}" fill="#444444" '

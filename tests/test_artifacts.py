@@ -7,7 +7,9 @@ signed zeros, subnormals and values at the heat-map clip edges.
 """
 
 import dataclasses
+import decimal
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from ma_singular.geometry import (
     patch_from_csv,
     patch_to_csv,
     reconstruct_graph,
+    strip_from_csv,
 )
 from ma_singular.march import MarchParams, StripSolution, march
 from ma_singular.svgplot import (
@@ -348,3 +351,47 @@ def test_patch_csv_with_masked_residual_matches_reference():
     patch = dataclasses.replace(patch, J=J, residual=residual)
     assert np.isnan(patch.residual).any()
     assert patch_to_csv(patch) == reference_patch_to_csv(patch)
+
+
+# ---------------------------------------------------------------------------
+# The CSV reader at float64 midpoints
+
+
+def midpoint_texts():
+    """Decimal texts exactly at float64 midpoints, and 1e-60 relative to
+    either side of them, in both signs.  The midpoints lie above and below
+    random doubles, every seventh power of two (where the one below is at
+    a quarter of the spacing above), subnormals, zero and the largest
+    double."""
+    rng = np.random.default_rng(5)
+    values = np.concatenate([
+        rng.uniform(1.0, 2.0, 200) * 2.0 ** rng.integers(-1021, 1023, 200),
+        2.0 ** np.arange(-1074.0, 1024.0, 7.0),
+        rng.integers(1, 2 ** 52, 100, dtype=np.uint64).view(np.float64),
+        [0.0, np.finfo(np.float64).max],
+    ])
+    ctx = decimal.Context(prec=800)  # exact: a midpoint has < 770 digits
+    above = [ctx.add(1, decimal.Decimal(f"{sign}1e-60")) for sign in "+-"]
+    texts = []
+    for value in values.tolist():
+        for neighbour in (math.nextafter(value, math.inf), math.nextafter(value, 0.0)):
+            if neighbour in (value, math.inf):
+                continue
+            mid = ctx.divide(ctx.add(decimal.Decimal(value),
+                                     decimal.Decimal(neighbour)), 2)
+            for text in [mid] + [ctx.multiply(mid, scale) for scale in above]:
+                texts += [str(text), f"-{text}"]
+    return texts
+
+
+def test_cells_at_float64_midpoints_read_as_float_reads_them():
+    texts = midpoint_texts()
+    texts += ["0"] * (-len(texts) % 5)
+    rows = [",".join(texts[i:i + 5]) for i in range(0, len(texts), 5)]
+    text = (f"# format: 2\n# n_u: {len(rows)}\n# v: 0\nx,y,z,p,q\n"
+            + "\n".join(rows) + "\n")
+    _, states = strip_from_csv(text)
+    cells = np.moveaxis(states, 1, -1).ravel()
+    expected = np.array([float(text) for text in texts])
+    np.testing.assert_array_equal(cells.view(np.uint64),
+                                  expected.view(np.uint64))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,11 +476,28 @@ def test_patch_csv_round_trip_is_exact_on_remark42():
     assert (back.r_min, back.r_max) == (patch.r_min, patch.r_max)
 
 
+def test_patch_from_csv_peak_memory_is_a_small_multiple_of_the_patch(
+        circle_texts):
+    # Rows are read a chunk at a time into arrays of their final size, so
+    # the peak stays near the bytes the patch holds; np.loadtxt on all the
+    # rows at once peaked at 3.4 times that.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        patch = patch_from_csv(*circle_texts)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    held = sum(getattr(patch, name).nbytes for name in GRAPH_ARRAYS)
+    assert peak <= 2.5 * held
+
+
 @pytest.mark.parametrize("variant", [
     lambda text: text.replace("\n", "\r\n"),
     lambda text: text.replace("\n", "\n\n  \n"),
     lambda text: text.replace("\n", " \t\n"),
-], ids=["crlf", "blank-lines", "trailing-whitespace"])
+    lambda text: text.replace("\n", "\r"),
+], ids=["crlf", "blank-lines", "trailing-whitespace", "bare-cr"])
 def test_patch_from_csv_tolerates_line_noise(circle_patch, circle_texts, variant):
     back = patch_from_csv(*(variant(text) for text in circle_texts))
     for name in GRAPH_ARRAYS:
@@ -492,7 +510,11 @@ MALFORMED_ROWS = pytest.mark.parametrize("row", [
     lambda row: row.rpartition(",")[0],
     lambda row: row + ",0",
     lambda row: "oops," + row.partition(",")[2],
-], ids=["short-row", "long-row", "non-numeric-cell"])
+    lambda row: "0x1p3," + row.partition(",")[2],
+    lambda row: "nan(1)," + row.partition(",")[2],
+    lambda row: " ," + row.partition(",")[2],
+], ids=["short-row", "long-row", "non-numeric-cell", "hex", "nan-payload",
+        "blank-cell"])
 
 
 def _corrupt_row(text, row, index=100):
@@ -513,6 +535,43 @@ def test_patch_from_csv_rejects_malformed_strip_rows(circle_texts, row):
     patch_text, strip_text = circle_texts
     with pytest.raises(ValidationError, match="strip CSV"):
         patch_from_csv(patch_text, _corrupt_row(strip_text, row))
+
+
+@MALFORMED_ROWS
+def test_patch_from_csv_rejects_a_malformed_row_past_the_first_chunk(
+        circle_texts, row):
+    patch_text, strip_text = circle_texts
+    index = 5000
+    # The row starts after the first chunk of rows the reader takes.
+    head = strip_text.index("\nx,y,z,p,q\n")
+    assert (len("\n".join(strip_text.splitlines()[:index]))
+            > head + geometry._CSV_READ_CHARS)
+    with pytest.raises(ValidationError, match="strip CSV has a malformed row"):
+        patch_from_csv(patch_text, _corrupt_row(strip_text, row, index))
+
+
+def test_a_refused_cell_is_named_by_row_column_and_text(circle_texts):
+    patch_text, strip_text = circle_texts
+    # Line 5000 of the strip text is data row 4991, counted from 0 as
+    # loadtxt counts it; columns count from 1.
+    bad = _corrupt_row(strip_text, lambda row: row.rpartition(",")[0] + ", oops",
+                       5000)
+    with pytest.raises(ValidationError,
+                       match=r"^strip CSV has a malformed row: could not convert "
+                             r"string ' oops' to float64 at row 4991, column 5\.$"):
+        patch_from_csv(patch_text, bad)
+
+
+def test_a_short_row_is_refused_when_the_next_row_makes_up_its_cell(
+        circle_texts):
+    patch_text, strip_text = circle_texts
+    lines = strip_text.splitlines()
+    lines[5000], _, cell = lines[5000].rpartition(",")
+    lines[5001] += "," + cell
+    with pytest.raises(ValidationError,
+                       match="strip CSV has a malformed row: the number of "
+                             "columns changed from 5 to 4 at row 4992;"):
+        patch_from_csv(patch_text, "\n".join(lines) + "\n")
 
 
 def test_patch_from_csv_needs_the_strip_of_its_run(circle_patch, circle_texts):
