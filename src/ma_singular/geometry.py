@@ -799,7 +799,7 @@ def _read_csv(text: str, columns, what: str):
     Blank lines, CRLF line ends and trailing whitespace are tolerated.  The
     rows are read a chunk of whole lines at a time, and every cell as
     ``np.loadtxt`` reads it: the same texts are accepted, with the same
-    bits, and a refused row gets loadtxt's message.
+    bits, and a refused text gets loadtxt's message.
 
     Raises:
         ValidationError: naming ``what``, when the text is not a
@@ -839,83 +839,49 @@ def _read_csv(text: str, columns, what: str):
     # text too short for the header's rows is refused by its count below.
     fits = n_rows * 2 * n_cols <= len(text) - pos + 1
     cells = np.empty((n_rows if fits else 0, n_cols))
-    count, width, fault = 0, None, None
+    body, count = pos, 0
     while pos < len(text):
         end = text.find("\n", pos + _CSV_READ_CHARS)
         end = len(text) if end < 0 else end + 1
-        chunk, pos = text[pos:end], end
-        if fault is None:
-            try:
-                rows, width = _chunk_cells(chunk, n_cols, width, count)
-            except ValueError as err:
-                fault = err
-        if fault is not None:
-            # The row count is checked before the fault is reported.
-            count += len(_rows(chunk))
-            continue
-        if len(rows) and width == n_cols and count + len(rows) <= len(cells):
-            cells[count:count + len(rows)] = rows
+        rows, pos = _chunk_cells(text[pos:end], n_cols), end
+        if rows is None or rows.shape[1] != n_cols or count + len(rows) > len(cells):
+            count = -1
+            break
+        cells[count:count + len(rows)] = rows
         count += len(rows)
-    if n_u < 1 or v.size < 1 or count != n_rows:
-        raise ValidationError(f"{what} has {count} rows for {v.size} "
+    if count == n_rows > 0:
+        return meta, v, cells.reshape(v.size, n_u, n_cols)
+    # A chunk failed, or the count is off: loadtxt reads the whole body
+    # again, so that the fault is found, and worded, as it finds and words it.
+    rows = [line for line in text[body:].split("\n") if line and not line.isspace()]
+    if n_u < 1 or v.size < 1 or len(rows) != n_rows:
+        raise ValidationError(f"{what} has {len(rows)} rows for {v.size} "
                               f"levels of {n_u} nodes")
-    if fault is not None:
-        raise ValidationError(f"{what} has a malformed row: {fault}")
-    if width != n_cols:
+    try:
+        cells = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as err:
+        raise ValidationError(f"{what} has a malformed row: {err}") from None
+    if cells.shape[1] != n_cols:
         raise ValidationError(f"{what} rows must have {n_cols} cells")
     return meta, v, cells.reshape(v.size, n_u, n_cols)
 
 
-def _chunk_cells(chunk: str, n_cols: int, width, first: int):
-    """(rows, width): the cells of the lines of ``chunk`` that are not blank.
+def _chunk_cells(chunk: str, n_cols: int):
+    """The cells of the rows of ``chunk``, its lines that are not blank.
 
-    ``width`` is the cell count of the text's first row, None until that
-    row is read, and ``first`` counts the rows before ``chunk``.  Rows of
-    n_cols cells come from ``_certified_cells`` when it takes the chunk;
-    otherwise each line is split here, and its cells read one at a time.
-
-    Raises:
-        ValueError: loadtxt's message for the first row it would refuse.
+    ``_certified_cells`` reads a plain chunk and ``np.loadtxt`` the others;
+    None when loadtxt refuses the rows.
     """
-    if width in (None, n_cols):
-        rows = _certified_cells(chunk, n_cols)
-        if rows is not None:
-            return rows, n_cols
-    rows = []
-    for line in _rows(chunk):
-        texts = line.split(",")
-        width = width or len(texts)
-        if len(texts) != width:
-            raise ValueError(
-                f"the number of columns changed from {width} to {len(texts)} "
-                f"at row {first + len(rows) + 1}; use `usecols` to select a "
-                f"subset and avoid this error")
-        rows.append([_cell_value(cell, first + len(rows), col)
-                     for col, cell in enumerate(texts)])
-    return rows, width
-
-
-def _cell_value(text: str, row: int, col: int) -> float:
-    """One cell as ``np.loadtxt`` reads it: ``float`` of the stripped text,
-    which must be ASCII and have no "_".
-
-    Raises:
-        ValueError: loadtxt's message, which names the row from 0 and the
-            column from 1.
-    """
-    value = text.strip()
-    if value.isascii() and "_" not in value:
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    raise ValueError(f"could not convert string {text!r:.100} to float64 "
-                     f"at row {row}, column {col + 1}.")
-
-
-def _rows(chunk: str) -> list:
-    """The rows of ``chunk``: its lines that are not blank."""
-    return [line for line in chunk.split("\n") if line and not line.isspace()]
+    rows = _certified_cells(chunk, n_cols)
+    if rows is not None:
+        return rows
+    lines = [line for line in chunk.split("\n") if line and not line.isspace()]
+    if not lines:
+        return np.empty((0, n_cols))
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
 
 
 _FLOAT64 = np.finfo(np.float64)

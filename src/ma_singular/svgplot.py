@@ -115,13 +115,10 @@ _NAN_FILL = 0xd9d9d9
 
 def _heat_rgb(t: np.ndarray) -> np.ndarray:
     """0xRRGGBB per entry of t, clipped to [0, 1]; linear in RGB per half."""
-    t = np.clip(t, 0.0, 1.0)[..., None]
-    upper = t >= 0.5
-    w = np.where(upper, (t - 0.5) / 0.5, t / 0.5)
-    lo = np.where(upper, _HEAT_STOPS[1], _HEAT_STOPS[0])
-    hi = np.where(upper, _HEAT_STOPS[2], _HEAT_STOPS[1])
-    rgb = np.rint(lo + (hi - lo) * w).astype(np.int64)
-    return (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    t = np.clip(t, 0.0, 1.0)
+    r, g, b = (np.rint(np.interp(t, (0.0, 0.5, 1.0), stop)).astype(np.int64)
+               for stop in _HEAT_STOPS.T)
+    return (r << 16) | (g << 8) | b
 
 
 def _texts(template: str, values: np.ndarray) -> np.ndarray:
