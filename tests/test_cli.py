@@ -4,7 +4,6 @@ import contextlib
 import dataclasses
 import errno
 import importlib
-import importlib.util
 import json
 import os
 import shutil
@@ -400,55 +399,74 @@ def test_non_object_curve_or_field_file_is_two(tmp_path, capsys, which, text):
 
 
 def test_roundtrip_circle_passes_both_branches(tmp_path, monkeypatch):
-    import ma_singular.cli as cli
-    calls = []
+    # One extraction: the reflected branch is filled from the direct one.
+    calls = {"classify_curve": 0, "patch_sampler": 0, "limit_gradient": 0}
 
-    def counting_classify(curve, *args, **kwargs):
-        calls.append(curve)
-        return classify_curve(curve, *args, **kwargs)
+    def counted(name):
+        real = getattr(cli, name)
 
-    monkeypatch.setattr(cli, "classify_curve", counting_classify)
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
     out = tmp_path / "run"
     code = main(["roundtrip", "--out", str(out)])
     assert code == 0
-    assert len(calls) == 1  # the input curve is classified once
+    # The input curve is classified once, the patch sampled and extracted once.
+    assert calls == {"classify_curve": 1, "patch_sampler": 1, "limit_gradient": 1}
     report = read_report(out)
     assert report["hausdorff"] < 1e-3
-    assert report["hausdorff_reflected"] < 1e-3
-    assert report["limit"]["jordan"] is True
+    assert report["hausdorff_reflected"] == report["hausdorff"]
+    assert report["limit"]["jordan"] is report["limit"]["jordan_reflected"] is True
+    assert report["recovered_curve_reflected"] == PeriodicCurve.from_dict(
+        report["recovered_curve"]).shift(np.pi).to_dict()
 
 
-@pytest.mark.parametrize("not_jordan, detail", [
-    ((0,), "on the direct branch"),
-    ((1,), "on the reflected branch"),
-    ((0, 1), "on the direct branch and the reflected branch"),
-], ids=["direct", "reflected", "both"])
+def test_roundtrip_at_odd_n_theta_gives_both_branches_one_distance(tmp_path):
+    # At an odd n_theta, theta + pi is off the sample grid; the reflected
+    # branch is still the direct fit's image, at the same distance.
+    out = tmp_path / "run"
+    assert main(["roundtrip", "--out", str(out), "--set", "emit.csv=false",
+                 "--set", "curve.builtin=wobble",
+                 "--set", "extract.n_theta=255"]) == 0
+    report = read_report(out)
+    assert report["hausdorff"] < 1e-3
+    assert report["hausdorff_reflected"] == report["hausdorff"]
+
+
+@pytest.mark.parametrize("reflected, detail", [
+    ("false", "on the direct branch"),
+    ("true", "on the direct branch and the reflected branch"),
+], ids=["direct", "both"])
 def test_roundtrip_recovered_curve_that_is_not_jordan_is_eight(
-        tmp_path, monkeypatch, not_jordan, detail):
-    # The recovered curves are classified in branch order, direct first.
+        tmp_path, monkeypatch, reflected, detail):
+    # The recovered curve is classified once; the reflected branch, its
+    # shift by pi, is the same set and leaves M2 with it.
     import ma_singular.extract as extract
     calls = []
 
     def classify(curve, *args, **kwargs):
         calls.append(curve)
         report = classify_curve(curve, *args, **kwargs)
-        return dataclasses.replace(report,
-                                   embedded=len(calls) - 1 not in not_jordan)
+        return dataclasses.replace(report, embedded=False)
 
     monkeypatch.setattr(extract, "classify_curve", classify)
     out = tmp_path / "run"
-    assert main(["roundtrip", "--out", str(out)]) == 8
-    assert len(calls) == 2
+    assert main(["roundtrip", "--out", str(out),
+                 "--set", f"roundtrip.reflected={reflected}"]) == 8
+    assert len(calls) == 1
     report = read_report(out)
-    assert report["limit"]["jordan"] is (0 not in not_jordan)
-    assert report["limit"]["jordan_reflected"] is (1 not in not_jordan)
+    flags = ("jordan", "jordan_reflected") if reflected == "true" else ("jordan",)
+    assert {key: value for key, value in report["limit"].items()
+            if key.startswith("jordan")} == dict.fromkeys(flags, False)
+    assert ("recovered_curve_reflected" in report) is (reflected == "true")
     assert report["limit"]["detail"] == (
         "the recovered limit curve is not a regular, strictly convex Jordan "
         "curve (class M2) " + detail)
-    # Only a branch in M2 gets a distance, and it alone would pass.
-    for key, branch in (("hausdorff", 0), ("hausdorff_reflected", 1)):
-        assert (key in report) is (branch not in not_jordan)
-        assert report.get(key, 0.0) < 1e-3
+    assert "hausdorff" not in report and "hausdorff_reflected" not in report
 
 
 def test_roundtrip_recovered_curve_that_is_jordan_but_not_convex_is_eight(
@@ -518,30 +536,33 @@ def test_judge_gives_no_distance_where_hausdorff_distance_refuses(
 
 
 def test_roundtrip_detail_names_each_cause_of_no_distance(tmp_path, monkeypatch):
-    # The direct branch is made to leave M2 and the judge refuses the
-    # reflected one: the detail gives each branch its own cause.
+    # A recovered curve outside M2 and a judge refusal each hold on both
+    # branches at once, since the reflected limit curve is the direct one
+    # shifted by pi: the detail names both branches under the one cause.
     import ma_singular.extract as extract
-    calls = []
 
-    def classify(curve, *args, **kwargs):
-        calls.append(curve)
-        report = classify_curve(curve, *args, **kwargs)
-        return dataclasses.replace(report, embedded=len(calls) > 1)
+    def not_embedded(curve, *args, **kwargs):
+        return dataclasses.replace(classify_curve(curve, *args, **kwargs),
+                                   embedded=False)
 
     def refuse(curve_a, curve_b, n=1024):
         raise ValidationError("hausdorff_distance needs regular, strictly "
                               "convex embedded curves")
 
-    monkeypatch.setattr(extract, "classify_curve", classify)
-    monkeypatch.setattr(cli, "hausdorff_distance", refuse)
-    out = tmp_path / "run"
-    assert main(["roundtrip", "--out", str(out), "--set", "emit.csv=false"]) == 8
-    report = read_report(out)
-    assert report["limit"]["detail"] == (
-        "the recovered limit curve is not a regular, strictly convex Jordan "
-        "curve (class M2) on the direct branch; the Hausdorff judge's grid "
-        "does not resolve the tangent of the input or the recovered limit "
-        "curve on the reflected branch")
+    for jordan, module, name, fake in (
+            (False, extract, "classify_curve", not_embedded),
+            (True, cli, "hausdorff_distance", refuse)):
+        out = tmp_path / name
+        with monkeypatch.context() as patched:
+            patched.setattr(module, name, fake)
+            assert main(["roundtrip", "--out", str(out),
+                         "--set", "emit.csv=false"]) == 8
+        report = read_report(out)
+        assert report["limit"]["jordan"] is jordan
+        assert report["limit"]["jordan_reflected"] is jordan
+        assert report["limit"]["detail"] == (
+            cli._NO_DISTANCE[jordan]
+            + " on the direct branch and the reflected branch")
 
 
 def test_roundtrip_precondition_is_seven(tmp_path):
@@ -892,25 +913,21 @@ def test_cli_keeps_the_names_the_benchmark_traces():
     # perfbench/spans.py and perfbench/baseline.py wrap these attributes of
     # ma_singular.cli; a rename must fail here, not in a traced run.
     for name in ("_strip_csv", "patch_to_csv", "patch_from_csv",
-                 "curves_overlay_svg", "image_curves_svg",
+                 "reflect_solution", "curves_overlay_svg", "image_curves_svg",
                  "residual_strip_svg"):
         assert callable(getattr(cli, name, None)), name
 
 
-def test_every_benchmark_trace_target_resolves():
+def test_every_benchmark_trace_target_resolves(benchmark_spans):
     # perfbench/spans.py wraps each TARGETS entry by module and dotted
-    # attribute (PatchSampler.__call__, for one); a rename must fail here.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    assert len(spans.TARGETS) > 6
-    for module, attribute, _ in spans.TARGETS:
-        owner = importlib.import_module(module)
-        for part in attribute.split("."):
-            owner = getattr(owner, part, None)
-            assert owner is not None, f"{module}.{attribute}"
-        assert callable(owner), f"{module}.{attribute}"
+    # attribute (PatchSampler.__call__, for one), and perfbench/baseline.py
+    # adds cli._strip_csv; a dropped name must fail here, not in a traced run.
+    targets = [(module, attribute)
+               for module, attribute, _ in benchmark_spans.TARGETS]
+    assert len(targets) > 6
+    for module, attribute in targets + [("ma_singular.cli", "_strip_csv")]:
+        owner, name = benchmark_spans._resolve(module, attribute)
+        assert callable(getattr(owner, name, None)), f"{module}.{attribute}"
 
 
 def test_import_leaves_scipy_optimize_unloaded():

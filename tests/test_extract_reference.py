@@ -17,8 +17,11 @@ a permuted call and single-angle calls check exactly.  The Hausdorff
 distance compares support functions; its reference is the distance between
 dense point samples of the two curves, and at a few angles the support
 functions found by a dense search polished by a scalar minimisation.
+The reflected branch's sampler and march are checked against the direct
+ones mapped by the Z2 symmetry, which roundtrip's reflected keys rest on.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -27,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
-from ma_singular.coeffs import builtin_field
+from ma_singular.coeffs import CoefficientField, builtin_field
 from ma_singular.curves import (
     PeriodicCurve,
     builtin_curve,
@@ -49,6 +52,7 @@ from ma_singular.geometry import (
     _level_tables,
     _nested_family,
     reconstruct_graph,
+    reflect_field,
     reflect_solution,
 )
 from ma_singular.march import MarchParams, march
@@ -673,3 +677,61 @@ def test_roundtrip_distances_are_pinned(seed, benchmark_workloads):
         sampler = patch_sampler(branch)
         lg = limit_gradient(sampler, sampler.suggest_radii())
         assert abs(hausdorff_distance(curve, lg.curve) - pinned) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# The Z2 symmetry: roundtrip fills its reflected branch from the direct one
+
+_SYMMETRY_BOX = {"x": [-1, 1], "y": [-1, 1], "z": [-1, 1],
+                 "p": [-4, 4], "q": [-4, 4]}
+#: The fields of test_cli's general-field roundtrips, and the default one.
+SYMMETRY_FIELDS = {
+    "pure-one": builtin_field("pure-one"),
+    "remark42": builtin_field("remark42"),
+    "constant-abc": CoefficientField.from_dict({
+        "A": "0.3", "B": "0.1", "C": "0.2", "E": "1 + 0.5*p^2",
+        "box": _SYMMETRY_BOX}),
+    "xy-ac": CoefficientField.from_dict({
+        "A": "x", "B": "0", "C": "y", "E": "2 + z", "box": _SYMMETRY_BOX}),
+}
+GALLERY_CONVEX = sorted({name for pair in GALLERY_DISTANCES for name in pair})
+#: rho(x, y, z, p, q) = (-x, -y, -z, p, q) on a (..., 5, n_u) state block.
+RHO = np.array([-1.0, -1.0, -1.0, 1.0, 1.0])[:, None]
+
+
+@functools.cache
+def _direct_strip(curve, field):
+    return march(builtin_curve(curve), SYMMETRY_FIELDS[field], MarchParams())
+
+
+@pytest.mark.parametrize("field", sorted(SYMMETRY_FIELDS))
+@pytest.mark.parametrize("curve", GALLERY_CONVEX)
+def test_reflected_sampler_reads_the_direct_one_half_a_turn_on(curve, field):
+    # The sampler of reflect_solution(patch) at theta is the patch's at
+    # theta + pi, at every radius of the ladder roundtrip samples.
+    patch = reconstruct_graph(_direct_strip(curve, field))
+    direct = patch_sampler(patch)
+    reflected = patch_sampler(reflect_solution(patch))
+    thetas = np.concatenate(list(ANGLES.values()))
+    for r in direct.suggest_radii():
+        p, q = direct(r, thetas + np.pi)
+        p_ref, q_ref = reflected(r, thetas)
+        assert np.max(np.abs(p_ref - p)) <= 1e-14, r
+        assert np.max(np.abs(q_ref - q)) <= 1e-14, r
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(curve=st.sampled_from(GALLERY_CONVEX),
+       field=st.sampled_from(sorted(SYMMETRY_FIELDS)))
+def test_reversed_march_under_the_reflected_field_is_the_mapped_strip(curve,
+                                                                     field):
+    # gamma(-u) under reflect_field(F) marches, level by level, to
+    # rho(S)(u_{-j}) of the direct strip S.
+    direct = _direct_strip(curve, field)
+    strip = march(builtin_curve(curve).reverse(),
+                  reflect_field(SYMMETRY_FIELDS[field]), MarchParams())
+    assert (strip.status, strip.n_levels) == (direct.status, direct.n_levels)
+    assert np.array_equal(strip.v, direct.v)
+    mirror = -np.arange(direct.states.shape[-1]) % direct.states.shape[-1]
+    mapped = RHO * direct.states[:, :, mirror]
+    assert np.max(np.abs(strip.states - mapped)) <= 1e-12
