@@ -3,8 +3,8 @@
 Subcommands: construct (march + reconstruct + verify residuals),
 roundtrip (limit-gradient extraction against the input curve; the
 reflected branch is filled from the Z2 symmetry, not extracted again),
-verify (closed-form rotational oracle), plot (deterministic SVGs from
-saved run outputs).
+verify (closed-form rotational oracle), plot (deterministic SVGs of a
+saved run, marched again from the config in its report.json).
 
 Exit codes separate scientific outcomes from usage errors:
 
@@ -68,12 +68,11 @@ from .extract import (
 from .geometry import (
     RESIDUAL_J_FLOOR,
     jacobian,
-    patch_from_csv,
+    patch_from_csv,  # the name perfbench/spans.py traces
     patch_to_csv,
     pde_residual,
     reconstruct_graph,
     reflect_solution,  # the name perfbench/spans.py traces
-    strip_from_csv,
     strip_to_csv as _strip_csv,  # the name perfbench/baseline.py traces
 )
 from .march import MarchParams, march
@@ -577,7 +576,12 @@ def cmd_verify(cfg: dict):
 
 
 def cmd_plot(cfg: dict):
-    """(EXIT_OK, the figures) of the run whose artifacts are in ``out``."""
+    """(EXIT_OK, the figures) of the run whose report.json is in ``out``.
+
+    The run is marched again from the report's config by the installed
+    code, so its curve and field files must still be readable; the
+    recovered curves are the report's.
+    """
     out = Path(cfg["out"])
     _check_artifact_paths(out, _SVG_FILES)
     report_path = out / _REPORT_JSON
@@ -590,18 +594,13 @@ def cmd_plot(cfg: dict):
         _check_config(run_cfg)
     except ValidationError as err:
         raise ValidationError(f"{err} in {report_path}") from None
-    curve = _load(run_cfg, "curve", PeriodicCurve.from_dict, builtin_curve)
-    if report.get("auto_reversed") is True:
-        curve = curve.reverse()
-
-    patch = states = None
-    patch_path, strip_path = out / _PATCH_CSV, out / _STRIP_CSV
-    if patch_path.is_file():
-        patch = patch_from_csv(_read(patch_path, "patch CSV"),
-                               _read(strip_path, f"strip CSV of {_PATCH_CSV}"))
-    elif strip_path.is_file():
-        _, states = strip_from_csv(_read(strip_path, "strip CSV"))
-    return EXIT_OK, _figures(curve, report, states, patch)
+    run_cfg["out"] = cfg["out"]
+    prepared = _prepare(run_cfg)
+    states = patch = None
+    if report.get("status") != "precondition-failed":
+        strip, patch, _ = _construct_pipeline(run_cfg, prepared)
+        states = strip.states
+    return EXIT_OK, _figures(prepared[0], report, states, patch)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import json
-import warnings
 import weakref
 from dataclasses import dataclass
 
@@ -781,10 +780,10 @@ def patch_to_csv(patch: GraphPatch) -> str:
 
 
 #: Characters of whole lines per chunk of ``_read_csv``: at least one line.
-#: It bounds the reader's temporaries, about 7 bytes per character.
-#: Chunks of ``_CSV_CHUNK_CELLS`` cells need their line ends found one
-#: ``str.find`` at a time: 3 ms more per default strip.csv on a 2-core
-#: x86-64 host, about 15% of its read.
+#: It bounds the reader's temporaries (the chunk, its lines and what
+#: ``np.loadtxt`` makes of them), about 2 bytes per character as
+#: tracemalloc counts them.  A chunk ends at the first line end past this
+#: count, so it takes one ``str.find``, not one per line.
 _CSV_READ_CHARS = 1 << 17
 
 #: The line boundaries of ``str.splitlines`` other than "\n" and "\r\n",
@@ -796,10 +795,10 @@ _TO_NEWLINE = str.maketrans(dict.fromkeys(_LINE_BREAKS, "\n"))
 def _read_csv(text: str, columns, what: str):
     """(meta, v, cells) of a format-2 CSV; cells is (levels, n_u, columns).
 
-    Blank lines, CRLF line ends and trailing whitespace are tolerated.  The
-    rows are read a chunk of whole lines at a time, and every cell as
-    ``np.loadtxt`` reads it: the same texts are accepted, with the same
-    bits, and a refused text gets loadtxt's message.
+    Blank lines, CRLF line ends and trailing whitespace are tolerated.
+    ``np.loadtxt`` reads the rows a chunk of whole lines at a time, into an
+    array of their final size, and a refused text gets the message loadtxt
+    gives for the whole body.
 
     Raises:
         ValidationError: naming ``what``, when the text is not a
@@ -867,14 +866,8 @@ def _read_csv(text: str, columns, what: str):
 
 
 def _chunk_cells(chunk: str, n_cols: int):
-    """The cells of the rows of ``chunk``, its lines that are not blank.
-
-    ``_certified_cells`` reads a plain chunk and ``np.loadtxt`` the others;
-    None when loadtxt refuses the rows.
-    """
-    rows = _certified_cells(chunk, n_cols)
-    if rows is not None:
-        return rows
+    """The cells of the rows of ``chunk``, its lines that are not blank, as
+    ``np.loadtxt`` reads them; None when loadtxt refuses the rows."""
     lines = [line for line in chunk.split("\n") if line and not line.isspace()]
     if not lines:
         return np.empty((0, n_cols))
@@ -882,63 +875,6 @@ def _chunk_cells(chunk: str, n_cols: int):
         return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-
-
-_FLOAT64 = np.finfo(np.float64)
-
-
-def _certified_cells(chunk: str, n_cols: int):
-    """The (lines, n_cols) float64 cells of ``chunk``, or None.
-
-    One ``np.fromstring`` call reads every cell with the C library's
-    correctly rounded strtold into long double.  Rounding that to float64
-    rounds twice, which can err only where the long double is a float64
-    midpoint (Clinger, PLDI 1990; below a power of two, the midpoint under
-    it is a quarter of the spacing above).  Those cells, and every nonzero
-    one outside the normal float64 range, are read again by ``float`` from
-    their own line.  None when the chunk is not plain CSV: non-ASCII, a
-    line without n_cols cells (a blank one too), a cell strtold cannot
-    read, syntax that only strtold reads ("x", "X" or "(": hex floats and
-    NaN payloads), or a space or tab, which numpy reads as 0 when it is
-    all a cell holds.
-    """
-    if not chunk.isascii() or any(char in chunk for char in "xX( \t"):
-        return None
-    data = chunk.encode("ascii")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    codes = np.frombuffer(data, np.uint8)
-    seps = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
-    # Line after line, n_cols - 1 commas and then the line end.
-    row = np.array([ord(",")] * (n_cols - 1) + [ord("\n")], np.uint8)
-    if seps.size % n_cols or np.any(codes[seps].reshape(-1, n_cols) != row):
-        return None
-    ends = seps[n_cols - 1::n_cols]
-    with warnings.catch_warnings():
-        # numpy < 2 warns, and returns the cells before one it cannot read.
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            wide = np.fromstring(data[:-1].replace(b"\n", b","),
-                                 np.longdouble, sep=",")
-        except (ValueError, DeprecationWarning):
-            return None
-    if wide.size != ends.size * n_cols:
-        return None
-    with np.errstate(all="ignore"):  # overflow to, and from, infinity
-        cells = wide.astype(np.float64)
-        near = cells.astype(np.longdouble)
-        # When wide is the midpoint of cells and a float64 neighbour,
-        # 2 wide - cells is that neighbour, exactly; else it lies between.
-        across = 2 * wide - near
-        redo = (wide != near) & (across.astype(np.float64) == across)
-    size = np.abs(cells)
-    redo |= ~((size >= _FLOAT64.tiny) & (size <= _FLOAT64.max)) & (wide != 0)
-    lines = ends.tolist()
-    for i in np.flatnonzero(redo).tolist():
-        row, col = divmod(i, n_cols)
-        start = lines[row - 1] + 1 if row else 0
-        cells[i] = float(chunk[start:lines[row]].split(",")[col])
-    return cells.reshape(-1, n_cols)
 
 
 def _level_run(strip_v: np.ndarray, v: np.ndarray) -> int:

@@ -27,7 +27,12 @@ from ma_singular.cli import (
     main,
     report_schema,
 )
-from ma_singular.coeffs import CoefficientField, builtin_field_names, eval_field
+from ma_singular.coeffs import (
+    CoefficientField,
+    builtin_field,
+    builtin_field_names,
+    eval_field,
+)
 from ma_singular.curves import PeriodicCurve, builtin_curve_names, classify_curve
 from ma_singular.errors import FieldEvalError, ValidationError
 from ma_singular.geometry import reflect_field
@@ -766,8 +771,9 @@ def test_plot_without_a_patch_draws_the_strip_levels(tmp_path):
     ("construct", ["curve.auto_reverse=true", "curve.literal=" + json.dumps(
         {"alpha_cos": [0, 1], "alpha_sin": [0, 0],
          "beta_cos": [0, 0], "beta_sin": [0, 1]})]),
+    ("roundtrip", ["emit.csv=false"]),
 ], ids=["construct", "roundtrip", "verify", "no-patch", "precondition",
-        "auto-reversed"])
+        "auto-reversed", "no-csv"])
 def test_plot_redraws_the_figures_of_emit_svg(tmp_path, command, sets):
     out = tmp_path / "run"
     argv = [command, "--out", str(out), "--set", "emit.svg=true"]
@@ -842,39 +848,13 @@ def _not_utf8(lines):
     lines[-1] += NOT_UTF8
 
 
-@pytest.mark.parametrize("corrupt",
-                         [_corrupt_cell, _empty_v_header, _short_row, _not_utf8])
-def test_plot_corrupt_patch_csv_is_two(tmp_path, capsys, corrupt):
-    out = tmp_path / "run"
-    assert main(["construct", "--out", str(out), "--set", "march.R=0.03"]) == 0
-    patch_csv = out / "patch.csv"
-    lines = patch_csv.read_text().splitlines()
-    corrupt(lines)
-    write_raw(patch_csv, "\n".join(lines) + "\n")
-    assert main(["plot", "--out", str(out)]) == 2
-    assert "patch CSV" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("corrupt",
-                         [_corrupt_cell, _empty_v_header, _short_row, _not_utf8])
-def test_plot_corrupt_strip_csv_is_two(tmp_path, capsys, corrupt):
-    out = tmp_path / "run"
-    assert main(["construct", "--out", str(out), "--set", "march.R=0.03"]) == 0
-    strip_csv = out / "strip.csv"
-    lines = strip_csv.read_text().splitlines()
-    corrupt(lines)
-    write_raw(strip_csv, "\n".join(lines) + "\n")
-    assert main(["plot", "--out", str(out)]) == 2
-    assert "strip CSV" in capsys.readouterr().err
-
-
-def test_plot_patch_without_strip_csv_is_two(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert main(["construct", "--out", str(out), "--set", "march.R=0.03"]) == 0
-    (out / "strip.csv").unlink()
-    assert main(["plot", "--out", str(out)]) == 2
-    assert "strip.csv" in capsys.readouterr().err
-    assert not (out / "images.svg").exists()
+def _rewrite(name, corrupt):
+    """Damage to a run: the lines of ``name`` edited by ``corrupt``."""
+    def damage(out):
+        lines = (out / name).read_text().splitlines()
+        corrupt(lines)
+        write_raw(out / name, "\n".join(lines) + "\n")
+    return damage
 
 
 def format_1_patch_csv(patch):
@@ -897,16 +877,62 @@ def format_1_patch_csv(patch):
     return "\n".join(lines) + "\n"
 
 
-def test_plot_format_1_patch_csv_is_two(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert main(["construct", "--out", str(out), "--set", "march.R=0.03"]) == 0
+def _format_1_patch(out):
     patch = cli.patch_from_csv((out / "patch.csv").read_text(),
                                (out / "strip.csv").read_text())
     (out / "patch.csv").write_text(format_1_patch_csv(patch))
+
+
+def _delete(*names):
+    def damage(out):
+        for name in names:
+            (out / name).unlink()
+    return damage
+
+
+#: Each way a run's CSVs can be damaged or missing, by test id.
+_CSV_DAMAGE = {
+    **{f"{name[:-4]}-{corrupt.__name__[1:]}": _rewrite(name, corrupt)
+       for name in ("patch.csv", "strip.csv")
+       for corrupt in (_corrupt_cell, _empty_v_header, _short_row, _not_utf8)},
+    "format-1-patch": _format_1_patch,
+    "no-patch-csv": _delete("patch.csv"),
+    "no-strip-csv": _delete("strip.csv"),
+    "no-csv": _delete("patch.csv", "strip.csv"),
+}
+
+
+@pytest.mark.parametrize("damage", _CSV_DAMAGE.values(), ids=_CSV_DAMAGE.keys())
+def test_plot_draws_the_intact_figures_whatever_the_csvs_hold(tmp_path, damage):
+    # plot marches the run again from report.json and reads no CSV, so a
+    # damaged or missing one changes no figure.  tests/test_geometry.py
+    # pins that the library readers still refuse each damaged text.
+    out = tmp_path / "run"
+    assert main(["construct", "--out", str(out), "--set", "march.R=0.03"]) == 0
+    assert main(["plot", "--out", str(out)]) == 0
+    intact = {path.name: path.read_bytes() for path in out.glob("*.svg")}
+    assert sorted(intact) == sorted(_SVGS)
+    _fill_stale(out, _SVGS)
+    damage(out)
+    assert main(["plot", "--out", str(out)]) == 0
+    assert {path.name: path.read_bytes() for path in out.glob("*.svg")} == intact
+
+
+def test_plot_without_the_field_file_of_its_run_is_two(tmp_path, capsys):
+    # plot marches the run again, so it needs the run's field file as it
+    # needs its curve file; without it plot writes nothing.
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps(builtin_field("pure-one").to_dict()))
+    out = tmp_path / "run"
+    assert main(["construct", "--out", str(out), "--set", "march.R=0.03",
+                 "--set", f"field.file={json.dumps(str(field))}"]) == 0
+    field.unlink()
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
     assert main(["plot", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "patch CSV has no '# format:' line (format 1)" in err
-    assert "only format 2 is read" in err
+    assert err.startswith(f"error: cannot read field file {field}: ")
+    assert "Traceback" not in err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_cli_keeps_the_names_the_benchmark_traces():
@@ -1280,12 +1306,14 @@ def test_roundtrip_of_a_general_field_passes_both_branches(tmp_path, field,
 
 @pytest.fixture(scope="module")
 def plot_runs(tmp_path_factory):
-    """The artifacts of one real construct and one real roundtrip run."""
+    """The artifacts of one real construct and one real roundtrip run, with
+    the figures plot draws of them."""
     root = tmp_path_factory.mktemp("plot-runs")
     for command, curve in (("construct", "ellipse"), ("roundtrip", "circle")):
         assert main([command, "--out", str(root / command),
                      "--set", "march.n_u=32", "--set", "march.R=0.05",
                      "--set", f"curve.builtin={curve}"]) == 0
+        assert main(["plot", "--out", str(root / command)]) == 0
     return root
 
 
@@ -1362,6 +1390,12 @@ def test_plot_of_a_mutated_run_exits_zero_or_two(plot_runs, data):
         code = main(["plot", "--out", str(out)])  # no exception may escape
         event(f"{name}, {mutate.__name__}: exit {code}")
         assert code in (0, 2)
+        if name != "report.json":
+            # plot reads no CSV, so it draws the unmutated run's figures.
+            assert code == 0
+            for svg in _SVGS:
+                drawn = (plot_runs / run / svg).read_bytes()
+                assert (out / svg).read_bytes() == drawn, svg
         if code == 0:
             # Both runs have a patch, so plot owes all three figures.
             for svg in _SVGS:

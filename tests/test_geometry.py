@@ -480,11 +480,11 @@ def test_patch_csv_round_trip_is_exact_on_remark42():
 
 def test_patch_from_csv_peak_memory_is_a_small_multiple_of_the_patch(
         circle_texts):
-    # Rows are read a chunk at a time into arrays of their final size, so
-    # the peak stays near the bytes the patch holds; np.loadtxt on all the
-    # rows at once peaked at 3.4 times that.  A chunk the certified pass
-    # refuses, for a blank line at the end or a trailing space past the
-    # first chunk, is read by loadtxt on its own.
+    # np.loadtxt reads the rows a chunk at a time into arrays of their
+    # final size, so the peak stays near the bytes the patch holds (1.4
+    # times them here); loadtxt on all the rows at once peaked at 3.4
+    # times that.  A blank line at the end, or a trailing space past the
+    # first chunk, must not change that.
     patch_text, strip_text = circle_texts
     for strip in (strip_text, strip_text + "\n",
                   _corrupt_row(strip_text, lambda row: row + " ", 5000)):
@@ -710,6 +710,11 @@ def test_patch_from_csv_counts_rows_against_the_header(circle_texts):
     no_rows = patch_text.partition("\nr,s,t,J,residual\n")[0] + "\nr,s,t,J,residual\n"
     with pytest.raises(ValidationError, match="patch CSV has 0 rows"):
         patch_from_csv(no_rows, strip_text)
+    no_levels = "\n".join("# v:" if line.startswith("# v:") else line
+                           for line in patch_text.split("\n"))
+    with pytest.raises(ValidationError,
+                       match="patch CSV has 17408 rows for 0 levels of 128 nodes"):
+        patch_from_csv(no_levels, strip_text)
 
 
 def test_patch_from_csv_rejects_rows_all_one_cell_short(circle_texts):
