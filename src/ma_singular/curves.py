@@ -294,6 +294,13 @@ def _polyline_self_intersects(points: np.ndarray) -> bool:
     return False
 
 
+def _tangent_steps(d_alpha, d_beta):
+    """Turn of atan2(beta', alpha') from each grid point to the next around
+    the closed grid, wrapped into [-pi, pi)."""
+    theta = np.arctan2(d_beta, d_alpha)
+    return (np.roll(theta, -1) - theta + np.pi) % (2 * np.pi) - np.pi
+
+
 def _turning_number(d_alpha, d_beta):
     """Rotation index of the closed tangent polygon, or None if unresolved.
 
@@ -302,8 +309,7 @@ def _turning_number(d_alpha, d_beta):
     only trusted when every step turns the same way by less than pi/2, so
     a tangent spinning past a coarse sample at low speed cannot alias.
     """
-    theta = np.arctan2(d_beta, d_alpha)
-    steps = (np.roll(theta, -1) - theta + np.pi) % (2 * np.pi) - np.pi
+    steps = _tangent_steps(d_alpha, d_beta)
     if not (np.all(steps > 0) or np.all(steps < 0)):
         return None
     if np.max(np.abs(steps)) >= np.pi / 2:

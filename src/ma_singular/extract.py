@@ -26,6 +26,7 @@ from .curves import (
     _eval_uniform,
     _running_basis,
     _series,
+    _tangent_steps,
     _turning_number,
     classify_curve,
     fit_curve,
@@ -330,19 +331,33 @@ def limit_gradient(sampler, radii, n_theta: int = 256,
 # Hausdorff distance between strictly convex curves
 
 
+#: Most grid points ``_support_function`` doubles its grid to.
+_SUPPORT_GRID_MAX = 1 << 16
+
+
 def _support_function(curve: PeriodicCurve, n: int) -> np.ndarray:
     """h(theta_j) = max_u <gamma(u), e(theta_j)> at theta_j = 2*pi*j/n.
 
     The tangent angle on ``classify_curve``'s grid must turn strictly
     monotonically through exactly one turn, in either orientation (its
-    turning number is +-1), else ValidationError.  The outward-normal
-    angle, unwrapped and made increasing, gives each theta_j a linear
-    guess of its support parameter, which 3 Newton steps on
-    g(u) = <gamma'(u), e(theta_j)>, g' = <gamma''(u), e(theta_j)>, polish.
+    turning number is +-1), else ValidationError.  Where every step turns
+    the same way but some step is too long for ``_turning_number`` to
+    trust, the grid doubles, up to ``_SUPPORT_GRID_MAX`` points.  The
+    outward-normal angle, unwrapped and made increasing, gives each
+    theta_j a linear guess of its support parameter, which 3 Newton steps
+    on g(u) = <gamma'(u), e(theta_j)>, g' = <gamma''(u), e(theta_j)>,
+    polish.
     """
     n_grid = max(JORDAN_SAMPLES, 8 * (curve.degree + 1))
-    da, db = _eval_uniform(curve, n_grid)[2:4]
-    turn = _turning_number(da, db)
+    while True:
+        da, db = _eval_uniform(curve, n_grid)[2:4]
+        turn = _turning_number(da, db)
+        if turn is not None or n_grid >= _SUPPORT_GRID_MAX:
+            break
+        steps = _tangent_steps(da, db)
+        if not (np.all(steps > 0) or np.all(steps < 0)):
+            break
+        n_grid *= 2
     if turn not in (1, -1):
         raise ValidationError("hausdorff_distance needs regular, strictly "
                               "convex embedded curves")
@@ -372,7 +387,8 @@ def hausdorff_distance(curve_a: PeriodicCurve, curve_b: PeriodicCurve,
     refined by the vertex of the parabola through it and its neighbours,
     if concave.  A non-curve argument, n not an integer >= 3, and a curve
     whose tangent does not turn strictly monotonically through one turn
-    (not regular, convex and embedded) raise ValidationError.
+    (not regular, convex and embedded), or turns too fast for a grid of
+    ``_SUPPORT_GRID_MAX`` points, raise ValidationError.
     """
     if not all(isinstance(c, PeriodicCurve) for c in (curve_a, curve_b)):
         raise ValidationError("hausdorff_distance takes two PeriodicCurves")

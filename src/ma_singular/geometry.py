@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import weakref
 from dataclasses import dataclass
 
@@ -779,26 +780,22 @@ def patch_to_csv(patch: GraphPatch) -> str:
     return _csv_text(header, [getattr(patch, name) for name in _PATCH_COLUMNS])
 
 
-#: Characters of whole lines per chunk of ``_read_csv``: at least one line.
-#: It bounds the reader's temporaries (the chunk, its lines and what
-#: ``np.loadtxt`` makes of them), about 2 bytes per character as
-#: tracemalloc counts them.  A chunk ends at the first line end past this
-#: count, so it takes one ``str.find``, not one per line.
-_CSV_READ_CHARS = 1 << 17
-
 #: The line boundaries of ``str.splitlines`` other than "\n" and "\r\n",
 #: each made "\n" before a CSV is read.
 _LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _TO_NEWLINE = str.maketrans(dict.fromkeys(_LINE_BREAKS, "\n"))
+
+#: A row of a CSV body: a line that is not blank.
+_ROW = re.compile(r"^.*\S.*$", re.M)
 
 
 def _read_csv(text: str, columns, what: str):
     """(meta, v, cells) of a format-2 CSV; cells is (levels, n_u, columns).
 
     Blank lines, CRLF line ends and trailing whitespace are tolerated.
-    ``np.loadtxt`` reads the rows a chunk of whole lines at a time, into an
-    array of their final size, and a refused text gets the message loadtxt
-    gives for the whole body.
+    The rows are counted against the header, then one ``np.loadtxt`` call
+    reads them from a lazy iterator over the text, so no list of lines is
+    built beside the array it fills.
 
     Raises:
         ValidationError: naming ``what``, when the text is not a
@@ -833,48 +830,18 @@ def _read_csv(text: str, columns, what: str):
     except ValueError as err:
         raise ValidationError(f"{what} has a malformed value: {err}") from None
 
-    n_cols, n_rows = len(columns), v.size * max(n_u, 0)
-    # A row takes at least 2 n_cols characters with its line end, so a
-    # text too short for the header's rows is refused by its count below.
-    fits = n_rows * 2 * n_cols <= len(text) - pos + 1
-    cells = np.empty((n_rows if fits else 0, n_cols))
-    body, count = pos, 0
-    while pos < len(text):
-        end = text.find("\n", pos + _CSV_READ_CHARS)
-        end = len(text) if end < 0 else end + 1
-        rows, pos = _chunk_cells(text[pos:end], n_cols), end
-        if rows is None or rows.shape[1] != n_cols or count + len(rows) > len(cells):
-            count = -1
-            break
-        cells[count:count + len(rows)] = rows
-        count += len(rows)
-    if count == n_rows > 0:
-        return meta, v, cells.reshape(v.size, n_u, n_cols)
-    # A chunk failed, or the count is off: loadtxt reads the whole body
-    # again, so that the fault is found, and worded, as it finds and words it.
-    rows = [line for line in text[body:].split("\n") if line and not line.isspace()]
-    if n_u < 1 or v.size < 1 or len(rows) != n_rows:
-        raise ValidationError(f"{what} has {len(rows)} rows for {v.size} "
+    n_rows = sum(1 for _ in _ROW.finditer(text, pos))
+    if n_u < 1 or v.size < 1 or n_rows != v.size * n_u:
+        raise ValidationError(f"{what} has {n_rows} rows for {v.size} "
                               f"levels of {n_u} nodes")
+    rows = (row[0] for row in _ROW.finditer(text, pos))
     try:
         cells = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as err:
         raise ValidationError(f"{what} has a malformed row: {err}") from None
-    if cells.shape[1] != n_cols:
-        raise ValidationError(f"{what} rows must have {n_cols} cells")
-    return meta, v, cells.reshape(v.size, n_u, n_cols)
-
-
-def _chunk_cells(chunk: str, n_cols: int):
-    """The cells of the rows of ``chunk``, its lines that are not blank, as
-    ``np.loadtxt`` reads them; None when loadtxt refuses the rows."""
-    lines = [line for line in chunk.split("\n") if line and not line.isspace()]
-    if not lines:
-        return np.empty((0, n_cols))
-    try:
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
+    if cells.shape[1] != len(columns):
+        raise ValidationError(f"{what} rows must have {len(columns)} cells")
+    return meta, v, cells.reshape(v.size, n_u, len(columns))
 
 
 def _level_run(strip_v: np.ndarray, v: np.ndarray) -> int:

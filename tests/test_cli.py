@@ -33,7 +33,12 @@ from ma_singular.coeffs import (
     builtin_field_names,
     eval_field,
 )
-from ma_singular.curves import PeriodicCurve, builtin_curve_names, classify_curve
+from ma_singular.curves import (
+    PeriodicCurve,
+    builtin_curve,
+    builtin_curve_names,
+    classify_curve,
+)
 from ma_singular.errors import FieldEvalError, ValidationError
 from ma_singular.geometry import reflect_field
 
@@ -371,7 +376,6 @@ def test_construct_report_is_deterministic(tmp_path):
 
 
 def test_curve_file_and_auto_reverse(tmp_path):
-    from ma_singular.curves import builtin_curve
     path = tmp_path / "curve.json"
     path.write_text(builtin_curve("ellipse").reverse().to_json())
     out = tmp_path / "run"
@@ -510,17 +514,17 @@ def test_roundtrip_recovered_curve_that_is_jordan_but_not_convex_is_eight(
 def test_judge_gives_no_distance_where_hausdorff_distance_refuses(
         tmp_path, monkeypatch):
     # An ellipse with axes 1 and 1e-3, its vertices between grid points, is
-    # in M2 by classify_curve (the polyline test finds it embedded), but its
-    # tangent turns more than pi/2 between two of the judge's grid points,
-    # so hausdorff_distance refuses it.  The judge reports no distance
-    # rather than let the ValidationError reach main's exit 2.
+    # in M2 by classify_curve (the polyline test finds it embedded), and its
+    # tangent turns more than pi/2 between two of the judge's 2048 grid
+    # points, but always the same way, so the judge doubles its grid and
+    # gives the distance.
     thin = PeriodicCurve([0.0, 1.0], [0.0], [0.0], [0.0, -1e-3]).shift(
         np.pi / 2048)
     report = classify_curve(thin)
     assert report.locally_convex and report.embedded
-    with pytest.raises(ValidationError):
-        cli.hausdorff_distance(thin, thin)
-    assert cli._m2_distance(thin, SimpleNamespace(curve=thin, jordan=True)) is None
+    assert cli.hausdorff_distance(thin, thin) == 0.0
+    circle = SimpleNamespace(curve=builtin_curve("circle"), jordan=True)
+    assert cli._m2_distance(thin, circle) == pytest.approx(0.999, abs=1e-12)
 
     # A roundtrip whose judge is refused on both branches, whose recovered
     # curves are in M2, exits 8 and names the grid, not M2.

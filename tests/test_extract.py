@@ -292,17 +292,34 @@ def test_hausdorff_of_curve_against_its_own_shift(name):
         assert hausdorff_distance(a, a.reverse().shift(shift)) < 1e-12
 
 
-@pytest.mark.parametrize("name, support", [
-    ("circle", lambda t: np.ones_like(t)),
-    ("ellipse", lambda t: np.sqrt(0.64 * np.cos(t) ** 2 + 0.36 * np.sin(t) ** 2)),
-], ids=["circle", "ellipse"])
-def test_support_function_of_circle_and_ellipse(name, support):
+#: An ellipse with axes 1 and 1e-3, its vertices between the 2048 points of
+#: classify_curve's grid: its tangent turns more than pi/2 between two of
+#: them, so the support function doubles its grid once.
+THIN_ELLIPSE = PeriodicCurve([0.0, 1.0], [0.0], [0.0], [0.0, -1e-3]).shift(
+    np.pi / 2048)
+
+
+@pytest.mark.parametrize("a, support", [
+    (builtin_curve("circle"), lambda t: np.ones_like(t)),
+    (builtin_curve("ellipse"),
+     lambda t: np.sqrt(0.64 * np.cos(t) ** 2 + 0.36 * np.sin(t) ** 2)),
+    (THIN_ELLIPSE, lambda t: np.sqrt(np.cos(t) ** 2 + 1e-6 * np.sin(t) ** 2)),
+], ids=["circle", "ellipse", "thin-ellipse"])
+def test_support_function_of_circle_and_ellipse(a, support):
     # In both orientations and from any start.
     n = 1024
     want = support(2.0 * np.pi * np.arange(n) / n)
-    a = builtin_curve(name)
     for curve in (a, a.reverse(), a.shift(0.7), a.reverse().shift(2.9)):
         assert np.max(np.abs(_support_function(curve, n) - want)) <= 1e-13
+
+
+def test_support_function_refuses_a_tangent_its_largest_grid_misses():
+    # Axes 1 and 1e-9: the tangent turns through pi within 1e-8 of u at
+    # each vertex, which a grid of 2**16 points resolves only when it
+    # samples the vertex itself.
+    thin = PeriodicCurve([0.0, 1.0], [0.0], [0.0], [0.0, -1e-9])
+    with pytest.raises(ValidationError, match="strictly convex"):
+        _support_function(thin.shift(0.3), 1024)
 
 
 @pytest.mark.parametrize("curve", [

@@ -480,11 +480,11 @@ def test_patch_csv_round_trip_is_exact_on_remark42():
 
 def test_patch_from_csv_peak_memory_is_a_small_multiple_of_the_patch(
         circle_texts):
-    # np.loadtxt reads the rows a chunk at a time into arrays of their
-    # final size, so the peak stays near the bytes the patch holds (1.4
-    # times them here); loadtxt on all the rows at once peaked at 3.4
-    # times that.  A blank line at the end, or a trailing space past the
-    # first chunk, must not change that.
+    # One np.loadtxt call reads the rows from a lazy iterator over the
+    # text, with no list of lines beside it, so the peak stays near the
+    # bytes the patch holds (1.07 times them here); loadtxt on a list of
+    # all the lines peaked at 3.4 times that.  A blank line at the end, or
+    # a trailing space deep in the body, must not change that.
     patch_text, strip_text = circle_texts
     for strip in (strip_text, strip_text + "\n",
                   _corrupt_row(strip_text, lambda row: row + " ", 5000)):
@@ -515,7 +515,8 @@ def test_patch_from_csv_tolerates_line_noise(circle_patch, circle_texts, variant
 
 def test_a_chunk_of_blank_lines_reads_as_no_rows(circle_texts):
     patch_text, strip_text = circle_texts
-    blank = strip_text + "\n" * (2 * geometry._CSV_READ_CHARS)
+    # 2**18 trailing newlines: no rows, and no loadtxt warning.
+    blank = strip_text + "\n" * (1 << 18)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_same_bits(patch_from_csv(patch_text, blank),
@@ -557,13 +558,9 @@ def test_patch_from_csv_rejects_malformed_strip_rows(circle_texts, row):
 def test_patch_from_csv_rejects_a_malformed_row_past_the_first_chunk(
         circle_texts, row):
     patch_text, strip_text = circle_texts
-    index = 5000
-    # The row starts after the first chunk of rows the reader takes.
-    head = strip_text.index("\nx,y,z,p,q\n")
-    assert (len("\n".join(strip_text.splitlines()[:index]))
-            > head + geometry._CSV_READ_CHARS)
+    # Line 5000 of 19 337: a fault deep in a long body is found and named.
     with pytest.raises(ValidationError, match="strip CSV has a malformed row"):
-        patch_from_csv(patch_text, _corrupt_row(strip_text, row, index))
+        patch_from_csv(patch_text, _corrupt_row(strip_text, row, 5000))
 
 
 def test_a_refused_cell_is_named_by_row_column_and_text(circle_texts):
@@ -588,6 +585,38 @@ def test_a_short_row_is_refused_when_the_next_row_makes_up_its_cell(
                        match="strip CSV has a malformed row: the number of "
                              "columns changed from 5 to 4 at row 4992;"):
         patch_from_csv(patch_text, "\n".join(lines) + "\n")
+
+
+def test_read_csv_calls_loadtxt_once_per_text(circle_texts, monkeypatch):
+    _, strip_text = circle_texts
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    def read(text):
+        return geometry._read_csv(text, ("x", "y", "z", "p", "q"), "strip CSV")
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    read(strip_text)
+    assert len(calls) == 1
+    bad = _corrupt_row(strip_text, lambda row: "oops," + row.partition(",")[2],
+                       5000)
+    with pytest.raises(ValidationError, match="strip CSV has a malformed row"):
+        read(bad)
+    assert len(calls) == 2
+
+    # A text with no rows is refused by its count, before loadtxt could
+    # warn of an empty input.
+    header = strip_text[:strip_text.index("x,y,z,p,q\n") + len("x,y,z,p,q\n")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=r"^strip CSV has 0 rows for \d+ levels of 128 nodes$"):
+            read(header)
+    assert len(calls) == 2
 
 
 def reference_read_csv(text, columns, what):
@@ -651,7 +680,7 @@ def test_read_csv_matches_loadtxt_on_edited_strips(circle_texts, data):
     lines = circle_texts[1].split("\n")
     first = lines.index("x,y,z,p,q") + 1
     for _ in range(data.draw(st.integers(1, 3))):
-        # The first chunk holds about 1300 of the 19 328 rows.
+        # An edit lands anywhere among the 19 328 rows.
         i = data.draw(st.integers(first, len(lines) - 1))
         edit = data.draw(st.sampled_from(["noise", "delete", "duplicate", "blank"]))
         if edit == "noise":
