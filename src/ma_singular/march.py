@@ -12,6 +12,7 @@ bit-identical output.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ def spectral_du(values: np.ndarray) -> np.ndarray:
     Nyquist mode itself is zeroed, the standard symmetric choice.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim == 0:
+        raise ValidationError("spectral_du needs a grid on the last axis, "
+                              "got a 0-d value")
     n = values.shape[-1]
     if n % 2 != 0:
         raise ValidationError(f"spectral_du needs an even grid, got {n}")
@@ -134,39 +138,77 @@ class StripSolution:
         return self.states[k]
 
 
-#: Stands for a coefficient that is the constant 1.
+#: Stands for the coefficient of a term that is the constant 1.
 _UNIT = object()
+#: Slots of the coefficients a term can carry: the field's A, B, C and E,
+#: the state components p and q, and the sums B p + C q and A p + B q.
+_A, _B, _C, _E, _P, _Q, _BP_CQ, _AP_BQ = range(8)
+#: The two sums as (negative, coefficient, state row) terms, left to right.
+_SUMS = (((False, _B, 3), (False, _C, 4)),
+         ((False, _A, 3), (False, _B, 4)))
+#: The rows of sqrt(D) Z_v as (negative, coefficient, row of Z_u) terms,
+#: left to right, in the order x, y, z, p, q.
+_ROWS = (
+    ((False, _B, 0), (True, _A, 1), (True, _UNIT, 4)),
+    ((False, _C, 0), (True, _B, 1), (False, _UNIT, 3)),
+    ((False, _BP_CQ, 0), (True, _AP_BQ, 1), (False, _Q, 3), (True, _P, 4)),
+    ((True, _E, 1), (False, _B, 3), (False, _C, 4)),
+    ((False, _E, 0), (True, _A, 3), (True, _B, 4)),
+)
 
 
-def _sum_terms(terms):
-    """The sum of the terms +-coef * values, given as (negative, coef,
-    values), taken left to right.
+def _kind(constant):
+    """0 or 1 for a coefficient that is that constant, else None: any
+    other constant is multiplied in as a state-dependent value is."""
+    if constant is not None:
+        if constant == 0:
+            return 0
+        if constant == 1:
+            return 1
+    return None
 
-    A coef of None (a constant zero) drops its term and ``_UNIT`` (a
-    constant one) takes the values as they are, so every sum keeps the
-    bits of the full sum up to the sign of an exact zero.  None when
-    every term drops.
+
+@functools.lru_cache(maxsize=None)
+def _rhs_plan(kinds: tuple) -> tuple:
+    """(sums, rows, divide) of ``assemble_rhs`` for the ``_kind`` of A, B,
+    C, E and D.
+
+    ``sums`` and ``rows`` are tuples of term lists (negative, slot, row)
+    in their order; a term whose coefficient is the constant 0 is gone,
+    and the slot of a constant 1 is None.  A sum with no terms left is
+    the constant 0 in the rows that carry it.  ``divide`` is False when
+    sqrt(D) is the constant 1.  At most 3**5 kind patterns exist, so the
+    cache is bounded whatever fields are seen.
     """
-    total = None
-    for negative, coef, values in terms:
-        if coef is None:
-            continue
-        term = values if coef is _UNIT else coef * values
-        if total is None:
-            total = -term if negative else term
-        elif negative:
-            total = total - term
-        else:
-            total = total + term
-    return total
+    kind = {_UNIT: 1, _P: None, _Q: None, **dict(zip((_A, _B, _C, _E), kinds))}
+
+    def resolve(terms):
+        return tuple((negative, None if kind[slot] == 1 else slot, row)
+                     for negative, slot, row in terms if kind[slot] != 0)
+
+    sums = tuple(map(resolve, _SUMS))
+    kind[_BP_CQ], kind[_AP_BQ] = (None if terms else 0 for terms in sums)
+    return sums, tuple(map(resolve, _ROWS)), kinds[4] != 1
 
 
-def _coefficient(value, constant):
-    """A coefficient as ``_sum_terms`` takes it: None for the constant
-    0, ``_UNIT`` for the constant 1, else its value."""
-    if constant is None:
-        return value
-    return None if constant == 0 else _UNIT if constant == 1 else value
+def _sum_into(out, terms, coefficients, factors):
+    """``out`` = the sum of +-coefficients[slot] * factors[row] over the
+    (negative, slot, row) terms, left to right; slot None is a unit
+    coefficient.  Keeps the bits of the full sum up to the sign of an
+    exact zero."""
+    negative, slot, row = terms[0]
+    if slot is not None:
+        np.multiply(coefficients[slot], factors[row], out=out)
+        if negative:
+            np.negative(out, out=out)
+    elif negative:
+        np.negative(factors[row], out=out)
+    else:
+        out[...] = factors[row]
+    for negative, slot, row in terms[1:]:
+        term = factors[row] if slot is None else coefficients[slot] * factors[row]
+        (np.subtract if negative else np.add)(out, term, out=out)
+    return out
 
 
 def assemble_rhs(level: np.ndarray, field: CoefficientField,
@@ -179,33 +221,26 @@ def assemble_rhs(level: np.ndarray, field: CoefficientField,
     x_v = -q_u/sqrt(E), y_v = p_u/sqrt(E), z_v = (q p_u - p q_u)/sqrt(E),
     p_v = -sqrt(E) y_u, q_v = sqrt(E) x_u.  ``values`` is (A, B, C, E, D)
     already evaluated at ``level``; without it the field is evaluated here.
-    ``level_u`` is ``spectral_du(level)`` when the caller has it.  Terms
-    whose coefficient is the constant 0 are skipped, and so are a product
-    by a constant 1 and the division by a constant sqrt(D) = 1; the sums
-    keep their order, so only the sign of an exact zero can differ from
-    the full formula.
+    ``level_u`` is ``spectral_du(level)`` when the caller has it.  The
+    terms are resolved once per pattern of constant 0 and 1 coefficients
+    (``_rhs_plan``): a term whose coefficient is the constant 0 is
+    skipped, and so are a product by a constant 1 and the division by a
+    constant sqrt(D) = 1; the sums keep their order, so only the sign of
+    an exact zero can differ from the full formula.
     """
-    p, q = level[3], level[4]
-    x_u, y_u, _, p_u, q_u = spectral_du(level) if level_u is None else level_u
+    level_u = spectral_du(level) if level_u is None else level_u
     values = _field_values(field, level) if values is None else values
-    a, b, c, e, disc = map(_coefficient, values, field._constants)
-    rows = (
-        ((False, b, x_u), (True, a, y_u), (True, _UNIT, q_u)),
-        ((False, c, x_u), (True, b, y_u), (False, _UNIT, p_u)),
-        ((False, _sum_terms(((False, b, p), (False, c, q))), x_u),
-         (True, _sum_terms(((False, a, p), (False, b, q))), y_u),
-         (False, q, p_u), (True, p, q_u)),
-        ((True, e, y_u), (False, b, p_u), (False, c, q_u)),
-        ((False, e, x_u), (True, a, p_u), (True, b, q_u)),
-    )
-    out = np.empty(np.shape(level))
-    root = None if disc is _UNIT else np.sqrt(disc)
+    sums, rows, divide = _rhs_plan(tuple(map(_kind, field._constants)))
+    coefficients = [*values[:4], level[3], level[4]]
+    shape = np.shape(level)
+    for terms in sums:
+        coefficients.append(_sum_into(np.empty(shape[1:]), terms,
+                                      coefficients, level) if terms else None)
+    out = np.empty(shape)
     for row, terms in zip(out, rows):
-        total = _sum_terms(terms)
-        if root is None:
-            row[...] = total
-        else:
-            np.divide(total, root, out=row)
+        _sum_into(row, terms, coefficients, level_u)
+    if divide:
+        np.divide(out, np.sqrt(values[4]), out=out)
     return out
 
 
@@ -234,9 +269,19 @@ def spectral_filter(level: np.ndarray, params: MarchParams) -> np.ndarray:
     data is perturbed only through the spectral round-off junk the filter
     removes from the stopband, below 1e-15 of the data scale per step.
     """
-    level = np.asarray(level, dtype=float)
-    correction = _filter_factors(params) * np.fft.rfft(level)
-    return level - np.fft.irfft(correction, n=level.shape[-1])
+    level = np.array(level, dtype=float)
+    if level.shape[-1:] != (params.n_u,):
+        raise ValidationError(f"spectral_filter needs a last axis of "
+                              f"n_u={params.n_u} points, got shape {level.shape}")
+    return _filter_in_place(level, _filter_factors(params))
+
+
+def _filter_in_place(level: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """``spectral_filter`` with its ``factors``, written over ``level``."""
+    correction = np.fft.rfft(level)
+    correction *= factors
+    level -= np.fft.irfft(correction, n=level.shape[-1])
+    return level
 
 
 @functools.lru_cache(maxsize=16)
@@ -259,19 +304,45 @@ def stability_monitor(level: np.ndarray, params: MarchParams) -> tuple[float, bo
     a level that is all offset and no structure is quiet, not unstable.
     A complex ``level`` is taken as the level's rfft, which the march
     computes once for the monitor and the next step's first RK4 stage.
+    A level whose spectrum or energy is not finite reads as exceeded,
+    with a fraction of NaN.
     """
-    level = np.atleast_2d(np.asarray(level))
-    spec = level if np.iscomplexobj(level) else \
-        np.fft.rfft(np.asarray(level, dtype=float))
-    n_bins = spec.shape[-1]
-    energy = _monitor_weights(n_bins) * np.abs(spec) ** 2
-    k_band = (2 * (n_bins - 1)) // 3
-    total = np.sum(energy, axis=-1)
-    high = np.sum(energy[..., k_band + 1:], axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    spec = np.atleast_2d(level)
+    if spec.dtype.kind != "c":
+        level = np.asarray(spec, dtype=float)
+        if not np.isfinite(level).all():
+            return math.nan, True
+        spec = np.fft.rfft(level)
+    magnitude = np.abs(spec)
+    # Below _MONITOR_PEAK no energy can overflow; a larger or non-finite
+    # spectrum, or a field of (nearly) zero energy, takes the guarded
+    # formula.
+    if magnitude.max() < _MONITOR_PEAK:
+        total, high = _band_energies(magnitude)
+        if total.min() > 1e-300:
+            worst = float((high / total).max())
+            return worst, worst > params.monitor_threshold
+    with np.errstate(all="ignore"):
+        total, high = _band_energies(magnitude)
         frac = np.where(total > 1e-300, high / np.maximum(total, 1e-300), 0.0)
-    worst = float(np.max(frac))
+    if not np.isfinite(total).all():
+        return math.nan, True
+    worst = float(frac.max())
     return worst, worst > params.monitor_threshold
+
+
+#: A spectral magnitude up to which the energy of a bin, at most 2e300,
+#: and its sum over fewer than 8e7 bins stay finite.
+_MONITOR_PEAK = 1e150
+
+
+def _band_energies(magnitude: np.ndarray):
+    """(total, high-band) energy per field from rfft magnitudes."""
+    n_bins = magnitude.shape[-1]
+    energy = np.square(magnitude)
+    energy *= _monitor_weights(n_bins)
+    k_band = (2 * (n_bins - 1)) // 3
+    return energy.sum(axis=-1), energy[..., k_band + 1:].sum(axis=-1)
 
 
 #: A field failure mid-march as (error, status, what failed), most
@@ -292,15 +363,32 @@ def _field_failure(err: FieldEvalError, stage: str, where: str,
 
 
 def _rk4_step(level: np.ndarray, h: float, field: CoefficientField,
-              values, spectrum) -> np.ndarray:
+              values, spectrum, stage: np.ndarray) -> np.ndarray:
     """One RK4 step; k1 reuses the field ``values`` and the rfft
-    ``spectrum`` of ``level`` that its checks computed (it is overwritten)."""
+    ``spectrum`` of ``level`` that its checks computed (it is overwritten).
+
+    Each stage state level + c h k is formed in ``stage``, and the new
+    level level + (h/6)(k1 + 2(k2 + k3) + k4) over k2, with the
+    operations of those formulas in their order, so the bits are theirs.
+    """
     k1 = assemble_rhs(level, field, values,
                       _du_of_spectrum(spectrum, level.shape[-1]))
-    k2 = assemble_rhs(level + 0.5 * h * k1, field)
-    k3 = assemble_rhs(level + 0.5 * h * k2, field)
-    k4 = assemble_rhs(level + h * k3, field)
-    return level + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    k2 = assemble_rhs(_stage(level, 0.5 * h, k1, stage), field)
+    k3 = assemble_rhs(_stage(level, 0.5 * h, k2, stage), field)
+    k4 = assemble_rhs(_stage(level, h, k3, stage), field)
+    total = np.add(k2, k3, out=k2)
+    np.multiply(2.0, total, out=total)
+    np.add(k1, total, out=total)
+    total += k4
+    total *= h / 6.0
+    return np.add(level, total, out=total)
+
+
+def _stage(level: np.ndarray, step: float, slope: np.ndarray,
+           out: np.ndarray) -> np.ndarray:
+    """level + step * slope, written into ``out``."""
+    np.multiply(step, slope, out=out)
+    return np.add(level, out, out=out)
 
 
 def march(curve: PeriodicCurve, field: CoefficientField,
@@ -336,6 +424,8 @@ def march(curve: PeriodicCurve, field: CoefficientField,
         raise ValidationError(f"initial data: {err}") from None
 
     sign = -1.0 if params.negative_v else 1.0
+    factors = _filter_factors(params)
+    stage = np.empty_like(level)
 
     v_list = [0.0]
     levels = [level]
@@ -352,16 +442,16 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     while v_now < params.R - 1e-12 * params.R:
         h = min(params.dv, params.R - v_now)
         try:
-            nxt = _rk4_step(level, sign * h, field, values, spectrum)
+            nxt = _rk4_step(level, sign * h, field, values, spectrum, stage)
         except FieldEvalError as err:
             status, detail = _field_failure(err, "stage ", "after", sign * v_now)
             break
 
-        nxt = spectral_filter(nxt, params)
+        nxt = _filter_in_place(nxt, factors)
         v_now = (step_index + 1) * params.dv if h == params.dv else params.R
         step_index += 1
 
-        if not np.all(np.isfinite(nxt)):
+        if not np.isfinite(nxt).all():
             status = "non-finite"
             detail = f"non-finite state at v={sign * v_now:.6g}"
             break

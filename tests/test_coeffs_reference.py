@@ -5,9 +5,14 @@ once per (5, ...) state block, and the march reuses the values of its
 post-step check in the next step's k1 stage.  The reference code below
 is the field evaluation as first written: a box check per component,
 every coefficient evaluated and broadcast on every call, and a march
-that evaluates the field at every RK4 stage.  Values must agree bit for
-bit, and failures must raise the same exception with the same message.
+that evaluates the field at every RK4 stage.  The march differentiates
+and monitors with its own copies of the first formulas, so it follows
+none of the package code it checks.  Values must agree bit for bit, and
+failures must raise the same exception with the same message.
 """
+
+import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -29,7 +34,6 @@ from ma_singular.march import (
     MarchParams,
     assemble_rhs,
     march,
-    spectral_du,
     stability_monitor,
 )
 
@@ -86,9 +90,35 @@ def reference_eval_field(field, state):
     return a, b, c, e, disc
 
 
+def reference_du(values):
+    n = values.shape[-1]
+    spec = np.fft.rfft(values)
+    spec *= 1j * np.arange(n // 2 + 1)
+    spec[..., -1] = 0.0
+    return np.fft.irfft(spec, n=n)
+
+
+def reference_stability_monitor(level, params):
+    level = np.atleast_2d(np.asarray(level))
+    spec = level if np.iscomplexobj(level) else \
+        np.fft.rfft(np.asarray(level, dtype=float))
+    n_bins = spec.shape[-1]
+    weights = np.full(n_bins, 2.0)
+    weights[0] = 1.0
+    weights[-1] = 1.0
+    energy = weights * np.abs(spec) ** 2
+    k_band = (2 * (n_bins - 1)) // 3
+    total = np.sum(energy, axis=-1)
+    high = np.sum(energy[..., k_band + 1:], axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(total > 1e-300, high / np.maximum(total, 1e-300), 0.0)
+    worst = float(np.max(frac))
+    return worst, worst > params.monitor_threshold
+
+
 def reference_assemble_rhs(level, field):
     x, y, z, p, q = level
-    x_u, y_u, p_u, q_u = spectral_du(level[[0, 1, 3, 4]])
+    x_u, y_u, p_u, q_u = reference_du(level[[0, 1, 3, 4]])
     a, b, c, e, disc = reference_eval_field(field, (x, y, z, p, q))
     root = np.sqrt(disc)
     x_v = (b * x_u - a * y_u - q_u) / root
@@ -117,7 +147,7 @@ def reference_march(curve, field, params):
     sign = -1.0 if params.negative_v else 1.0
     levels = [level]
     discs = [float(np.min(reference_eval_field(field, tuple(level))[4]))]
-    fracs = [stability_monitor(level, params)[0]]
+    fracs = [reference_stability_monitor(level, params)[0]]
     v_now, step = 0.0, 0
     while v_now < params.R - 1e-12 * params.R:
         h = min(params.dv, params.R - v_now)
@@ -129,7 +159,7 @@ def reference_march(curve, field, params):
         level = reference_filter(level, params)
         v_now = (step + 1) * params.dv if h == params.dv else params.R
         step += 1
-        frac, exceeded = stability_monitor(level, params)
+        frac, exceeded = reference_stability_monitor(level, params)
         assert not exceeded
         levels.append(level)
         discs.append(float(np.min(reference_eval_field(field, tuple(level))[4])))
@@ -313,6 +343,35 @@ def test_march_matches_reference_bitwise(curve, field, params,
     assert strip.high_frac.tobytes() == high_frac.tobytes()
 
 
+def _monitored(kind):
+    """A level, a stack of levels or a spectrum as the monitor takes it."""
+    strip = march(builtin_curve("wobble"), builtin_field("pure-one"),
+                  MarchParams(R=0.01))
+    rng = np.random.default_rng(7)
+    return {
+        "level": strip.states[-1],
+        "stack": strip.states,
+        "spectrum": np.fft.rfft(strip.states),
+        "odd-n": rng.normal(size=(5, 13)),
+        "zero": np.zeros((5, 128)),
+        # Large enough that the monitor guards its energy, finite still.
+        "large": 1e151 * rng.normal(size=(5, 16)),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["level", "stack", "spectrum", "odd-n", "zero",
+                                  "large"])
+@pytest.mark.parametrize("threshold", [1e-3, 1e-30])
+def test_monitor_matches_reference_bitwise(kind, threshold):
+    params = MarchParams(monitor_threshold=threshold)
+    level = _monitored(kind)
+    frac, exceeded = stability_monitor(level, params)
+    want_frac, want_exceeded = reference_stability_monitor(level, params)
+    assert type(frac) is float and type(exceeded) is type(want_exceeded)
+    assert np.float64(frac).tobytes() == np.float64(want_frac).tobytes()
+    assert exceeded == want_exceeded
+
+
 # ---------------------------------------------------------------------------
 # The RHS of a field with folded constants
 
@@ -352,6 +411,40 @@ def test_rhs_matches_full_formula(A, B, C, E, shape):
         # Only the sign of an exact zero may differ from the full formula.
         differs = got.view(np.uint64) != want.view(np.uint64)
         assert np.all(got[differs] == 0.0) and np.all(want[differs] == 0.0)
+
+
+def _kind_pattern(field):
+    """Whether each of A, B, C, E and D is the constant 0 or the constant 1:
+    all that the terms of the RHS depend on."""
+    return tuple((c is not None and c == 0, c is not None and c == 1)
+                 for c in field._constants)
+
+
+def test_rhs_plan_is_made_once_per_kind_pattern():
+    march_module = importlib.import_module("ma_singular.march")
+    plan = march_module._rhs_plan
+    plan.cache_clear()
+    level = _levels((64,))
+    pure = [pure_field(1 + k / 100) for k in range(50)]
+    for field in pure:
+        assemble_rhs(level, field)
+    assert plan.cache_info().misses == plan.cache_info().currsize == 2
+    mixes = [CoefficientField.from_dict({"A": A, "B": B, "C": C, "E": E,
+                                         "box": DEFAULT_BOX})
+             for A, B, C, E in itertools.product(
+                 _KINDS["A"], _KINDS["B"], _KINDS["C"], ["1", "2", "1 + p^4"])]
+    assert len(mixes) == 81
+    for field in mixes:
+        for shape in [(64,), (3, 64)]:
+            assemble_rhs(_levels(shape), field)
+    patterns = {_kind_pattern(field) for field in pure + mixes}
+    info = plan.cache_info()
+    assert info.misses == info.currsize == len(patterns) < len(mixes)
+    assert info.hits == 50 + 162 - len(patterns)
+    # Seen again, no field adds a plan.
+    for field in pure + mixes:
+        assemble_rhs(level, field)
+    assert plan.cache_info().currsize == len(patterns)
 
 
 # ---------------------------------------------------------------------------

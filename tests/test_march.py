@@ -56,6 +56,11 @@ def test_spectral_du_rejects_odd_grids():
         spectral_du(np.zeros(31))
 
 
+def test_spectral_du_rejects_a_0d_value():
+    with pytest.raises(ValidationError, match="0-d"):
+        spectral_du(np.float64(1.0))
+
+
 def test_spectral_du_works_on_stacked_rows():
     n = 16
     u = 2.0 * np.pi * np.arange(n) / n
@@ -152,6 +157,20 @@ def test_filter_is_bitwise_identity_on_dc():
     assert np.array_equal(spectral_filter(level, params), level)
 
 
+@pytest.mark.parametrize("shape", [(64,), (5, 129), (128, 5), ()])
+def test_filter_rejects_a_last_axis_off_the_grid(shape):
+    with pytest.raises(ValidationError, match=r"n_u=128 points, got shape"):
+        spectral_filter(np.ones(shape), MarchParams())
+
+
+def test_filter_leaves_its_input_alone():
+    params = MarchParams(n_u=16)
+    level = np.random.default_rng(2).normal(size=(5, 16))
+    before = level.copy()
+    filtered = spectral_filter(level, params)
+    assert np.array_equal(level, before) and filtered is not level
+
+
 def test_filter_crushes_nyquist_band():
     params = MarchParams(n_u=128)
     u = 2.0 * np.pi * np.arange(128) / 128
@@ -194,6 +213,30 @@ def test_monitor_ignores_dc_offset():
     params = MarchParams(n_u=16)
     frac, exceeded = stability_monitor(np.full(16, 3.0), params)
     assert frac == 0.0 and not exceeded
+
+
+@pytest.mark.parametrize("level", [
+    np.full(8, np.nan),
+    np.full((5, 8), np.inf),
+    np.r_[np.zeros(7), -np.inf],
+    # Finite, but its energy overflows.
+    1e160 * np.cos(7 * 2.0 * np.pi * np.arange(16) / 16),
+], ids=["nan", "inf", "one-inf", "energy-overflow"])
+def test_monitor_reads_a_non_finite_level_as_exceeded(level):
+    # A RuntimeWarning would fail the test (pytest.ini_options).
+    frac, exceeded = stability_monitor(level, MarchParams())
+    assert np.isnan(frac) and exceeded
+    with np.errstate(invalid="ignore"):  # inf - inf inside the rfft
+        spectrum = np.fft.rfft(level)
+    frac, exceeded = stability_monitor(spectrum, MarchParams())
+    assert np.isnan(frac) and exceeded
+
+
+@pytest.mark.parametrize("scale", [1e140, 1e152])
+def test_monitor_keeps_a_large_finite_energy(scale):
+    # All of the energy sits at k = 7, in the top band of 0..8.
+    level = scale * np.cos(7 * 2.0 * np.pi * np.arange(16) / 16)
+    assert stability_monitor(level, MarchParams()) == (1.0, True)
 
 
 # ---------------------------------------------------------------------------
