@@ -131,7 +131,8 @@ class PatchSampler:
 
     Everything that depends only on the patch is built once here: the
     angle tables of all levels (angles in increasing order, rho at them,
-    and u at them through the node order) and the complex interpolant
+    and u at them through the node order; the patch's own tables when
+    ``reconstruct_graph`` made them) and the complex interpolant
     coefficients of x, y, p and q.  The bracket table of radii at the
     query angles is kept for the last angle set, since ``limit_gradient``
     asks for every radius at the same angles.  A call solves all its
@@ -142,8 +143,10 @@ class PatchSampler:
         if patch.multivalued:
             raise ValidationError(
                 "cannot sample a multivalued patch on circles")
-        self._tables = _level_tables(patch.x, patch.y,
-                                     (patch.z, patch.p, patch.q))
+        self._tables = patch.level_tables
+        if self._tables is None:
+            self._tables = _level_tables(patch.x, patch.y,
+                                         (patch.z, patch.p, patch.q))
         if self._tables is None:
             raise ValidationError("patch level is not star-shaped")
         # u at the increasing angles: reversed for negatively oriented curves.

@@ -12,6 +12,7 @@ strip computes all of this once; the public functions are views of it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import re
@@ -112,20 +113,27 @@ _ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _strip_analysis(strip: StripSolution):
     """(Z, Z_v, hessian, residual) on all stored levels, made once per strip.
 
-    Z and Z_v are (5, levels, n_u); Z_v re-evaluates the marched system,
-    so it is exact for the semi-discrete flow; the PDE residual is unmasked.
-    Every array is read-only.  A level outside the field's box raises even
-    when it is not selected; a marched strip stores only levels that
-    passed the field check, so only a hand-built strip can hit that.
+    Z and Z_v are (5, levels, n_u); Z_v is the marched system at each
+    level, so it is exact for the semi-discrete flow; the PDE residual is
+    unmasked.  A marched strip carries the Z_u and Z_v its march took;
+    any other strip's are computed here from its states, with the same
+    bits.  Every array is read-only.  A level outside the field's box
+    raises even when it is not selected; a marched strip stores only
+    levels that passed the field check, so only a hand-built strip can
+    hit that.
     """
     analysis = _ANALYSES.get(strip)
     if analysis is not None:
         return analysis
     Z = np.moveaxis(strip.states, -2, 0)
     a, b, c, e, disc = values = eval_field(strip.field, tuple(Z))
-    Z_u = spectral_du(Z)
+    if strip.states_v is None:
+        Z_u = spectral_du(Z)
+        Z_v = assemble_rhs(Z, strip.field, values, Z_u)
+    else:
+        Z_u, Z_v = (np.moveaxis(rows, -2, 0)
+                    for rows in (strip.states_u, strip.states_v))
     x_u, y_u, _, p_u, q_u = Z_u
-    Z_v = assemble_rhs(Z, strip.field, values, Z_u)
     x_v, y_v, _, p_v, q_v = Z_v
     r, s, t, sym_defect, J, valid = hessian_from_derivatives(
         x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v)
@@ -257,6 +265,9 @@ class GraphPatch:
     whose image curves are not a nested star-shaped family: those samples
     are still a surface, just not a graph over the punctured plane.
     ``field`` is None for transformed patches that no longer track a PDE.
+    ``level_tables`` is the ``_level_tables`` analysis of x and y (with z,
+    p and q) that ``reconstruct_graph`` made for its nested-graph test;
+    it is None on any other patch, ``dataclasses.replace`` included.
     """
 
     v: np.ndarray
@@ -276,6 +287,8 @@ class GraphPatch:
     multivalued: bool
     provenance: str
     field: CoefficientField | None
+    level_tables: tuple | None = dataclasses.field(default=None, init=False,
+                                                   repr=False)
 
     def __post_init__(self):
         for name in ("v", "u", "x", "y", "z", "p", "q", "r", "s", "t",
@@ -348,14 +361,10 @@ def _radii_at(tables, query: np.ndarray, levels=slice(None)) -> np.ndarray:
                                             period[levels])])
 
 
-def _nested_family(x: np.ndarray, y: np.ndarray, extra=()) -> bool:
-    """True when every level is a star-shaped curve and they nest: rho
-    increases strictly with the level at 512 angles.
-
-    ``extra`` carries further per-level sample rows (z, p, q) that must
-    also repeat on multiply covered levels.
-    """
-    tables = _level_tables(x, y, extra)
+def _nested(tables) -> bool:
+    """True when ``tables`` (of ``_level_tables``) exist, so every level is
+    a star-shaped curve, and the levels nest: rho increases strictly with
+    the level at 512 angles."""
     if tables is None:
         return False
     rho = _radii_at(tables, np.linspace(-np.pi, np.pi, 512, endpoint=False))
@@ -393,15 +402,22 @@ def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> Graph
     residual = np.where(np.abs(hess.J) > RESIDUAL_J_FLOOR, unmasked[idx], np.nan)
 
     rho = np.hypot(x, y)
-    multivalued = not _nested_family(x, y, extra=(z, p, q))
-    return GraphPatch(
+    # z, p and q must repeat too on a multiply covered level: matching x
+    # and y alone would accept two sheets at different heights.
+    tables = _level_tables(x, y, extra=(z, p, q))
+    patch = GraphPatch(
         v=strip.v[idx], u=strip.u, x=x, y=y, z=z, p=p, q=q,
         r=hess.r, s=hess.s, t=hess.t, J=hess.J, residual=residual,
         r_min=float(np.min(rho)), r_max=float(np.max(rho)),
-        multivalued=multivalued,
+        multivalued=not _nested(tables),
         provenance=f"march:levels[{idx[0]}:{idx[-1] + 1}]:{strip.status}",
         field=strip.field,
     )
+    if tables is not None:
+        for arr in tables:
+            arr.flags.writeable = False
+        object.__setattr__(patch, "level_tables", tables)
+    return patch
 
 
 # ---------------------------------------------------------------------------

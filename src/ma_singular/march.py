@@ -11,6 +11,7 @@ bit-identical output.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -56,11 +57,12 @@ def _du_factors(n: int) -> np.ndarray:
     return factors
 
 
-def _du_of_spectrum(spec: np.ndarray, n: int) -> np.ndarray:
-    """``spectral_du`` from the rfft spectrum, which is overwritten."""
+def _du_of_spectrum(spec: np.ndarray, n: int, out=None) -> np.ndarray:
+    """``spectral_du`` from the rfft spectrum, which is overwritten; the
+    derivative is written into ``out`` when given."""
     spec *= _du_factors(n)
     spec[..., -1] = 0.0
-    return np.fft.irfft(spec, n=n)
+    return np.fft.irfft(spec, n=n, out=out)
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,13 @@ class StripSolution:
     "box-exit", "instability-abort", "ellipticity", "non-finite"; levels
     stored always passed the stability monitor.  ``levels_skipped`` counts
     the levels that tripped it once and drove the next step unstored.
+
+    ``states_u`` and ``states_v`` are Z_u and Z_v at each stored level,
+    shaped as ``states``, as the march took them: Z_v is the k1 of the
+    step that left the level (the last level's is the same system, taken
+    when the march ends).  They are None on a strip the march did not
+    make, ``dataclasses.replace`` included, whose analysis derives them
+    from its states.
     """
 
     v: np.ndarray
@@ -118,6 +127,10 @@ class StripSolution:
     field: CoefficientField
     params: MarchParams
     levels_skipped: int = 0
+    states_u: np.ndarray | None = dataclasses.field(default=None, init=False,
+                                                    repr=False)
+    states_v: np.ndarray | None = dataclasses.field(default=None, init=False,
+                                                    repr=False)
 
     def __post_init__(self):
         for name in ("v", "u", "states", "high_frac", "min_disc"):
@@ -212,7 +225,7 @@ def _sum_into(out, terms, coefficients, factors):
 
 
 def assemble_rhs(level: np.ndarray, field: CoefficientField,
-                 values=None, level_u=None) -> np.ndarray:
+                 values=None, level_u=None, out=None, plan=None) -> np.ndarray:
     """Z_v for one level: spectral Z_u pushed through the system matrix.
 
     ``level`` is the (5, n_u) block (x, y, z, p, q), or a (5, ..., n_u)
@@ -221,22 +234,33 @@ def assemble_rhs(level: np.ndarray, field: CoefficientField,
     x_v = -q_u/sqrt(E), y_v = p_u/sqrt(E), z_v = (q p_u - p q_u)/sqrt(E),
     p_v = -sqrt(E) y_u, q_v = sqrt(E) x_u.  ``values`` is (A, B, C, E, D)
     already evaluated at ``level``; without it the field is evaluated here.
-    ``level_u`` is ``spectral_du(level)`` when the caller has it.  The
-    terms are resolved once per pattern of constant 0 and 1 coefficients
-    (``_rhs_plan``): a term whose coefficient is the constant 0 is
-    skipped, and so are a product by a constant 1 and the division by a
-    constant sqrt(D) = 1; the sums keep their order, so only the sign of
-    an exact zero can differ from the full formula.
+    ``level_u`` is ``spectral_du(level)`` when the caller has it.  Z_v is
+    written into ``out`` when given.  The terms are resolved once per
+    pattern of constant 0 and 1 coefficients (``_rhs_plan``; ``plan`` is
+    the field's, when the caller resolved it): a term whose coefficient is
+    the constant 0 is skipped, and so are a product by a constant 1 and
+    the division by a constant sqrt(D) = 1; the sums keep their order, so
+    only the sign of an exact zero can differ from the full formula.
     """
     level_u = spectral_du(level) if level_u is None else level_u
     values = _field_values(field, level) if values is None else values
-    sums, rows, divide = _rhs_plan(tuple(map(_kind, field._constants)))
+    plan = _plan_of(field) if plan is None else plan
+    return _rhs(level, level_u, values, plan,
+                np.empty(np.shape(level)) if out is None else out)
+
+
+def _plan_of(field: CoefficientField) -> tuple:
+    """The ``_rhs_plan`` of a field's coefficient kinds."""
+    return _rhs_plan(tuple(map(_kind, field._constants)))
+
+
+def _rhs(level, level_u, values, plan, out: np.ndarray) -> np.ndarray:
+    """``assemble_rhs`` with its inputs at hand, written into ``out``."""
+    sums, rows, divide = plan
     coefficients = [*values[:4], level[3], level[4]]
-    shape = np.shape(level)
     for terms in sums:
-        coefficients.append(_sum_into(np.empty(shape[1:]), terms,
+        coefficients.append(_sum_into(np.empty(np.shape(level)[1:]), terms,
                                       coefficients, level) if terms else None)
-    out = np.empty(shape)
     for row, terms in zip(out, rows):
         _sum_into(row, terms, coefficients, level_u)
     if divide:
@@ -276,11 +300,14 @@ def spectral_filter(level: np.ndarray, params: MarchParams) -> np.ndarray:
     return _filter_in_place(level, _filter_factors(params))
 
 
-def _filter_in_place(level: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """``spectral_filter`` with its ``factors``, written over ``level``."""
-    correction = np.fft.rfft(level)
+def _filter_in_place(level: np.ndarray, factors: np.ndarray,
+                     spectrum=None, real=None) -> np.ndarray:
+    """``spectral_filter`` with its ``factors``, written over ``level``;
+    the correction's rfft and irfft go into ``spectrum`` and ``real`` when
+    given."""
+    correction = np.fft.rfft(level, out=spectrum)
     correction *= factors
-    level -= np.fft.irfft(correction, n=level.shape[-1])
+    level -= np.fft.irfft(correction, n=level.shape[-1], out=real)
     return level
 
 
@@ -362,33 +389,48 @@ def _field_failure(err: FieldEvalError, stage: str, where: str,
     return status, f"{what.format(stage)} {where} v={v:.6g}: {err}"
 
 
-def _rk4_step(level: np.ndarray, h: float, field: CoefficientField,
-              values, spectrum, stage: np.ndarray) -> np.ndarray:
-    """One RK4 step; k1 reuses the field ``values`` and the rfft
-    ``spectrum`` of ``level`` that its checks computed (it is overwritten).
+def _rk4_step(level: np.ndarray, h: float, field: CoefficientField, plan,
+              k1: np.ndarray, work, out: np.ndarray) -> np.ndarray:
+    """One RK4 step from ``level``, whose slope ``k1`` the caller took,
+    written into ``out`` (which may be ``level`` itself).
 
-    Each stage state level + c h k is formed in ``stage``, and the new
-    level level + (h/6)(k1 + 2(k2 + k3) + k4) over k2, with the
-    operations of those formulas in their order, so the bits are theirs.
+    ``work`` holds the march's buffers: the stage state, a spectrum, the
+    stage's Z_u, and k2, k3, k4.  Each stage state level + c h k is formed
+    in place, and the new level level + (h/6)(k1 + 2(k2 + k3) + k4) over
+    k2, with the operations of those formulas in their order, so the bits
+    are theirs.
     """
-    k1 = assemble_rhs(level, field, values,
-                      _du_of_spectrum(spectrum, level.shape[-1]))
-    k2 = assemble_rhs(_stage(level, 0.5 * h, k1, stage), field)
-    k3 = assemble_rhs(_stage(level, 0.5 * h, k2, stage), field)
-    k4 = assemble_rhs(_stage(level, h, k3, stage), field)
+    stage, spectrum, stage_u, k2, k3, k4 = work
+    n = level.shape[-1]
+    for step, slope, k in ((0.5 * h, k1, k2), (0.5 * h, k2, k3), (h, k3, k4)):
+        np.multiply(step, slope, out=stage)
+        np.add(level, stage, out=stage)
+        stage_du = _du_of_spectrum(np.fft.rfft(stage, out=spectrum), n, stage_u)
+        assemble_rhs(stage, field, None, stage_du, k, plan)
     total = np.add(k2, k3, out=k2)
     np.multiply(2.0, total, out=total)
     np.add(k1, total, out=total)
     total += k4
     total *= h / 6.0
-    return np.add(level, total, out=total)
+    return np.add(level, total, out=out)
 
 
-def _stage(level: np.ndarray, step: float, slope: np.ndarray,
-           out: np.ndarray) -> np.ndarray:
-    """level + step * slope, written into ``out``."""
-    np.multiply(step, slope, out=out)
-    return np.add(level, out, out=out)
+#: Levels the march makes room for at first, whatever R/dv; the room
+#: doubles when full.  The default march (151 levels) needs no second
+#: buffer, and a row is only paged in when a level is written to it.
+_FIRST_ROOM = 256
+
+
+def _grown(rows: np.ndarray, count: int) -> np.ndarray:
+    """A buffer of twice the room holding the first ``count`` of ``rows``."""
+    bigger = np.empty((2 * len(rows),) + rows.shape[1:])
+    bigger[:count] = rows[:count]
+    return bigger
+
+
+def _min_disc(disc) -> float:
+    """min D of a level; a folded field's D is a float, taken as it is."""
+    return float(disc) if isinstance(disc, float) else float(disc.min())
 
 
 def march(curve: PeriodicCurve, field: CoefficientField,
@@ -412,27 +454,41 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     u = 2.0 * np.pi * np.arange(n_u) / n_u
     alpha, beta, *_ = eval_curve(curve, u)
     zeros = np.zeros(n_u)
-    level = np.stack([zeros, zeros.copy(), zeros.copy(), alpha, beta])
+    axis = np.stack([zeros, zeros.copy(), zeros.copy(), alpha, beta])
 
     # Box, evaluation and ellipticity failures on the axis data are
     # input errors: they surface here, before any step.  Each check's
     # field values and the monitor's spectrum feed the k1 stage of the
     # next step.
     try:
-        values = eval_field(field, tuple(level))
+        values = eval_field(field, tuple(axis))
     except FieldEvalError as err:
         raise ValidationError(f"initial data: {err}") from None
 
     sign = -1.0 if params.negative_v else 1.0
     factors = _filter_factors(params)
-    stage = np.empty_like(level)
+    plan = _plan_of(field)
+    # One spectrum buffer holds, in turn, a level's rfft for the monitor
+    # (which k1 then differentiates in place), each stage's and the
+    # filter's.
+    spectrum = np.fft.rfft(axis)
+    work = (np.empty_like(axis), spectrum,
+            *(np.empty_like(axis) for _ in range(4)))
+    # The stored levels and the Z_u and k1 of each, in buffers whose room
+    # doubles when full.  A new level is written into the row after the
+    # last stored one, and a skipped level stays there while it drives the
+    # next step.
+    states, states_u, states_v = (np.empty((_FIRST_ROOM,) + axis.shape)
+                                  for _ in range(3))
+    states[0] = level = axis
+    count = 1
+    derived = 0         # stored levels whose Z_u and k1 are in the buffers
+    kept = True         # whether ``level`` is the last stored level
 
     v_list = [0.0]
-    levels = [level]
-    spectrum = np.fft.rfft(level)
     frac0, _ = stability_monitor(spectrum, params)
     fracs = [frac0]
-    discs = [float(np.min(values[4]))]
+    discs = [_min_disc(values[4])]
 
     status, detail = "completed", f"reached v={sign * params.R:.6g}"
     streak = skipped = 0
@@ -441,13 +497,23 @@ def march(curve: PeriodicCurve, field: CoefficientField,
 
     while v_now < params.R - 1e-12 * params.R:
         h = min(params.dv, params.R - v_now)
+        slot_u = slot_v = None
+        if kept:
+            slot_u, slot_v = states_u[count - 1], states_v[count - 1]
+            derived = count
+        k1 = assemble_rhs(level, field, values,
+                          _du_of_spectrum(spectrum, n_u, slot_u), slot_v, plan)
+        if count == len(states):
+            states, states_u, states_v = (_grown(rows, count) for rows in
+                                          (states, states_u, states_v))
         try:
-            nxt = _rk4_step(level, sign * h, field, values, spectrum, stage)
+            nxt = _rk4_step(level, sign * h, field, plan, k1, work,
+                            states[count])
         except FieldEvalError as err:
             status, detail = _field_failure(err, "stage ", "after", sign * v_now)
             break
 
-        nxt = _filter_in_place(nxt, factors)
+        nxt = _filter_in_place(nxt, factors, spectrum, work[2])
         v_now = (step_index + 1) * params.dv if h == params.dv else params.R
         step_index += 1
 
@@ -462,8 +528,10 @@ def march(curve: PeriodicCurve, field: CoefficientField,
             status, detail = _field_failure(err, "", "at", sign * v_now)
             break
 
-        spectrum = np.fft.rfft(nxt)
+        spectrum = np.fft.rfft(nxt, out=spectrum)
         frac, exceeded = stability_monitor(spectrum, params)
+        level = nxt
+        kept = not exceeded
         if exceeded:
             streak += 1
             if streak >= 2:
@@ -474,16 +542,24 @@ def march(curve: PeriodicCurve, field: CoefficientField,
                 break
             # Offending level drives the next step but is never stored.
             skipped += 1
-            level = nxt
             continue
 
         streak = 0
-        level = nxt
+        count += 1
         v_list.append(sign * v_now)
-        levels.append(nxt)
         fracs.append(frac)
-        discs.append(float(np.min(values[4])))
+        discs.append(_min_disc(values[4]))
 
-    return StripSolution(np.array(v_list), u, np.stack(levels), np.array(fracs),
-                         np.array(discs), status, detail, curve, field, params,
-                         skipped)
+    if derived < count:
+        # The last stored level drove no step: its derivatives are taken
+        # here, from its check's field values and its monitor's spectrum.
+        _rhs(level, _du_of_spectrum(spectrum, n_u, states_u[count - 1]),
+             values, plan, states_v[count - 1])
+    strip = StripSolution(np.array(v_list), u, states[:count], np.array(fracs),
+                          np.array(discs), status, detail, curve, field, params,
+                          skipped)
+    for name, rows in (("states_u", states_u), ("states_v", states_v)):
+        rows = rows[:count]
+        rows.flags.writeable = False
+        object.__setattr__(strip, name, rows)
+    return strip

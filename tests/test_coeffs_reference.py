@@ -11,6 +11,7 @@ none of the package code it checks.  Values must agree bit for bit, and
 failures must raise the same exception with the same message.
 """
 
+import dataclasses
 import importlib
 import itertools
 
@@ -30,10 +31,12 @@ from ma_singular.coeffs import (
 from ma_singular.curves import PeriodicCurve, builtin_curve, eval_curve
 from ma_singular.errors import EllipticityError, FieldEvalError, OutOfBoxError
 from ma_singular.expr import VARIABLES, evaluate
+from ma_singular.geometry import _strip_analysis
 from ma_singular.march import (
     MarchParams,
     assemble_rhs,
     march,
+    spectral_du,
     stability_monitor,
 )
 
@@ -341,6 +344,79 @@ def test_march_matches_reference_bitwise(curve, field, params,
     assert strip.states.tobytes() == states.tobytes()
     assert strip.min_disc.tobytes() == min_disc.tobytes()
     assert strip.high_frac.tobytes() == high_frac.tobytes()
+
+
+def _small_box(E="1", x=1.0, pq=4.0):
+    return CoefficientField.from_dict({
+        "A": "0", "B": "0", "C": "0", "E": E,
+        "box": {"x": [-x, x], "y": [-1, 1], "z": [-1, 1],
+                "p": [-pq, pq], "q": [-pq, pq]}})
+
+
+#: (curve, field, params, status, levels skipped) of marched strips: each
+#: curve under each field, then a march down in v, a long one, one that
+#: skips a level and three that stop early.
+_HANDOFF = {
+    f"{curve}-{name}": (curve, field,
+                        MarchParams(n_u=256 if curve == "remark42" else 128,
+                                    R=0.05), "completed", 0)
+    for curve in ("circle", "wobble", "ellipse", "remark42")
+    for name, field in (("pure-one", "pure-one"), ("remark42", "remark42"),
+                        ("varying", VARYING), ("constant", CONSTANT))
+}
+_HANDOFF.update({
+    "ellipse-negative-v": ("ellipse", "pure-one",
+                           MarchParams(R=0.05, negative_v=True), "completed", 0),
+    # 301 levels: more than the march makes room for at first.
+    "circle-long": ("circle", "pure-one", MarchParams(dv=5e-4), "completed", 0),
+    # The fifth monitored level trips the monitor and is not stored.
+    "skipped-level": ("circle", "pure-one", MarchParams(R=0.02), "completed", 1),
+    # A stage of the next step leaves the box.
+    "stage-box-exit": ("circle", _small_box(x=0.05), MarchParams(),
+                       "box-exit", 0),
+    # The stepped state leaves the box, after the first step.
+    "step-box-exit": ("circle", _small_box(pq=1.0000005), MarchParams(),
+                      "box-exit", 0),
+    "ellipticity": ("circle", _small_box("1 - 60*z"), MarchParams(),
+                    "ellipticity", 0),
+})
+
+
+@pytest.mark.parametrize("case", list(_HANDOFF) + ["replaced"])
+def test_strip_carries_the_derivatives_of_its_states(case, monkeypatch):
+    curve, field, params, status, skipped = _HANDOFF.get(
+        case, _HANDOFF["wobble-pure-one"])
+    if case == "skipped-level":
+        march_module = importlib.import_module("ma_singular.march")
+        calls = []
+
+        def trip_fifth_call(level, params):
+            calls.append(level)
+            frac, exceeded = stability_monitor(level, params)
+            return frac, exceeded or len(calls) == 5
+
+        monkeypatch.setattr(march_module, "stability_monitor", trip_fifth_call)
+    field = builtin_field(field) if isinstance(field, str) else field
+    strip = march(builtin_curve(curve), field, params)
+    assert (strip.status, strip.levels_skipped) == (status, skipped)
+    if case == "replaced":
+        # Other states in the box: the analysis must read them, never the
+        # derivatives the march took of the old ones.
+        marched = strip
+        strip = dataclasses.replace(marched, states=0.5 * marched.states)
+        assert strip.states_u is None and strip.states_v is None
+    Z = np.moveaxis(strip.states, -2, 0)
+    Z_u = spectral_du(Z)
+    Z_v = assemble_rhs(Z, strip.field)
+    if case != "replaced":
+        assert strip.states_u.shape == strip.states_v.shape == strip.states.shape
+        assert np.moveaxis(Z_u, 0, -2).tobytes() == strip.states_u.tobytes()
+        assert np.moveaxis(Z_v, 0, -2).tobytes() == strip.states_v.tobytes()
+    analysis = _strip_analysis(strip)
+    assert analysis[1].tobytes() == Z_v.tobytes()
+    assert analysis[2].J.tobytes() == (Z_u[0] * Z_v[1] - Z_v[0] * Z_u[1]).tobytes()
+    if case == "replaced":
+        assert analysis[1].tobytes() != _strip_analysis(marched)[1].tobytes()
 
 
 def _monitored(kind):

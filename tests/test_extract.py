@@ -1,8 +1,11 @@
 """Richardson extrapolation, patch sampling, limit-gradient extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ma_singular import extract, geometry
 from ma_singular.coeffs import builtin_field
 from ma_singular.curves import PeriodicCurve, builtin_curve, eval_curve
 from ma_singular.errors import CoverageError, ValidationError
@@ -123,6 +126,30 @@ def test_sampler_samples_doubly_covered_remark42():
         p, q = sampler(rho[j], theta[j:j + 1])
         assert abs(p[0] - patch.p[k, j]) < 1e-10
         assert abs(q[0] - patch.q[k, j]) < 1e-10
+
+
+def test_sampler_reuses_the_level_tables_of_reconstruction(monkeypatch):
+    calls = []
+
+    def counted(*args, _original=geometry._level_tables, **kwargs):
+        calls.append(args)
+        return _original(*args, **kwargs)
+
+    for module in (geometry, extract):
+        monkeypatch.setattr(module, "_level_tables", counted)
+    strip = march(builtin_curve("wobble"), builtin_field("pure-one"),
+                  MarchParams())
+    patch = reconstruct_graph(strip)
+    sampler = patch_sampler(patch)
+    assert len(calls) == 1
+    # A patch reconstruct_graph did not make builds its own tables, and
+    # samples to the same bits.
+    other = patch_sampler(dataclasses.replace(patch))
+    assert len(calls) == 2
+    thetas = np.linspace(-np.pi, np.pi, 37)
+    for r in (0.05, 0.1):
+        for got, want in zip(sampler(r, thetas), other(r, thetas)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_sampler_band_matches_annulus(circle_sampler):

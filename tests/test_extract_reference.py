@@ -50,7 +50,7 @@ from ma_singular.extract import (
 from ma_singular.geometry import (
     GraphPatch,
     _level_tables,
-    _nested_family,
+    _nested,
     reconstruct_graph,
     reflect_field,
     reflect_solution,
@@ -520,7 +520,7 @@ def assert_tables_match_reference(patch):
         assert_tables_match(list(zip(theta, rho, period)),
                             [reference_radius_table(patch.x[k], patch.y[k])
                              for k in levels])
-    nested = _nested_family(patch.x, patch.y, extra=extra)
+    nested = _nested(tables)
     assert nested == reference_nested_family(patch.x, patch.y, extra=extra)
     try:
         want = reference_sampler_tables(patch)

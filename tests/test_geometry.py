@@ -173,8 +173,8 @@ def test_reconstruct_graph_rows_match_hessian_from_strip(circle_strip,
 
 
 def test_one_analysis_serves_every_view(monkeypatch):
-    strip = march(builtin_curve("wobble"), PURE_ONE, MarchParams(R=0.05))
-    calls = {"assemble_rhs": 0, "eval_field": 0, "field_values": 0}
+    marched = march(builtin_curve("wobble"), PURE_ONE, MarchParams(R=0.05))
+    calls = {}
 
     def count(module, name, key):
         def counted(*args, _original=getattr(module, name), **kwargs):
@@ -187,26 +187,36 @@ def test_one_analysis_serves_every_view(monkeypatch):
     # Every evaluation of the field, including one inside assemble_rhs.
     for module in ("ma_singular.coeffs", "ma_singular.march"):
         count(importlib.import_module(module), "_field_values", "field_values")
-    jacobian(strip)
-    reconstruct_graph(strip)
-    pde_residual(strip)
-    for _ in range(3):
-        hessian_from_strip(strip, 5)
-    legendre_dual_normals(strip)
-    assert calls == {"assemble_rhs": 1, "eval_field": 1, "field_values": 1}
+    # A marched strip carries the march's Z_v; a replaced one re-evaluates
+    # the system.  The field is evaluated once for the Hessian either way.
+    for strip, rhs in ((marched, 0),
+                       (dataclasses.replace(marched, states=marched.states), 1)):
+        calls.update(assemble_rhs=0, eval_field=0, field_values=0)
+        jacobian(strip)
+        reconstruct_graph(strip)
+        pde_residual(strip)
+        for _ in range(3):
+            hessian_from_strip(strip, 5)
+        legendre_dual_normals(strip)
+        assert calls == {"assemble_rhs": rhs, "eval_field": 1,
+                         "field_values": 1}
 
 
 def test_strip_analysis_transforms_once(monkeypatch):
-    strip = march(builtin_curve("wobble"), PURE_ONE, MarchParams(R=0.05))
-    counts = {"rfft": 0, "irfft": 0}
-    for name in counts:
+    marched = march(builtin_curve("wobble"), PURE_ONE, MarchParams(R=0.05))
+    replaced = dataclasses.replace(marched, states=marched.states)
+    counts = {}
+    for name in ("rfft", "irfft"):
         def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    jacobian(strip)
-    # Z_u serves the analysis and the re-evaluated system alike.
-    assert counts == {"rfft": 1, "irfft": 1}
+    # Z_u serves the analysis and the re-evaluated system alike; a marched
+    # strip carries the march's, so its analysis transforms nothing.
+    for strip, transforms in ((marched, 0), (replaced, 1)):
+        counts.update(rfft=0, irfft=0)
+        jacobian(strip)
+        assert counts == {"rfft": transforms, "irfft": transforms}
 
 
 def test_analysis_arrays_are_read_only():

@@ -468,8 +468,10 @@ def test_march_transforms_each_level_once_for_monitor_and_k1(monkeypatch):
     assert strip.status == "completed" and steps == 50
     # Per step, forward: k2, k3, k4, the filter and the monitor; back: k1 to
     # k4 and the filter.  k1 differentiates from the monitor's spectrum of
-    # the level it starts from, so only the axis level adds a transform.
-    assert counts == {"rfft": 5 * steps + 1, "irfft": 5 * steps}
+    # the level it starts from, so only the axis level adds a forward
+    # transform, and the last level, which starts no step, adds the inverse
+    # transform of the Z_u the strip carries.
+    assert counts == {"rfft": 5 * steps + 1, "irfft": 5 * steps + 1}
 
 
 def test_strip_level_accessor():
