@@ -588,9 +588,13 @@ def cmd_plot(cfg: dict):
     report = _read(report_path, "report", as_json=True)
     if not isinstance(report, dict):
         raise ValidationError(f"{report_path} does not hold a JSON object")
+    # Every report has a config object; _merge would read a missing one as
+    # the defaults and draw a run that never happened.
+    if not isinstance(report.get("config"), dict):
+        raise ValidationError(f"{report_path} has no config object")
 
     try:
-        run_cfg = _merge(DEFAULT_CONFIG, report.get("config"))
+        run_cfg = _merge(DEFAULT_CONFIG, report["config"])
         _check_config(run_cfg)
     except ValidationError as err:
         raise ValidationError(f"{err} in {report_path}") from None

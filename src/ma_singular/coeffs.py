@@ -11,7 +11,6 @@ once per (5, ...) state block.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from collections.abc import Mapping
@@ -123,17 +122,6 @@ class CoefficientField:
         except KeyError as missing:
             raise ValidationError(f"field literal is missing key {missing}") from None
         return cls(exprs["A"], exprs["B"], exprs["C"], exprs["E"], box)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoefficientField":
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as err:
-            raise ValidationError(f"field literal is not valid JSON: {err}") from None
-        return cls.from_dict(data)
 
 
 def pure_field(phi, box=None) -> CoefficientField:

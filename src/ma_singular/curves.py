@@ -14,8 +14,7 @@ self-intersection test.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .errors import DegenerateCurveError, ValidationError
 JORDAN_SAMPLES = 2048
 
 #: Margins below this count as degenerate rather than signed.
-DEFAULT_TOL = 1e-9
+TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,17 +110,6 @@ class PeriodicCurve:
         except KeyError as missing:
             raise ValidationError(f"curve literal is missing key {missing}") from None
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "PeriodicCurve":
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as err:
-            raise ValidationError(f"curve literal is not valid JSON: {err}") from None
-        return cls.from_dict(data)
-
 
 @dataclass(frozen=True)
 class CurveReport:
@@ -131,11 +119,10 @@ class CurveReport:
     convexity_margin: float       # min over u of alpha'' beta' - alpha' beta''
     orientation: str              # "negative" | "positive" | "degenerate"
     regular: bool
-    strictly_convex: bool         # convexity margin > tol (negative orientation)
+    strictly_convex: bool         # convexity margin > TOL (negative orientation)
     locally_convex: bool          # regular, convexity of one strict sign
     embedded: bool                # turning number or Jordan polyline test
     u_star: float                 # location of the convexity minimum
-    tol: float = field(default=DEFAULT_TOL)
 
 
 def eval_curve(curve: PeriodicCurve, u):
@@ -317,8 +304,7 @@ def _turning_number(d_alpha, d_beta):
     return int(round(float(np.sum(steps)) / (2 * np.pi)))
 
 
-def classify_curve(curve: PeriodicCurve,
-                   tol: float = DEFAULT_TOL) -> CurveReport:
+def classify_curve(curve: PeriodicCurve) -> CurveReport:
     """Scan margins on a grid, refine the extrema, and decide embeddedness.
 
     The grid has max(JORDAN_SAMPLES, 8*(degree+1)) points, so the extrema
@@ -344,18 +330,18 @@ def classify_curve(curve: PeriodicCurve,
     conv = dda * db - da * ddb
     convexity_margin, u_star = _refined_min(conv, curve.degree)
 
-    if convexity_margin > tol:
+    if convexity_margin > TOL:
         orientation = "negative"
-    elif convexity_margin < -tol:
+    elif convexity_margin < -TOL:
         orientation = "positive"
     else:
         orientation = "degenerate"
 
     # Sign-definite convexity: the refined minimum is positive, or the
     # refined maximum (minimum of the negation) is negative.
-    locally_convex = regularity_margin > tol and (
-        convexity_margin > tol
-        or -_refined_min(-conv, curve.degree)[0] < -tol)
+    locally_convex = regularity_margin > TOL and (
+        convexity_margin > TOL
+        or -_refined_min(-conv, curve.degree)[0] < -TOL)
     turning = _turning_number(da, db) if locally_convex else None
     if turning is not None:
         embedded = abs(turning) == 1
@@ -366,12 +352,11 @@ def classify_curve(curve: PeriodicCurve,
         regularity_margin=regularity_margin,
         convexity_margin=convexity_margin,
         orientation=orientation,
-        regular=regularity_margin > tol,
-        strictly_convex=convexity_margin > tol,
+        regular=regularity_margin > TOL,
+        strictly_convex=convexity_margin > TOL,
         locally_convex=locally_convex,
         embedded=embedded,
         u_star=u_star,
-        tol=tol,
     )
 
 

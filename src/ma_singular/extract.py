@@ -48,6 +48,9 @@ __all__ = [
     "richardson_extrapolate",
 ]
 
+#: Most radii ``PatchSampler.suggest_radii`` puts on its ladder.
+_MAX_RADII = 5
+
 
 # ---------------------------------------------------------------------------
 # Richardson extrapolation (ratio-2 radii, first-order base error)
@@ -161,13 +164,13 @@ class PatchSampler:
         inner, outer = _radii_at(self._tables, query, [0, -1])
         self.r_lo, self.r_hi = float(np.max(inner)), float(np.min(outer))
 
-    def suggest_radii(self, max_count: int = 5) -> tuple:
+    def suggest_radii(self) -> tuple:
         """Largest ratio-2 ladder that fits the covered band, top at 0.8 r_hi."""
         r0 = 0.8 * self.r_hi
         if r0 <= self.r_lo:
             raise CoverageError(
                 f"band [{self.r_lo:.3g}, {self.r_hi:.3g}] too thin to sample")
-        count = min(max_count, int(np.floor(np.log2(r0 / self.r_lo))) + 1)
+        count = min(_MAX_RADII, int(np.floor(np.log2(r0 / self.r_lo))) + 1)
         if count < 2:
             raise CoverageError(
                 f"band [{self.r_lo:.3g}, {self.r_hi:.3g}] spans less than one "

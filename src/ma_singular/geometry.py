@@ -760,8 +760,8 @@ def strip_to_csv(strip: StripSolution) -> str:
         f"# status: {strip.status}",
         f"# detail: {strip.detail}",
         f"# params: {json.dumps(vars(strip.params))}",
-        f"# curve: {strip.curve.to_json()}",
-        f"# field: {strip.field.to_json()}",
+        f"# curve: {json.dumps(strip.curve.to_dict())}",
+        f"# field: {json.dumps(strip.field.to_dict())}",
         *_grid_header(strip.v, strip.n_u),
         ",".join(_STRIP_COLUMNS),
     ]

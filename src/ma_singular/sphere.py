@@ -11,7 +11,6 @@ must therefore agree between the two directions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,10 @@ __all__ = [
 ]
 
 _CONVENTIONS = ("normal", "gnomonic")
+
+#: Curvature dets within this of zero make ``spherical_orientation``
+#: report "degenerate".
+_ORIENTATION_TOL = 1e-9
 
 _CANONICAL = (np.array([1.0, 0.0, 0.0]),
               np.array([0.0, 1.0, 0.0]),
@@ -77,28 +80,6 @@ class SphereCurve:
     @property
     def n(self) -> int:
         return self.sigma.shape[0]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "sigma": self.sigma.tolist(),
-            "v0": self.v0.tolist(),
-            "e1": self.e1.tolist(),
-            "e2": self.e2.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "SphereCurve":
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as err:
-            raise ValidationError(f"sphere curve is not valid JSON: {err}") from None
-        try:
-            return cls(np.asarray(data["sigma"], dtype=float),
-                       np.asarray(data["v0"], dtype=float),
-                       np.asarray(data["e1"], dtype=float),
-                       np.asarray(data["e2"], dtype=float))
-        except KeyError as missing:
-            raise ValidationError(f"sphere curve is missing key {missing}") from None
 
 
 def _check_convention(convention: str) -> None:
@@ -164,7 +145,7 @@ def geodesic_curvature_det(sphere: SphereCurve) -> np.ndarray:
     return dets / speed ** 3
 
 
-def spherical_orientation(sphere: SphereCurve, tol: float = 1e-9):
+def spherical_orientation(sphere: SphereCurve):
     """("negative"|"positive"|"degenerate", margin) from the curvature det.
 
     "negative" (det < 0 everywhere) is what the spherical image of a
@@ -172,8 +153,8 @@ def spherical_orientation(sphere: SphereCurve, tol: float = 1e-9):
     the distance of the det from zero, or 0.0 when not sign-definite.
     """
     dets = geodesic_curvature_det(sphere)
-    if np.max(dets) < -tol:
+    if np.max(dets) < -_ORIENTATION_TOL:
         return "negative", float(-np.max(dets))
-    if np.min(dets) > tol:
+    if np.min(dets) > _ORIENTATION_TOL:
         return "positive", float(np.min(dets))
     return "degenerate", 0.0

@@ -16,6 +16,15 @@ _PALETTE = ("#1b6ca8", "#c23b22", "#2e8540", "#8e44ad", "#b8860b", "#444444")
 _SIZE = 640
 _MARGIN = 40
 
+#: Most levels ``image_curves_svg`` draws and most node columns
+#: ``residual_strip_svg`` draws; longer axes are evenly strided.
+_MAX_LEVELS = 24
+_MAX_COLS = 128
+
+#: The log10 |residual| range of the heat strip's colour scale.
+_LOG_LO = -12.0
+_LOG_HI = 0.0
+
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
@@ -59,10 +68,10 @@ def _polyline(px, py, color: str, width: float, closed: bool) -> str:
             f'stroke-width="{_fmt(width)}"/>')
 
 
-def curves_overlay_svg(curves, title: str = "curves") -> str:
+def curves_overlay_svg(curves) -> str:
     """Overlay closed curves given as (label, (n, 2) points) pairs."""
     to_px = _data_transform([pts for _, pts in curves])
-    parts = _header(title)
+    parts = _header("curves")
     legend_y = _MARGIN
     for i, (label, pts) in enumerate(curves):
         color = _PALETTE[i % len(_PALETTE)]
@@ -75,23 +84,22 @@ def curves_overlay_svg(curves, title: str = "curves") -> str:
     return "\n".join(parts) + "\n"
 
 
-def image_curves_svg(x: np.ndarray, y: np.ndarray, title: str = "image curves",
-                     max_levels: int = 24) -> str:
+def image_curves_svg(x: np.ndarray, y: np.ndarray) -> str:
     """The family of image curves (x, y)(., v_k) nesting around the origin.
 
-    ``x`` and ``y`` have shape (levels, n_u); at most max_levels are drawn,
-    evenly strided, innermost lightest.
+    ``x`` and ``y`` have shape (levels, n_u); at most ``_MAX_LEVELS`` are
+    drawn, evenly strided, innermost lightest.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n_levels = x.shape[0]
-    stride = max(1, int(np.ceil(n_levels / max_levels)))
+    stride = max(1, int(np.ceil(n_levels / _MAX_LEVELS)))
     rows = list(range(0, n_levels, stride))
     if rows[-1] != n_levels - 1:
         rows.append(n_levels - 1)
     pts = [np.column_stack([x[k], y[k]]) for k in rows]
     to_px = _data_transform(pts + [np.zeros((1, 2))])
-    parts = _header(title)
+    parts = _header("image curves")
     for i, (k, p) in enumerate(zip(rows, pts)):
         shade = 0.25 + 0.75 * (i / max(len(rows) - 1, 1))
         level = int(round(120 * (1 - shade)))
@@ -127,21 +135,19 @@ def _texts(template: str, values: np.ndarray) -> np.ndarray:
                     dtype=object)
 
 
-def residual_strip_svg(residuals: np.ndarray, v: np.ndarray,
-                       title: str = "residual", max_cols: int = 128,
-                       log_lo: float = -12.0, log_hi: float = 0.0) -> str:
+def residual_strip_svg(residuals: np.ndarray, v: np.ndarray) -> str:
     """Heat strip of log10 |residual| over (level, node); NaN cells gray."""
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     n_levels, n_u = residuals.shape
-    stride = max(1, int(np.ceil(n_u / max_cols)))
+    stride = max(1, int(np.ceil(n_u / _MAX_COLS)))
     grid = residuals[:, ::stride]
     n_cols = grid.shape[1]
     cell_w = (_SIZE - 2 * _MARGIN) / n_cols
     cell_h = (_SIZE - 2 * _MARGIN) / n_levels
     finite = np.isfinite(grid)
     mag = np.log10(np.maximum(np.abs(np.where(finite, grid, 0.0)),
-                              10.0 ** log_lo))
-    fill = np.where(finite, _heat_rgb((mag - log_lo) / (log_hi - log_lo)),
+                              10.0 ** _LOG_LO))
+    fill = np.where(finite, _heat_rgb((mag - _LOG_LO) / (_LOG_HI - _LOG_LO)),
                     _NAN_FILL)
     # Each column's x, each level's y and each distinct fill is formatted
     # once; the text of a cell joins the three.
@@ -154,10 +160,10 @@ def residual_strip_svg(residuals: np.ndarray, v: np.ndarray,
     pieces[..., 1] = _texts("%.6f" + size, ys)[:, None]
     pieces[..., 2] = _texts('%06x"/>\n', fills)[index.reshape(fill.shape)]
     rects = "".join(pieces.ravel().tolist())[:-1]
-    parts = _header(title)
+    parts = _header("residual")
     parts.append(rects)
     parts.append(f'<text x="{_MARGIN}" y="{_SIZE - 12}" fill="#444444" '
                  f'font-size="12">v from {v[0]:.4g} to {v[-1]:.4g}, '
-                 f'log10 scale {log_lo:g}..{log_hi:g}</text>')
+                 f'log10 scale {_LOG_LO:g}..{_LOG_HI:g}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

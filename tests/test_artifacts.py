@@ -57,8 +57,8 @@ def reference_strip_csv(strip):
         f"# status: {strip.status}",
         f"# detail: {strip.detail}",
         f"# params: {json.dumps(vars(strip.params))}",
-        f"# curve: {strip.curve.to_json()}",
-        f"# field: {strip.field.to_json()}",
+        f"# curve: {json.dumps(strip.curve.to_dict())}",
+        f"# field: {json.dumps(strip.field.to_dict())}",
         *reference_grid_header(strip.v, strip.n_u),
         "x,y,z,p,q",
     ]
@@ -121,15 +121,15 @@ def reference_heat_color(t):
     return "#%02x%02x%02x" % rgb
 
 
-def reference_residual_strip_svg(residuals, v, title="residual", max_cols=128,
-                                 log_lo=-12.0, log_hi=0.0):
+def reference_residual_strip_svg(residuals, v):
+    max_cols, log_lo, log_hi = 128, -12.0, 0.0
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     n_levels, n_u = residuals.shape
     stride = max(1, int(np.ceil(n_u / max_cols)))
     cols = list(range(0, n_u, stride))
     cell_w = (_SIZE - 2 * _MARGIN) / len(cols)
     cell_h = (_SIZE - 2 * _MARGIN) / n_levels
-    parts = _header(title)
+    parts = _header("residual")
     for i in range(n_levels):
         for jc, j in enumerate(cols):
             value = residuals[i, j]
@@ -179,10 +179,10 @@ def grids(n_levels, n_u):
 csv_shapes = st.tuples(st.integers(min_value=1, max_value=4),
                        st.integers(min_value=1, max_value=8))
 
-#: n_u = 256 needs a column stride of 2 at max_cols = 128; 130 and 200 are
-#: not multiples of 128 (nor of 7).
+#: The strip draws at most 128 columns: 128 needs no stride, 129 and 256
+#: a stride of 2, and 300 a stride of 3 that does not divide it.
 svg_shapes = st.tuples(st.integers(min_value=1, max_value=3),
-                       st.sampled_from([1, 3, 130, 200, 256]))
+                       st.sampled_from([1, 3, 128, 129, 256, 300]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +222,13 @@ def test_patch_csv_matches_per_cell_reference(data, shape, multivalued):
 
 
 @settings(deadline=None, max_examples=25)
-@given(st.data(), svg_shapes, st.sampled_from([128, 7]))
-def test_residual_svg_matches_per_cell_reference(data, shape, max_cols):
+@given(st.data(), svg_shapes)
+def test_residual_svg_matches_per_cell_reference(data, shape):
     n_levels, n_u = shape
     residuals = data.draw(grids(n_levels, n_u))
     v = np.linspace(0.0, 0.15, n_levels)
-    assert (residual_strip_svg(residuals, v, max_cols=max_cols)
-            == reference_residual_strip_svg(residuals, v, max_cols=max_cols))
+    assert (residual_strip_svg(residuals, v)
+            == reference_residual_strip_svg(residuals, v))
 
 
 @settings(deadline=None, max_examples=25)
@@ -240,9 +240,9 @@ def test_polyline_matches_per_cell_reference(data, n, closed):
 
 
 def test_residual_svg_matches_reference_on_a_strided_grid():
-    # n_u = 256 needs a column stride of 2; 200 is not a multiple of 128.
+    # Strides 2, 2, 3 and 8; 200, 300 and 1000 are not multiples of 128.
     rng = np.random.default_rng(3)
-    for n_u in (256, 200):
+    for n_u in (256, 200, 300, 1000):
         residuals = 10.0 ** rng.uniform(-14.0, 1.0, size=(151, n_u))
         residuals[::7, ::5] = np.nan
         residuals[1::3] *= -1.0

@@ -236,6 +236,18 @@ def test_construct_circle_writes_artifacts(tmp_path):
     assert header[8] == "x,y,z,p,q"
 
 
+def test_strip_csv_headers_read_back_to_the_runs_curve_and_field(tmp_path):
+    out = tmp_path / "run"
+    main(["construct", "--out", str(out), "--set", "curve.builtin=remark42",
+          "--set", "field.builtin=remark42", "--set", "march.R=0.05"])
+    header = dict(line[2:].split(": ", 1) for line in
+                  (out / "strip.csv").read_text().splitlines()[:7])
+    curve = PeriodicCurve.from_dict(json.loads(header["curve"]))
+    field = CoefficientField.from_dict(json.loads(header["field"]))
+    assert curve == builtin_curve("remark42")
+    assert field.to_dict() == builtin_field("remark42").to_dict()
+
+
 def test_construct_multivalued_exits_three(tmp_path):
     out = tmp_path / "run"
     code = main(["construct", "--out", str(out),
@@ -377,7 +389,7 @@ def test_construct_report_is_deterministic(tmp_path):
 
 def test_curve_file_and_auto_reverse(tmp_path):
     path = tmp_path / "curve.json"
-    path.write_text(builtin_curve("ellipse").reverse().to_json())
+    path.write_text(json.dumps(builtin_curve("ellipse").reverse().to_dict()))
     out = tmp_path / "run"
     code = main(["construct", "--out", str(out),
                  "--set", f'curve.file="{path}"',
@@ -812,6 +824,7 @@ def test_plot_with_a_directory_at_a_figure_path_is_two(tmp_path, capsys):
     "{bad", "[1, 2]",
     '{"config": {"curve": {"literal": 5}}}',
     '{"config": {"curve": {"file": 7}}}',
+    '{}', '{"config": null}', '{"command": "construct"}',
     pytest.param(NOT_UTF8, id="not-utf8"),
     pytest.param(TOO_DEEP, id="too-deep"),
 ])
@@ -828,7 +841,7 @@ def test_plot_corrupt_report_is_two(tmp_path, capsys, text):
 def test_plot_non_object_recovered_curve_is_two(tmp_path, capsys, key, value):
     out = tmp_path / "run"
     out.mkdir()
-    (out / "report.json").write_text(json.dumps({key: value}))
+    (out / "report.json").write_text(json.dumps({"config": {}, key: value}))
     assert main(["plot", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error: curve literal must be an object" in err

@@ -110,20 +110,6 @@ def test_dict_round_trip_preserves_expressions():
     assert back.to_dict() == f.to_dict()
 
 
-def test_json_round_trip():
-    f = pure_field("sin(x) + 2", box={"x": (-0.5, 0.5), "y": (-1, 1),
-                                      "z": (-1, 1), "p": (-4, 4),
-                                      "q": (-4, 4)})
-    back = CoefficientField.from_json(f.to_json())
-    assert back.box["x"] == (-0.5, 0.5)
-    assert back.to_dict() == f.to_dict()
-
-
-def test_from_json_rejects_too_deep_nesting():
-    with pytest.raises(ValidationError, match="not valid JSON"):
-        CoefficientField.from_json("[" * 100000)
-
-
 @pytest.mark.parametrize("data", [5, [1], "a", None])
 def test_from_dict_rejects_a_non_object(data):
     with pytest.raises(ValidationError, match="field literal must be an object"):

@@ -1,7 +1,5 @@
 """Fourier curves, classification, and the builtin gallery."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -199,9 +197,9 @@ def test_non_finite_coefficients_are_rejected(bad):
     with pytest.raises(ValidationError, match="must be finite"):
         PeriodicCurve([0.0, 1.0], [0.0, bad], [0.0], [0.0, -1.0])
     with pytest.raises(ValidationError, match="must be finite"):
-        PeriodicCurve.from_json(json.dumps({
+        PeriodicCurve.from_dict({
             "alpha_cos": [0, 1], "alpha_sin": [0, 0], "beta_cos": [bad],
-            "beta_sin": [0, -1]}))
+            "beta_sin": [0, -1]})
     # A non-finite extrapolation cannot become a fitted curve either.
     samples = np.cos(U)
     samples[7] = bad
@@ -224,17 +222,6 @@ def test_coefficients_must_be_flat_and_not_all_empty(coefficients):
     # Each used to end in a ValueError or IndexError from the padding.
     with pytest.raises(ValidationError, match="must be flat lists"):
         PeriodicCurve(*coefficients)
-
-
-def test_json_round_trip():
-    c = builtin_curve("remark42")
-    back = PeriodicCurve.from_json(c.to_json())
-    assert back == c
-
-
-def test_from_json_rejects_too_deep_nesting():
-    with pytest.raises(ValidationError, match="not valid JSON"):
-        PeriodicCurve.from_json("[" * 100000)
 
 
 def test_from_dict_reports_missing_key():

@@ -107,18 +107,6 @@ def test_unknown_convention():
         plane_sphere(builtin_curve("circle"), convention="stereographic")
 
 
-def test_json_round_trip():
-    sphere = plane_sphere(builtin_curve("remark42"))
-    back = SphereCurve.from_json(sphere.to_json())
-    np.testing.assert_array_equal(back.sigma, sphere.sigma)
-    np.testing.assert_array_equal(back.v0, sphere.v0)
-
-
-def test_from_json_rejects_too_deep_nesting():
-    with pytest.raises(ValidationError, match="not valid JSON"):
-        SphereCurve.from_json("[" * 100000)
-
-
 def test_tilted_basis_round_trips():
     # Any right-handed orthonormal frame works, not just the axes.
     rot = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
