@@ -217,18 +217,17 @@ def _interior_levels(strip: StripSolution, v_min: float | None,
                      default_frac: float = 0.2):
     if v_min is None:
         v_min = default_frac * strip.params.R
-    idx = [k for k in range(1, strip.n_levels) if abs(strip.v[k]) >= v_min - 1e-15]
+    idx = [k for k in range(1, strip.n_levels) if strip.v[k] >= v_min - 1e-15]
     return v_min, idx
 
 
-def pde_residual(strip: StripSolution, v_min: float | None = None,
-                 j_floor: float = RESIDUAL_J_FLOOR) -> ResidualReport:
+def pde_residual(strip: StripSolution, v_min: float | None = None) -> ResidualReport:
     """residual = A r + 2B s + C t + (r t - s^2) - E over the strip interior.
 
-    Levels below v_min (default 0.2 R) and nodes with |J| <= j_floor are
-    excluded: the chart is degenerate at the axis and the quotient blows
-    up the recovery there.  Identically, the residual equals
-    (A+t)(C+r) - (B-s)^2 - D.
+    Levels below v_min (default 0.2 R) and nodes with
+    |J| <= RESIDUAL_J_FLOOR are excluded: the chart is degenerate at the
+    axis and the quotient blows up the recovery there.  Identically, the
+    residual equals (A+t)(C+r) - (B-s)^2 - D.
     """
     v_min, idx = _interior_levels(strip, v_min)
     if not idx:
@@ -236,12 +235,12 @@ def pde_residual(strip: StripSolution, v_min: float | None = None,
             f"no stored levels at v >= {v_min:.6g}; strip reached {strip.v[-1]:.6g}")
     hess = hessian_from_strip(strip, idx)
     _, _, _, unmasked = _strip_analysis(strip)
-    keep = hess.valid & (np.abs(hess.J) > j_floor)
+    keep = hess.valid & (np.abs(hess.J) > RESIDUAL_J_FLOOR)
     residuals = np.where(keep, unmasked[idx], np.nan)
     count = int(np.sum(keep))
     if count == 0:
         raise SingularJacobianError(
-            f"no nodes above |J| > {j_floor} in the selected levels")
+            f"no nodes above |J| > {RESIDUAL_J_FLOOR} in the selected levels")
     finite = residuals[np.isfinite(residuals)]
     return ResidualReport(
         max_abs=float(np.max(np.abs(finite))),

@@ -33,6 +33,26 @@ __all__ = [
 ]
 
 
+#: The filter of every step is sigma(k) = exp(-FILTER_STRENGTH
+#: (k / (FILTER_CUTOFF k_max))^FILTER_ORDER) on the rfft bins k.
+FILTER_STRENGTH = 36.0
+FILTER_ORDER = 16
+FILTER_CUTOFF = 1.0
+#: A level whose high-band energy fraction exceeds this trips the monitor.
+MONITOR_THRESHOLD = 1e-3
+
+
+def _even_grid(values: np.ndarray, name: str) -> int:
+    """The size of the last axis of ``values``, which must be even."""
+    if values.ndim == 0:
+        raise ValidationError(f"{name} needs a grid on the last axis, "
+                              "got a 0-d value")
+    n = values.shape[-1]
+    if n % 2 != 0:
+        raise ValidationError(f"{name} needs an even grid, got {n}")
+    return n
+
+
 def spectral_du(values: np.ndarray) -> np.ndarray:
     """d/du of a periodic sample vector by Fourier differentiation.
 
@@ -40,12 +60,7 @@ def spectral_du(values: np.ndarray) -> np.ndarray:
     Nyquist mode itself is zeroed, the standard symmetric choice.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim == 0:
-        raise ValidationError("spectral_du needs a grid on the last axis, "
-                              "got a 0-d value")
-    n = values.shape[-1]
-    if n % 2 != 0:
-        raise ValidationError(f"spectral_du needs an even grid, got {n}")
+    n = _even_grid(values, "spectral_du")
     return _du_of_spectrum(np.fft.rfft(values), n)
 
 
@@ -72,15 +87,10 @@ class MarchParams:
     R: float = 0.15
     n_u: int = 128
     dv: float = 1e-3
-    filter_strength: float = 36.0
-    filter_order: int = 16
-    filter_cutoff: float = 1.0
-    monitor_threshold: float = 1e-3
-    negative_v: bool = False
 
     def validate(self, curve: PeriodicCurve | None = None) -> None:
-        if not (self.R > 0):
-            raise ValidationError(f"R must be positive, got {self.R}")
+        if not (0 < self.R < math.inf):
+            raise ValidationError(f"R must be positive and finite, got {self.R}")
         if not (0 < self.dv <= self.R):
             raise ValidationError(f"dv={self.dv} must lie in (0, R={self.R}]")
         n = self.n_u
@@ -89,13 +99,6 @@ class MarchParams:
         if curve is not None and n < 4 * (curve.degree + 1):
             raise ValidationError(
                 f"n_u={n} is below 4*(degree+1)={4 * (curve.degree + 1)}")
-        if self.filter_strength <= 0 or self.filter_order < 2:
-            raise ValidationError("filter strength must be > 0 and order >= 2")
-        if not (0 < self.filter_cutoff <= 1):
-            raise ValidationError(
-                f"filter_cutoff={self.filter_cutoff} must lie in (0, 1]")
-        if self.monitor_threshold <= 0:
-            raise ValidationError("monitor threshold must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,35 +272,34 @@ def _rhs(level, level_u, values, plan, out: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _filter_factors(params: MarchParams) -> np.ndarray:
-    """1 - sigma(k) for the compensated filter update, per rfft bin.
+def _filter_factors(n: int) -> np.ndarray:
+    """1 - sigma(k) for the compensated filter update, per rfft bin of an
+    n-point grid.
 
-    sigma(k) = exp(-strength * (k / (cutoff * k_max))^order).  Computed
-    via expm1 so the shoulder keeps sub-ulp damping accuracy; factors
-    below 1e-18 are then snapped to exact zero so the deep passband is
-    bitwise transparent at any data scale.  Cached per parameter set and
-    read-only, since every step of a march uses the same factors.
+    Computed via expm1 so the shoulder keeps sub-ulp damping accuracy;
+    factors below 1e-18 are then snapped to exact zero so the deep
+    passband is bitwise transparent at any data scale.  Cached per size
+    and read-only, since every step of a march uses the same factors.
     """
-    k = np.arange(params.n_u // 2 + 1, dtype=float)
-    k_cut = params.filter_cutoff * (params.n_u / 2)
-    f = -np.expm1(-params.filter_strength * (k / k_cut) ** params.filter_order)
+    k = np.arange(n // 2 + 1, dtype=float)
+    k_cut = FILTER_CUTOFF * (n / 2)
+    f = -np.expm1(-FILTER_STRENGTH * (k / k_cut) ** FILTER_ORDER)
     f[f < 1e-18] = 0.0
     f.flags.writeable = False
     return f
 
 
-def spectral_filter(level: np.ndarray, params: MarchParams) -> np.ndarray:
+def spectral_filter(level: np.ndarray) -> np.ndarray:
     """Damp the top Fourier modes of every field of a level.
 
     Implemented as level - irfft((1 - sigma) * rfft(level)): band-limited
     data is perturbed only through the spectral round-off junk the filter
     removes from the stopband, below 1e-15 of the data scale per step.
+    The grid is the level's last axis, which must be even.
     """
     level = np.array(level, dtype=float)
-    if level.shape[-1:] != (params.n_u,):
-        raise ValidationError(f"spectral_filter needs a last axis of "
-                              f"n_u={params.n_u} points, got shape {level.shape}")
-    return _filter_in_place(level, _filter_factors(params))
+    factors = _filter_factors(_even_grid(level, "spectral_filter"))
+    return _filter_in_place(level, factors)
 
 
 def _filter_in_place(level: np.ndarray, factors: np.ndarray,
@@ -322,7 +324,7 @@ def _monitor_weights(n_bins: int) -> np.ndarray:
     return weights
 
 
-def stability_monitor(level: np.ndarray, params: MarchParams) -> tuple[float, bool]:
+def stability_monitor(level: np.ndarray) -> tuple[float, bool]:
     """(worst high-mode energy fraction, exceeded flag) for a level.
 
     Per field, the fraction of spectral energy sitting in the top third
@@ -332,7 +334,8 @@ def stability_monitor(level: np.ndarray, params: MarchParams) -> tuple[float, bo
     A complex ``level`` is taken as the level's rfft, which the march
     computes once for the monitor and the next step's first RK4 stage.
     A level whose spectrum or energy is not finite reads as exceeded,
-    with a fraction of NaN.
+    with a fraction of NaN.  Exceeded is a fraction above
+    ``MONITOR_THRESHOLD``.
     """
     spec = np.atleast_2d(level)
     if spec.dtype.kind != "c":
@@ -348,14 +351,14 @@ def stability_monitor(level: np.ndarray, params: MarchParams) -> tuple[float, bo
         total, high = _band_energies(magnitude)
         if total.min() > 1e-300:
             worst = float((high / total).max())
-            return worst, worst > params.monitor_threshold
+            return worst, worst > MONITOR_THRESHOLD
     with np.errstate(all="ignore"):
         total, high = _band_energies(magnitude)
         frac = np.where(total > 1e-300, high / np.maximum(total, 1e-300), 0.0)
     if not np.isfinite(total).all():
         return math.nan, True
     worst = float(frac.max())
-    return worst, worst > params.monitor_threshold
+    return worst, worst > MONITOR_THRESHOLD
 
 
 #: A spectral magnitude up to which the energy of a bin, at most 2e300,
@@ -435,12 +438,15 @@ def _min_disc(disc) -> float:
 
 def march(curve: PeriodicCurve, field: CoefficientField,
           params: MarchParams | None = None) -> StripSolution:
-    """Integrate the strip from the axis to v = R (or -R).
+    """Integrate the strip from the axis up to v = R.
 
     Axis data the field rejects (outside the box, a non-finite
     coefficient, D <= 0) is a ValidationError: there is no strip to
     return.  A later failure ends the march without an exception: the
     strip marched so far is returned, its status and detail saying why.
+
+    The system is invariant under (u, v) -> (-u, -v), so the strip below
+    the axis is that of ``curve.reverse()``, with u mirrored.
 
     Returns:
         StripSolution with status "completed" when v = R was reached, else
@@ -465,8 +471,7 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     except FieldEvalError as err:
         raise ValidationError(f"initial data: {err}") from None
 
-    sign = -1.0 if params.negative_v else 1.0
-    factors = _filter_factors(params)
+    factors = _filter_factors(n_u)
     plan = _plan_of(field)
     # One spectrum buffer holds, in turn, a level's rfft for the monitor
     # (which k1 then differentiates in place), each stage's and the
@@ -486,11 +491,11 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     kept = True         # whether ``level`` is the last stored level
 
     v_list = [0.0]
-    frac0, _ = stability_monitor(spectrum, params)
+    frac0, _ = stability_monitor(spectrum)
     fracs = [frac0]
     discs = [_min_disc(values[4])]
 
-    status, detail = "completed", f"reached v={sign * params.R:.6g}"
+    status, detail = "completed", f"reached v={params.R:.6g}"
     streak = skipped = 0
     v_now = 0.0
     step_index = 0
@@ -507,10 +512,9 @@ def march(curve: PeriodicCurve, field: CoefficientField,
             states, states_u, states_v = (_grown(rows, count) for rows in
                                           (states, states_u, states_v))
         try:
-            nxt = _rk4_step(level, sign * h, field, plan, k1, work,
-                            states[count])
+            nxt = _rk4_step(level, h, field, plan, k1, work, states[count])
         except FieldEvalError as err:
-            status, detail = _field_failure(err, "stage ", "after", sign * v_now)
+            status, detail = _field_failure(err, "stage ", "after", v_now)
             break
 
         nxt = _filter_in_place(nxt, factors, spectrum, work[2])
@@ -519,17 +523,17 @@ def march(curve: PeriodicCurve, field: CoefficientField,
 
         if not np.isfinite(nxt).all():
             status = "non-finite"
-            detail = f"non-finite state at v={sign * v_now:.6g}"
+            detail = f"non-finite state at v={v_now:.6g}"
             break
 
         try:
             values = _field_values(field, nxt)
         except FieldEvalError as err:
-            status, detail = _field_failure(err, "", "at", sign * v_now)
+            status, detail = _field_failure(err, "", "at", v_now)
             break
 
         spectrum = np.fft.rfft(nxt, out=spectrum)
-        frac, exceeded = stability_monitor(spectrum, params)
+        frac, exceeded = stability_monitor(spectrum)
         level = nxt
         kept = not exceeded
         if exceeded:
@@ -537,8 +541,8 @@ def march(curve: PeriodicCurve, field: CoefficientField,
             if streak >= 2:
                 status = "instability-abort"
                 detail = (f"high-mode fraction {frac:.3g} > "
-                          f"{params.monitor_threshold:.3g} on two consecutive "
-                          f"levels at v={sign * v_now:.6g}")
+                          f"{MONITOR_THRESHOLD:.3g} on two consecutive "
+                          f"levels at v={v_now:.6g}")
                 break
             # Offending level drives the next step but is never stored.
             skipped += 1
@@ -546,7 +550,7 @@ def march(curve: PeriodicCurve, field: CoefficientField,
 
         streak = 0
         count += 1
-        v_list.append(sign * v_now)
+        v_list.append(v_now)
         fracs.append(frac)
         discs.append(_min_disc(values[4]))
 

@@ -41,6 +41,7 @@ from ma_singular.curves import (
 )
 from ma_singular.errors import FieldEvalError, ValidationError
 from ma_singular.geometry import reflect_field
+from ma_singular.march import MarchParams
 
 SMALL_BOX_FIELD = {
     "A": "0", "B": "0", "C": "0", "E": "1",
@@ -194,7 +195,7 @@ def test_set_section_merges_like_a_config_file():
     ("construct", "reconstruct=5"),
     ("construct", "curve=5"),
     ("roundtrip", "roundtrip=5"),
-    ("construct", "residual=[1]"),
+    ("construct", "extract=[1]"),
     ("construct", 'march="x"'),
     # Not JSON to the parser, so a string, like any other such value.
     pytest.param("construct", "curve=" + TOO_DEEP, id="construct-too-deep"),
@@ -209,9 +210,79 @@ def test_scalar_for_a_config_section_is_two(tmp_path, capsys, command,
 
 
 def test_print_config_exits_zero(capsys):
-    assert main(["construct", "--print-config", "--set", "seed=3"]) == 0
+    assert main(["construct", "--print-config", "--set", "march.n_u=64"]) == 0
     printed = json.loads(capsys.readouterr().out)
-    assert printed["seed"] == 3
+    assert printed["march"]["n_u"] == 64
+
+
+def test_settable_values_are_pinned():
+    # A new config key or march parameter is a change to this list.
+    assert [key for key, _ in _config_leaves()] == [
+        "curve.builtin", "curve.file", "curve.literal", "curve.auto_reverse",
+        "field.builtin", "field.file", "field.literal",
+        "march.R", "march.n_u", "march.dv",
+        "reconstruct.v_min",
+        "extract.degree", "extract.n_theta", "extract.radii",
+        "roundtrip.tolerance", "roundtrip.reflected",
+        "verify.z_tolerance", "verify.slope_tolerance",
+        "verify.circle_tolerance",
+        "out",
+        "emit.csv", "emit.json", "emit.svg",
+    ]
+    assert [field.name for field in dataclasses.fields(MarchParams)] == \
+        ["R", "n_u", "dv"]
+
+
+def test_readme_kinds_table_names_the_leaves_of_the_config_check():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.partition("| leaf | kind |")[2].partition("\n\n")[0]
+    named = set()
+    for row in table.splitlines()[2:]:
+        cell = row.split("|")[1]
+        named.update(cell.replace("`", "").replace(",", " ").split())
+    assert named, "no kinds table in README.md"
+    assert named <= {key for key, _ in _config_leaves()}
+    assert set(cli._LEAF_KINDS) <= named
+
+
+#: The config leaves that became constants, the values they always held,
+#: and the key an override of each is refused by: the residual section is
+#: gone as a whole.
+_REMOVED_LEAVES = {
+    "march.filter_strength": (36.0, "march.filter_strength"),
+    "march.filter_order": (16, "march.filter_order"),
+    "march.filter_cutoff": (1.0, "march.filter_cutoff"),
+    "march.monitor_threshold": (1e-3, "march.monitor_threshold"),
+    "march.negative_v": (False, "march.negative_v"),
+    "residual.v_min": (None, "residual"),
+    "residual.j_floor": (1e-6, "residual"),
+    "seed": (0, "seed"),
+}
+
+
+@pytest.mark.parametrize("key", list(_REMOVED_LEAVES))
+def test_removed_config_keys_are_two(tmp_path, capsys, key):
+    value, unknown = _REMOVED_LEAVES[key]
+    out = tmp_path / "run"
+    assert main(["construct", "--out", str(out), "--set",
+                 f"{key}={json.dumps(value)}"]) == 2
+    assert f"error: unknown config key config.{unknown}\n" in \
+        capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    # A report written before the keys went: plot refuses its config.
+    assert main(["construct", "--out", str(out), "--set", "march.R=0.01"]) == 0
+    report = read_report(out)
+    section = report["config"]
+    *path, leaf = key.split(".")
+    for part in path:
+        section = section.setdefault(part, {})
+    section[leaf] = value
+    (out / "report.json").write_text(json.dumps(report))
+    assert main(["plot", "--out", str(out)]) == 2
+    assert (f"error: unknown config key config.{unknown} in "
+            f"{out / 'report.json'}\n") in capsys.readouterr().err
+    assert not any((out / name).exists()
+                   for name in ("curves.svg", "images.svg", "residual.svg"))
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +435,9 @@ def test_construct_reports_skipped_levels(tmp_path, monkeypatch):
     real_monitor = march_module.stability_monitor
     calls = []
 
-    def trip_once(level, params):
+    def trip_once(level):
         calls.append(level)
-        frac, exceeded = real_monitor(level, params)
+        frac, exceeded = real_monitor(level)
         return frac, exceeded or len(calls) == 5
 
     monkeypatch.setattr(march_module, "stability_monitor", trip_once)
@@ -625,19 +696,23 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
     out = tmp_path / "run"
     assert main([command, "--out", str(out), "--set", assignment]) == 2
     key = assignment.partition("=")[0]
-    assert f"error: {key} must be a finite number" in capsys.readouterr().err
+    # The residual section is gone, so each of its keys is unknown.
+    message = ("unknown config key config.residual" if key.startswith("residual.")
+               else f"{key} must be a finite number")
+    assert f"error: {message}" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("command, assignment, message", [
-    ("roundtrip", 'seed="abc"', "seed must be a non-negative integer, got 'abc'"),
-    ("roundtrip", "seed=-1", "seed must be a non-negative integer, got -1"),
+    # Keys that are gone, whatever their value.
+    ("roundtrip", 'seed="abc"', "unknown config key config.seed"),
+    ("roundtrip", "seed=-1", "unknown config key config.seed"),
     ("roundtrip", 'roundtrip.tolerance="a"',
      "roundtrip.tolerance must be a finite number, got 'a'"),
     ("roundtrip", "extract.degree=-3",
      "extract.degree must be a non-negative integer"),
     ("roundtrip", "march.filter_order=1e400",
-     "march.filter_order must be an integer, got inf"),
+     "unknown config key config.march.filter_order"),
     *[(command, f"{key}=5", f"{key} must be {kind}, got 5")
       for command in ("construct", "roundtrip", "verify")
       for key, kind in (("field.literal", "an object or null"),
@@ -651,15 +726,14 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
      "verify.z_tolerance must be a finite number, got 'x'"),
     ("construct", "out=null", "out must be a string, got None"),
     ("construct", 'march.negative_v="false"',
-     "march.negative_v must be a boolean, got 'false'"),
+     "unknown config key config.march.negative_v"),
     ("construct", "march.R=true", "march.R must be a finite number, got True"),
     ("construct", "march.n_u=128.5", "march.n_u must be an integer, got 128.5"),
     ("construct", "march.n_u=128.0", "march.n_u must be an integer, got 128.0"),
     ("roundtrip", "extract.n_theta=2.5",
      "extract.n_theta must be an integer, got 2.5"),
     ("construct", 'emit.csv="no"', "emit.csv must be a boolean, got 'no'"),
-    ("construct", "residual.j_floor=-1",
-     "residual.j_floor must be a finite number >= 0, got -1"),
+    ("construct", "residual.j_floor=-1", "unknown config key config.residual"),
     ("construct", 'verify.oracle="planar"',
      "unknown config key config.verify.oracle"),
     # limit_gradient's own rules, checked in every command before the march.
@@ -1101,7 +1175,6 @@ _VALID_KINDS = {
     "a boolean": st.booleans(),
     "a non-negative integer": st.integers(0, 40),
     "a finite number": st.floats(-1.0, 1.0),
-    "a finite number >= 0": st.floats(0.0, 1.0),
     "a finite number or null": st.none() | st.floats(-0.05, 0.05),
     "a string or null": st.none() | st.just("no-such-file.json"),
     "an object or null": st.none(),
@@ -1112,10 +1185,6 @@ _VALID_KEYS = {
     "march.R": st.floats(0.002, 0.02),
     "march.n_u": st.sampled_from([8, 16, 32]),
     "march.dv": st.floats(0.001, 0.02),
-    "march.filter_strength": st.floats(1.0, 60.0),
-    "march.filter_order": st.integers(2, 24),
-    "march.filter_cutoff": st.floats(0.3, 1.0),
-    "march.monitor_threshold": st.floats(1e-9, 0.1),
     "curve.builtin": st.sampled_from(builtin_curve_names()),
     "field.builtin": st.sampled_from(builtin_field_names()),
     "extract.n_theta": st.integers(8, 128),

@@ -40,6 +40,8 @@ from ma_singular.march import (
     stability_monitor,
 )
 
+march_module = importlib.import_module("ma_singular.march")
+
 # ---------------------------------------------------------------------------
 # Reference code: per-component box check, every coefficient on every call
 
@@ -101,7 +103,7 @@ def reference_du(values):
     return np.fft.irfft(spec, n=n)
 
 
-def reference_stability_monitor(level, params):
+def reference_stability_monitor(level):
     level = np.atleast_2d(np.asarray(level))
     spec = level if np.iscomplexobj(level) else \
         np.fft.rfft(np.asarray(level, dtype=float))
@@ -116,7 +118,7 @@ def reference_stability_monitor(level, params):
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(total > 1e-300, high / np.maximum(total, 1e-300), 0.0)
     worst = float(np.max(frac))
-    return worst, worst > params.monitor_threshold
+    return worst, worst > march_module.MONITOR_THRESHOLD
 
 
 def reference_assemble_rhs(level, field):
@@ -133,10 +135,12 @@ def reference_assemble_rhs(level, field):
     return np.stack([x_v, y_v, z_v, p_v, q_v])
 
 
-def reference_filter(level, params):
-    k = np.arange(params.n_u // 2 + 1, dtype=float)
-    k_cut = params.filter_cutoff * (params.n_u / 2)
-    f = -np.expm1(-params.filter_strength * (k / k_cut) ** params.filter_order)
+def reference_filter(level):
+    n = level.shape[-1]
+    k = np.arange(n // 2 + 1, dtype=float)
+    k_cut = march_module.FILTER_CUTOFF * (n / 2)
+    f = -np.expm1(-march_module.FILTER_STRENGTH
+                  * (k / k_cut) ** march_module.FILTER_ORDER)
     f[f < 1e-18] = 0.0
     return level - np.fft.irfft(f * np.fft.rfft(level), n=level.shape[-1])
 
@@ -147,22 +151,21 @@ def reference_march(curve, field, params):
     alpha, beta, *_ = eval_curve(curve, u)
     zeros = np.zeros(params.n_u)
     level = np.stack([zeros, zeros.copy(), zeros.copy(), alpha, beta])
-    sign = -1.0 if params.negative_v else 1.0
     levels = [level]
     discs = [float(np.min(reference_eval_field(field, tuple(level))[4]))]
-    fracs = [reference_stability_monitor(level, params)[0]]
+    fracs = [reference_stability_monitor(level)[0]]
     v_now, step = 0.0, 0
     while v_now < params.R - 1e-12 * params.R:
         h = min(params.dv, params.R - v_now)
         k1 = reference_assemble_rhs(level, field)
-        k2 = reference_assemble_rhs(level + 0.5 * sign * h * k1, field)
-        k3 = reference_assemble_rhs(level + 0.5 * sign * h * k2, field)
-        k4 = reference_assemble_rhs(level + sign * h * k3, field)
-        level = level + (sign * h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        level = reference_filter(level, params)
+        k2 = reference_assemble_rhs(level + 0.5 * h * k1, field)
+        k3 = reference_assemble_rhs(level + 0.5 * h * k2, field)
+        k4 = reference_assemble_rhs(level + h * k3, field)
+        level = level + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        level = reference_filter(level)
         v_now = (step + 1) * params.dv if h == params.dv else params.R
         step += 1
-        frac, exceeded = reference_stability_monitor(level, params)
+        frac, exceeded = reference_stability_monitor(level)
         assert not exceeded
         levels.append(level)
         discs.append(float(np.min(reference_eval_field(field, tuple(level))[4])))
@@ -318,7 +321,8 @@ CONSTANT = CoefficientField.from_dict({"A": "0.3", "B": "0.1", "C": "0.2",
     ("circle", "pure-one", MarchParams()),
     ("wobble", "pure-one", MarchParams()),
     ("remark42", "remark42", MarchParams(n_u=256, R=0.05)),
-    ("ellipse", "pure-one", MarchParams(R=0.05, negative_v=True)),
+    # Positively oriented: J < 0 on the strip.
+    (builtin_curve("ellipse").reverse(), "pure-one", MarchParams(R=0.05)),
     ("wobble", VARYING, MarchParams()),
     # First curve of each convex workload stream, seed 1.
     ("roundtrip-convex", "pure-one", MarchParams()),
@@ -329,12 +333,13 @@ CONSTANT = CoefficientField.from_dict({"A": "0.3", "B": "0.1", "C": "0.2",
 ])
 def test_march_matches_reference_bitwise(curve, field, params,
                                          benchmark_workloads):
-    workload = benchmark_workloads.WORKLOADS.get(curve)
-    if workload is None:
-        curve = builtin_curve(curve)
-    else:
-        literal = next(workload.ops(1))[0].config["curve"]["literal"]
-        curve = PeriodicCurve.from_dict(literal)
+    if isinstance(curve, str):
+        workload = benchmark_workloads.WORKLOADS.get(curve)
+        if workload is None:
+            curve = builtin_curve(curve)
+        else:
+            literal = next(workload.ops(1))[0].config["curve"]["literal"]
+            curve = PeriodicCurve.from_dict(literal)
     if isinstance(field, str):
         field = builtin_field(field)
     strip = march(curve, field, params)
@@ -354,8 +359,9 @@ def _small_box(E="1", x=1.0, pq=4.0):
 
 
 #: (curve, field, params, status, levels skipped) of marched strips: each
-#: curve under each field, then a march down in v, a long one, one that
-#: skips a level and three that stop early.
+#: curve under each field, then the ellipse's strip below the axis (its
+#: reverse marched up, where J < 0), a long one, one that skips a level and
+#: three that stop early.
 _HANDOFF = {
     f"{curve}-{name}": (curve, field,
                         MarchParams(n_u=256 if curve == "remark42" else 128,
@@ -365,8 +371,8 @@ _HANDOFF = {
                         ("varying", VARYING), ("constant", CONSTANT))
 }
 _HANDOFF.update({
-    "ellipse-negative-v": ("ellipse", "pure-one",
-                           MarchParams(R=0.05, negative_v=True), "completed", 0),
+    "ellipse-negative-v": (builtin_curve("ellipse").reverse(), "pure-one",
+                           MarchParams(R=0.05), "completed", 0),
     # 301 levels: more than the march makes room for at first.
     "circle-long": ("circle", "pure-one", MarchParams(dv=5e-4), "completed", 0),
     # The fifth monitored level trips the monitor and is not stored.
@@ -387,17 +393,17 @@ def test_strip_carries_the_derivatives_of_its_states(case, monkeypatch):
     curve, field, params, status, skipped = _HANDOFF.get(
         case, _HANDOFF["wobble-pure-one"])
     if case == "skipped-level":
-        march_module = importlib.import_module("ma_singular.march")
         calls = []
 
-        def trip_fifth_call(level, params):
+        def trip_fifth_call(level):
             calls.append(level)
-            frac, exceeded = stability_monitor(level, params)
+            frac, exceeded = stability_monitor(level)
             return frac, exceeded or len(calls) == 5
 
         monkeypatch.setattr(march_module, "stability_monitor", trip_fifth_call)
     field = builtin_field(field) if isinstance(field, str) else field
-    strip = march(builtin_curve(curve), field, params)
+    curve = builtin_curve(curve) if isinstance(curve, str) else curve
+    strip = march(curve, field, params)
     assert (strip.status, strip.levels_skipped) == (status, skipped)
     if case == "replaced":
         # Other states in the box: the analysis must read them, never the
@@ -438,11 +444,11 @@ def _monitored(kind):
 @pytest.mark.parametrize("kind", ["level", "stack", "spectrum", "odd-n", "zero",
                                   "large"])
 @pytest.mark.parametrize("threshold", [1e-3, 1e-30])
-def test_monitor_matches_reference_bitwise(kind, threshold):
-    params = MarchParams(monitor_threshold=threshold)
+def test_monitor_matches_reference_bitwise(kind, threshold, monkeypatch):
+    monkeypatch.setattr(march_module, "MONITOR_THRESHOLD", threshold)
     level = _monitored(kind)
-    frac, exceeded = stability_monitor(level, params)
-    want_frac, want_exceeded = reference_stability_monitor(level, params)
+    frac, exceeded = stability_monitor(level)
+    want_frac, want_exceeded = reference_stability_monitor(level)
     assert type(frac) is float and type(exceeded) is type(want_exceeded)
     assert np.float64(frac).tobytes() == np.float64(want_frac).tobytes()
     assert exceeded == want_exceeded
@@ -497,7 +503,6 @@ def _kind_pattern(field):
 
 
 def test_rhs_plan_is_made_once_per_kind_pattern():
-    march_module = importlib.import_module("ma_singular.march")
     plan = march_module._rhs_plan
     plan.cache_clear()
     level = _levels((64,))

@@ -305,8 +305,9 @@ def test_reconstruct_needs_two_levels(circle_strip):
 
 
 def test_reconstruct_rejects_negative_jacobian():
-    strip = march(builtin_curve("circle"), PURE_ONE,
-                  MarchParams(R=0.05, negative_v=True))
+    # A positively oriented curve gives J < 0.
+    strip = march(builtin_curve("circle").reverse(), PURE_ONE,
+                  MarchParams(R=0.05))
     with pytest.raises(SingularJacobianError):
         reconstruct_graph(strip)
 

@@ -9,6 +9,9 @@ and recovers the Hessian again; the nested star-shaped test that decides
 bit, and failures must raise the same exception with the same message.
 """
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -294,13 +297,23 @@ GENERAL = CoefficientField.from_dict({
 STRIPS = {
     "circle": ("circle", PURE_ONE, MarchParams()),
     "wobble": ("wobble", PURE_ONE, MarchParams()),
-    "ellipse-negative-v": ("ellipse", PURE_ONE,
-                           MarchParams(negative_v=True, R=0.05)),
+    # The ellipse's strip below the axis: by the march's symmetry
+    # (u, v) -> (-u, -v), its reverse marched up.  J < 0 on it.
+    "ellipse-negative-v": (builtin_curve("ellipse").reverse(), PURE_ONE,
+                           MarchParams(R=0.05)),
     "remark42": ("remark42", REMARK42, MarchParams(n_u=256, R=0.05)),
     "limacon": ("limacon", PURE_ONE, MarchParams()),
     "wobble-remark42-field": ("wobble", REMARK42, MarchParams()),
     "ellipse-general-field": ("ellipse", GENERAL, MarchParams(R=0.1)),
 }
+
+def pde_residual_under_floor(strip, v_min=None, j_floor=RESIDUAL_J_FLOOR):
+    """``pde_residual`` with ``RESIDUAL_J_FLOOR`` set to ``j_floor`` for the
+    call."""
+    geometry = importlib.import_module("ma_singular.geometry")
+    with mock.patch.object(geometry, "RESIDUAL_J_FLOOR", j_floor):
+        return pde_residual(strip, v_min=v_min)
+
 
 #: (label, new function, reference function, positional args, keywords)
 CALLS = [
@@ -315,8 +328,8 @@ CALLS = [
     ("hessian-list", hessian_from_strip, reference_hessian_from_strip,
      ([5, 0, 1],), {}),
     ("residual", pde_residual, reference_pde_residual, (), {}),
-    ("residual-v_min-j_floor", pde_residual, reference_pde_residual, (),
-     {"v_min": 0.01, "j_floor": 1e-3}),
+    ("residual-v_min-j_floor", pde_residual_under_floor,
+     reference_pde_residual, (), {"v_min": 0.01, "j_floor": 1e-3}),
     ("residual-empty", pde_residual, reference_pde_residual, (),
      {"v_min": 1.0}),
     ("reconstruct", reconstruct_graph, reference_reconstruct_graph, (), {}),
@@ -329,7 +342,8 @@ CALLS = [
 
 @pytest.fixture(scope="module")
 def strips():
-    return {name: march(builtin_curve(curve), field, params)
+    return {name: march(builtin_curve(curve) if isinstance(curve, str) else curve,
+                        field, params)
             for name, (curve, field, params) in STRIPS.items()}
 
 

@@ -1,6 +1,7 @@
 """Strip march: spectral derivative, RK4 stepping, filter, monitor."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ def test_cached_tables_are_read_only():
     march_module = importlib.import_module("ma_singular.march")
     for table in (march_module._du_factors(128),
                   march_module._monitor_weights(65),
-                  march_module._filter_factors(MarchParams())):
+                  march_module._filter_factors(128)):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
 
@@ -140,11 +141,10 @@ def test_cached_tables_are_read_only():
 
 
 def test_filter_leaves_low_modes_at_round_off():
-    params = MarchParams(n_u=128)
     u = 2.0 * np.pi * np.arange(128) / 128
     level = np.stack([np.cos(u), np.sin(2 * u), 0.5 + np.cos(3 * u),
                       np.sin(u), np.cos(u)])
-    filtered = spectral_filter(level, params)
+    filtered = spectral_filter(level)
     # Only the fft round-trip junk in the stopband is touched.
     assert np.max(np.abs(filtered - level)) < 1e-15
     spec_lo = np.fft.rfft(filtered - level)[:4]
@@ -152,30 +152,29 @@ def test_filter_leaves_low_modes_at_round_off():
 
 
 def test_filter_is_bitwise_identity_on_dc():
-    params = MarchParams(n_u=64)
     level = np.full((5, 64), 0.875)
-    assert np.array_equal(spectral_filter(level, params), level)
+    assert np.array_equal(spectral_filter(level), level)
 
 
-@pytest.mark.parametrize("shape", [(64,), (5, 129), (128, 5), ()])
+@pytest.mark.parametrize("shape", [(63,), (5, 129), (128, 5), ()])
 def test_filter_rejects_a_last_axis_off_the_grid(shape):
-    with pytest.raises(ValidationError, match=r"n_u=128 points, got shape"):
-        spectral_filter(np.ones(shape), MarchParams())
+    # The grid is the level's last axis, and must be even, as spectral_du's.
+    match = "0-d value" if shape == () else r"even grid, got \d+"
+    with pytest.raises(ValidationError, match=match):
+        spectral_filter(np.ones(shape))
 
 
 def test_filter_leaves_its_input_alone():
-    params = MarchParams(n_u=16)
     level = np.random.default_rng(2).normal(size=(5, 16))
     before = level.copy()
-    filtered = spectral_filter(level, params)
+    filtered = spectral_filter(level)
     assert np.array_equal(level, before) and filtered is not level
 
 
 def test_filter_crushes_nyquist_band():
-    params = MarchParams(n_u=128)
     u = 2.0 * np.pi * np.arange(128) / 128
     noisy = np.cos(u) + 1e-3 * np.cos(63 * u)
-    filtered = spectral_filter(noisy, params)
+    filtered = spectral_filter(noisy)
     spec = np.abs(np.fft.rfft(filtered)) / 128
     # damping at k=63 is 1 - exp(-36 (63/64)^16), about 12 decades
     assert spec[63] < 1e-14
@@ -183,18 +182,16 @@ def test_filter_crushes_nyquist_band():
 
 
 def test_monitor_quiet_on_smooth_level():
-    params = MarchParams(n_u=128)
     u = 2.0 * np.pi * np.arange(128) / 128
-    frac, exceeded = stability_monitor(circle_exact(0.1, u), params)
+    frac, exceeded = stability_monitor(circle_exact(0.1, u))
     assert frac < 1e-25 and not exceeded
 
 
 def test_monitor_fraction_matches_hand_count():
-    params = MarchParams(n_u=12, monitor_threshold=0.1)
     u = 2.0 * np.pi * np.arange(12) / 12
     # One unit of energy at k=1 and one at k=5; band is k >= 4 of 0..6.
     level = np.cos(u) + np.cos(5 * u)
-    frac, exceeded = stability_monitor(level, params)
+    frac, exceeded = stability_monitor(level)
     assert frac == pytest.approx(0.5, rel=1e-12)
     assert exceeded
 
@@ -203,15 +200,12 @@ def test_monitor_fraction_matches_hand_count():
 def test_monitor_reads_a_spectrum_as_its_level(n):
     # The march hands the monitor a level's rfft, which k1 reuses; the
     # bin count alone fixes the weights and the band, for odd n too.
-    params = MarchParams(n_u=16, monitor_threshold=0.1)
     level = np.random.default_rng(n).normal(size=(5, n))
-    assert stability_monitor(np.fft.rfft(level), params) == \
-        stability_monitor(level, params)
+    assert stability_monitor(np.fft.rfft(level)) == stability_monitor(level)
 
 
 def test_monitor_ignores_dc_offset():
-    params = MarchParams(n_u=16)
-    frac, exceeded = stability_monitor(np.full(16, 3.0), params)
+    frac, exceeded = stability_monitor(np.full(16, 3.0))
     assert frac == 0.0 and not exceeded
 
 
@@ -224,11 +218,11 @@ def test_monitor_ignores_dc_offset():
 ], ids=["nan", "inf", "one-inf", "energy-overflow"])
 def test_monitor_reads_a_non_finite_level_as_exceeded(level):
     # A RuntimeWarning would fail the test (pytest.ini_options).
-    frac, exceeded = stability_monitor(level, MarchParams())
+    frac, exceeded = stability_monitor(level)
     assert np.isnan(frac) and exceeded
     with np.errstate(invalid="ignore"):  # inf - inf inside the rfft
         spectrum = np.fft.rfft(level)
-    frac, exceeded = stability_monitor(spectrum, MarchParams())
+    frac, exceeded = stability_monitor(spectrum)
     assert np.isnan(frac) and exceeded
 
 
@@ -236,7 +230,7 @@ def test_monitor_reads_a_non_finite_level_as_exceeded(level):
 def test_monitor_keeps_a_large_finite_energy(scale):
     # All of the energy sits at k = 7, in the top band of 0..8.
     level = scale * np.cos(7 * 2.0 * np.pi * np.arange(16) / 16)
-    assert stability_monitor(level, MarchParams()) == (1.0, True)
+    assert stability_monitor(level) == (1.0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +239,10 @@ def test_monitor_keeps_a_large_finite_energy(scale):
 
 @pytest.mark.parametrize("kwargs", [
     {"R": 0.0}, {"R": -1.0}, {"dv": 0.0}, {"dv": 0.2},
-    {"n_u": 100}, {"n_u": 2}, {"filter_cutoff": 0.0},
-    {"filter_cutoff": 1.5}, {"filter_order": 0}, {"filter_strength": 0.0},
-    {"monitor_threshold": 0.0},
+    {"n_u": 100}, {"n_u": 2},
+    # An infinite R used to pass, and the march to stop on the axis as
+    # "completed".
+    {"R": math.inf}, {"R": math.inf, "dv": math.inf},
 ])
 def test_bad_params_rejected(kwargs):
     with pytest.raises(ValidationError):
@@ -322,11 +317,13 @@ def test_gradient_moves_outward_from_unit_circle():
     np.testing.assert_allclose(mag[0], 1.0, atol=1e-14)
 
 
-def test_negative_v_marches_down():
-    strip = march(CIRCLE, PURE_ONE, MarchParams(R=0.05, negative_v=True))
+def test_reversed_curve_marches_the_strip_below_the_axis():
+    # Z_v = M(Z) Z_u is invariant under (u, v) -> (-u, -v): the reversed
+    # circle's strip is the circle's at -v, with u mirrored.
+    strip = march(CIRCLE.reverse(), PURE_ONE, MarchParams(R=0.05))
     assert strip.status == "completed"
-    assert strip.v[-1] == pytest.approx(-0.05)
-    err = np.max(np.abs(strip.states[-1] - circle_exact(-0.05, strip.u)))
+    assert strip.v[-1] == pytest.approx(0.05)
+    err = np.max(np.abs(strip.states[-1] - circle_exact(-0.05, -strip.u)))
     assert err < 1e-13
 
 
@@ -355,11 +352,12 @@ def test_ellipticity_loss_mid_march():
     assert strip.v[-1] < 0.15
 
 
-def test_monitor_abort_needs_two_consecutive_hits():
+def test_monitor_abort_needs_two_consecutive_hits(monkeypatch):
     # Round-off puts ~1e-30 in the top band; an absurdly low threshold
     # turns that into a reproducible two-strike abort.
-    params = MarchParams(monitor_threshold=1e-35)
-    strip = march(CIRCLE, PURE_ONE, params)
+    monkeypatch.setattr(importlib.import_module("ma_singular.march"),
+                        "MONITOR_THRESHOLD", 1e-35)
+    strip = march(CIRCLE, PURE_ONE, MarchParams())
     assert strip.status == "instability-abort"
     assert strip.n_levels >= 1
     assert np.all(strip.high_frac <= 1e-35) or strip.n_levels == 1
@@ -369,9 +367,9 @@ def test_single_monitor_hit_skips_and_counts_one_level(monkeypatch):
     march_module = importlib.import_module("ma_singular.march")
     calls = []
 
-    def trip_fifth_call(level, params):
+    def trip_fifth_call(level):
         calls.append(level)
-        frac, exceeded = stability_monitor(level, params)
+        frac, exceeded = stability_monitor(level)
         return frac, exceeded or len(calls) == 5
 
     params = MarchParams(R=0.02)
