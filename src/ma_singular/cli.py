@@ -17,7 +17,9 @@ Exit codes separate scientific outcomes from usage errors:
     6   the marched state left the domain box
     7   roundtrip precondition failed (curve not strictly convex Jordan)
     8   a verification tolerance was exceeded, a roundtrip's extraction
-        left the patch's covered band (report.json -> limit.error), or a
+        from the strip's first stored level failed: a radius left its
+        covered band, or that level's patch does not reconstruct or is
+        multivalued (report.json -> limit.error), or a
         roundtrip recovered a limit curve outside the class M2 of regular,
         strictly convex Jordan curves (report.json -> limit.detail names
         the cause and the branches, and the report gives no distance)
@@ -433,8 +435,8 @@ def _pipeline_exit(strip, patch) -> int:
 def _run(cfg: dict, head: dict, judge=None, convex: bool = False):
     """(exit code, artifacts) of one marching command.
 
-    ``head`` starts the report.  ``judge(cfg, curve, patch, report)`` runs
-    only when the pipeline exits 0; it adds its findings to the report and
+    ``head`` starts the report.  ``judge(cfg, curve, strip, patch, report)``
+    runs only when the pipeline exits 0; it adds its findings to the report and
     returns the exit code.  With ``convex`` a curve that is not regular,
     strictly convex and embedded ends the run before the march.
     """
@@ -456,7 +458,7 @@ def _run(cfg: dict, head: dict, judge=None, convex: bool = False):
         report.update(result)
         code = _pipeline_exit(strip, patch)
         if code == EXIT_OK and judge is not None:
-            code = judge(cfg, curve, patch, report)
+            code = judge(cfg, curve, strip, patch, report)
     report["exit_code"] = code
 
     emit = cfg["emit"]
@@ -496,8 +498,15 @@ _NO_DISTANCE = {
 }
 
 
-def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> int:
+def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, strip, patch,
+                     report: dict) -> int:
     """The limit gradient of each reflection branch against the input curve.
+
+    The sampler reads the strip from its first stored level (v = dv), not
+    the reported patch, whose ``reconstruct.v_min`` (default 0.1 R) leaves
+    the band too thin for the ladder as the curve leaves the circle.  A
+    first-level patch that does not reconstruct, is multivalued or does
+    not cover the radii ends in ``limit.error`` and exit 8.
 
     Only the direct branch is extracted.  The sampler of the reflected
     branch ``reflect_solution(patch)`` reads at angle theta what the
@@ -506,12 +515,12 @@ def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> in
     """
     extract_cfg = cfg["extract"]
     try:
-        sampler = patch_sampler(patch)
+        sampler = patch_sampler(reconstruct_graph(strip, v_min=strip.v[1]))
         radii = extract_cfg["radii"]
         radii = sampler.suggest_radii() if radii is None else radii
         lg = limit_gradient(sampler, radii, n_theta=extract_cfg["n_theta"],
                             degree=extract_cfg["degree"])
-    except CoverageError as err:
+    except (CoverageError, SingularJacobianError, ValidationError) as err:
         report["limit"] = {"error": str(err)}
         return EXIT_TOLERANCE
 
@@ -534,7 +543,8 @@ def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> in
     return EXIT_OK if distance <= cfg["roundtrip"]["tolerance"] else EXIT_TOLERANCE
 
 
-def _judge_verify(cfg: dict, curve: PeriodicCurve, patch, report: dict) -> int:
+def _judge_verify(cfg: dict, curve: PeriodicCurve, strip, patch,
+                  report: dict) -> int:
     """The patch and a recovered limit curve against the radial reference."""
     rho = patch.radii()
     z_err = float(np.max(np.abs(patch.z - radial_reference_height(rho))))

@@ -171,18 +171,27 @@ def _eval_uniform(curve: PeriodicCurve, n: int):
 
 
 def _running_basis(u: np.ndarray, size: int) -> np.ndarray:
-    """(u.size, size) complex e^{iku}, k < size: one exponential, then a cumprod."""
-    basis = np.repeat(np.exp(1j * u)[:, None], size, axis=1)
-    basis[:, 0] = 1.0
-    np.cumprod(basis, axis=1, out=basis)
-    return basis
+    """(u.size, size) complex e^{iku}, k < size: one exponential, then block
+    doubling.  With columns k < n filled, e^{i(n+j)u} = e^{iju} e^{inu}
+    fills columns n..2n-1, so ceil(log2 size) - 1 block multiplies make
+    them all.  The array is the transpose of a C-ordered (size, u.size)
+    one, so each block is contiguous."""
+    rows = np.empty((size, u.size), dtype=complex)
+    rows[:1] = 1.0
+    rows[1:2] = np.exp(1j * u)
+    n = 2
+    while n < size:
+        m = min(n, size - n)
+        np.multiply(rows[:m], rows[n - 1] * rows[1], out=rows[n:n + m])
+        n *= 2
+    return rows.T
 
 
 def _eval_running(curve: PeriodicCurve, u):
-    """``eval_curve`` at a 1-D array u, with e^{iku} as a running product.
+    """``eval_curve`` at a 1-D array u, with e^{iku} from ``_running_basis``.
 
-    One complex exponential per point and a cumprod over k replace the
-    dense cos/sin matrices, as in ``PatchSampler``'s Newton solve.
+    One complex exponential per point and a few block multiplies replace
+    the dense cos/sin matrices, as in ``PatchSampler``'s Newton solve.
     """
     basis = _running_basis(np.asarray(u, dtype=float), curve.degree + 1)
     return tuple((basis @ _spectra(curve).T).real.T)

@@ -152,14 +152,21 @@ class PatchSampler:
                                          (patch.z, patch.p, patch.q))
         if self._tables is None:
             raise ValidationError("patch level is not star-shaped")
-        # u at the increasing angles: reversed for negatively oriented curves.
-        self._u = patch.u[self._tables[2]]
+        # u at the increasing angles: reversed for negatively oriented
+        # curves.  The closing angle entry is the first node one turn of u
+        # on, on an m-fold cover too.
+        u = patch.u[self._tables[2]]
+        turn = np.where(u[:, :1] < u[:, -1:], 2.0 * np.pi, -2.0 * np.pi)
+        self._u = np.concatenate([u, u[:, :1] + turn], axis=-1)
         self._rho_memo = (None, None)
-        # Per level the interpolant Re sum_k c_k e^{iku} of ``_series``; its
-        # u-derivative is Re sum_k i k c_k e^{iku}.
-        self._k = np.arange(patch.n_u // 2 + 1)
-        coef = _series(np.stack([patch.x, patch.y, patch.p, patch.q], axis=1))
-        self._xy, self._pq = coef[:, :2].copy(), coef[:, 2:].copy()
+        # Per level the interpolants Re sum_k c_k e^{iku} of ``_series`` of
+        # x, y, p and q, after k c_k of x and y: the u-derivative of x is
+        # -Im sum_k k c_k e^{iku}.
+        k = np.arange(patch.n_u // 2 + 1)
+        self._coef = np.empty((patch.n_levels, 6, k.size), dtype=complex)
+        self._coef[:, 2:] = _series(
+            np.stack([patch.x, patch.y, patch.p, patch.q], axis=1))
+        np.multiply(k, self._coef[:, 2:4], out=self._coef[:, :2])
         query = np.linspace(-np.pi, np.pi, 720, endpoint=False)
         inner, outer = _radii_at(self._tables, query, [0, -1])
         self.r_lo, self.r_hi = float(np.max(inner)), float(np.min(outer))
@@ -177,11 +184,11 @@ class PatchSampler:
                 "radius halving")
         return geometric_radii(r0, count)
 
-    def _solve(self, lev: np.ndarray, theta_q: np.ndarray):
-        """(e^{iku}, rho) where level lev[i] meets angle theta_q[i], per pair."""
-        # Linear guess on the level's (theta, u) table, 3 Newton steps.  The
-        # closing entry counts only when every entry does, so the clip to
-        # n - 2 makes j the same as without it.
+    def _guess(self, lev: np.ndarray, theta_q: np.ndarray) -> np.ndarray:
+        """u where level lev[i] meets angle theta_q[i], linear on the level's
+        (theta, u) table, per pair."""
+        # The closing entry counts only when every entry does, so the clip
+        # to the last interval makes j the same as without it.
         theta, u_table = self._tables[0], self._u
         lo = theta[lev, 0]
         tq = (theta_q - lo) % (2.0 * np.pi) + lo
@@ -189,14 +196,24 @@ class PatchSampler:
                     0, u_table.shape[1] - 2)
         t0, t1 = theta[lev, j], theta[lev, j + 1]
         u0, u1 = u_table[lev, j], u_table[lev, j + 1]
-        u = np.where(tq < t1, u0 + (tq - t0) * ((u1 - u0) / (t1 - t0)), u1)
-        xy = self._xy[lev]
+        return np.where(tq < t1, u0 + (tq - t0) * ((u1 - u0) / (t1 - t0)), u1)
+
+    def _solve(self, lev: np.ndarray, theta_q: np.ndarray):
+        """(rho, p, q) where level lev[i] meets angle theta_q[i], per pair."""
+        # ``_guess`` polished by 3 Newton steps.  Each pair's sums are a
+        # (rows, modes) @ (modes, 1) matmul of its own: k c_k, x and y in the
+        # steps, x and y, then p and q, at the end.
+        u = self._guess(lev, theta_q)
+        coef = self._coef[lev, :4]
         for step in range(4):
-            basis = _running_basis(u, self._k.size)
-            x, y = np.einsum("icj,ij->ci", xy, basis).real
+            basis = _running_basis(u, coef.shape[-1])[..., None]
             if step == 3:
-                return basis, np.hypot(x, y)
-            dx, dy = -np.einsum("icj,ij->ci", xy, basis * self._k).imag
+                x, y = (coef[:, 2:] @ basis)[..., 0].T.real
+                p, q = (self._coef[lev, 4:] @ basis)[..., 0].T.real
+                return np.hypot(x, y), p, q
+            sums = (coef @ basis)[..., 0].T
+            dx, dy = -sums[:2].imag
+            x, y = sums[2:].real
             f = np.arctan2(y, x) - theta_q
             f = (f + np.pi) % (2.0 * np.pi) - np.pi
             dtheta = (x * dy - y * dx) / (x * x + y * y)
@@ -224,14 +241,13 @@ class PatchSampler:
             thetas = None
         if thetas is None or thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
             raise ValidationError("sampler angles must be a finite 1-D array")
-        # One solve over the pairs (angle, level below r), (angle, level above).
+        # One solve over the pairs (angle, level below r), one over the
+        # pairs (angle, level above).
         idx = self._brackets(r, thetas)
-        lev = np.concatenate([idx, idx + 1])
-        basis, rho = self._solve(lev, np.concatenate([thetas, thetas]))
-        p, q = np.einsum("icj,ij->ci", self._pq[lev], basis).real
-        m = thetas.size
-        w = (r - rho[:m]) / (rho[m:] - rho[:m])
-        return (1.0 - w) * p[:m] + w * p[m:], (1.0 - w) * q[:m] + w * q[m:]
+        rho_0, p_0, q_0 = self._solve(idx, thetas)
+        rho_1, p_1, q_1 = self._solve(idx + 1, thetas)
+        w = (r - rho_0) / (rho_1 - rho_0)
+        return (1.0 - w) * p_0 + w * p_1, (1.0 - w) * q_0 + w * q_1
 
 
 def patch_sampler(patch: GraphPatch) -> PatchSampler:

@@ -264,9 +264,11 @@ class GraphPatch:
     whose image curves are not a nested star-shaped family: those samples
     are still a surface, just not a graph over the punctured plane.
     ``field`` is None for transformed patches that no longer track a PDE.
-    ``level_tables`` is the ``_level_tables`` analysis of x and y (with z,
-    p and q) that ``reconstruct_graph`` made for its nested-graph test;
-    it is None on any other patch, ``dataclasses.replace`` included.
+    ``level_tables`` holds the rows of the strip's level analysis that
+    ``reconstruct_graph`` selected, as ``_level_tables`` of x and y (with
+    z, p and q) gives them; it is None on any other patch,
+    ``dataclasses.replace`` included, and where a selected level is not
+    star-shaped.
     """
 
     v: np.ndarray
@@ -308,18 +310,20 @@ class GraphPatch:
         return np.hypot(self.x, self.y)
 
 
-def _level_tables(x: np.ndarray, y: np.ndarray, extra=()):
+def _level_rows(x: np.ndarray, y: np.ndarray, extra=()):
     """The angle analysis of every level of a (levels, n) block at once.
 
-    None unless every level is a star-shaped curve traversed once, or an
-    exact m-fold cover of one: monotone angle, winding m != 0, and for
-    m >= 2 every row of x, y and ``extra`` (z, p, q; matching x, y alone
-    would accept two sheets at different heights) repeating with period
-    n/m, as the doubly traced constructions do to march round-off.  Else
-    (theta, rho, order, period), per level over all n nodes: the unwrapped
-    angles in increasing order, closed by an entry one period 2*pi*m after
-    the first, rho at those entries, the node order of the first n entries
-    (identity or reversal), and the period.
+    (ok, tables).  ok[k] is True when level k is a star-shaped curve
+    traversed once, or an exact m-fold cover of one: monotone angle,
+    winding m != 0, and for m >= 2 every row of x, y and ``extra`` (z, p,
+    q; matching x, y alone would accept two sheets at different heights)
+    repeating with period n/m, as the doubly traced constructions do to
+    march round-off.  tables is (theta, rho, order, period), per level over
+    all n nodes: the unwrapped angles in increasing order, closed by an
+    entry one period 2*pi*m after the first, rho at those entries, the node
+    order of the first n entries (identity or reversal), and the period;
+    its rows mean nothing where ok is False.  Every row depends on its
+    level alone.
     """
     raw = np.arctan2(y, x)
     theta = np.unwrap(raw, axis=-1)
@@ -340,34 +344,62 @@ def _level_tables(x: np.ndarray, y: np.ndarray, extra=()):
             tol = 1e-8 * (1.0 + np.max(np.abs(block), axis=-1))
             moved = np.max(np.abs(block - np.roll(block, n // m, axis=-1)), axis=-1)
             ok[rows] &= ~(moved > tol)
-    if not np.all(ok):
-        return None
 
     flip = theta[:, :1] > theta[:, -1:]
     order = np.where(flip, np.arange(n)[::-1], np.arange(n))
     theta, rho = (np.where(flip, a[:, ::-1], a) for a in (theta, np.hypot(x, y)))
     period = 2.0 * np.pi * folds
-    return (np.concatenate([theta, theta[:, :1] + period[:, None]], axis=-1),
-            np.concatenate([rho, rho[:, :1]], axis=-1), order, period)
+    return ok, (np.concatenate([theta, theta[:, :1] + period[:, None]], axis=-1),
+                np.concatenate([rho, rho[:, :1]], axis=-1), order, period)
+
+
+def _level_tables(x: np.ndarray, y: np.ndarray, extra=()):
+    """The tables of ``_level_rows``, or None unless every level is ok."""
+    ok, tables = _level_rows(x, y, extra)
+    return tables if np.all(ok) else None
 
 
 def _radii_at(tables, query: np.ndarray, levels=slice(None)) -> np.ndarray:
     """rho at the query angles on the selected levels, (levels, queries),
     by periodic linear interpolation of each level's table."""
-    theta, rho, _, period = tables
-    return np.stack([np.interp((query - th[0]) % per + th[0], th, rh)
-                     for th, rh, per in zip(theta[levels], rho[levels],
-                                            period[levels])])
+    theta, rho, _, period = (arr[levels] for arr in tables)
+    start = theta[:, :1]
+    wrapped = (query - start) % period[:, None] + start
+    return np.stack([np.interp(q, th, rh)
+                     for q, th, rh in zip(wrapped, theta, rho)])
 
 
-def _nested(tables) -> bool:
-    """True when ``tables`` (of ``_level_tables``) exist, so every level is
-    a star-shaped curve, and the levels nest: rho increases strictly with
-    the level at 512 angles."""
-    if tables is None:
-        return False
-    rho = _radii_at(tables, np.linspace(-np.pi, np.pi, 512, endpoint=False))
-    return bool(np.all(np.diff(rho, axis=0) > 0))
+def _rising(tables) -> np.ndarray:
+    """Per pair of adjacent levels of ``tables``, whether rho increases
+    strictly from the one to the next at 512 angles.  A pair with a level
+    that is not ok reads anything."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = _radii_at(tables, np.linspace(-np.pi, np.pi, 512, endpoint=False))
+    return np.all(np.diff(rho, axis=0) > 0, axis=-1)
+
+
+#: The level analysis of each strip, keyed like ``_ANALYSES``.
+_LEVELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _level_analysis(strip: StripSolution):
+    """(ok, tables, rising) of levels 1..L of the strip, made once per strip.
+
+    ``_level_rows`` of x and y, with z, p and q, and ``_rising`` of its
+    tables: row k - 1 is level k, and rising[k - 1] is the pair (k, k + 1).
+    Every array is read-only.
+    """
+    analysis = _LEVELS.get(strip)
+    if analysis is None:
+        # A contiguous copy: on strided rows arctan2 and hypot may take
+        # another kernel, and the tables must keep their bits.
+        x, y, z, p, q = np.array(_strip_analysis(strip)[0][:, 1:])
+        ok, tables = _level_rows(x, y, extra=(z, p, q))
+        rising = _rising(tables)
+        for arr in (ok, rising, *tables):
+            arr.flags.writeable = False
+        analysis = _LEVELS[strip] = (ok, tables, rising)
+    return analysis
 
 
 def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> GraphPatch:
@@ -376,7 +408,10 @@ def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> Graph
     Requires J > 0 on the selected levels (the chart must be locally a
     graph); global injectivity is then decided by the nested star-shaped
     test and recorded as the ``multivalued`` flag rather than raised, so
-    the non-embedded constructions remain first-class results.
+    the non-embedded constructions remain first-class results.  The angle
+    tables and the nesting of each pair of levels come from the strip's
+    level analysis, made once per strip, so a second reconstruction of
+    the same strip only slices it.
 
     The default v_min is 0.1 R, lower than the residual report's 0.2 R:
     the annulus should reach close to the singularity, and the Hessian is
@@ -389,7 +424,10 @@ def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> Graph
             f"graph reconstruction needs >= 2 levels at v >= {v_min:.6g}; "
             f"strip reached v={strip.v[-1]:.6g} with status {strip.status!r}")
 
-    hess = hessian_from_strip(strip, idx)
+    # v increases along a strip, so the selection is the run of levels
+    # idx[0]..L: rows idx[0] - 1 on of the level analysis.
+    levels, rows = slice(idx[0], None), slice(idx[0] - 1, None)
+    hess = hessian_from_strip(strip, levels)
     folded = np.any(hess.J <= 0, axis=-1)
     if np.any(folded):
         k = idx[int(np.argmax(folded))]
@@ -398,23 +436,22 @@ def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> Graph
             "the selected interior is not a local graph")
     Z, _, _, unmasked = _strip_analysis(strip)
     x, y, z, p, q = Z[:, idx]
-    residual = np.where(np.abs(hess.J) > RESIDUAL_J_FLOOR, unmasked[idx], np.nan)
+    residual = np.where(np.abs(hess.J) > RESIDUAL_J_FLOOR, unmasked[levels],
+                        np.nan)
 
-    rho = np.hypot(x, y)
-    # z, p and q must repeat too on a multiply covered level: matching x
-    # and y alone would accept two sheets at different heights.
-    tables = _level_tables(x, y, extra=(z, p, q))
+    ok, tables, rising = _level_analysis(strip)
+    single = bool(np.all(ok[rows]))
+    tables = tuple(arr[rows] for arr in tables)
+    rho = tables[1]
     patch = GraphPatch(
         v=strip.v[idx], u=strip.u, x=x, y=y, z=z, p=p, q=q,
         r=hess.r, s=hess.s, t=hess.t, J=hess.J, residual=residual,
         r_min=float(np.min(rho)), r_max=float(np.max(rho)),
-        multivalued=not _nested(tables),
+        multivalued=not (single and np.all(rising[rows])),
         provenance=f"march:levels[{idx[0]}:{idx[-1] + 1}]:{strip.status}",
         field=strip.field,
     )
-    if tables is not None:
-        for arr in tables:
-            arr.flags.writeable = False
+    if single:
         object.__setattr__(patch, "level_tables", tables)
     return patch
 

@@ -131,12 +131,13 @@ def test_sampler_samples_doubly_covered_remark42():
 def test_sampler_reuses_the_level_tables_of_reconstruction(monkeypatch):
     calls = []
 
-    def counted(*args, _original=geometry._level_tables, **kwargs):
+    def counted(*args, _original=geometry._level_rows, **kwargs):
         calls.append(args)
         return _original(*args, **kwargs)
 
-    for module in (geometry, extract):
-        monkeypatch.setattr(module, "_level_tables", counted)
+    # Both the strip's level analysis and a patch's own tables go through
+    # _level_rows.
+    monkeypatch.setattr(geometry, "_level_rows", counted)
     strip = march(builtin_curve("wobble"), builtin_field("pure-one"),
                   MarchParams())
     patch = reconstruct_graph(strip)

@@ -21,8 +21,11 @@ The reflected branch's sampler and march are checked against the direct
 ones mapped by the Z2 symmetry, which roundtrip's reflected keys rest on.
 """
 
+import dataclasses
 import functools
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
+from ma_singular import geometry
 from ma_singular.coeffs import CoefficientField, builtin_field
 from ma_singular.curves import (
     PeriodicCurve,
@@ -50,7 +54,7 @@ from ma_singular.extract import (
 from ma_singular.geometry import (
     GraphPatch,
     _level_tables,
-    _nested,
+    _rising,
     reconstruct_graph,
     reflect_field,
     reflect_solution,
@@ -520,7 +524,7 @@ def assert_tables_match_reference(patch):
         assert_tables_match(list(zip(theta, rho, period)),
                             [reference_radius_table(patch.x[k], patch.y[k])
                              for k in levels])
-    nested = _nested(tables)
+    nested = tables is not None and bool(np.all(_rising(tables)))
     assert nested == reference_nested_family(patch.x, patch.y, extra=extra)
     try:
         want = reference_sampler_tables(patch)
@@ -533,11 +537,13 @@ def assert_tables_match_reference(patch):
     tables, inverse, r_lo, r_hi = want
     theta, rho, _, period = sampler._tables
     assert_tables_match(list(zip(theta, rho, period)), tables)
-    # Without its closing entry, the angle table and u at its angles are
-    # the sorted inverse table.
+    # Without their closing entries, the angle table and u at its angles
+    # are the sorted inverse table; the closing u is the first one turn on.
     assert len(sampler._u) == len(inverse)
-    for got, ref in zip(zip(theta[:, :-1], sampler._u), inverse):
+    for got, ref in zip(zip(theta[:, :-1], sampler._u[:, :-1]), inverse):
         assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+    turn = np.sign(sampler._u[:, -2] - sampler._u[:, 0]) * 2.0 * np.pi
+    assert np.array_equal(sampler._u[:, -1], sampler._u[:, 0] + turn)
     assert (sampler.r_lo, sampler.r_hi) == (r_lo, r_hi)
     return nested, sampler
 
@@ -590,6 +596,107 @@ def test_level_tables_match_reference(n, levels, nested):
     if nested:
         scales = np.cumsum(scales)
     assert_tables_match_reference(level_patch(kinds, n, scales, params))
+
+
+# ---------------------------------------------------------------------------
+# The level analysis of a strip against the per-level helpers
+
+
+@functools.cache
+def _strip(name):
+    curve = {"convex": CONVEX, "twice-traced-circle": TWICE_TRACED_CIRCLE}.get(name)
+    if name == "remark42":
+        return march(builtin_curve(name), builtin_field(name),
+                     MarchParams(R=0.05, n_u=256))
+    return march(curve or builtin_curve(name), builtin_field("pure-one"),
+                 MarchParams())
+
+
+@pytest.mark.parametrize("v_min", [None, "first", 0.03, 0.3, 0.9])
+@pytest.mark.parametrize("name", ["convex", "twice-traced-circle", "remark42",
+                                  "limacon"])
+def test_reconstruction_slices_the_level_analysis(name, v_min):
+    # The tables, the multivalued flag and the radii of any selection of
+    # levels (v_min a fraction of R) are those of the per-level helpers on
+    # the selected rows.
+    strip = _strip(name)
+    if v_min == "first":
+        v_min = strip.v[1]
+    elif v_min is not None:
+        v_min *= strip.params.R
+    patch = reconstruct_graph(strip, v_min)
+    extra = (patch.z, patch.p, patch.q)
+    covers = [reference_level_cover(patch.x[k], patch.y[k],
+                                    tuple(e[k] for e in extra))
+              for k in range(patch.n_levels)]
+    if any(cover is None for cover in covers):
+        assert patch.level_tables is None
+    else:
+        theta, rho, _, period = patch.level_tables
+        assert_tables_match(list(zip(theta, rho, period)),
+                            [reference_radius_table(patch.x[k], patch.y[k])
+                             for k in range(patch.n_levels)])
+    assert patch.multivalued is not reference_nested_family(patch.x, patch.y,
+                                                             extra=extra)
+    rho = np.hypot(patch.x, patch.y)
+    assert (patch.r_min, patch.r_max) == (float(np.min(rho)),
+                                          float(np.max(rho)))
+
+
+def test_inner_levels_that_do_not_nest_are_multivalued_from_the_first():
+    # Levels 2 and 3 swapped: each is still a level of the system, with
+    # J > 0, but their image curves no longer nest.
+    marched = _strip("convex")
+    states = np.array(marched.states)
+    states[[2, 3]] = states[[3, 2]]
+    strip = dataclasses.replace(marched, states=states)
+    assert not reconstruct_graph(strip).multivalued
+    assert reconstruct_graph(strip, strip.v[1]).multivalued
+    assert not reconstruct_graph(strip, strip.v[3]).multivalued
+    with pytest.raises(ValidationError, match="multivalued"):
+        patch_sampler(reconstruct_graph(strip, strip.v[1]))
+
+
+def test_level_analysis_is_released_with_its_strip():
+    strip = march(CONVEX, builtin_field("pure-one"), MarchParams(R=0.05))
+    patch = reconstruct_graph(strip)
+    assert strip in geometry._LEVELS
+    entries = len(geometry._LEVELS)
+    alive = weakref.ref(strip)
+    del strip
+    gc.collect()
+    assert alive() is None
+    assert len(geometry._LEVELS) == entries - 1
+    # The patch keeps its rows of the tables.
+    assert patch_sampler(patch).r_lo > 0
+
+
+def _newton_u(patch, k, theta, u, steps=8):
+    """u where level k of the patch meets angle theta, by Newton from u on
+    the reference interpolant."""
+    sx, sy = (np.fft.rfft(row) for row in (patch.x[k], patch.y[k]))
+    for _ in range(steps):
+        x, y, dx, dy = (reference_trig_eval(spec, patch.n_u, np.array([u]), d)[0]
+                        for spec, d in ((sx, 0), (sy, 0), (sx, 1), (sy, 1)))
+        f = (np.arctan2(y, x) - theta + np.pi) % (2.0 * np.pi) - np.pi
+        u -= f / ((x * dy - y * dx) / (x * x + y * y))
+    return u
+
+
+@pytest.mark.parametrize("name", ["convex", "twice-traced-circle"])
+def test_guess_in_the_last_interval_of_a_turn_is_near_the_solution(name):
+    # Half an angle step short of one turn past each level's first node:
+    # for a single cover that is between the last node and the closing
+    # entry, where the guess once took the last node's u.
+    patch = reconstruct_graph(_strip(name))
+    sampler = patch_sampler(patch)
+    theta = sampler._tables[0]
+    lev = np.arange(patch.n_levels)
+    theta_q = theta[:, 0] - 0.5 * (theta[:, -1] - theta[:, -2])
+    guess = sampler._guess(lev, theta_q)
+    for k in lev:
+        u = _newton_u(patch, k, theta_q[k], guess[k])
+        assert abs((guess[k] - u + np.pi) % (2.0 * np.pi) - np.pi) <= 1e-3, k
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +775,7 @@ def test_gallery_distances_are_pinned():
 @pytest.mark.parametrize("seed", sorted(ROUNDTRIP_DISTANCES))
 def test_roundtrip_distances_are_pinned(seed, benchmark_workloads):
     # The first curve of the roundtrip-convex stream for the seed, marched
-    # and extracted the way the roundtrip command does by default.
+    # by default and extracted from its reported patch (v >= 0.1 R).
     curve = PeriodicCurve.from_dict(
         benchmark_workloads.convex_curve(np.random.default_rng([seed, 2])))
     patch = _patch(curve)
