@@ -104,7 +104,6 @@ DEFAULT_CONFIG = {
               "auto_reverse": False},
     "field": {"builtin": "pure-one", "file": None, "literal": None},
     "march": dataclasses.asdict(MarchParams()),
-    "reconstruct": {"v_min": None},
     "extract": {"degree": 16, "n_theta": 256, "radii": None},
     "roundtrip": {"tolerance": 0.001, "reflected": True},
     "verify": {"z_tolerance": 1e-4, "slope_tolerance": 1e-4,
@@ -153,7 +152,6 @@ _KINDS = {
     "an integer": lambda value: type(value) is int,
     "a non-negative integer": lambda value: type(value) is int and value >= 0,
     "a finite number": _number,
-    "a finite number or null": lambda value: value is None or _number(value),
     "a string": lambda value: type(value) is str,
     "a string or null": lambda value: value is None or type(value) is str,
     "an object or null": lambda value: value is None or type(value) is dict,
@@ -168,7 +166,6 @@ _DEFAULT_KINDS = {bool: "a boolean", int: "an integer",
 _LEAF_KINDS = {
     "curve.file": "a string or null", "field.file": "a string or null",
     "curve.literal": "an object or null", "field.literal": "an object or null",
-    "reconstruct.v_min": "a finite number or null",
     "extract.degree": "a non-negative integer",
     "extract.radii": "a list of finite numbers or null",
 }
@@ -323,7 +320,7 @@ def _construct_pipeline(cfg: dict, prepared):
 
     patch = None
     try:
-        patch = reconstruct_graph(strip, v_min=cfg["reconstruct"]["v_min"])
+        patch = reconstruct_graph(strip)
         result["patch"] = {
             "levels": int(patch.n_levels),
             "r_min": patch.r_min,
@@ -503,8 +500,8 @@ def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, strip, patch,
     """The limit gradient of each reflection branch against the input curve.
 
     The sampler reads the strip from its first stored level (v = dv), not
-    the reported patch, whose ``reconstruct.v_min`` (default 0.1 R) leaves
-    the band too thin for the ladder as the curve leaves the circle.  A
+    the reported patch, whose levels from 0.1 R (``PATCH_V_MIN_FRAC``)
+    leave the band too thin for the ladder as the curve leaves the circle.  A
     first-level patch that does not reconstruct, is multivalued or does
     not cover the radii ends in ``limit.error`` and exit 8.
 

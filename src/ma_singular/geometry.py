@@ -54,6 +54,12 @@ JACOBIAN_GUARD = 1e-10
 #: Residual statistics only count nodes safely off the axis.
 RESIDUAL_J_FLOOR = 1e-6
 
+#: The residual and the dual normals read the levels at v >= this times R.
+RESIDUAL_V_MIN_FRAC = 0.2
+
+#: The reported patch starts at v = this times R unless told otherwise.
+PATCH_V_MIN_FRAC = 0.1
+
 
 # ---------------------------------------------------------------------------
 # Hessian recovery: one analysis per strip, read by every view
@@ -111,16 +117,18 @@ _ANALYSES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _strip_analysis(strip: StripSolution):
-    """(Z, Z_v, hessian, residual) on all stored levels, made once per strip.
+    """(Z, Z_v, hessian, residual, ok, tables, rising), made once per strip.
 
     Z and Z_v are (5, levels, n_u); Z_v is the marched system at each
     level, so it is exact for the semi-discrete flow; the PDE residual is
     unmasked.  A marched strip carries the Z_u and Z_v its march took;
     any other strip's are computed here from its states, with the same
-    bits.  Every array is read-only.  A level outside the field's box
-    raises even when it is not selected; a marched strip stores only
-    levels that passed the field check, so only a hand-built strip can
-    hit that.
+    bits.  ok, tables and rising are the level analysis of levels 1..L:
+    ``_level_rows`` of x and y, with z, p and q, and ``_rising`` of its
+    tables; row k - 1 is level k, and rising[k - 1] is the pair (k, k + 1).
+    Every array is read-only.  A level outside the field's box raises
+    even when it is not selected; a marched strip stores only levels that
+    passed the field check, so only a hand-built strip can hit that.
     """
     analysis = _ANALYSES.get(strip)
     if analysis is not None:
@@ -150,9 +158,15 @@ def _strip_analysis(strip: StripSolution):
                            fin_residual=np.max(np.abs(rel), axis=0),
                            J=J, valid=valid)
     residual = a * r + 2.0 * b * s + c * t + r * t - s ** 2 - e
-    for arr in (Z_v, residual, *vars(hessian).values()):
+    # A contiguous copy: on strided rows arctan2 and hypot may take
+    # another kernel, and the tables must keep their bits.
+    x, y, z, p, q = np.array(Z[:, 1:])
+    ok, tables = _level_rows(x, y, extra=(z, p, q))
+    rising = _rising(tables)
+    for arr in (Z_v, residual, *vars(hessian).values(), ok, rising, *tables):
         arr.flags.writeable = False
-    analysis = _ANALYSES[strip] = (Z, Z_v, hessian, residual)
+    analysis = _ANALYSES[strip] = (Z, Z_v, hessian, residual, ok, tables,
+                                   rising)
     return analysis
 
 
@@ -163,7 +177,7 @@ def jacobian(strip: StripSolution):
     x = y = 0); it is returned as computed, which is zero to round-off.
     J is read-only.
     """
-    _, _, hessian, _ = _strip_analysis(strip)
+    _, _, hessian, *_ = _strip_analysis(strip)
     J = hessian.J
     min_positive = float(np.min(J[1:])) if strip.n_levels > 1 else float("nan")
     return J, min_positive
@@ -193,7 +207,7 @@ def hessian_from_strip(strip: StripSolution, level) -> HessianLevel:
     below the guard (the axis level, in particular); the message names
     the first such level.
     """
-    _, _, full, _ = _strip_analysis(strip)
+    _, _, full, *_ = _strip_analysis(strip)
     dead = np.atleast_1d(~np.any(full.valid[level], axis=-1))
     if np.any(dead):
         k = np.atleast_1d(np.arange(strip.n_levels)[level])[np.argmax(dead)]
@@ -214,27 +228,27 @@ class ResidualReport:
 
 
 def _interior_levels(strip: StripSolution, v_min: float | None,
-                     default_frac: float = 0.2):
+                     default_frac: float = RESIDUAL_V_MIN_FRAC):
     if v_min is None:
         v_min = default_frac * strip.params.R
     idx = [k for k in range(1, strip.n_levels) if strip.v[k] >= v_min - 1e-15]
     return v_min, idx
 
 
-def pde_residual(strip: StripSolution, v_min: float | None = None) -> ResidualReport:
+def pde_residual(strip: StripSolution) -> ResidualReport:
     """residual = A r + 2B s + C t + (r t - s^2) - E over the strip interior.
 
-    Levels below v_min (default 0.2 R) and nodes with
+    Levels below RESIDUAL_V_MIN_FRAC R and nodes with
     |J| <= RESIDUAL_J_FLOOR are excluded: the chart is degenerate at the
     axis and the quotient blows up the recovery there.  Identically, the
     residual equals (A+t)(C+r) - (B-s)^2 - D.
     """
-    v_min, idx = _interior_levels(strip, v_min)
+    v_min, idx = _interior_levels(strip, None)
     if not idx:
         raise ValidationError(
             f"no stored levels at v >= {v_min:.6g}; strip reached {strip.v[-1]:.6g}")
     hess = hessian_from_strip(strip, idx)
-    _, _, _, unmasked = _strip_analysis(strip)
+    _, _, _, unmasked, *_ = _strip_analysis(strip)
     keep = hess.valid & (np.abs(hess.J) > RESIDUAL_J_FLOOR)
     residuals = np.where(keep, unmasked[idx], np.nan)
     count = int(np.sum(keep))
@@ -365,8 +379,10 @@ def _radii_at(tables, query: np.ndarray, levels=slice(None)) -> np.ndarray:
     theta, rho, _, period = (arr[levels] for arr in tables)
     start = theta[:, :1]
     wrapped = (query - start) % period[:, None] + start
-    return np.stack([np.interp(q, th, rh)
-                     for q, th, rh in zip(wrapped, theta, rho)])
+    # A reshape, not np.stack: a strip with no level off the axis has none.
+    return np.reshape([np.interp(q, th, rh)
+                       for q, th, rh in zip(wrapped, theta, rho)],
+                      wrapped.shape)
 
 
 def _rising(tables) -> np.ndarray:
@@ -376,30 +392,6 @@ def _rising(tables) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = _radii_at(tables, np.linspace(-np.pi, np.pi, 512, endpoint=False))
     return np.all(np.diff(rho, axis=0) > 0, axis=-1)
-
-
-#: The level analysis of each strip, keyed like ``_ANALYSES``.
-_LEVELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _level_analysis(strip: StripSolution):
-    """(ok, tables, rising) of levels 1..L of the strip, made once per strip.
-
-    ``_level_rows`` of x and y, with z, p and q, and ``_rising`` of its
-    tables: row k - 1 is level k, and rising[k - 1] is the pair (k, k + 1).
-    Every array is read-only.
-    """
-    analysis = _LEVELS.get(strip)
-    if analysis is None:
-        # A contiguous copy: on strided rows arctan2 and hypot may take
-        # another kernel, and the tables must keep their bits.
-        x, y, z, p, q = np.array(_strip_analysis(strip)[0][:, 1:])
-        ok, tables = _level_rows(x, y, extra=(z, p, q))
-        rising = _rising(tables)
-        for arr in (ok, rising, *tables):
-            arr.flags.writeable = False
-        analysis = _LEVELS[strip] = (ok, tables, rising)
-    return analysis
 
 
 def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> GraphPatch:
@@ -413,12 +405,13 @@ def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> Graph
     level analysis, made once per strip, so a second reconstruction of
     the same strip only slices it.
 
-    The default v_min is 0.1 R, lower than the residual report's 0.2 R:
-    the annulus should reach close to the singularity, and the Hessian is
-    still well conditioned there (J ~ v, far above the guard).  The
-    residual column is masked at |J| <= RESIDUAL_J_FLOOR.
+    The default v_min is PATCH_V_MIN_FRAC R, lower than the residual
+    report's RESIDUAL_V_MIN_FRAC R: the annulus should reach close to the
+    singularity, and the Hessian is still well conditioned there (J ~ v,
+    far above the guard).  The residual column is masked at
+    |J| <= RESIDUAL_J_FLOOR.
     """
-    v_min, idx = _interior_levels(strip, v_min, default_frac=0.1)
+    v_min, idx = _interior_levels(strip, v_min, PATCH_V_MIN_FRAC)
     if len(idx) < 2:
         raise ValidationError(
             f"graph reconstruction needs >= 2 levels at v >= {v_min:.6g}; "
@@ -434,12 +427,11 @@ def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> Graph
         raise SingularJacobianError(
             f"J <= 0 at level {k} (v={strip.v[k]:.6g}); "
             "the selected interior is not a local graph")
-    Z, _, _, unmasked = _strip_analysis(strip)
+    Z, _, _, unmasked, ok, tables, rising = _strip_analysis(strip)
     x, y, z, p, q = Z[:, idx]
     residual = np.where(np.abs(hess.J) > RESIDUAL_J_FLOOR, unmasked[levels],
                         np.nan)
 
-    ok, tables, rising = _level_analysis(strip)
     single = bool(np.all(ok[rows]))
     tables = tuple(arr[rows] for arr in tables)
     rho = tables[1]
@@ -538,21 +530,21 @@ def legendre(patch: GraphPatch, a: float = 0.0, c: float = 0.0) -> GraphPatch:
     )
 
 
-def legendre_dual_normals(strip: StripSolution, v_min: float | None = None,
-                          a: float = 0.0, c: float = 0.0) -> np.ndarray:
+def legendre_dual_normals(strip: StripSolution, a: float = 0.0,
+                          c: float = 0.0) -> np.ndarray:
     """Unit normals of the Legendre dual surface from its chart derivatives.
 
     Computed as the normalized cross product L_u x L_v with L_u spectral
     and L_v from the marched system (exact chain rule, no differencing
     across levels).  Returns an array of shape (levels, n_u, 3) over the
-    interior levels; the orientation is fixed to a positive third
-    component.  This is the independent check that the dual's normal is
-    (-x, -y, 1)/sqrt(1 + x^2 + y^2).
+    levels at v >= RESIDUAL_V_MIN_FRAC R; the orientation is fixed to a
+    positive third component.  This is the independent check that the
+    dual's normal is (-x, -y, 1)/sqrt(1 + x^2 + y^2).
     """
-    v_min, idx = _interior_levels(strip, v_min)
+    v_min, idx = _interior_levels(strip, None)
     if not idx:
         raise ValidationError(f"no stored levels at v >= {v_min:.6g}")
-    Z, Z_v, _, _ = _strip_analysis(strip)
+    Z, Z_v, *_ = _strip_analysis(strip)
     x, y, z, p, q = Z[:, idx]
     x_v, y_v, z_v, p_v, q_v = Z_v[:, idx]
     xi = p + c * x

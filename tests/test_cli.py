@@ -198,7 +198,7 @@ def test_set_section_merges_like_a_config_file():
 
 @pytest.mark.parametrize("command, assignment", [
     ("construct", "emit=5"),
-    ("construct", "reconstruct=5"),
+    ("construct", "verify=5"),
     ("construct", "curve=5"),
     ("roundtrip", "roundtrip=5"),
     ("construct", "extract=[1]"),
@@ -227,7 +227,6 @@ def test_settable_values_are_pinned():
         "curve.builtin", "curve.file", "curve.literal", "curve.auto_reverse",
         "field.builtin", "field.file", "field.literal",
         "march.R", "march.n_u", "march.dv",
-        "reconstruct.v_min",
         "extract.degree", "extract.n_theta", "extract.radii",
         "roundtrip.tolerance", "roundtrip.reflected",
         "verify.z_tolerance", "verify.slope_tolerance",
@@ -252,8 +251,8 @@ def test_readme_kinds_table_names_the_leaves_of_the_config_check():
 
 
 #: The config leaves that became constants, the values they always held,
-#: and the key an override of each is refused by: the residual section is
-#: gone as a whole.
+#: and the key an override of each is refused by: the residual and
+#: reconstruct sections are gone as a whole.
 _REMOVED_LEAVES = {
     "march.filter_strength": (36.0, "march.filter_strength"),
     "march.filter_order": (16, "march.filter_order"),
@@ -262,6 +261,7 @@ _REMOVED_LEAVES = {
     "march.negative_v": (False, "march.negative_v"),
     "residual.v_min": (None, "residual"),
     "residual.j_floor": (1e-6, "residual"),
+    "reconstruct.v_min": (None, "reconstruct"),
     "seed": (0, "seed"),
 }
 
@@ -401,10 +401,10 @@ def test_construct_inadmissible_axis_data_is_two(tmp_path, capsys, E):
 
 @pytest.mark.parametrize("command", ["construct", "roundtrip", "verify"])
 def test_completed_march_without_a_patch_is_two(tmp_path, command):
-    # v_min above the strip's reach leaves no levels to reconstruct.
+    # A strip of one level off the axis leaves too few to reconstruct.
     out = tmp_path / "run"
-    assert main([command, "--out", str(out),
-                 "--set", "reconstruct.v_min=5"]) == 2
+    assert main([command, "--out", str(out), "--set", "march.R=0.001",
+                 "--set", "march.dv=0.001"]) == 2
     report = read_report(out)
     assert report["exit_code"] == 2
     assert report["status"] == "completed"
@@ -701,11 +701,10 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
                                                       command, assignment):
     out = tmp_path / "run"
     assert main([command, "--out", str(out), "--set", assignment]) == 2
-    key = assignment.partition("=")[0]
-    # The residual section is gone, so each of its keys is unknown.
-    message = ("unknown config key config.residual" if key.startswith("residual.")
-               else f"{key} must be a finite number")
-    assert f"error: {message}" in capsys.readouterr().err
+    # Both sections are gone, so each of their keys is unknown.
+    section = assignment.partition(".")[0]
+    assert f"error: unknown config key config.{section}\n" in \
+        capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 
@@ -854,22 +853,6 @@ def test_roundtrip_samples_below_the_reported_patch(tmp_path, args):
     assert len(report["limit"]["radii"]) == 5
 
 
-def test_reconstruct_v_min_bounds_the_reported_patch_only(tmp_path):
-    # The judge samples the strip from its first stored level whatever
-    # reconstruct.v_min says.
-    reports = []
-    for v_min in ("null", "0.05"):
-        out = tmp_path / v_min
-        assert main(["roundtrip", "--out", str(out), "--set", "emit.csv=false",
-                     "--set", f"reconstruct.v_min={v_min}"]) == 0
-        reports.append(read_report(out))
-    default, explicit = reports
-    assert explicit["patch"]["r_min"] > 3.0 * default["patch"]["r_min"]
-    assert explicit["patch"]["levels"] < default["patch"]["levels"]
-    for key in ("hausdorff", "hausdorff_reflected", "limit"):
-        assert explicit[key] == default[key], key
-
-
 @pytest.mark.parametrize("refusal, error", [
     ("raises", "J <= 0 at level 1 (v=0.001); the selected interior is not a "
                "local graph"),
@@ -946,7 +929,7 @@ def test_plot_without_a_patch_draws_the_strip_levels(tmp_path):
     # there is no patch; plot on strip.csv alone draws the same figure.
     # residual.svg draws the patch's residual, so neither path writes it.
     svg, csv = tmp_path / "svg", tmp_path / "csv"
-    no_patch = ["--set", "reconstruct.v_min=5"]
+    no_patch = ["--set", "march.R=0.001", "--set", "march.dv=0.001"]
     assert main(["construct", "--out", str(svg), "--set", "emit.svg=true",
                  *no_patch]) == 2
     assert main(["construct", "--out", str(csv), *no_patch]) == 2
@@ -961,7 +944,7 @@ def test_plot_without_a_patch_draws_the_strip_levels(tmp_path):
     ("construct", []),
     ("roundtrip", []),
     ("verify", []),
-    ("construct", ["reconstruct.v_min=5"]),
+    ("construct", ["march.R=0.001", "march.dv=0.001"]),
     ("roundtrip", ["curve.builtin=limacon"]),
     ("construct", ["curve.auto_reverse=true", "curve.literal=" + json.dumps(
         {"alpha_cos": [0, 1], "alpha_sin": [0, 0],
@@ -1280,7 +1263,6 @@ _VALID_KINDS = {
     "a boolean": st.booleans(),
     "a non-negative integer": st.integers(0, 40),
     "a finite number": st.floats(-1.0, 1.0),
-    "a finite number or null": st.none() | st.floats(-0.05, 0.05),
     "a string or null": st.none() | st.just("no-such-file.json"),
     "an object or null": st.none(),
     "a list of finite numbers or null": st.none() | st.lists(

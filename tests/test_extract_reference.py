@@ -660,13 +660,13 @@ def test_inner_levels_that_do_not_nest_are_multivalued_from_the_first():
 def test_level_analysis_is_released_with_its_strip():
     strip = march(CONVEX, builtin_field("pure-one"), MarchParams(R=0.05))
     patch = reconstruct_graph(strip)
-    assert strip in geometry._LEVELS
-    entries = len(geometry._LEVELS)
+    assert strip in geometry._ANALYSES
+    entries = len(geometry._ANALYSES)
     alive = weakref.ref(strip)
     del strip
     gc.collect()
     assert alive() is None
-    assert len(geometry._LEVELS) == entries - 1
+    assert len(geometry._ANALYSES) == entries - 1
     # The patch keeps its rows of the tables.
     assert patch_sampler(patch).r_lo > 0
 

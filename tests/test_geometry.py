@@ -255,8 +255,14 @@ def test_residual_tiny_on_circle(circle_strip):
 
 
 def test_residual_respects_v_min(circle_strip):
-    report = pde_residual(circle_strip, v_min=0.1)
-    assert all(circle_strip.v[k] >= 0.1 for k in report.level_indices)
+    # The window is the levels at v >= 0.2 R, all of them.
+    assert geometry.RESIDUAL_V_MIN_FRAC == 0.2
+    report = pde_residual(circle_strip)
+    v_min = 0.2 * circle_strip.params.R
+    assert report.level_indices == tuple(
+        k for k in range(1, circle_strip.n_levels)
+        if circle_strip.v[k] >= v_min - 1e-15)
+    assert circle_strip.v[report.level_indices[0] - 1] < v_min - 1e-15
 
 
 def test_residual_identity_form_on_remark42():
@@ -266,9 +272,13 @@ def test_residual_identity_form_on_remark42():
     assert report.max_abs < 1e-3
 
 
-def test_residual_rejects_empty_interior(circle_strip):
-    with pytest.raises(ValidationError):
-        pde_residual(circle_strip, v_min=1.0)
+def test_residual_rejects_empty_interior():
+    # |x| <= 0.02 stops the march below the residual window, 0.2 R = 0.03.
+    box = dict(DEFAULT_BOX, x=(-0.02, 0.02))
+    strip = march(builtin_curve("circle"), pure_field("1", box), MarchParams())
+    assert strip.status == "box-exit"
+    with pytest.raises(ValidationError, match="no stored levels at v >= 0.03"):
+        pde_residual(strip)
 
 
 # ---------------------------------------------------------------------------

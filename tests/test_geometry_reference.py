@@ -9,6 +9,7 @@ and recovers the Hessian again; the nested star-shaped test that decides
 bit, and failures must raise the same exception with the same message.
 """
 
+import dataclasses
 import importlib
 from unittest import mock
 
@@ -21,6 +22,7 @@ from ma_singular.errors import SingularJacobianError, ValidationError
 from ma_singular.geometry import (
     JACOBIAN_GUARD,
     RESIDUAL_J_FLOOR,
+    RESIDUAL_V_MIN_FRAC,
     GraphPatch,
     HessianLevel,
     ResidualReport,
@@ -107,7 +109,7 @@ def reference_pde_residual(strip, field=None, v_min=None,
                            j_floor=RESIDUAL_J_FLOOR):
     if field is None:
         field = strip.field
-    v_min, idx = _interior_levels(strip, v_min)
+    v_min, idx = _interior_levels(strip, v_min, default_frac=0.2)
     if not idx:
         raise ValidationError(
             f"no stored levels at v >= {v_min:.6g}; strip reached {strip.v[-1]:.6g}")
@@ -257,7 +259,7 @@ def reference_reconstruct_graph(strip, v_min=None, j_floor=RESIDUAL_J_FLOOR):
 
 
 def reference_legendre_dual_normals(strip, v_min=None, a=0.0, c=0.0):
-    v_min, idx = _interior_levels(strip, v_min)
+    v_min, idx = _interior_levels(strip, v_min, default_frac=0.2)
     if not idx:
         raise ValidationError(f"no stored levels at v >= {v_min:.6g}")
     (x, y, z, p, q), _, (x_v, y_v, z_v, p_v, q_v) = \
@@ -305,14 +307,34 @@ STRIPS = {
     "limacon": ("limacon", PURE_ONE, MarchParams()),
     "wobble-remark42-field": ("wobble", REMARK42, MarchParams()),
     "ellipse-general-field": ("ellipse", GENERAL, MarchParams(R=0.1)),
+    # |p| = 1 on the axis, so the march box-exits at its first step and
+    # stores the axis level alone.
+    "axis-only": ("circle", CoefficientField.from_dict({
+        "A": "0", "B": "0", "C": "0", "E": "1",
+        "box": {"x": [-1, 1], "y": [-1, 1], "z": [-1, 1],
+                "p": [-1, 1], "q": [-1, 1]}}), MarchParams()),
 }
 
-def pde_residual_under_floor(strip, v_min=None, j_floor=RESIDUAL_J_FLOOR):
+
+def pde_residual_under_floor(strip, j_floor=RESIDUAL_J_FLOOR):
     """``pde_residual`` with ``RESIDUAL_J_FLOOR`` set to ``j_floor`` for the
     call."""
     geometry = importlib.import_module("ma_singular.geometry")
     with mock.patch.object(geometry, "RESIDUAL_J_FLOOR", j_floor):
-        return pde_residual(strip, v_min=v_min)
+        return pde_residual(strip)
+
+
+def below_window(fn):
+    """``fn`` on the strip's levels below the residual window, as a march
+    that stopped there would leave them."""
+    def call(strip, *args, **kwargs):
+        # The window takes levels within 1e-15 below its edge.
+        keep = strip.v < RESIDUAL_V_MIN_FRAC * strip.params.R - 1e-15
+        cut = dataclasses.replace(strip, **{
+            name: getattr(strip, name)[keep]
+            for name in ("v", "states", "high_frac", "min_disc")})
+        return fn(cut, *args, **kwargs)
+    return call
 
 
 #: (label, new function, reference function, positional args, keywords)
@@ -328,10 +350,11 @@ CALLS = [
     ("hessian-list", hessian_from_strip, reference_hessian_from_strip,
      ([5, 0, 1],), {}),
     ("residual", pde_residual, reference_pde_residual, (), {}),
+    # The residual's fixed v_min window at another j floor.
     ("residual-v_min-j_floor", pde_residual_under_floor,
-     reference_pde_residual, (), {"v_min": 0.01, "j_floor": 1e-3}),
-    ("residual-empty", pde_residual, reference_pde_residual, (),
-     {"v_min": 1.0}),
+     reference_pde_residual, (), {"j_floor": 1e-3}),
+    ("residual-empty", below_window(pde_residual),
+     below_window(reference_pde_residual), (), {}),
     ("reconstruct", reconstruct_graph, reference_reconstruct_graph, (), {}),
     ("normals", legendre_dual_normals, reference_legendre_dual_normals,
      (), {}),
@@ -395,3 +418,5 @@ def test_reference_cases_reach_the_failure_paths(strips):
     with pytest.raises(SingularJacobianError, match="level 0 "):
         hessian_from_strip(strips["circle"], [5, 0, 1])
     assert reconstruct_graph(strips["limacon"]).multivalued
+    axis_only = strips["axis-only"]
+    assert (axis_only.status, axis_only.n_levels) == ("box-exit", 1)
