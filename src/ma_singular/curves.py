@@ -211,12 +211,13 @@ def signed_curvature(curve: PeriodicCurve, u):
     return (da * ddb - dda * db) / speed2 ** 1.5
 
 
-def _series(samples: np.ndarray) -> np.ndarray:
+def _series(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """c with samples_j = Re sum_k c_k e^{iku_j}, u_j = 2*pi*j/n, along the last
-    axis: 2 rfft / n, halved at k = 0 and Nyquist (``_spectra``'s convention)."""
-    n = samples.shape[-1]
-    c = 2.0 * np.fft.rfft(samples, axis=-1) / n
-    c[..., [0, -1] if n % 2 == 0 else [0]] *= 0.5
+    axis: rfft / n, doubled between k = 0 and Nyquist (``_spectra``'s
+    convention), in one pass over the modes that double; into ``out`` when
+    given."""
+    c = np.fft.rfft(samples, axis=-1, norm="forward", out=out)
+    c[..., 1:(samples.shape[-1] + 1) // 2] *= 2.0
     return c
 
 

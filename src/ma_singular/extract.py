@@ -6,7 +6,9 @@ limit curve linearly in rho (smooth-up-to-boundary expansion), so
 Richardson extrapolation over radii r0, r0/2, r0/4, ... recovers the
 boundary values to high order from a handful of circles.  Samplers are
 plain callables (r, thetas) -> (p, q); one interpolates a reconstructed
-GraphPatch, the others are closed forms used as oracles.  Recovered
+GraphPatch, spectrally along each level and by the cubic Hermite
+interpolant in radius between levels, with the slopes the patch's Hessian
+gives; the others are closed forms used as oracles.  Recovered
 curves are judged by ``hausdorff_distance``, which for the strictly convex
 curves of the class M2 is the largest gap between support functions.
 """
@@ -124,34 +126,62 @@ class PatchSampler:
     """Evaluate (p, q) of a single-valued patch on circles around the origin.
 
     Per level the image curve is star-shaped, so the angle is invertible:
-    a query angle is located by a linear guess on the stored angle table
-    and polished with Newton on the trigonometric interpolant, then p, q
-    and the radius are evaluated spectrally at that parameter.  Between
-    levels the values are blended linearly in radius.  Queries outside
-    the covered band [r_lo, r_hi] raise CoverageError; angles must be a
-    finite 1-D array (possibly empty, any real values), else
+    a query angle is located by a cubic Hermite guess on the stored angle
+    table, with the exact slope du/dtheta = rho^2 / (x y_u - y x_u) at its
+    entries, and polished by 2 Newton steps on the trigonometric
+    interpolant.  The final step evaluates x, y, p, q and the Hessian
+    r, s, t spectrally at that parameter.  Between the two levels that
+    bracket the query radius the values are blended by the cubic Hermite
+    interpolant in radius (dense output, Hairer, Norsett and Wanner,
+    Solving ODEs I, II.6), whose end slopes are the exact radial
+    derivatives d(p, q)/drho = (r cos theta + s sin theta,
+    s cos theta + t sin theta).  A patch whose r, s or t is not finite on
+    every node, or that is multivalued, raises ValidationError.  Queries
+    outside the covered band [r_lo, r_hi] raise CoverageError; angles must
+    be a finite 1-D array (possibly empty, any real values), else
     ValidationError.
 
     Everything that depends only on the patch is built once here: the
     angle tables of all levels (angles in increasing order, rho at them,
     and u at them through the node order; the patch's own tables when
-    ``reconstruct_graph`` made them) and the complex interpolant
-    coefficients of x, y, p and q.  The bracket table of radii at the
-    query angles is kept for the last angle set, since ``limit_gradient``
-    asks for every radius at the same angles.  A call solves all its
-    (angle, level) pairs at once, and no pair's bits depend on the others.
+    ``reconstruct_graph`` made them), du/dtheta at every node, and the
+    complex interpolant coefficients of x, y, p, q, r, s and t.  The
+    bracket table of radii at the query angles is kept for the last angle
+    set, since ``limit_gradient`` asks for every radius at the same
+    angles.  A call solves all its (angle, level) pairs at once, and no
+    pair's bits depend on the others.
     """
 
     def __init__(self, patch: GraphPatch):
         if patch.multivalued:
             raise ValidationError(
                 "cannot sample a multivalued patch on circles")
+        if not all(np.all(np.isfinite(a)) for a in (patch.r, patch.s, patch.t)):
+            raise ValidationError(
+                "cannot sample a patch whose Hessian is not finite")
         self._tables = patch.level_tables
         if self._tables is None:
             self._tables = _level_tables(patch.x, patch.y,
                                          (patch.z, patch.p, patch.q))
         if self._tables is None:
             raise ValidationError("patch level is not star-shaped")
+        # Per level the interpolants Re sum_k c_k e^{iku} of ``_series`` of
+        # x, y, p, q, r, s and t, after i k c_k of x and y, which are those
+        # of x_u and y_u.
+        k = np.arange(patch.n_u // 2 + 1)
+        self._coef = np.empty((patch.n_levels, 9, k.size), dtype=complex)
+        for row, samples in enumerate((patch.x, patch.y, patch.p, patch.q,
+                                       patch.r, patch.s, patch.t), 2):
+            _series(samples, out=self._coef[:, row])
+        self._coef[:, :2] = derivative = 1j * k * self._coef[:, 2:4]
+        # du/dtheta = rho^2 / (x y_u - y x_u) at the nodes.  The irfft of
+        # the derivative rows doubles x_u and y_u: it counts each mode k
+        # below Nyquist as k and -k, and the rows vanish at k = 0 and
+        # Nyquist on the nodes.
+        x_u2, y_u2 = np.moveaxis(
+            np.fft.irfft(derivative, patch.n_u, norm="forward"), 1, 0)
+        self._du = 2.0 * (patch.x ** 2 + patch.y ** 2) / (
+            patch.x * y_u2 - patch.y * x_u2)
         # u at the increasing angles: reversed for negatively oriented
         # curves.  The closing angle entry is the first node one turn of u
         # on, on an m-fold cover too.
@@ -159,14 +189,6 @@ class PatchSampler:
         turn = np.where(u[:, :1] < u[:, -1:], 2.0 * np.pi, -2.0 * np.pi)
         self._u = np.concatenate([u, u[:, :1] + turn], axis=-1)
         self._rho_memo = (None, None)
-        # Per level the interpolants Re sum_k c_k e^{iku} of ``_series`` of
-        # x, y, p and q, after k c_k of x and y: the u-derivative of x is
-        # -Im sum_k k c_k e^{iku}.
-        k = np.arange(patch.n_u // 2 + 1)
-        self._coef = np.empty((patch.n_levels, 6, k.size), dtype=complex)
-        self._coef[:, 2:] = _series(
-            np.stack([patch.x, patch.y, patch.p, patch.q], axis=1))
-        np.multiply(k, self._coef[:, 2:4], out=self._coef[:, :2])
         query = np.linspace(-np.pi, np.pi, 720, endpoint=False)
         inner, outer = _radii_at(self._tables, query, [0, -1])
         self.r_lo, self.r_hi = float(np.max(inner)), float(np.min(outer))
@@ -185,35 +207,40 @@ class PatchSampler:
         return geometric_radii(r0, count)
 
     def _guess(self, lev: np.ndarray, theta_q: np.ndarray) -> np.ndarray:
-        """u where level lev[i] meets angle theta_q[i], linear on the level's
-        (theta, u) table, per pair."""
+        """u where level lev[i] meets angle theta_q[i], cubic Hermite on the
+        level's (theta, u) table with du/dtheta at its entries, per pair."""
         # The closing entry counts only when every entry does, so the clip
-        # to the last interval makes j the same as without it.
-        theta, u_table = self._tables[0], self._u
+        # to the last interval makes j the same as without it.  Entry j is
+        # node order[j], and the closing entry is the first node again.
+        theta, order = self._tables[0], self._tables[2]
         lo = theta[lev, 0]
         tq = (theta_q - lo) % (2.0 * np.pi) + lo
         j = np.clip(np.count_nonzero(theta[lev] <= tq[:, None], axis=1) - 1,
-                    0, u_table.shape[1] - 2)
+                    0, order.shape[1] - 1)
         t0, t1 = theta[lev, j], theta[lev, j + 1]
-        u0, u1 = u_table[lev, j], u_table[lev, j + 1]
-        return np.where(tq < t1, u0 + (tq - t0) * ((u1 - u0) / (t1 - t0)), u1)
+        u0, u1 = self._u[lev, j], self._u[lev, j + 1]
+        h = t1 - t0
+        m0 = h * self._du[lev, order[lev, j]]
+        m1 = h * self._du[lev, order[lev, (j + 1) % order.shape[1]]]
+        return np.where(tq < t1, _hermite((tq - t0) / h, u0, u1, m0, m1), u1)
 
     def _solve(self, lev: np.ndarray, theta_q: np.ndarray):
-        """(rho, p, q) where level lev[i] meets angle theta_q[i], per pair."""
-        # ``_guess`` polished by 3 Newton steps.  Each pair's sums are a
-        # (rows, modes) @ (modes, 1) matmul of its own: k c_k, x and y in the
-        # steps, x and y, then p and q, at the end.
+        """(rho, p, q, r, s, t) where level lev[i] meets angle theta_q[i],
+        per pair."""
+        # ``_guess`` polished by 2 Newton steps.  Each pair's sums are a
+        # (rows, modes) @ (modes, 1) matmul of its own: x_u, y_u, x and y in
+        # the steps, x and y, then p, q, r, s and t, at the end.
         u = self._guess(lev, theta_q)
         coef = self._coef[lev, :4]
-        for step in range(4):
+        for step in range(3):
             basis = _running_basis(u, coef.shape[-1])[..., None]
-            if step == 3:
+            if step == 2:
                 x, y = (coef[:, 2:] @ basis)[..., 0].T.real
-                p, q = (self._coef[lev, 4:] @ basis)[..., 0].T.real
-                return np.hypot(x, y), p, q
-            sums = (coef @ basis)[..., 0].T
-            dx, dy = -sums[:2].imag
-            x, y = sums[2:].real
+                # The Newton rows go before the final ones are gathered.
+                del coef
+                p, q, r, s, t = (self._coef[lev, 4:] @ basis)[..., 0].T.real
+                return np.hypot(x, y), p, q, r, s, t
+            dx, dy, x, y = (coef @ basis)[..., 0].T.real
             f = np.arctan2(y, x) - theta_q
             f = (f + np.pi) % (2.0 * np.pi) - np.pi
             dtheta = (x * dy - y * dx) / (x * x + y * y)
@@ -242,12 +269,23 @@ class PatchSampler:
         if thetas is None or thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
             raise ValidationError("sampler angles must be a finite 1-D array")
         # One solve over the pairs (angle, level below r), one over the
-        # pairs (angle, level above).
+        # pairs (angle, level above).  Along the ray at theta,
+        # d(p, q)/drho = (r cos theta + s sin theta, s cos theta + t sin theta).
         idx = self._brackets(r, thetas)
-        rho_0, p_0, q_0 = self._solve(idx, thetas)
-        rho_1, p_1, q_1 = self._solve(idx + 1, thetas)
-        w = (r - rho_0) / (rho_1 - rho_0)
-        return (1.0 - w) * p_0 + w * p_1, (1.0 - w) * q_0 + w * q_1
+        rho_0, p_0, q_0, r_0, s_0, t_0 = self._solve(idx, thetas)
+        rho_1, p_1, q_1, r_1, s_1, t_1 = self._solve(idx + 1, thetas)
+        h = rho_1 - rho_0
+        w = (r - rho_0) / h
+        # The slopes in w are h d(p, q)/drho.
+        hx, hy = h * np.cos(thetas), h * np.sin(thetas)
+        return (_hermite(w, p_0, p_1, r_0 * hx + s_0 * hy, r_1 * hx + s_1 * hy),
+                _hermite(w, q_0, q_1, s_0 * hx + t_0 * hy, s_1 * hx + t_1 * hy))
+
+
+def _hermite(w, f_0, f_1, m_0, m_1):
+    """The cubic with values f_0, f_1 and slopes m_0, m_1 at w = 0 and 1."""
+    return f_0 + w * (m_0 + w * (3.0 * (f_1 - f_0) - 2.0 * m_0 - m_1
+                                 + w * (2.0 * (f_0 - f_1) + m_0 + m_1)))
 
 
 def patch_sampler(patch: GraphPatch) -> PatchSampler:

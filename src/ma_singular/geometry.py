@@ -494,6 +494,12 @@ def reflect_solution(patch: GraphPatch) -> GraphPatch:
 # Legendre transform
 
 
+def _legendre_map(x, y, z, p, q, a: float, c: float):
+    """(xi, eta, zeta) of ``legendre``'s dual surface at (x, y, z, p, q)."""
+    xi, eta = p + c * x, q + a * y
+    return xi, eta, x * xi + y * eta - (z + 0.5 * c * x ** 2 + 0.5 * a * y ** 2)
+
+
 def legendre(patch: GraphPatch, a: float = 0.0, c: float = 0.0) -> GraphPatch:
     """Generalized Legendre dual of a patch.
 
@@ -503,11 +509,7 @@ def legendre(patch: GraphPatch, a: float = 0.0, c: float = 0.0) -> GraphPatch:
     the classical involution.  The dual Hessian is the inverse of
     [r + c, s; s, t + a]; nodes where that matrix is singular get NaN.
     """
-    xi = patch.p + c * patch.x
-    eta = patch.q + a * patch.y
-    z_star = patch.z + 0.5 * c * patch.x ** 2 + 0.5 * a * patch.y ** 2
-    zeta = patch.x * xi + patch.y * eta - z_star
-
+    xi, eta, zeta = _legendre_map(patch.x, patch.y, patch.z, patch.p, patch.q, a, c)
     det = (patch.r + c) * (patch.t + a) - patch.s ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
         ok = np.abs(det) > 1e-12
@@ -547,10 +549,7 @@ def legendre_dual_normals(strip: StripSolution, a: float = 0.0,
     Z, Z_v, *_ = _strip_analysis(strip)
     x, y, z, p, q = Z[:, idx]
     x_v, y_v, z_v, p_v, q_v = Z_v[:, idx]
-    xi = p + c * x
-    eta = q + a * y
-    z_star = z + 0.5 * c * x ** 2 + 0.5 * a * y ** 2
-    zeta = x * xi + y * eta - z_star
+    xi, eta, zeta = _legendre_map(x, y, z, p, q, a, c)
     xi_u, eta_u, zeta_u = spectral_du(np.stack([xi, eta, zeta]))
 
     xi_v = p_v + c * x_v

@@ -4,16 +4,18 @@ against brute force.
 The sampler builds its tables (per level the increasing angles, rho and
 u at them, the interpolant coefficients) once, from one angle analysis
 of all levels, keeps the bracket table of the last angle set, finds every
-bracket with one count over that table, and solves for all (angle,
-level) pairs of a call in one Newton pass.  The reference code below
-analyses one level at a time, rebuilds everything on every call,
-brackets each angle with its own searchsorted and evaluates each
-bracket's angles with cos/sin matrix products, the way extraction was
-first written.  The tables and brackets must agree bit for bit.  The
-sampled values agree to round-off (1e-13): the reference's matrix
-products sum a row differently depending on how many rows share it, so
-its bits are not a fixed point, while the sampler's row sums are, which
-a permuted call and single-angle calls check exactly.  The Hausdorff
+bracket with one count over that table, solves for all (angle, level)
+pairs of a call in one Newton pass, and blends each bracket's two levels
+by the cubic Hermite interpolant in radius, with the slopes the Hessian
+gives along the ray.  The reference code below analyses one level at a
+time, rebuilds everything on every call, brackets each angle with its own
+searchsorted, evaluates each bracket's angles (Hessian included) with
+cos/sin matrix products, the way extraction was first written, and blends
+with the Hermite basis functions.  The tables and brackets must agree
+bit for bit.  The sampled values agree to round-off (1e-13): the
+reference's matrix products sum a row differently depending on how many
+rows share it, so its bits are not a fixed point, while the sampler's row
+sums are, which a permuted call and single-angle calls check exactly.  The Hausdorff
 distance compares support functions; its reference is the distance between
 dense point samples of the two curves, and at a few angles the support
 functions found by a dense search polished by a scalar minimisation.
@@ -209,7 +211,7 @@ class ReferenceSampler:
         self._x = patch.x
         self._y = patch.y
         self._spec = {name: np.fft.rfft(getattr(patch, name), axis=-1)
-                      for name in ("x", "y", "p", "q")}
+                      for name in ("x", "y", "p", "q", "r", "s", "t")}
         self._u_grid = patch.u
         self._theta = [reference_unwrap_angles(patch.x[k], patch.y[k])[0]
                        for k in range(patch.n_levels)]
@@ -244,9 +246,8 @@ class ReferenceSampler:
         x = reference_trig_eval(sx, n, u)
         y = reference_trig_eval(sy, n, u)
         rho = np.hypot(x, y)
-        p = reference_trig_eval(self._spec["p"][k], n, u)
-        q = reference_trig_eval(self._spec["q"][k], n, u)
-        return rho, p, q
+        return (rho, *(reference_trig_eval(self._spec[name][k], n, u)
+                       for name in ("p", "q", "r", "s", "t")))
 
     def __call__(self, r, thetas):
         r = float(r)
@@ -260,11 +261,22 @@ class ReferenceSampler:
         q_out = np.empty(thetas.size)
         for k in np.unique(idx):
             sel = idx == k
-            rho_a, p_a, q_a = self.level_values(k, thetas[sel])
-            rho_b, p_b, q_b = self.level_values(k + 1, thetas[sel])
-            w = (r - rho_a) / (rho_b - rho_a)
-            p_out[sel] = (1.0 - w) * p_a + w * p_b
-            q_out[sel] = (1.0 - w) * q_a + w * q_b
+            rho_a, p_a, q_a, r_a, s_a, t_a = self.level_values(k, thetas[sel])
+            rho_b, p_b, q_b, r_b, s_b, t_b = self.level_values(k + 1, thetas[sel])
+            # Cubic Hermite in rho; the slopes are the Hessian applied to the
+            # unit vector of the ray.
+            e = np.stack([np.cos(thetas[sel]), np.sin(thetas[sel])])
+            h = rho_b - rho_a
+            w = (r - rho_a) / h
+            h00, h10 = (1.0 + 2.0 * w) * (1.0 - w) ** 2, w * (1.0 - w) ** 2
+            h01, h11 = w * w * (3.0 - 2.0 * w), w * w * (w - 1.0)
+            for out, f_a, f_b, row_a, row_b in (
+                    (p_out, p_a, p_b, (r_a, s_a), (r_b, s_b)),
+                    (q_out, q_a, q_b, (s_a, t_a), (s_b, t_b))):
+                slope_a = np.sum(np.stack(row_a) * e, axis=0)
+                slope_b = np.sum(np.stack(row_b) * e, axis=0)
+                out[sel] = (h00 * f_a + h01 * f_b
+                            + h * (h10 * slope_a + h11 * slope_b))
         return p_out, q_out
 
 
@@ -755,9 +767,9 @@ GALLERY_DISTANCES = {
 # Per seed of the roundtrip-convex benchmark stream, the distance from the
 # input curve to the recovered one on the direct and the reflected branch.
 ROUNDTRIP_DISTANCES = {
-    1: (3.964317886845804e-06, 3.9643178866769e-06),
-    2: (3.1334815334648356e-06, 3.1334815332890783e-06),
-    3: (3.4248428186139993e-06, 3.424842818683019e-06),
+    1: (3.965266565051979e-06, 3.965266565022704e-06),
+    2: (3.1912162530889453e-06, 3.191216252697608e-06),
+    3: (3.488810647227664e-06, 3.488810646416224e-06),
 }
 
 
