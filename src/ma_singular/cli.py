@@ -59,7 +59,7 @@ from .errors import (
 from .extract import (
     _check_n_theta,
     _check_radii,
-    geometric_radii,
+    _chebyshev_radii,
     hausdorff_distance,
     limit_gradient,
     patch_sampler,
@@ -547,7 +547,7 @@ def _judge_verify(cfg: dict, curve: PeriodicCurve, strip, patch,
     z_err = float(np.max(np.abs(patch.z - radial_reference_height(rho))))
     slope_err = float(np.max(np.abs(np.hypot(patch.p, patch.q)
                                     - radial_reference_slope(rho))))
-    lg = limit_gradient(radial_reference_sampler(), geometric_radii(0.05, 5),
+    lg = limit_gradient(radial_reference_sampler(), _chebyshev_radii(0.0, 0.05),
                         n_theta=cfg["extract"]["n_theta"],
                         degree=cfg["extract"]["degree"])
     circle_dist = _m2_distance(builtin_curve("circle"), lg)

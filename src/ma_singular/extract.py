@@ -1,16 +1,19 @@
 """Limit-gradient extraction: sample the gradient on shrinking circles,
 extrapolate to the axis, fit a Fourier curve.
 
-The gradient restricted to the circle of radius rho converges to the
-limit curve linearly in rho (smooth-up-to-boundary expansion), so
-Richardson extrapolation over radii r0, r0/2, r0/4, ... recovers the
-boundary values to high order from a handful of circles.  Samplers are
-plain callables (r, thetas) -> (p, q); one interpolates a reconstructed
-GraphPatch, spectrally along each level and by the cubic Hermite
-interpolant in radius between levels, with the slopes the patch's Hessian
-gives; the others are closed forms used as oracles.  Recovered
-curves are judged by ``hausdorff_distance``, which for the strictly convex
-curves of the class M2 is the largest gap between support functions.
+The gradient along a ray is analytic in the radius rho at 0 (smooth up to
+the boundary), so the polynomial through its values on a few circles,
+evaluated at rho = 0 in barycentric form (Berrut and Trefethen, SIAM
+Review 46, 2004), recovers the boundary values.  The circles sit at
+Chebyshev points of the first kind on the lowest eighth of the covered
+band, nearest the answer (Trefethen, Approximation Theory and
+Approximation Practice, ch. 5, 8).  Samplers are plain callables
+(r, thetas) -> (p, q); one interpolates a reconstructed GraphPatch,
+spectrally along each level and by the cubic Hermite interpolant in
+radius between levels, with the slopes the patch's Hessian gives; the
+others are closed forms used as oracles.  Recovered curves are judged by
+``hausdorff_distance``, which for the strictly convex curves of the class
+M2 is the largest gap between support functions.
 """
 
 from __future__ import annotations
@@ -47,37 +50,35 @@ __all__ = [
     "radial_reference_height",
     "radial_reference_sampler",
     "radial_reference_slope",
-    "richardson_extrapolate",
 ]
 
-#: Most radii ``PatchSampler.suggest_radii`` puts on its ladder.
-_MAX_RADII = 5
+#: Radii on the ladders of ``_chebyshev_radii``.
+_N_RADII = 5
+#: The share of a band, from its lower end, that ``_chebyshev_radii`` fills.
+_BAND_FRACTION = 0.125
 
 
 # ---------------------------------------------------------------------------
-# Richardson extrapolation (ratio-2 radii, first-order base error)
+# Radii and extrapolation to the axis
 
 
-def richardson_extrapolate(values):
-    """Extrapolate f(r_m) -> f(0) for r_m = r0 * 2^{-m}, error c1 r + c2 r^2 + ...
+def _chebyshev_radii(lo: float, hi: float) -> tuple:
+    """``_N_RADII`` Chebyshev points of the first kind on the lowest
+    ``_BAND_FRACTION`` of the band [lo, hi], largest first; all lie strictly
+    inside it."""
+    half = 0.5 * _BAND_FRACTION * (hi - lo)
+    angles = (2 * np.arange(_N_RADII) + 1) * np.pi / (2 * _N_RADII)
+    return tuple(float(r) for r in lo + half + half * np.cos(angles))
 
-    ``values`` is the sequence f(r_0), f(r_1), ... (scalars or arrays).
-    Entry m of the returned pair is the top of the extrapolation tableau
-    (orders 1..m-1 eliminated) and the magnitude of the last tableau
-    correction, the usual error estimate.
-    """
-    vals = [np.asarray(v, dtype=float) for v in values]
-    if len(vals) < 2:
-        raise ValidationError("richardson_extrapolate needs at least two values")
-    table = [vals[0]]
-    for m in range(1, len(vals)):
-        row = [vals[m]]
-        for k in range(1, m + 1):
-            factor = 2.0 ** k
-            row.append((factor * row[k - 1] - table[k - 1]) / (factor - 1.0))
-        prev_best = table[-1]
-        table = row
-    return table[-1], np.abs(table[-1] - prev_best)
+
+def _weights_at_zero(radii: np.ndarray) -> np.ndarray:
+    """l_j(0), so that p(0) = sum_j l_j(0) f_j for the polynomial p through
+    (radii[j], f_j): the second barycentric formula, whose weights add up
+    to 1."""
+    gaps = radii[:, None] - radii[None, :]
+    np.fill_diagonal(gaps, 1.0)
+    weights = 1.0 / (np.prod(gaps, axis=1) * -radii)
+    return weights / np.sum(weights)
 
 
 def geometric_radii(r0: float, count: int = 5) -> tuple:
@@ -96,12 +97,11 @@ def _check_radii(radii) -> tuple:
         raise ValidationError(f"radii must be numbers, got {radii!r}") from None
     if len(radii) < 2:
         raise ValidationError("limit_gradient needs at least two radii")
+    if not np.isfinite(radii[0]):
+        raise ValidationError(f"radii must be finite, got {radii!r}")
     for a, b in zip(radii, radii[1:]):
         if not (0 < b < a):
             raise ValidationError("radii must be positive and strictly decreasing")
-        if abs(b / a - 0.5) > 1e-9:
-            raise ValidationError(
-                f"radii must halve (ratio 2): got {a:g} -> {b:g}")
     return radii
 
 
@@ -194,17 +194,11 @@ class PatchSampler:
         self.r_lo, self.r_hi = float(np.max(inner)), float(np.min(outer))
 
     def suggest_radii(self) -> tuple:
-        """Largest ratio-2 ladder that fits the covered band, top at 0.8 r_hi."""
-        r0 = 0.8 * self.r_hi
-        if r0 <= self.r_lo:
+        """``_chebyshev_radii`` of the covered band [r_lo, r_hi]."""
+        if self.r_hi <= self.r_lo:
             raise CoverageError(
                 f"band [{self.r_lo:.3g}, {self.r_hi:.3g}] too thin to sample")
-        count = min(_MAX_RADII, int(np.floor(np.log2(r0 / self.r_lo))) + 1)
-        if count < 2:
-            raise CoverageError(
-                f"band [{self.r_lo:.3g}, {self.r_hi:.3g}] spans less than one "
-                "radius halving")
-        return geometric_radii(r0, count)
+        return _chebyshev_radii(self.r_lo, self.r_hi)
 
     def _guess(self, lev: np.ndarray, theta_q: np.ndarray) -> np.ndarray:
         """u where level lev[i] meets angle theta_q[i], cubic Hermite on the
@@ -356,13 +350,15 @@ def limit_gradient(sampler, radii, n_theta: int = 256,
 
     Args:
         sampler: callable (r, thetas) -> (p, q) arrays.
-        radii: strictly decreasing ratio-2 sequence, largest first.
+        radii: strictly decreasing positive radii, largest first.
         n_theta: uniform angle samples per circle.
         degree: Fourier degree of the fitted curve.
 
     Returns:
-        LimitGradientResult; ``residual`` is the max last Richardson
-        correction over all samples, an a-posteriori error estimate.
+        LimitGradientResult; ``residual`` is the largest change of any
+        extrapolated sample when the smallest radius is dropped.  It is an
+        a-posteriori estimate, not a bound: it does not bracket the error
+        of the curve, and the degree of the fit may bind instead.
 
     Raises:
         CoverageError: a circle left the sampled annulus.
@@ -371,16 +367,16 @@ def limit_gradient(sampler, radii, n_theta: int = 256,
     radii = _check_radii(radii)
     _check_n_theta(n_theta, degree)
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    p_rows = []
-    q_rows = []
-    for r in radii:
-        p, q = sampler(r, thetas)
-        p_rows.append(np.asarray(p, dtype=float))
-        q_rows.append(np.asarray(q, dtype=float))
-    p_limit, p_err = richardson_extrapolate(p_rows)
-    q_limit, q_err = richardson_extrapolate(q_rows)
-    residual = float(max(np.max(p_err), np.max(q_err)))
-    curve = fit_curve(p_limit, q_limit, degree)
+    rows = np.empty((len(radii), 2, n_theta))
+    for row, r in zip(rows, radii):
+        row[:] = sampler(r, thetas)
+    # The polynomial in rho through every radius, and through all but the
+    # smallest, evaluated at rho = 0.
+    nodes = np.array(radii)
+    limit = np.tensordot(_weights_at_zero(nodes), rows, 1)
+    coarse = np.tensordot(_weights_at_zero(nodes[:-1]), rows[:-1], 1)
+    residual = float(np.max(np.abs(coarse - limit)))
+    curve = fit_curve(limit[0], limit[1], degree)
     report = classify_curve(curve)
     return LimitGradientResult(curve=curve, residual=residual,
                                classification=report, radii=radii,

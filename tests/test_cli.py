@@ -523,6 +523,22 @@ def test_roundtrip_circle_passes_both_branches(tmp_path, monkeypatch):
         report["recovered_curve"]).shift(np.pi).to_dict()
 
 
+def test_roundtrip_samples_the_patch_five_times(tmp_path, monkeypatch):
+    # The ladder is 5 radii, one sampler call each.
+    import ma_singular.extract as extract
+    calls = []
+
+    def counted(self, r, thetas, _real=extract.PatchSampler.__call__):
+        calls.append(r)
+        return _real(self, r, thetas)
+
+    monkeypatch.setattr(extract.PatchSampler, "__call__", counted)
+    out = tmp_path / "run"
+    assert main(["roundtrip", "--out", str(out)]) == 0
+    assert calls == read_report(out)["limit"]["radii"]
+    assert len(calls) == 5
+
+
 def test_roundtrip_at_odd_n_theta_gives_both_branches_one_distance(tmp_path):
     # At an odd n_theta, theta + pi is off the sample grid; the reflected
     # branch is still the direct fit's image, at the same distance.
@@ -746,8 +762,8 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
       for command in ("construct", "roundtrip", "verify")
       for assignment, message in (
           ("extract.n_theta=8", "n_theta=8 cannot resolve degree 16"),
-          ("extract.radii=[0.1,0.04]",
-           "radii must halve (ratio 2): got 0.1 -> 0.04"),
+          ("extract.radii=[0.05,0.1]",
+           "radii must be positive and strictly decreasing"),
           ("extract.radii=[0.1]", "limit_gradient needs at least two radii"))],
 ], ids=["seed-string", "seed-negative", "tolerance-string", "degree-negative",
         "filter-order-overflow",
@@ -796,7 +812,7 @@ def test_roundtrip_coverage_failure_is_eight_with_its_report(tmp_path, capsys):
 
 def test_roundtrip_impossible_tolerance_is_eight(tmp_path):
     code = main(["roundtrip", "--out", str(tmp_path / "run"),
-                 "--set", "roundtrip.tolerance=1e-12"])
+                 "--set", "roundtrip.tolerance=1e-17"])
     assert code == 8
 
 
@@ -894,6 +910,25 @@ def test_verify_radial_oracle(tmp_path):
     assert errors["max_z_error"] < 1e-4
     assert errors["max_slope_error"] < 1e-4
     assert errors["limit_circle_hausdorff"] < 1e-6
+
+
+def test_verify_limit_circle_is_round_off_from_five_samples(tmp_path,
+                                                           monkeypatch):
+    calls = []
+
+    def counted(_real=cli.radial_reference_sampler):
+        sample = _real()
+
+        def count(r, thetas):
+            calls.append(r)
+            return sample(r, thetas)
+        return count
+
+    monkeypatch.setattr(cli, "radial_reference_sampler", counted)
+    out = tmp_path / "run"
+    assert main(["verify", "--out", str(out), "--set", "emit.csv=false"]) == 0
+    assert read_report(out)["oracle_errors"]["limit_circle_hausdorff"] <= 1e-15
+    assert len(calls) == 5
 
 
 def test_verify_limit_outside_m2_is_eight(tmp_path):

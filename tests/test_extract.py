@@ -1,4 +1,4 @@
-"""Richardson extrapolation, patch sampling, limit-gradient extraction."""
+"""Extrapolation to the axis, patch sampling, limit-gradient extraction."""
 
 import dataclasses
 
@@ -19,7 +19,6 @@ from ma_singular.extract import (
     radial_reference_height,
     radial_reference_sampler,
     radial_reference_slope,
-    richardson_extrapolate,
 )
 from ma_singular.geometry import reconstruct_graph
 from ma_singular.march import MarchParams, march
@@ -33,43 +32,85 @@ def circle_sampler():
 
 
 # ---------------------------------------------------------------------------
-# Richardson
+# Extrapolation to the axis
 
 
-def test_richardson_kills_linear_error_exactly():
-    radii = geometric_radii(0.4, 4)
-    values = [3.0 + 2.5 * r for r in radii]
-    limit, err = richardson_extrapolate(values)
-    assert limit == pytest.approx(3.0, abs=1e-14)
-    assert err < 1e-13
+#: The angles limit_gradient samples at n_theta = 64.
+THETAS_64 = 2.0 * np.pi * np.arange(64) / 64
 
 
-def test_richardson_kills_polynomial_error_exactly():
-    radii = geometric_radii(0.8, 5)
-    values = [1.0 - r + 0.3 * r**2 + 2.0 * r**3 for r in radii]
-    limit, _ = richardson_extrapolate(values)
-    assert limit == pytest.approx(1.0, abs=1e-13)
+def _values_sampler(f):
+    """A sampler whose p at radius r is f(r, thetas), and q = 2 p."""
+
+    def sample(r, thetas):
+        p = f(r, thetas)
+        return p, 2.0 * p
+
+    return sample
 
 
-def test_richardson_error_estimate_tracks_truth():
-    radii = geometric_radii(0.5, 4)
-    values = [np.exp(r) for r in radii]   # infinite series, estimate > 0
-    limit, err = richardson_extrapolate(values)
-    assert abs(limit - 1.0) < err * 10
-    assert err > 0
+def _limit_samples(monkeypatch, f, radii):
+    """(p at rho = 0 on ``THETAS_64``, residual) of limit_gradient."""
+    captured = []
+
+    def capture(p, q, degree, _original=extract.fit_curve):
+        captured.append(p)
+        return _original(p, q, degree)
+
+    monkeypatch.setattr(extract, "fit_curve", capture)
+    lg = limit_gradient(_values_sampler(f), radii, n_theta=THETAS_64.size,
+                        degree=8)
+    return captured[0], lg.residual
 
 
-def test_richardson_works_elementwise():
-    radii = geometric_radii(0.2, 3)
-    values = [np.array([r, 2.0 * r]) for r in radii]
-    limit, err = richardson_extrapolate(values)
-    np.testing.assert_allclose(limit, [0.0, 0.0], atol=1e-14)
-    assert err.shape == (2,)
+@pytest.mark.parametrize("radii", [
+    extract._chebyshev_radii(0.0, 0.4),
+    geometric_radii(0.8, 5),
+    (0.31, 0.3, 0.17, 0.02, 0.011),
+], ids=["chebyshev", "geometric", "uneven"])
+def test_extrapolation_is_exact_for_polynomials_of_degree_below_the_count(
+        monkeypatch, radii):
+    # Degree 4 through 5 radii; a different polynomial at each angle.
+    def f(r, thetas):
+        return (np.cos(thetas) - r + 0.3 * r**2 * np.sin(thetas)
+                + 2.0 * r**3 - 1.5 * r**4)
+
+    limit, _ = _limit_samples(monkeypatch, f, radii)
+    assert np.max(np.abs(limit - np.cos(THETAS_64))) <= 1e-13
 
 
-def test_richardson_needs_two_values():
-    with pytest.raises(ValidationError):
-        richardson_extrapolate([np.array([1.0])])
+def test_extrapolation_on_a_ratio_2_ladder_is_richardson(monkeypatch):
+    # Richardson's tableau for f(r) = f(0) + c1 r + c2 r^2 + ... on
+    # r0 2^{-m} is Neville's algorithm at 0 on the same nodes.
+    radii = geometric_radii(0.3, 5)
+
+    def f(r, thetas):
+        return np.exp(r * np.cos(thetas)) + np.sin(2.0 * r + thetas)
+
+    table = [f(radii[0], THETAS_64)]
+    for m in range(1, len(radii)):
+        row = [f(radii[m], THETAS_64)]
+        for k in range(1, m + 1):
+            row.append((2.0 ** k * row[k - 1] - table[k - 1]) / (2.0 ** k - 1.0))
+        table = row
+    limit, _ = _limit_samples(monkeypatch, f, radii)
+    assert np.max(np.abs(limit - table[-1])) <= 1e-14
+
+
+def test_extrapolation_residual_is_the_change_from_dropping_the_smallest_radius(
+        monkeypatch):
+    radii = extract._chebyshev_radii(0.0, 1.0)
+
+    def f(r, thetas):
+        return np.exp(r) * (1.0 + 0.1 * np.cos(thetas))
+
+    limit, residual = _limit_samples(monkeypatch, f, radii)
+    coarse, _ = _limit_samples(monkeypatch, f, radii[:-1])
+    # q = 2 p, so the residual is read from q.
+    assert residual == pytest.approx(2.0 * np.max(np.abs(limit - coarse)),
+                                     rel=1e-12)
+    assert 0.0 < residual
+    np.testing.assert_allclose(limit, 1.0 + 0.1 * np.cos(THETAS_64), atol=1e-12)
 
 
 def test_geometric_radii_halve():
@@ -181,12 +222,16 @@ def test_sampler_accepts_no_angles(circle_sampler):
 
 
 def test_sampler_suggest_radii_fit_the_band(circle_sampler):
+    # 5 Chebyshev points of the first kind on the lowest eighth of the band.
+    r_lo, r_hi = circle_sampler.r_lo, circle_sampler.r_hi
     radii = circle_sampler.suggest_radii()
-    assert len(radii) == 4
-    assert radii[0] == pytest.approx(0.8 * circle_sampler.r_hi)
-    assert radii[-1] >= circle_sampler.r_lo
-    for a, b in zip(radii, radii[1:]):
-        assert b == pytest.approx(a / 2)
+    assert len(radii) == 5
+    assert r_lo < radii[-1] and radii[0] < r_lo + (r_hi - r_lo) / 8
+    assert all(b < a for a, b in zip(radii, radii[1:]))
+    mid, half = r_lo + (r_hi - r_lo) / 16, (r_hi - r_lo) / 16
+    angles = (2 * np.arange(5) + 1) * np.pi / 10
+    np.testing.assert_allclose(radii, mid + half * np.cos(angles),
+                               rtol=0, atol=1e-16)
 
 
 def test_sampler_rejects_multivalued_patch():
@@ -218,10 +263,11 @@ def test_sampler_matches_radial_closed_form_to_round_off(circle_sampler):
             assert np.max(np.abs(got - want)) <= 1e-12, r
 
 
-def _judge_distance(name, dv=1e-3):
+def _judge_distance(curve, dv=1e-3):
     """The roundtrip judge's distance: the limit gradient of the patch from
-    the strip's first level against the input curve."""
-    curve = builtin_curve(name)
+    the strip's first level against the input curve (or builtin name)."""
+    if isinstance(curve, str):
+        curve = builtin_curve(curve)
     strip = march(curve, builtin_field("pure-one"), MarchParams(dv=dv))
     sampler = patch_sampler(reconstruct_graph(strip, strip.v[1]))
     lg = limit_gradient(sampler, sampler.suggest_radii())
@@ -234,11 +280,29 @@ def test_judge_distance_on_circle_and_ellipse_is_below_the_blend_floor():
     assert _judge_distance("ellipse") <= 3.06e-8
 
 
+def test_judge_distance_on_circle_is_round_off():
+    assert _judge_distance("circle") <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_judge_distance_on_convex_draws_is_round_off(seed, benchmark_workloads):
+    # The first curve of the roundtrip-convex stream for the seed; the
+    # degree-16 fit holds it exactly, so the extrapolation binds.
+    curve = PeriodicCurve.from_dict(
+        benchmark_workloads.convex_curve(np.random.default_rng([seed, 2])))
+    assert _judge_distance(curve) <= 1e-12
+
+
 @pytest.mark.parametrize("name", ["circle", "ellipse", "wobble"])
 def test_judge_distance_holds_at_a_coarser_march(name):
     # dv = 5e-3 stays within 2x of dv = 1e-3; with a linear blend the
-    # circle and the ellipse lost a factor of 26-28.
-    assert _judge_distance(name, dv=5e-3) <= 2.0 * _judge_distance(name)
+    # circle and the ellipse lost a factor of 26-28.  The circle reads
+    # 9e-14 at dv = 1e-3 and 8.5e-12 at 5e-3, where the blend's error
+    # binds, so it keeps an absolute bound.
+    if name == "circle":
+        assert _judge_distance(name, dv=5e-3) <= 1e-10
+    else:
+        assert _judge_distance(name, dv=5e-3) <= 2.0 * _judge_distance(name)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +330,19 @@ def test_limit_gradient_validates_resolution():
 
 
 def test_limit_gradient_rejects_ragged_radii():
-    with pytest.raises(ValidationError):
-        limit_gradient(radial_reference_sampler(), (0.05, 0.03, 0.02))
+    for radii in ((0.05, 0.1), (0.05, 0.03, 0.03), (0.05, 0.03, -0.01)):
+        with pytest.raises(ValidationError,
+                           match="radii must be positive and strictly decreasing"):
+            limit_gradient(radial_reference_sampler(), radii)
+    with pytest.raises(ValidationError, match="radii must be finite"):
+        limit_gradient(radial_reference_sampler(), (np.inf, 0.03))
+
+
+def test_limit_gradient_accepts_any_decreasing_radii():
+    # Not a ratio-2 ladder: the polynomial through them needs no pattern.
+    lg = limit_gradient(radial_reference_sampler(), (0.05, 0.03, 0.02, 0.004))
+    assert hausdorff_distance(builtin_curve("circle"), lg.curve) < 1e-7
+    assert lg.radii == (0.05, 0.03, 0.02, 0.004)
 
 
 def test_limit_gradient_rejects_fractional_n_theta():

@@ -45,7 +45,7 @@ from ma_singular.curves import (
     eval_curve,
     fit_curve,
 )
-from ma_singular.errors import CoverageError, ValidationError
+from ma_singular.errors import ValidationError
 from ma_singular.extract import (
     PatchSampler,
     _support_function,
@@ -381,12 +381,10 @@ def samplers(request):
 
 
 def _radii(sampler):
-    try:
-        ladder = sampler.suggest_radii()
-    except CoverageError:
-        # remark42's band holds less than one radius halving.
-        ladder = tuple(np.linspace(sampler.r_lo, sampler.r_hi, 5)[1:-1])
-    return ladder + (sampler.r_lo, sampler.r_hi)
+    # The ladder fills the lowest eighth of the band; the rest of the band
+    # is read at evenly spaced radii, its ends included.
+    return sampler.suggest_radii() + tuple(
+        np.linspace(sampler.r_lo, sampler.r_hi, 5))
 
 
 ANGLES = {
@@ -767,9 +765,9 @@ GALLERY_DISTANCES = {
 # Per seed of the roundtrip-convex benchmark stream, the distance from the
 # input curve to the recovered one on the direct and the reflected branch.
 ROUNDTRIP_DISTANCES = {
-    1: (3.965266565051979e-06, 3.965266565022704e-06),
-    2: (3.1912162530889453e-06, 3.191216252697608e-06),
-    3: (3.488810647227664e-06, 3.488810646416224e-06),
+    1: (6.255712976618263e-11, 6.25959284406008e-11),
+    2: (9.628658005591674e-11, 9.630245807150978e-11),
+    3: (1.4384777795911747e-10, 1.4385334496932554e-10),
 }
 
 
