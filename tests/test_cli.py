@@ -1219,7 +1219,7 @@ def test_import_builds_no_march_table():
     # console-script call pays before any work) does not grow with them.
     code = ("import sys, ma_singular.cli; m = sys.modules['ma_singular.march']; "
             "sys.exit(sum(f.cache_info().currsize for f in (m._du_factors, "
-            "m._monitor_weights, m._filter_factors)))")
+            "m._du_matrix, m._monitor_weights, m._filter_factors)))")
     env = dict(os.environ,
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

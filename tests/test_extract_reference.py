@@ -765,9 +765,9 @@ GALLERY_DISTANCES = {
 # Per seed of the roundtrip-convex benchmark stream, the distance from the
 # input curve to the recovered one on the direct and the reflected branch.
 ROUNDTRIP_DISTANCES = {
-    1: (6.255712976618263e-11, 6.25959284406008e-11),
-    2: (9.628658005591674e-11, 9.630245807150978e-11),
-    3: (1.4384777795911747e-10, 1.4385334496932554e-10),
+    1: (6.266070995408768e-11, 6.266367424956342e-11),
+    2: (9.622496401619765e-11, 9.622262543629829e-11),
+    3: (1.4382638939474347e-10, 1.4384526686008647e-10),
 }
 
 

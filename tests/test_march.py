@@ -83,6 +83,24 @@ def test_spectral_du_matches_mode_derivative(k, a, b):
     np.testing.assert_allclose(spectral_du(f), df, atol=1e-11)
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=2, max_value=7), st.integers(0, 2**32 - 1))
+def test_du_matrix_matches_spectral_du(log2_n, seed):
+    # The RK4 stages of a march on up to 128 points differentiate by this
+    # matrix; it is the same operator to round-off of the derivative's scale.
+    n = 2 ** log2_n
+    rng = np.random.default_rng(seed)
+    u = 2.0 * np.pi * np.arange(n) / n
+    k = np.arange(rng.integers(1, n // 2 + 1))
+    a, b = rng.uniform(-1, 1, (2, 5, len(k)))
+    block = a @ np.cos(np.outer(k, u)) + b @ np.sin(np.outer(k, u))
+    matrix = importlib.import_module("ma_singular.march")._du_matrix(n)
+    expected = spectral_du(block)
+    scale = max(1.0, np.abs(expected).max())
+    np.testing.assert_allclose(block @ matrix, expected, rtol=0,
+                               atol=1e-13 * scale)
+
+
 # ---------------------------------------------------------------------------
 # assemble_rhs
 
@@ -130,6 +148,7 @@ def test_rhs_from_given_derivatives_is_bitwise_the_same(stack):
 def test_cached_tables_are_read_only():
     march_module = importlib.import_module("ma_singular.march")
     for table in (march_module._du_factors(128),
+                  march_module._du_matrix(128),
                   march_module._monitor_weights(65),
                   march_module._filter_factors(128)):
         with pytest.raises(ValueError, match="read-only"):
@@ -394,14 +413,14 @@ def _field_with(E="1", x=1.0, pq=4.0):
 @pytest.mark.parametrize("field, n_levels, status, detail", [
     (_field_with(x=0.05), 50, "box-exit",
      "stage state left the box after v=0.049: "
-     "x=0.050020836021085945 outside [-0.05, 0.05] at index 0"),
+     "x=0.05002083602108613 outside [-0.05, 0.05] at index 0"),
     # Every stage of the first step stays inside; the stepped state does not.
     (_field_with(pq=1.0000005), 1, "box-exit",
      "state left the box at v=0.001: "
      "p=1.0000005000000414 outside [-1.0000005, 1.0000005] at index 0"),
     (_field_with("1 - 60*z"), 12, "ellipticity",
      "ellipticity lost after v=0.011: "
-     "ellipticity D = A*C - B^2 + E not positive (min -0.095302403484671)"),
+     "ellipticity D = A*C - B^2 + E not positive (min -0.09530240348466257)"),
     (_field_with("1 + sqrt(0.05 - z)"), 54, "non-finite",
      "field evaluation failed after v=0.053: "
      "coefficient E is non-finite at index 0"),
@@ -450,7 +469,15 @@ def test_march_makes_four_field_evaluations_per_step(monkeypatch):
     assert counts == {"field": 4 * steps + 1, "rhs": 4 * steps}
 
 
-def test_march_transforms_each_level_once_for_monitor_and_k1(monkeypatch):
+@pytest.mark.parametrize("curve, field, n_u, per_step", [
+    ("remark42", "remark42", 256, 5),
+    ("circle", "pure-one", 128, 2),
+], ids=["fft-stages", "matrix-stages"])
+def test_march_transforms_each_level_once_for_monitor_and_k1(
+        monkeypatch, curve, field, n_u, per_step):
+    # Built before counting: the matrix's one-time build is an rfft and
+    # an irfft of the identity.
+    importlib.import_module("ma_singular.march")._du_matrix(128)
     counts = {"rfft": 0, "irfft": 0}
     for name in list(counts):
         transform = getattr(np.fft, name)
@@ -460,16 +487,19 @@ def test_march_transforms_each_level_once_for_monitor_and_k1(monkeypatch):
             return _transform(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    strip = march(builtin_curve("remark42"), builtin_field("remark42"),
-                  MarchParams(n_u=256, R=0.05))
+    strip = march(builtin_curve(curve), builtin_field(field),
+                  MarchParams(n_u=n_u, R=0.05))
     steps = strip.n_levels - 1
     assert strip.status == "completed" and steps == 50
-    # Per step, forward: k2, k3, k4, the filter and the monitor; back: k1 to
-    # k4 and the filter.  k1 differentiates from the monitor's spectrum of
-    # the level it starts from, so only the axis level adds a forward
-    # transform, and the last level, which starts no step, adds the inverse
-    # transform of the Z_u the strip carries.
-    assert counts == {"rfft": 5 * steps + 1, "irfft": 5 * steps + 1}
+    # Per step, forward: the filter and the monitor, and on more than 128
+    # points k2, k3 and k4; back: k1 and the filter, and on more than 128
+    # points k2 to k4 (on up to 128, those stages take a matrix product).  k1
+    # differentiates from the monitor's spectrum of the level it starts
+    # from, so only the axis level adds a forward transform, and the last
+    # level, which starts no step, adds the inverse transform of the Z_u
+    # the strip carries.
+    assert counts == {"rfft": per_step * steps + 1,
+                      "irfft": per_step * steps + 1}
 
 
 def test_strip_level_accessor():
