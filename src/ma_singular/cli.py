@@ -57,8 +57,8 @@ from .errors import (
     ValidationError,
 )
 from .extract import (
+    _N_THETA,
     _check_n_theta,
-    _check_radii,
     _chebyshev_radii,
     hausdorff_distance,
     limit_gradient,
@@ -100,11 +100,10 @@ _STATUS_EXIT = {
 }
 
 DEFAULT_CONFIG = {
-    "curve": {"builtin": "circle", "file": None, "literal": None,
-              "auto_reverse": False},
+    "curve": {"builtin": "circle", "file": None, "literal": None},
     "field": {"builtin": "pure-one", "file": None, "literal": None},
     "march": dataclasses.asdict(MarchParams()),
-    "extract": {"degree": 16, "n_theta": 256, "radii": None},
+    "extract": {"degree": 16},
     "roundtrip": {"tolerance": 0.001, "reflected": True},
     "verify": {"z_tolerance": 1e-4, "slope_tolerance": 1e-4,
                "circle_tolerance": 1e-6},
@@ -155,19 +154,16 @@ _KINDS = {
     "a string": lambda value: type(value) is str,
     "a string or null": lambda value: value is None or type(value) is str,
     "an object or null": lambda value: value is None or type(value) is dict,
-    "a list of finite numbers or null": lambda value: value is None or (
-        type(value) is list and all(map(_number, value))),
 }
 _DEFAULT_KINDS = {bool: "a boolean", int: "an integer",
                   float: "a finite number", str: "a string"}
 
 #: The leaves whose default does not give their kind.  The ranges and
-#: names a library call checks (march parameters, radii) are not here.
+#: names a library call checks (march parameters, degree) are not here.
 _LEAF_KINDS = {
     "curve.file": "a string or null", "field.file": "a string or null",
     "curve.literal": "an object or null", "field.literal": "an object or null",
     "extract.degree": "a non-negative integer",
-    "extract.radii": "a list of finite numbers or null",
 }
 
 
@@ -238,7 +234,11 @@ def _check_artifact_paths(out: Path, names) -> None:
 
 
 def _prepare(cfg: dict):
-    """Fail-fast pass: parse everything before any numerics run."""
+    """Fail-fast pass: parse everything before any numerics run.
+
+    A locally convex curve that turns the positive way is reversed: M2
+    holds curves as sets, and the march wants the negative orientation.
+    """
     out = Path(cfg["out"])
     if any(path.exists() and not path.is_dir() for path in (out, *out.parents)):
         raise ValidationError(f"out {out} is not a directory")
@@ -247,16 +247,12 @@ def _prepare(cfg: dict):
     field = _load(cfg, "field", CoefficientField.from_dict, builtin_field)
     params = MarchParams(**cfg["march"])
     params.validate(curve)
-    extract_cfg = cfg["extract"]
-    if extract_cfg["radii"] is not None:
-        _check_radii(extract_cfg["radii"])
-    _check_n_theta(extract_cfg["n_theta"], extract_cfg["degree"])
+    _check_n_theta(_N_THETA, cfg["extract"]["degree"])
     report = classify_curve(curve)
-    reversed_curve = False
-    if cfg["curve"]["auto_reverse"] and report.orientation == "positive":
+    reversed_curve = report.orientation == "positive" and report.locally_convex
+    if reversed_curve:
         curve = curve.reverse()
         report = classify_curve(curve)
-        reversed_curve = True
     return curve, field, params, report, reversed_curve
 
 
@@ -291,13 +287,11 @@ def _ellipticity_spot_check(field: CoefficientField, n: int = 256):
         return {"n": n, "min_disc": None, "error": str(err)}
 
 
-def _construct_pipeline(cfg: dict, prepared):
+def _construct_pipeline(prepared):
     """march + diagnostics + reconstruction of what ``_prepare`` returned."""
-    curve, field, params, report, reversed_curve = prepared
+    curve, field, params, _, _ = prepared
     strip = march(curve, field, params)
     result = {
-        "classification": _classification_dict(report),
-        "auto_reversed": reversed_curve,
         "status": strip.status,
         "detail": strip.detail,
         "march": {
@@ -439,19 +433,18 @@ def _run(cfg: dict, head: dict, judge=None, convex: bool = False):
     """
     prepared = _prepare(cfg)
     curve, _, _, cls, auto_reversed = prepared
-    report = {**head, "config": cfg}
+    report = {**head, "config": cfg, "classification": _classification_dict(cls),
+              "auto_reversed": auto_reversed}
     strip = patch = None
     if convex and not (cls.regular and cls.strictly_convex and cls.embedded):
         code = EXIT_PRECONDITION
         report.update({
-            "classification": _classification_dict(cls),
-            "auto_reversed": auto_reversed,
             "status": "precondition-failed",
             "detail": "curve must be regular, strictly convex (negatively "
                       "oriented) and embedded",
         })
     else:
-        strip, patch, result = _construct_pipeline(cfg, prepared)
+        strip, patch, result = _construct_pipeline(prepared)
         report.update(result)
         code = _pipeline_exit(strip, patch)
         if code == EXIT_OK and judge is not None:
@@ -510,13 +503,10 @@ def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, strip, patch,
     patch's reads at theta + pi, so its limit curve is the direct one
     shifted by pi: the same set, hence the same distance and M2 membership.
     """
-    extract_cfg = cfg["extract"]
     try:
         sampler = patch_sampler(reconstruct_graph(strip, v_min=strip.v[1]))
-        radii = extract_cfg["radii"]
-        radii = sampler.suggest_radii() if radii is None else radii
-        lg = limit_gradient(sampler, radii, n_theta=extract_cfg["n_theta"],
-                            degree=extract_cfg["degree"])
+        lg = limit_gradient(sampler, sampler.suggest_radii(),
+                            degree=cfg["extract"]["degree"])
     except (CoverageError, SingularJacobianError, ValidationError) as err:
         report["limit"] = {"error": str(err)}
         return EXIT_TOLERANCE
@@ -548,7 +538,6 @@ def _judge_verify(cfg: dict, curve: PeriodicCurve, strip, patch,
     slope_err = float(np.max(np.abs(np.hypot(patch.p, patch.q)
                                     - radial_reference_slope(rho))))
     lg = limit_gradient(radial_reference_sampler(), _chebyshev_radii(0.0, 0.05),
-                        n_theta=cfg["extract"]["n_theta"],
                         degree=cfg["extract"]["degree"])
     circle_dist = _m2_distance(builtin_curve("circle"), lg)
     report["oracle_errors"] = {
@@ -602,7 +591,7 @@ def cmd_plot(cfg: dict):
     prepared = _prepare(run_cfg)
     states = patch = None
     if report.get("status") != "precondition-failed":
-        strip, patch, _ = _construct_pipeline(run_cfg, prepared)
+        strip, patch, _ = _construct_pipeline(prepared)
         states = strip.states
     return EXIT_OK, _figures(prepared[0], report, states, patch)
 

@@ -105,6 +105,11 @@ def _check_radii(radii) -> tuple:
     return radii
 
 
+#: The angles per circle of ``limit_gradient`` (and of every CLI
+#: extraction): even, so theta + pi is on the grid; it resolves degree 127.
+_N_THETA = 256
+
+
 def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
@@ -344,7 +349,7 @@ class LimitGradientResult:
         return self.classification.locally_convex and self.classification.embedded
 
 
-def limit_gradient(sampler, radii, n_theta: int = 256,
+def limit_gradient(sampler, radii, n_theta: int = _N_THETA,
                    degree: int = 16) -> LimitGradientResult:
     """Extrapolate the gradient circles to the axis and fit a Fourier curve.
 

@@ -98,6 +98,13 @@ def _du_of_spectrum(spec: np.ndarray, n: int, out=None) -> np.ndarray:
     return np.fft.irfft(spec, n=n, out=out)
 
 
+#: The most cells, (R/dv + 1) levels of n_u nodes, that a march may
+#: make: 217 times the default march's 151 x 128, and 3.3 times the
+#: 10001 x 128 of the finest march the tests make.  A CLI ``construct``
+#: peaks at about 560 bytes a cell, so about 2.4 GB at the budget.
+MAX_MARCH_CELLS = 2 ** 22
+
+
 @dataclass(frozen=True)
 class MarchParams:
     """Parameters of the strip march; defaults meet the |k|*R budget."""
@@ -114,6 +121,14 @@ class MarchParams:
         n = self.n_u
         if n < 4 or n & (n - 1):
             raise ValidationError(f"n_u={n} is not a power of two >= 4")
+        try:  # in floating point, where R/dv may be inf
+            cells = (self.R / self.dv + 1.0) * n
+        except OverflowError:  # an n_u past the float range
+            cells = math.inf
+        if cells > MAX_MARCH_CELLS:
+            raise ValidationError(
+                f"(R/dv + 1)*n_u = {cells:.4g} cells exceeds the march budget "
+                f"MAX_MARCH_CELLS = {MAX_MARCH_CELLS}")
         if curve is not None and n < 4 * (curve.degree + 1):
             raise ValidationError(
                 f"n_u={n} is below 4*(degree+1)={4 * (curve.degree + 1)}")

@@ -177,11 +177,11 @@ def test_artifact_path_that_is_a_directory_is_two_before_the_march(
 def test_set_overrides_parse_json_values():
     cfg = load_config(None, sets=["march.R=0.3", "emit.svg=true",
                                   "curve.builtin=ellipse",
-                                  "extract.radii=[0.1, 0.05]"])
+                                  'curve.literal={"alpha_cos": [0, 1]}'])
     assert cfg["march"]["R"] == 0.3
     assert cfg["emit"]["svg"] is True
     assert cfg["curve"]["builtin"] == "ellipse"
-    assert cfg["extract"]["radii"] == [0.1, 0.05]
+    assert cfg["curve"]["literal"] == {"alpha_cos": [0, 1]}
 
 
 def test_set_rejects_unknown_key():
@@ -224,10 +224,10 @@ def test_print_config_exits_zero(capsys):
 def test_settable_values_are_pinned():
     # A new config key or march parameter is a change to this list.
     assert [key for key, _ in _config_leaves()] == [
-        "curve.builtin", "curve.file", "curve.literal", "curve.auto_reverse",
+        "curve.builtin", "curve.file", "curve.literal",
         "field.builtin", "field.file", "field.literal",
         "march.R", "march.n_u", "march.dv",
-        "extract.degree", "extract.n_theta", "extract.radii",
+        "extract.degree",
         "roundtrip.tolerance", "roundtrip.reflected",
         "verify.z_tolerance", "verify.slope_tolerance",
         "verify.circle_tolerance",
@@ -238,16 +238,56 @@ def test_settable_values_are_pinned():
         ["R", "n_u", "dv"]
 
 
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_kinds_table_names_the_leaves_of_the_config_check():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # One row per leaf: its key, the config check's kind, and its default.
+    readme = _README.read_text()
     table = readme.partition("| leaf | kind |")[2].partition("\n\n")[0]
-    named = set()
+    rows = {}
     for row in table.splitlines()[2:]:
-        cell = row.split("|")[1]
-        named.update(cell.replace("`", "").replace(",", " ").split())
-    assert named, "no kinds table in README.md"
-    assert named <= {key for key, _ in _config_leaves()}
-    assert set(cli._LEAF_KINDS) <= named
+        key, kind, default = (cell.strip().strip("`")
+                              for cell in row.split("|")[1:4])
+        rows[key] = (kind, json.loads(default))
+    assert rows, "no leaf table in README.md"
+    leaves = dict(_config_leaves())
+    assert {key: kind for key, (kind, _) in rows.items()} == leaves
+    for key, (_, default) in rows.items():
+        section = DEFAULT_CONFIG
+        for part in key.split("."):
+            section = section[part]
+        assert (type(default), default) == (type(section), section), key
+
+
+def test_readme_quick_start_prints_what_its_comments_say(capsys):
+    # Each print of the first Python block against its "# ~value" comment,
+    # to within a decade, or its quoted string.
+    block = _README.read_text().partition("```python\n")[2].partition("```")[0]
+    comments = [line.partition("#")[2].split()[0] for line in block.splitlines()
+                if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(comments) == 3
+    for value, comment in zip(printed, comments):
+        if comment.startswith("~"):
+            assert abs(np.log10(float(value) / float(comment[1:]))) <= 1, \
+                (value, comment)
+        else:
+            assert value == json.loads(comment)
+
+
+def test_benchmark_configs_load(tmp_path, benchmark_workloads):
+    # Each command config of each workload's first op at seed 1, so that
+    # dropping a leaf a workload sets fails here, not in every benchmark op.
+    for name, workload in benchmark_workloads.WORKLOADS.items():
+        configs = [command.config for command in next(workload.ops(1))
+                   if command.config is not None]
+        assert configs, name
+        for k, config in enumerate(configs):
+            path = tmp_path / f"{name}-{k}.json"
+            path.write_text(json.dumps(config))
+            load_config(str(path))
 
 
 #: The config leaves that became constants, the values they always held,
@@ -263,6 +303,9 @@ _REMOVED_LEAVES = {
     "residual.j_floor": (1e-6, "residual"),
     "reconstruct.v_min": (None, "reconstruct"),
     "seed": (0, "seed"),
+    "extract.radii": (None, "extract.radii"),
+    "extract.n_theta": (256, "extract.n_theta"),
+    "curve.auto_reverse": (False, "curve.auto_reverse"),
 }
 
 
@@ -465,17 +508,31 @@ def test_construct_report_is_deterministic(tmp_path):
 
 
 def test_curve_file_and_auto_reverse(tmp_path):
+    # A positively oriented convex curve is reversed; no key asks for it.
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(builtin_curve("ellipse").reverse().to_dict()))
     out = tmp_path / "run"
     code = main(["construct", "--out", str(out),
                  "--set", f'curve.file="{path}"',
-                 "--set", "curve.auto_reverse=true",
                  "--set", "march.R=0.05"])
     assert code == 0
     report = read_report(out)
     assert report["auto_reversed"] is True
     assert report["classification"]["orientation"] == "negative"
+
+
+@pytest.mark.parametrize("name, reverses", [("ellipse", True),
+                                            ("remark42", False)])
+def test_only_a_locally_convex_curve_is_reversed(tmp_path, name, reverses):
+    # remark42 turned round classifies "positive", but its convexity changes
+    # sign, so it has no orientation of its own; it is marched as given.
+    turned = builtin_curve(name).reverse()
+    cfg = load_config(None, sets=["curve.literal=" + json.dumps(turned.to_dict()),
+                                  "march.n_u=256"], out=str(tmp_path))
+    curve, _, _, report, reversed_curve = cli._prepare(cfg)
+    assert reversed_curve is reverses
+    assert curve == (turned.reverse() if reverses else turned)
+    assert (report.orientation == "negative") is reverses
 
 
 @pytest.mark.parametrize("text", ["5", "[1]", '"a"'])
@@ -537,18 +594,6 @@ def test_roundtrip_samples_the_patch_five_times(tmp_path, monkeypatch):
     assert main(["roundtrip", "--out", str(out)]) == 0
     assert calls == read_report(out)["limit"]["radii"]
     assert len(calls) == 5
-
-
-def test_roundtrip_at_odd_n_theta_gives_both_branches_one_distance(tmp_path):
-    # At an odd n_theta, theta + pi is off the sample grid; the reflected
-    # branch is still the direct fit's image, at the same distance.
-    out = tmp_path / "run"
-    assert main(["roundtrip", "--out", str(out), "--set", "emit.csv=false",
-                 "--set", "curve.builtin=wobble",
-                 "--set", "extract.n_theta=255"]) == 0
-    report = read_report(out)
-    assert report["hausdorff"] < 1e-3
-    assert report["hausdorff_reflected"] == report["hausdorff"]
 
 
 @pytest.mark.parametrize("reflected, detail", [
@@ -739,10 +784,9 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
       for key, kind in (("field.literal", "an object or null"),
                         ("curve.literal", "an object or null"),
                         ("curve.file", "a string or null"))],
-    ("roundtrip", "extract.radii=5",
-     "extract.radii must be a list of finite numbers or null, got 5"),
+    ("roundtrip", "extract.radii=5", "unknown config key config.extract.radii"),
     ("roundtrip", 'extract.radii="abc"',
-     "extract.radii must be a list of finite numbers or null, got 'abc'"),
+     "unknown config key config.extract.radii"),
     ("verify", 'verify.z_tolerance="x"',
      "verify.z_tolerance must be a finite number, got 'x'"),
     ("construct", "out=null", "out must be a string, got None"),
@@ -752,19 +796,24 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
     ("construct", "march.n_u=128.5", "march.n_u must be an integer, got 128.5"),
     ("construct", "march.n_u=128.0", "march.n_u must be an integer, got 128.0"),
     ("roundtrip", "extract.n_theta=2.5",
-     "extract.n_theta must be an integer, got 2.5"),
+     "unknown config key config.extract.n_theta"),
     ("construct", 'emit.csv="no"', "emit.csv must be a boolean, got 'no'"),
     ("construct", "residual.j_floor=-1", "unknown config key config.residual"),
     ("construct", 'verify.oracle="planar"',
      "unknown config key config.verify.oracle"),
-    # limit_gradient's own rules, checked in every command before the march.
+    # limit_gradient's own rule on the degree, at its 256 angles, checked
+    # in every command before the march; the radii are the sampler's.
     *[(command, assignment, message)
       for command in ("construct", "roundtrip", "verify")
       for assignment, message in (
-          ("extract.n_theta=8", "n_theta=8 cannot resolve degree 16"),
+          ("extract.degree=128", "n_theta=256 cannot resolve degree 128"),
           ("extract.radii=[0.05,0.1]",
-           "radii must be positive and strictly decreasing"),
-          ("extract.radii=[0.1]", "limit_gradient needs at least two radii"))],
+           "unknown config key config.extract.radii"),
+          ("extract.radii=[0.1]", "unknown config key config.extract.radii"))],
+    # A march past MAX_MARCH_CELLS, named by its cell count.
+    ("construct", "march.n_u=1099511627776", "(R/dv + 1)*n_u = 1.66e+14 cells"),
+    ("construct", "march.dv=1e-300", "(R/dv + 1)*n_u = 1.92e+301 cells"),
+    ("roundtrip", "march.R=1e300", "(R/dv + 1)*n_u = 1.28e+305 cells"),
 ], ids=["seed-string", "seed-negative", "tolerance-string", "degree-negative",
         "filter-order-overflow",
         *[f"{command}-{key}" for command in ("construct", "roundtrip", "verify")
@@ -775,7 +824,8 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
         "oracle-unknown",
         *[f"{command}-{case}" for command in ("construct", "roundtrip", "verify")
           for case in ("n-theta-below-degree", "radii-not-halving",
-                       "radii-single")]])
+                       "radii-single")],
+        "cells-n-u", "cells-dv", "cells-R"])
 def test_bad_config_values_are_two_before_the_march(tmp_path, capsys,
                                                     monkeypatch, command,
                                                     assignment, message):
@@ -794,13 +844,16 @@ def test_bad_config_values_are_two_before_the_march(tmp_path, capsys,
     assert not (out / "report.json").exists()
 
 
-def test_roundtrip_coverage_failure_is_eight_with_its_report(tmp_path, capsys):
+def test_roundtrip_coverage_failure_is_eight_with_its_report(tmp_path, capsys,
+                                                             monkeypatch):
     # The largest radius lies outside the band the strip covers from its
     # first stored level, so the extraction stops after a completed march;
     # the report says why.
+    import ma_singular.extract as extract
+    monkeypatch.setattr(extract.PatchSampler, "suggest_radii",
+                        lambda self: (1.0, 0.5, 0.25))
     out = tmp_path / "run"
-    assert main(["roundtrip", "--out", str(out),
-                 "--set", "extract.radii=[1.0, 0.5, 0.25]"]) == 8
+    assert main(["roundtrip", "--out", str(out)]) == 8
     assert capsys.readouterr().err == ""
     report = read_report(out)
     assert report["exit_code"] == 8
@@ -927,7 +980,9 @@ def test_verify_limit_circle_is_round_off_from_five_samples(tmp_path,
     monkeypatch.setattr(cli, "radial_reference_sampler", counted)
     out = tmp_path / "run"
     assert main(["verify", "--out", str(out), "--set", "emit.csv=false"]) == 0
-    assert read_report(out)["oracle_errors"]["limit_circle_hausdorff"] <= 1e-15
+    # roundtrip-convex's headroom_dec reads log10(1e-6 / this distance),
+    # 9.654 at 2.2e-16; 4.4e-16 would cost 0.30 dec, past its 0.25 bound.
+    assert read_report(out)["oracle_errors"]["limit_circle_hausdorff"] <= 2.3e-16
     assert len(calls) == 5
 
 
@@ -981,7 +1036,7 @@ def test_plot_without_a_patch_draws_the_strip_levels(tmp_path):
     ("verify", []),
     ("construct", ["march.R=0.001", "march.dv=0.001"]),
     ("roundtrip", ["curve.builtin=limacon"]),
-    ("construct", ["curve.auto_reverse=true", "curve.literal=" + json.dumps(
+    ("construct", ["curve.literal=" + json.dumps(
         {"alpha_cos": [0, 1], "alpha_sin": [0, 0],
          "beta_cos": [0, 0], "beta_sin": [0, 1]})]),
     ("roundtrip", ["emit.csv=false"]),
@@ -1300,8 +1355,6 @@ _VALID_KINDS = {
     "a finite number": st.floats(-1.0, 1.0),
     "a string or null": st.none() | st.just("no-such-file.json"),
     "an object or null": st.none(),
-    "a list of finite numbers or null": st.none() | st.lists(
-        st.sampled_from([0.008, 0.004, 0.002, 0.001, -0.001]), max_size=4),
 }
 _VALID_KEYS = {
     "march.R": st.floats(0.002, 0.02),
@@ -1309,7 +1362,6 @@ _VALID_KEYS = {
     "march.dv": st.floats(0.001, 0.02),
     "curve.builtin": st.sampled_from(builtin_curve_names()),
     "field.builtin": st.sampled_from(builtin_field_names()),
-    "extract.n_theta": st.integers(8, 128),
     "extract.degree": st.integers(0, 24),
 }
 #: Values of the wrong kind for most leaves (and of the right kind for a few).
@@ -1365,9 +1417,9 @@ _STATUS_EXITS = {
 @example(command="roundtrip", curve=None, field=None,
          overrides=[("field.builtin", "remark42")])
 @example(command="roundtrip", curve=None, field=None,
-         overrides=[("extract.degree", 300), ("extract.n_theta", 1024)])
+         overrides=[("extract.degree", 127)])
 @example(command="verify", curve=None, field=None,
-         overrides=[("extract.degree", 300), ("extract.n_theta", 1024)])
+         overrides=[("extract.degree", 127)])
 @given(command=st.sampled_from(["construct", "roundtrip", "verify"]),
        curve=st.none() | _CURVES, field=st.none() | _FIELDS,
        overrides=_overrides())

@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ma_singular.coeffs import CoefficientField, builtin_field, pure_field
 from ma_singular.curves import builtin_curve, eval_curve
 from ma_singular.errors import ValidationError
 from ma_singular.march import (
+    MAX_MARCH_CELLS,
     MarchParams,
     assemble_rhs,
     march,
@@ -266,6 +269,34 @@ def test_monitor_keeps_a_large_finite_energy(scale):
 def test_bad_params_rejected(kwargs):
     with pytest.raises(ValidationError):
         MarchParams(**kwargs).validate(CIRCLE)
+
+
+@pytest.mark.parametrize("kwargs, cells", [
+    ({"n_u": 2 ** 40}, "1.66e+14"),      # a numpy allocation error once
+    ({"dv": 1e-300}, "1.92e+301"),       # 1.5e299 steps once
+    ({"R": 1e300}, "1.28e+305"),
+    ({"n_u": 2 ** 1100}, "inf"),         # past the float range
+    ({"R": 1e300, "dv": 5e-324}, "inf"),  # R/dv = inf
+])
+def test_march_past_the_cell_budget_is_refused(kwargs, cells):
+    # Refused from the parameters alone, before anything is allocated.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"(R/dv + 1)*n_u = {cells} cells ")):
+            MarchParams(**kwargs).validate(CIRCLE)
+        assert tracemalloc.get_traced_memory()[1] < 100_000
+    finally:
+        tracemalloc.stop()
+
+
+def test_cell_budget_is_two_to_the_twenty_two():
+    # The default march's 151 x 128 cells 217 times over; exact at the edge.
+    assert MAX_MARCH_CELLS == 2 ** 22
+    dv = 2.0 ** -15
+    MarchParams(R=32767 * dv, n_u=128, dv=dv).validate(CIRCLE)
+    with pytest.raises(ValidationError, match="= 4.194e\\+06 cells"):
+        MarchParams(R=32768 * dv, n_u=128, dv=dv).validate(CIRCLE)
 
 
 def test_grid_must_resolve_curve_degree():
