@@ -57,8 +57,6 @@ from .errors import (
     ValidationError,
 )
 from .extract import (
-    _N_THETA,
-    _check_n_theta,
     _chebyshev_radii,
     hausdorff_distance,
     limit_gradient,
@@ -103,7 +101,6 @@ DEFAULT_CONFIG = {
     "curve": {"builtin": "circle", "file": None, "literal": None},
     "field": {"builtin": "pure-one", "file": None, "literal": None},
     "march": dataclasses.asdict(MarchParams()),
-    "extract": {"degree": 16},
     "roundtrip": {"tolerance": 0.001, "reflected": True},
     "verify": {"z_tolerance": 1e-4, "slope_tolerance": 1e-4,
                "circle_tolerance": 1e-6},
@@ -149,7 +146,6 @@ def _number(value) -> bool:
 _KINDS = {
     "a boolean": lambda value: type(value) is bool,
     "an integer": lambda value: type(value) is int,
-    "a non-negative integer": lambda value: type(value) is int and value >= 0,
     "a finite number": _number,
     "a string": lambda value: type(value) is str,
     "a string or null": lambda value: value is None or type(value) is str,
@@ -159,11 +155,10 @@ _DEFAULT_KINDS = {bool: "a boolean", int: "an integer",
                   float: "a finite number", str: "a string"}
 
 #: The leaves whose default does not give their kind.  The ranges and
-#: names a library call checks (march parameters, degree) are not here.
+#: names a library call checks (march parameters) are not here.
 _LEAF_KINDS = {
     "curve.file": "a string or null", "field.file": "a string or null",
     "curve.literal": "an object or null", "field.literal": "an object or null",
-    "extract.degree": "a non-negative integer",
 }
 
 
@@ -247,7 +242,6 @@ def _prepare(cfg: dict):
     field = _load(cfg, "field", CoefficientField.from_dict, builtin_field)
     params = MarchParams(**cfg["march"])
     params.validate(curve)
-    _check_n_theta(_N_THETA, cfg["extract"]["degree"])
     report = classify_curve(curve)
     reversed_curve = report.orientation == "positive" and report.locally_convex
     if reversed_curve:
@@ -505,8 +499,7 @@ def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, strip, patch,
     """
     try:
         sampler = patch_sampler(reconstruct_graph(strip, v_min=strip.v[1]))
-        lg = limit_gradient(sampler, sampler.suggest_radii(),
-                            degree=cfg["extract"]["degree"])
+        lg = limit_gradient(sampler, sampler.suggest_radii())
     except (CoverageError, SingularJacobianError, ValidationError) as err:
         report["limit"] = {"error": str(err)}
         return EXIT_TOLERANCE
@@ -537,8 +530,7 @@ def _judge_verify(cfg: dict, curve: PeriodicCurve, strip, patch,
     z_err = float(np.max(np.abs(patch.z - radial_reference_height(rho))))
     slope_err = float(np.max(np.abs(np.hypot(patch.p, patch.q)
                                     - radial_reference_slope(rho))))
-    lg = limit_gradient(radial_reference_sampler(), _chebyshev_radii(0.0, 0.05),
-                        degree=cfg["extract"]["degree"])
+    lg = limit_gradient(radial_reference_sampler(), _chebyshev_radii(0.0, 0.05))
     circle_dist = _m2_distance(builtin_curve("circle"), lg)
     report["oracle_errors"] = {
         "max_z_error": z_err,

@@ -11,7 +11,8 @@ Approximation Practice, ch. 5, 8).  Samplers are plain callables
 (r, thetas) -> (p, q); one interpolates a reconstructed GraphPatch,
 spectrally along each level and by the cubic Hermite interpolant in
 radius between levels, with the slopes the patch's Hessian gives; the
-others are closed forms used as oracles.  Recovered curves are judged by
+others are closed forms used as oracles.  The fit keeps the modes the
+extrapolated samples resolve.  Recovered curves are judged by
 ``hausdorff_distance``, which for the strictly convex curves of the class
 M2 is the largest gap between support functions.
 """
@@ -108,19 +109,13 @@ def _check_radii(radii) -> tuple:
 #: The angles per circle of ``limit_gradient`` (and of every CLI
 #: extraction): even, so theta + pi is on the grid; it resolves degree 127.
 _N_THETA = 256
+#: The round-off of ``limit_gradient``'s samples, relative to the largest:
+#: no mode below it is resolved.
+_ROUND_OFF = 1e-14
 
 
 def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_n_theta(n_theta: int, degree: int) -> None:
-    if not (_is_count(n_theta) and _is_count(degree) and degree >= 0):
-        raise ValidationError("n_theta and degree must be integers, degree >= 0: "
-                              f"got {n_theta!r}, {degree!r}")
-    if n_theta < 2 * (degree + 1):
-        raise ValidationError(
-            f"n_theta={n_theta} cannot resolve degree {degree}")
 
 
 # ---------------------------------------------------------------------------
@@ -349,28 +344,33 @@ class LimitGradientResult:
         return self.classification.locally_convex and self.classification.embedded
 
 
-def limit_gradient(sampler, radii, n_theta: int = _N_THETA,
-                   degree: int = 16) -> LimitGradientResult:
+def limit_gradient(sampler, radii, n_theta: int = _N_THETA) -> LimitGradientResult:
     """Extrapolate the gradient circles to the axis and fit a Fourier curve.
+
+    The fit keeps the modes up to the last one below Nyquist whose
+    amplitude exceeds ``residual`` and the samples' round-off: an analytic
+    curve's modes decay geometrically, so those past it are below the
+    error of the extrapolation (Aurentz and Trefethen, ACM TOMS 43, 2017).
 
     Args:
         sampler: callable (r, thetas) -> (p, q) arrays.
         radii: strictly decreasing positive radii, largest first.
         n_theta: uniform angle samples per circle.
-        degree: Fourier degree of the fitted curve.
 
     Returns:
         LimitGradientResult; ``residual`` is the largest change of any
         extrapolated sample when the smallest radius is dropped.  It is an
         a-posteriori estimate, not a bound: it does not bracket the error
-        of the curve, and the degree of the fit may bind instead.
+        of the curve, and it sets the floor below which modes are dropped.
 
     Raises:
         CoverageError: a circle left the sampled annulus.
-        ValidationError: radii, n_theta or degree is malformed.
+        ValidationError: radii or n_theta is malformed, or a sample is not
+            finite.
     """
     radii = _check_radii(radii)
-    _check_n_theta(n_theta, degree)
+    if not (_is_count(n_theta) and n_theta >= 2):
+        raise ValidationError(f"n_theta must be an integer >= 2, got {n_theta!r}")
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     rows = np.empty((len(radii), 2, n_theta))
     for row, r in zip(rows, radii):
@@ -381,6 +381,11 @@ def limit_gradient(sampler, radii, n_theta: int = _N_THETA,
     limit = np.tensordot(_weights_at_zero(nodes), rows, 1)
     coarse = np.tensordot(_weights_at_zero(nodes[:-1]), rows[:-1], 1)
     residual = float(np.max(np.abs(coarse - limit)))
+    # The degree: the last mode k below Nyquist whose amplitude
+    # |(a_k, b_k)| exceeds the floor, else 0.
+    floor = max(residual, _ROUND_OFF * float(np.max(np.abs(rows))))
+    amplitude = np.hypot(*np.abs(_series(limit)[:, :(n_theta + 1) // 2]))
+    degree = int(max(np.flatnonzero(amplitude > floor), default=0))
     curve = fit_curve(limit[0], limit[1], degree)
     report = classify_curve(curve)
     return LimitGradientResult(curve=curve, residual=residual,

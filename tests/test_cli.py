@@ -44,6 +44,7 @@ from ma_singular.errors import (
     SingularJacobianError,
     ValidationError,
 )
+from ma_singular.extract import paraboloid_sampler
 from ma_singular.geometry import reflect_field
 from ma_singular.march import MarchParams
 
@@ -201,7 +202,6 @@ def test_set_section_merges_like_a_config_file():
     ("construct", "verify=5"),
     ("construct", "curve=5"),
     ("roundtrip", "roundtrip=5"),
-    ("construct", "extract=[1]"),
     ("construct", 'march="x"'),
     # Not JSON to the parser, so a string, like any other such value.
     pytest.param("construct", "curve=" + TOO_DEEP, id="construct-too-deep"),
@@ -227,7 +227,6 @@ def test_settable_values_are_pinned():
         "curve.builtin", "curve.file", "curve.literal",
         "field.builtin", "field.file", "field.literal",
         "march.R", "march.n_u", "march.dv",
-        "extract.degree",
         "roundtrip.tolerance", "roundtrip.reflected",
         "verify.z_tolerance", "verify.slope_tolerance",
         "verify.circle_tolerance",
@@ -291,8 +290,8 @@ def test_benchmark_configs_load(tmp_path, benchmark_workloads):
 
 
 #: The config leaves that became constants, the values they always held,
-#: and the key an override of each is refused by: the residual and
-#: reconstruct sections are gone as a whole.
+#: and the key an override of each is refused by: the residual,
+#: reconstruct and extract sections are gone as a whole.
 _REMOVED_LEAVES = {
     "march.filter_strength": (36.0, "march.filter_strength"),
     "march.filter_order": (16, "march.filter_order"),
@@ -303,9 +302,10 @@ _REMOVED_LEAVES = {
     "residual.j_floor": (1e-6, "residual"),
     "reconstruct.v_min": (None, "reconstruct"),
     "seed": (0, "seed"),
-    "extract.radii": (None, "extract.radii"),
-    "extract.n_theta": (256, "extract.n_theta"),
+    "extract.radii": (None, "extract"),
+    "extract.n_theta": (256, "extract"),
     "curve.auto_reverse": (False, "curve.auto_reverse"),
+    "extract.degree": (16, "extract"),
 }
 
 
@@ -775,8 +775,6 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
     ("roundtrip", "seed=-1", "unknown config key config.seed"),
     ("roundtrip", 'roundtrip.tolerance="a"',
      "roundtrip.tolerance must be a finite number, got 'a'"),
-    ("roundtrip", "extract.degree=-3",
-     "extract.degree must be a non-negative integer"),
     ("roundtrip", "march.filter_order=1e400",
      "unknown config key config.march.filter_order"),
     *[(command, f"{key}=5", f"{key} must be {kind}, got 5")
@@ -784,9 +782,6 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
       for key, kind in (("field.literal", "an object or null"),
                         ("curve.literal", "an object or null"),
                         ("curve.file", "a string or null"))],
-    ("roundtrip", "extract.radii=5", "unknown config key config.extract.radii"),
-    ("roundtrip", 'extract.radii="abc"',
-     "unknown config key config.extract.radii"),
     ("verify", 'verify.z_tolerance="x"',
      "verify.z_tolerance must be a finite number, got 'x'"),
     ("construct", "out=null", "out must be a string, got None"),
@@ -795,36 +790,21 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
     ("construct", "march.R=true", "march.R must be a finite number, got True"),
     ("construct", "march.n_u=128.5", "march.n_u must be an integer, got 128.5"),
     ("construct", "march.n_u=128.0", "march.n_u must be an integer, got 128.0"),
-    ("roundtrip", "extract.n_theta=2.5",
-     "unknown config key config.extract.n_theta"),
     ("construct", 'emit.csv="no"', "emit.csv must be a boolean, got 'no'"),
     ("construct", "residual.j_floor=-1", "unknown config key config.residual"),
     ("construct", 'verify.oracle="planar"',
      "unknown config key config.verify.oracle"),
-    # limit_gradient's own rule on the degree, at its 256 angles, checked
-    # in every command before the march; the radii are the sampler's.
-    *[(command, assignment, message)
-      for command in ("construct", "roundtrip", "verify")
-      for assignment, message in (
-          ("extract.degree=128", "n_theta=256 cannot resolve degree 128"),
-          ("extract.radii=[0.05,0.1]",
-           "unknown config key config.extract.radii"),
-          ("extract.radii=[0.1]", "unknown config key config.extract.radii"))],
     # A march past MAX_MARCH_CELLS, named by its cell count.
     ("construct", "march.n_u=1099511627776", "(R/dv + 1)*n_u = 1.66e+14 cells"),
     ("construct", "march.dv=1e-300", "(R/dv + 1)*n_u = 1.92e+301 cells"),
     ("roundtrip", "march.R=1e300", "(R/dv + 1)*n_u = 1.28e+305 cells"),
-], ids=["seed-string", "seed-negative", "tolerance-string", "degree-negative",
+], ids=["seed-string", "seed-negative", "tolerance-string",
         "filter-order-overflow",
         *[f"{command}-{key}" for command in ("construct", "roundtrip", "verify")
           for key in ("field-literal", "curve-literal", "curve-file")],
-        "radii-number", "radii-string", "z-tolerance-string", "out-null",
+        "z-tolerance-string", "out-null",
         "negative-v-string", "R-bool", "n-u-fraction", "n-u-float",
-        "n-theta-fraction", "emit-csv-string", "j-floor-negative",
-        "oracle-unknown",
-        *[f"{command}-{case}" for command in ("construct", "roundtrip", "verify")
-          for case in ("n-theta-below-degree", "radii-not-halving",
-                       "radii-single")],
+        "emit-csv-string", "j-floor-negative", "oracle-unknown",
         "cells-n-u", "cells-dv", "cells-R"])
 def test_bad_config_values_are_two_before_the_march(tmp_path, capsys,
                                                     monkeypatch, command,
@@ -922,6 +902,33 @@ def test_roundtrip_samples_below_the_reported_patch(tmp_path, args):
     assert len(report["limit"]["radii"]) == 5
 
 
+@pytest.mark.parametrize("assignment", [
+    "curve.builtin=ellipse",
+    "curve.builtin=wobble",
+    "curve.literal=" + json.dumps({"alpha_cos": [0.0, 1.3], "alpha_sin": [0.0],
+                                   "beta_cos": [0.0], "beta_sin": [0.0, -0.5]}),
+], ids=["ellipse", "wobble", "ellipse-1.3x0.5"])
+def test_roundtrip_fits_the_degree_the_samples_resolve(tmp_path, assignment):
+    # A fit at a fixed degree 16 read 2.4e-8, 7.0e-5 and 2.5e-4 here, its
+    # own truncation error; the extrapolation resolves 2e-9 or better.
+    out = tmp_path / "run"
+    assert main(["roundtrip", "--out", str(out), "--set", "emit.csv=false",
+                 "--set", assignment]) == 0
+    assert read_report(out)["hausdorff"] <= 1e-8
+
+
+def test_roundtrip_fits_no_mode_below_the_residual(tmp_path):
+    # h = 1 + 0.3 cos 2t (s = 0.9) on a coarse march.  With round-off alone
+    # as the floor, the fit kept noise up to degree 127, the recovered
+    # curve was not convex, and the run exited 8.
+    curve = {"alpha_cos": [0.0, 1.45, 0.0, -0.15], "alpha_sin": [0.0],
+             "beta_cos": [0.0], "beta_sin": [0.0, -0.55, 0.0, 0.15]}
+    out = tmp_path / "run"
+    assert main(["roundtrip", "--out", str(out), "--set", "emit.csv=false",
+                 "--set", "march.dv=5e-3",
+                 "--set", "curve.literal=" + json.dumps(curve)]) == 0
+
+
 @pytest.mark.parametrize("refusal, error", [
     ("raises", "J <= 0 at level 1 (v=0.001); the selected interior is not a "
                "local graph"),
@@ -986,10 +993,12 @@ def test_verify_limit_circle_is_round_off_from_five_samples(tmp_path,
     assert len(calls) == 5
 
 
-def test_verify_limit_outside_m2_is_eight(tmp_path):
-    # At degree 0 the fitted limit is a point: no distance, and exit 8.
+def test_verify_limit_outside_m2_is_eight(tmp_path, monkeypatch):
+    # The paraboloid's limit is a point, fitted at degree 0: no distance,
+    # and exit 8.
+    monkeypatch.setattr(cli, "radial_reference_sampler", paraboloid_sampler)
     out = tmp_path / "run"
-    assert main(["verify", "--out", str(out), "--set", "extract.degree=0"]) == 8
+    assert main(["verify", "--out", str(out)]) == 8
     assert read_report(out)["oracle_errors"]["limit_circle_hausdorff"] is None
 
 
@@ -1351,7 +1360,6 @@ _FIELDS = st.fixed_dictionaries({
 #: values, so that every run stays at n_u <= 32 and R <= 0.02.
 _VALID_KINDS = {
     "a boolean": st.booleans(),
-    "a non-negative integer": st.integers(0, 40),
     "a finite number": st.floats(-1.0, 1.0),
     "a string or null": st.none() | st.just("no-such-file.json"),
     "an object or null": st.none(),
@@ -1362,7 +1370,6 @@ _VALID_KEYS = {
     "march.dv": st.floats(0.001, 0.02),
     "curve.builtin": st.sampled_from(builtin_curve_names()),
     "field.builtin": st.sampled_from(builtin_field_names()),
-    "extract.degree": st.integers(0, 24),
 }
 #: Values of the wrong kind for most leaves (and of the right kind for a few).
 _ANY_VALUE = st.sampled_from([None, True, 0, -1, 5, 2.5, float("inf"),
@@ -1417,9 +1424,9 @@ _STATUS_EXITS = {
 @example(command="roundtrip", curve=None, field=None,
          overrides=[("field.builtin", "remark42")])
 @example(command="roundtrip", curve=None, field=None,
-         overrides=[("extract.degree", 127)])
+         overrides=[("curve.builtin", "wobble")])
 @example(command="verify", curve=None, field=None,
-         overrides=[("extract.degree", 127)])
+         overrides=[("curve.builtin", "wobble")])
 @given(command=st.sampled_from(["construct", "roundtrip", "verify"]),
        curve=st.none() | _CURVES, field=st.none() | _FIELDS,
        overrides=_overrides())

@@ -58,8 +58,7 @@ def _limit_samples(monkeypatch, f, radii):
         return _original(p, q, degree)
 
     monkeypatch.setattr(extract, "fit_curve", capture)
-    lg = limit_gradient(_values_sampler(f), radii, n_theta=THETAS_64.size,
-                        degree=8)
+    lg = limit_gradient(_values_sampler(f), radii, n_theta=THETAS_64.size)
     return captured[0], lg.residual
 
 
@@ -295,14 +294,14 @@ def test_judge_distance_on_convex_draws_is_round_off(seed, benchmark_workloads):
 
 @pytest.mark.parametrize("name", ["circle", "ellipse", "wobble"])
 def test_judge_distance_holds_at_a_coarser_march(name):
-    # dv = 5e-3 stays within 2x of dv = 1e-3; with a linear blend the
-    # circle and the ellipse lost a factor of 26-28.  The circle reads
-    # 9e-14 at dv = 1e-3 and 8.5e-12 at 5e-3, where the blend's error
-    # binds, so it keeps an absolute bound.
+    # At dv = 5e-3 the blend's error in radius binds: the circle reads
+    # 8.5e-12 (9e-14 at dv = 1e-3), the ellipse 3.3e-9 (4.4e-10) and
+    # wobble 2.3e-10 (2.7e-11).  A fit at a fixed degree 16 read 2.4e-8 and
+    # 7.0e-5 on the ellipse and wobble at either dv.
     if name == "circle":
         assert _judge_distance(name, dv=5e-3) <= 1e-10
     else:
-        assert _judge_distance(name, dv=5e-3) <= 2.0 * _judge_distance(name)
+        assert _judge_distance(name, dv=5e-3) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +314,33 @@ def test_limit_of_radial_oracle_is_unit_circle():
     assert dist < 1e-9
     assert lg.residual < 1e-6
     assert lg.jordan
+    assert lg.curve.degree == 1
 
 
 def test_limit_of_paraboloid_degenerates_to_point():
     lg = limit_gradient(paraboloid_sampler(), geometric_radii(0.05, 5))
     assert lg.classification.orientation == "degenerate"
     assert not lg.jordan
+    # No mode of the limit, a point at the origin, exceeds the floor.
+    assert lg.curve.degree == 0
+
+
+def test_limit_gradient_rejects_non_finite_samples():
+    def nan_sampler(r, thetas):
+        return np.full_like(thetas, np.nan), np.zeros_like(thetas)
+
+    with pytest.raises(ValidationError, match="must be finite"):
+        limit_gradient(nan_sampler, geometric_radii(0.05, 3))
 
 
 def test_limit_gradient_validates_resolution():
-    with pytest.raises(ValidationError):
+    # Two angles are the least that resolve degree 0.
+    with pytest.raises(ValidationError, match="n_theta must be an integer >= 2"):
         limit_gradient(radial_reference_sampler(), geometric_radii(0.05, 3),
-                       n_theta=16, degree=16)
+                       n_theta=1)
+    lg = limit_gradient(radial_reference_sampler(), geometric_radii(0.05, 3),
+                        n_theta=2)
+    assert lg.curve.degree == 0
 
 
 def test_limit_gradient_rejects_ragged_radii():
@@ -347,15 +361,9 @@ def test_limit_gradient_accepts_any_decreasing_radii():
 
 def test_limit_gradient_rejects_fractional_n_theta():
     # 64.5 would otherwise sample 65 angles.
-    with pytest.raises(ValidationError, match="must be integers"):
+    with pytest.raises(ValidationError, match="must be an integer"):
         limit_gradient(radial_reference_sampler(), geometric_radii(0.05, 3),
-                       n_theta=64.5, degree=8)
-
-
-def test_limit_gradient_rejects_negative_degree():
-    with pytest.raises(ValidationError, match="degree >= 0"):
-        limit_gradient(radial_reference_sampler(), geometric_radii(0.05, 3),
-                       n_theta=64, degree=-1)
+                       n_theta=64.5)
 
 
 @pytest.mark.parametrize("radii", [["a", "b"], None], ids=["strings", "none"])

@@ -765,9 +765,9 @@ GALLERY_DISTANCES = {
 # Per seed of the roundtrip-convex benchmark stream, the distance from the
 # input curve to the recovered one on the direct and the reflected branch.
 ROUNDTRIP_DISTANCES = {
-    1: (6.266070995408768e-11, 6.266367424956342e-11),
-    2: (9.622496401619765e-11, 9.622262543629829e-11),
-    3: (1.4382638939474347e-10, 1.4384526686008647e-10),
+    1: (6.140187168236975e-11, 6.141874707234405e-11),
+    2: (7.675282631680602e-11, 7.673849210397697e-11),
+    3: (7.838917375295822e-11, 7.836625792734253e-11),
 }
 
 
