@@ -21,8 +21,9 @@ Exit codes separate scientific outcomes from usage errors:
         covered band, or that level's patch does not reconstruct or is
         multivalued (report.json -> limit.error), or a
         roundtrip recovered a limit curve outside the class M2 of regular,
-        strictly convex Jordan curves (report.json -> limit.detail names
-        the cause and the branches, and the report gives no distance)
+        strictly convex Jordan curves, or extrapolated it with a residual
+        above the tolerance (report.json -> limit.detail names the cause
+        and the branches, and the report gives no distance)
     9   an artifact could not be written (a full disk, say); out holds the
         earlier run's files
 
@@ -496,6 +497,10 @@ def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, strip, patch,
     branch ``reflect_solution(patch)`` reads at angle theta what the
     patch's reads at theta + pi, so its limit curve is the direct one
     shifted by pi: the same set, hence the same distance and M2 membership.
+
+    Without a distance, ``limit.detail`` names the cause: the extrapolation
+    to the axis, with the band's width, when ``limit.residual`` exceeds the
+    tolerance (a nearly empty band), else M2 membership or the judge's grid.
     """
     try:
         sampler = patch_sampler(reconstruct_graph(strip, v_min=strip.v[1]))
@@ -516,11 +521,18 @@ def _judge_roundtrip(cfg: dict, curve: PeriodicCurve, strip, patch,
         if distance is not None:
             report["hausdorff" + suffix] = distance
 
+    tolerance = cfg["roundtrip"]["tolerance"]
     if distance is None:
         names = " and the ".join(f"{name} branch" for name in branches)
-        report["limit"]["detail"] = f"{_NO_DISTANCE[bool(lg.jordan)]} on the {names}"
+        if lg.residual > tolerance:
+            cause = (f"the extrapolation to the axis over a band "
+                     f"{sampler.r_hi - sampler.r_lo:.3g} wide failed (residual "
+                     f"{lg.residual:.3g} above the tolerance {tolerance:.3g})")
+        else:
+            cause = _NO_DISTANCE[bool(lg.jordan)]
+        report["limit"]["detail"] = f"{cause} on the {names}"
         return EXIT_TOLERANCE
-    return EXIT_OK if distance <= cfg["roundtrip"]["tolerance"] else EXIT_TOLERANCE
+    return EXIT_OK if distance <= tolerance else EXIT_TOLERANCE
 
 
 def _judge_verify(cfg: dict, curve: PeriodicCurve, strip, patch,

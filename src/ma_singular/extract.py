@@ -148,8 +148,13 @@ class PatchSampler:
     complex interpolant coefficients of x, y, p, q, r, s and t.  The
     bracket table of radii at the query angles is kept for the last angle
     set, since ``limit_gradient`` asks for every radius at the same
-    angles.  A call solves all its (angle, level) pairs at once, and no
-    pair's bits depend on the others.
+    angles, and built only up to the last level that can lie within the
+    query radius.  A call sorts its (angle, level) pairs, both brackets of
+    every angle, by level and solves them in one pass that works once per
+    run of same-level pairs: one search of the level's angle table for the
+    guess, and per Newton step one product that broadcasts the level's
+    coefficient rows against each pair's basis row.  Each pair still gets a
+    product of its own, so no pair's bits depend on the others.
     """
 
     def __init__(self, patch: GraphPatch):
@@ -188,6 +193,7 @@ class PatchSampler:
         u = patch.u[self._tables[2]]
         turn = np.where(u[:, :1] < u[:, -1:], 2.0 * np.pi, -2.0 * np.pi)
         self._u = np.concatenate([u, u[:, :1] + turn], axis=-1)
+        self._rho_min = np.min(self._tables[1], axis=1)
         self._rho_memo = (None, None)
         query = np.linspace(-np.pi, np.pi, 720, endpoint=False)
         inner, outer = _radii_at(self._tables, query, [0, -1])
@@ -200,55 +206,81 @@ class PatchSampler:
                 f"band [{self.r_lo:.3g}, {self.r_hi:.3g}] too thin to sample")
         return _chebyshev_radii(self.r_lo, self.r_hi)
 
-    def _guess(self, lev: np.ndarray, theta_q: np.ndarray) -> np.ndarray:
-        """u where level lev[i] meets angle theta_q[i], cubic Hermite on the
-        level's (theta, u) table with du/dtheta at its entries, per pair."""
+    def _guess(self, level: int, theta_q: np.ndarray) -> np.ndarray:
+        """u where the level meets each angle of theta_q, cubic Hermite on
+        the level's (theta, u) table with du/dtheta at its entries."""
         # The closing entry counts only when every entry does, so the clip
         # to the last interval makes j the same as without it.  Entry j is
         # node order[j], and the closing entry is the first node again.
-        theta, order = self._tables[0], self._tables[2]
-        lo = theta[lev, 0]
-        tq = (theta_q - lo) % (2.0 * np.pi) + lo
-        j = np.clip(np.count_nonzero(theta[lev] <= tq[:, None], axis=1) - 1,
-                    0, order.shape[1] - 1)
-        t0, t1 = theta[lev, j], theta[lev, j + 1]
-        u0, u1 = self._u[lev, j], self._u[lev, j + 1]
+        theta, order = self._tables[0][level], self._tables[2][level]
+        tq = (theta_q - theta[0]) % (2.0 * np.pi) + theta[0]
+        j = np.clip(np.searchsorted(theta, tq, side="right") - 1,
+                    0, order.size - 1)
+        t0, t1 = theta[j], theta[j + 1]
+        u, du = self._u[level], self._du[level]
         h = t1 - t0
-        m0 = h * self._du[lev, order[lev, j]]
-        m1 = h * self._du[lev, order[lev, (j + 1) % order.shape[1]]]
-        return np.where(tq < t1, _hermite((tq - t0) / h, u0, u1, m0, m1), u1)
+        m0 = h * du[order[j]]
+        m1 = h * du[order[(j + 1) % order.size]]
+        return np.where(tq < t1, _hermite((tq - t0) / h, u[j], u[j + 1], m0, m1),
+                        u[j + 1])
 
-    def _solve(self, lev: np.ndarray, theta_q: np.ndarray):
-        """(rho, p, q, r, s, t) where level lev[i] meets angle theta_q[i],
-        per pair."""
-        # ``_guess`` polished by 2 Newton steps.  Each pair's sums are a
-        # (rows, modes) @ (modes, 1) matmul of its own: x_u, y_u, x and y in
-        # the steps, x and y, then p, q, r, s and t, at the end.
-        u = self._guess(lev, theta_q)
-        coef = self._coef[lev, :4]
-        for step in range(3):
-            basis = _running_basis(u, coef.shape[-1])[..., None]
-            if step == 2:
-                x, y = (coef[:, 2:] @ basis)[..., 0].T.real
-                # The Newton rows go before the final ones are gathered.
-                del coef
-                p, q, r, s, t = (self._coef[lev, 4:] @ basis)[..., 0].T.real
-                return np.hypot(x, y), p, q, r, s, t
-            dx, dy, x, y = (coef @ basis)[..., 0].T.real
+    def _sums(self, basis: np.ndarray, runs, rows: slice) -> np.ndarray:
+        """The coefficient rows ``rows`` summed at each pair's basis row,
+        (rows, pairs); run (level, a, b) reads pairs a:b on that level."""
+        # Broadcasting the level's rows gives each pair a (1, modes) @
+        # (modes, rows) product of its own, with no copy of the rows.
+        sums = np.empty((basis.shape[0], 1, rows.stop - rows.start), dtype=complex)
+        for level, a, b in runs:
+            np.matmul(basis[a:b, None, :], self._coef[level, rows].T,
+                      out=sums[a:b])
+        return sums[:, 0].T.real
+
+    def _solve(self, levels: np.ndarray, theta_q: np.ndarray):
+        """(rho, p, q, r, s, t) where level levels[i] meets angle theta_q[i],
+        per pair; levels is sorted, and each run of one level is worked
+        once."""
+        # ``_guess`` polished by 2 Newton steps on x_u, y_u, x and y; at the
+        # end x and y, then p, q, r, s and t.
+        starts = np.flatnonzero(np.diff(levels, prepend=-1))
+        runs = [(levels[a], a, b)
+                for a, b in zip(starts, [*starts[1:], levels.size])]
+        u = np.empty(theta_q.size)
+        for level, a, b in runs:
+            u[a:b] = self._guess(level, theta_q[a:b])
+        n_modes = self._coef.shape[-1]
+        for _ in range(2):
+            dx, dy, x, y = self._sums(_running_basis(u, n_modes), runs,
+                                      slice(0, 4))
             f = np.arctan2(y, x) - theta_q
             f = (f + np.pi) % (2.0 * np.pi) - np.pi
             dtheta = (x * dy - y * dx) / (x * x + y * y)
             u = u - f / dtheta
+        basis = _running_basis(u, n_modes)
+        x, y = self._sums(basis, runs, slice(2, 4))
+        return (np.hypot(x, y), *self._sums(basis, runs, slice(4, 9)))
 
     def _brackets(self, r: float, thetas: np.ndarray) -> np.ndarray:
         """Per angle, the level k with rho_k <= r < rho_{k+1}, clipped: nested
-        levels make each column of the radius table increase."""
+        levels make each column of the radius table increase.
+
+        The table at the last angle set is kept, and grown only to the last
+        level whose smallest tabled radius is <= r.  Its rho at any angle
+        interpolates the table, so every later level lies beyond r at every
+        angle and adds nothing to a count; the margin covers the rounding of
+        the interpolation.
+        """
         key = thetas.tobytes()
         if self._rho_memo[0] != key:
-            self._rho_memo = (key, _radii_at(self._tables, thetas))
+            self._rho_memo = (key, np.empty((0, thetas.size)))
         rho = self._rho_memo[1]
-        return np.clip(np.count_nonzero(rho <= r, axis=0) - 1,
-                       0, rho.shape[0] - 2)
+        reach = 1 + int(np.max(np.flatnonzero(self._rho_min <= r + 1e-12 * r),
+                               initial=-1))
+        if rho.shape[0] < reach:
+            rho = np.concatenate(
+                [rho, _radii_at(self._tables, thetas, slice(rho.shape[0], reach))])
+            self._rho_memo = (key, rho)
+        return np.clip(np.count_nonzero(rho[:reach] <= r, axis=0) - 1,
+                       0, self._coef.shape[0] - 2)
 
     def __call__(self, r: float, thetas: np.ndarray):
         r = float(r)
@@ -262,12 +294,17 @@ class PatchSampler:
             thetas = None
         if thetas is None or thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
             raise ValidationError("sampler angles must be a finite 1-D array")
-        # One solve over the pairs (angle, level below r), one over the
-        # pairs (angle, level above).  Along the ray at theta,
+        # One solve over the pairs (angle, level below r) and (angle, level
+        # above), sorted by level into runs.  Along the ray at theta,
         # d(p, q)/drho = (r cos theta + s sin theta, s cos theta + t sin theta).
         idx = self._brackets(r, thetas)
-        rho_0, p_0, q_0, r_0, s_0, t_0 = self._solve(idx, thetas)
-        rho_1, p_1, q_1, r_1, s_1, t_1 = self._solve(idx + 1, thetas)
+        levels = np.concatenate([idx, idx + 1])
+        order = np.argsort(levels, kind="stable")
+        solved = np.empty((6, levels.size))
+        solved[:, order] = self._solve(levels[order],
+                                       np.concatenate([thetas, thetas])[order])
+        rho_0, p_0, q_0, r_0, s_0, t_0 = solved[:, :thetas.size]
+        rho_1, p_1, q_1, r_1, s_1, t_1 = solved[:, thetas.size:]
         h = rho_1 - rho_0
         w = (r - rho_0) / h
         # The slopes in w are h d(p, q)/drho.

@@ -628,6 +628,32 @@ def test_roundtrip_recovered_curve_that_is_not_jordan_is_eight(
     assert "hausdorff" not in report and "hausdorff_reflected" not in report
 
 
+def test_roundtrip_detail_names_a_failed_extrapolation_over_a_thin_band(
+        tmp_path):
+    # h = 1 + a cos 3t with 8a = 0.9 at march.dv 5e-3: the judge's band is
+    # under 1e-3 wide and the extrapolation over its lowest eighth fails,
+    # so the detail names the band and the residual, not M2.
+    a = 0.9 / 8
+    curve = {"alpha_cos": [0.0, 1.0, 2 * a, 0.0, -a], "alpha_sin": [0.0],
+             "beta_cos": [0.0], "beta_sin": [0.0, -1.0, 2 * a, 0.0, a]}
+    out = tmp_path / "run"
+    assert main(["roundtrip", "--out", str(out), "--set", "emit.csv=false",
+                 "--set", "march.dv=5e-3",
+                 "--set", "curve.literal=" + json.dumps(curve)]) == 8
+    limit = read_report(out)["limit"]
+    assert limit["residual"] > DEFAULT_CONFIG["roundtrip"]["tolerance"]
+    assert limit["jordan"] is limit["jordan_reflected"] is False
+    strip = cli.march(PeriodicCurve.from_dict(curve), builtin_field("pure-one"),
+                      MarchParams(dv=5e-3))
+    sampler = cli.patch_sampler(cli.reconstruct_graph(strip, v_min=strip.v[1]))
+    assert sampler.r_hi - sampler.r_lo < 1e-3
+    assert limit["detail"] == (
+        f"the extrapolation to the axis over a band "
+        f"{sampler.r_hi - sampler.r_lo:.3g} wide failed (residual "
+        f"{limit['residual']:.3g} above the tolerance 0.001) on the direct "
+        "branch and the reflected branch")
+
+
 def test_roundtrip_recovered_curve_that_is_jordan_but_not_convex_is_eight(
         tmp_path, monkeypatch):
     # A mode-3 ripple of relative size 0.2 in the gradient's length makes

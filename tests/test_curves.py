@@ -107,6 +107,16 @@ def test_gallery_classification(name, convex, embedded):
     assert rep.embedded == embedded
 
 
+def test_polyline_test_finds_no_crossing_on_an_embedded_non_convex_curve():
+    # alpha = cos u + 0.2 sin 3u, beta = -sin u + 0.2 sin 3u: curvature of
+    # both signs sends it to the polyline test, which runs through every
+    # pair of segments without finding a crossing.
+    rep = classify_curve(PeriodicCurve([0.0, 1.0], [0.0, 0.0, 0.0, 0.2],
+                                       [0.0], [0.0, -1.0, 0.0, 0.2]))
+    assert rep.regular and rep.embedded
+    assert not rep.locally_convex
+
+
 def test_remark42_margin_vanishes_at_zero_only():
     rep = classify_curve(builtin_curve("remark42"))
     assert rep.convexity_margin == pytest.approx(0.0, abs=1e-12)

@@ -216,8 +216,16 @@ def test_sampler_rejects_angles_that_are_not_a_finite_vector(circle_sampler,
 
 
 def test_sampler_accepts_no_angles(circle_sampler):
+    # An empty call between two calls at the same angles leaves the second
+    # as the first, which reads two levels or more.
+    thetas = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    idx = circle_sampler._brackets(0.1, thetas)
+    assert np.unique(np.concatenate([idx, idx + 1])).size >= 2
+    before = circle_sampler(0.1, thetas)
     p, q = circle_sampler(0.1, np.array([]))
     assert p.shape == (0,) and q.shape == (0,)
+    after = circle_sampler(0.1, thetas)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_sampler_suggest_radii_fit_the_band(circle_sampler):

@@ -3,19 +3,21 @@ against brute force.
 
 The sampler builds its tables (per level the increasing angles, rho and
 u at them, the interpolant coefficients) once, from one angle analysis
-of all levels, keeps the bracket table of the last angle set, finds every
-bracket with one count over that table, solves for all (angle, level)
-pairs of a call in one Newton pass, and blends each bracket's two levels
-by the cubic Hermite interpolant in radius, with the slopes the Hessian
-gives along the ray.  The reference code below analyses one level at a
-time, rebuilds everything on every call, brackets each angle with its own
-searchsorted, evaluates each bracket's angles (Hessian included) with
-cos/sin matrix products, the way extraction was first written, and blends
-with the Hermite basis functions.  The tables and brackets must agree
-bit for bit.  The sampled values agree to round-off (1e-13): the
-reference's matrix products sum a row differently depending on how many
-rows share it, so its bits are not a fixed point, while the sampler's row
-sums are, which a permuted call and single-angle calls check exactly.  The Hausdorff
+of all levels, keeps the bracket table of the last angle set, built only
+as far as the radius reaches, finds every bracket with one count over
+that table, solves for all (angle, level) pairs of a call in one Newton
+pass that works level by level over the pairs sorted by level, and
+blends each bracket's two levels by the cubic Hermite interpolant in
+radius, with the slopes the Hessian gives along the ray.  The reference
+code below analyses one level at a time, rebuilds everything on every
+call, brackets each angle with its own searchsorted, evaluates each
+bracket's angles (Hessian included) with cos/sin matrix products, the
+way extraction was first written, and blends with the Hermite basis
+functions.  The tables and brackets must agree bit for bit.  The sampled
+values agree to round-off (1e-13): the reference's matrix products sum a
+row differently depending on how many rows share it, so its bits are not
+a fixed point, while the sampler's row sums are, which a permuted call
+and single-angle calls check exactly.  The Hausdorff
 distance compares support functions; its reference is the distance between
 dense point samples of the two curves, and at a few angles the support
 functions found by a dense search polished by a scalar minimisation.
@@ -56,6 +58,7 @@ from ma_singular.extract import (
 from ma_singular.geometry import (
     GraphPatch,
     _level_tables,
+    _radii_at,
     _rising,
     reconstruct_graph,
     reflect_field,
@@ -418,13 +421,21 @@ def test_sampler_matches_reference_bitwise(samplers, angles):
         assert np.max(np.abs(q - q_ref), initial=0.0) <= 1e-13, r
 
 
+def _level_runs(sampler, r, thetas):
+    """The levels a call at r reads, one run of its (angle, level) pairs
+    each: the brackets of its angles and the levels above them."""
+    idx = sampler._brackets(r, thetas)
+    return np.unique(np.concatenate([idx, idx + 1])).size
+
+
 @pytest.mark.parametrize("angles", sorted(ANGLES))
 def test_sampler_value_does_not_depend_on_the_other_angles(samplers, angles):
     # The value at an angle is the same bit for bit in a permuted call and
-    # in a call of its own.
+    # in a call of its own, though the call solves level by level.
     sampler, _ = samplers
     thetas = ANGLES[angles]
     perm = np.random.default_rng(5).permutation(thetas.size)
+    assert max(_level_runs(sampler, r, thetas) for r in _radii(sampler)) >= 2
     for r in _radii(sampler):
         p, q = sampler(r, thetas)
         p_perm, q_perm = sampler(r, thetas[perm])
@@ -437,14 +448,15 @@ def test_sampler_value_does_not_depend_on_the_other_angles(samplers, angles):
 
 @pytest.mark.parametrize("angles", sorted(ANGLES))
 def test_brackets_match_searchsorted_loop(samplers, angles):
-    # One count over the radius table equals a searchsorted per angle
-    # where every column increases, which nested levels guarantee.
+    # One count over the radius table, built only as far as r reaches,
+    # equals a searchsorted per angle over the table of every level, where
+    # every column increases, which nested levels guarantee.
     sampler, _ = samplers
     thetas = ANGLES[angles]
+    rho_tab = _radii_at(sampler._tables, thetas)
+    assert np.all(np.diff(rho_tab, axis=0) > 0)
     for r in _radii(sampler) + (0.5 * sampler.r_lo, 2.0 * sampler.r_hi):
         got = sampler._brackets(r, thetas)
-        rho_tab = sampler._rho_memo[1]
-        assert np.all(np.diff(rho_tab, axis=0) > 0)
         assert np.array_equal(got, reference_brackets(rho_tab, r)), r
 
 
@@ -701,12 +713,11 @@ def test_guess_in_the_last_interval_of_a_turn_is_near_the_solution(name):
     patch = reconstruct_graph(_strip(name))
     sampler = patch_sampler(patch)
     theta = sampler._tables[0]
-    lev = np.arange(patch.n_levels)
     theta_q = theta[:, 0] - 0.5 * (theta[:, -1] - theta[:, -2])
-    guess = sampler._guess(lev, theta_q)
-    for k in lev:
-        u = _newton_u(patch, k, theta_q[k], guess[k])
-        assert abs((guess[k] - u + np.pi) % (2.0 * np.pi) - np.pi) <= 1e-3, k
+    for k in range(patch.n_levels):
+        guess = sampler._guess(k, theta_q[k:k + 1])[0]
+        u = _newton_u(patch, k, theta_q[k], guess)
+        assert abs((guess - u + np.pi) % (2.0 * np.pi) - np.pi) <= 1e-3, k
 
 
 # ---------------------------------------------------------------------------
