@@ -44,7 +44,6 @@ from .extract import (
     geometric_radii,
     hausdorff_distance,
     limit_gradient,
-    paraboloid_sampler,
     patch_sampler,
     radial_reference_height,
     radial_reference_sampler,
@@ -54,8 +53,6 @@ from .geometry import (
     GraphPatch,
     HessianLevel,
     ResidualReport,
-    curvature_to_field,
-    hessian_from_derivatives,
     hessian_from_strip,
     jacobian,
     jv_axis,
@@ -65,7 +62,6 @@ from .geometry import (
     patch_to_csv,
     pde_residual,
     reconstruct_graph,
-    reflect_field,
     reflect_solution,
     strip_from_csv,
     strip_to_csv,
@@ -76,12 +72,9 @@ from .march import (
     assemble_rhs,
     march,
     spectral_du,
-    spectral_filter,
     stability_monitor,
 )
 from .sphere import (
-    SphereCurve,
-    geodesic_curvature_det,
     plane_sphere,
     sphere_plane,
     spherical_orientation,
@@ -107,7 +100,6 @@ __all__ = [
     "PeriodicCurve",
     "ResidualReport",
     "SingularJacobianError",
-    "SphereCurve",
     "StripSolution",
     "ValidationError",
     "__version__",
@@ -117,15 +109,12 @@ __all__ = [
     "builtin_field",
     "builtin_field_names",
     "classify_curve",
-    "curvature_to_field",
     "eval_curve",
     "eval_field",
     "evaluate",
     "fit_curve",
-    "geodesic_curvature_det",
     "geometric_radii",
     "hausdorff_distance",
-    "hessian_from_derivatives",
     "hessian_from_strip",
     "jacobian",
     "jv_axis",
@@ -133,7 +122,6 @@ __all__ = [
     "legendre_dual_normals",
     "limit_gradient",
     "march",
-    "paraboloid_sampler",
     "parse_expr",
     "patch_from_csv",
     "patch_sampler",
@@ -145,11 +133,9 @@ __all__ = [
     "radial_reference_sampler",
     "radial_reference_slope",
     "reconstruct_graph",
-    "reflect_field",
     "reflect_solution",
     "signed_curvature",
     "spectral_du",
-    "spectral_filter",
     "sphere_plane",
     "spherical_orientation",
     "stability_monitor",

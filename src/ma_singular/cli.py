@@ -148,6 +148,7 @@ _KINDS = {
     "a boolean": lambda value: type(value) is bool,
     "an integer": lambda value: type(value) is int,
     "a finite number": _number,
+    "a finite number >= 0": lambda value: _number(value) and value >= 0,
     "a string": lambda value: type(value) is str,
     "a string or null": lambda value: value is None or type(value) is str,
     "an object or null": lambda value: value is None or type(value) is dict,
@@ -160,6 +161,9 @@ _DEFAULT_KINDS = {bool: "a boolean", int: "an integer",
 _LEAF_KINDS = {
     "curve.file": "a string or null", "field.file": "a string or null",
     "curve.literal": "an object or null", "field.literal": "an object or null",
+    **dict.fromkeys(("roundtrip.tolerance", "verify.z_tolerance",
+                     "verify.slope_tolerance", "verify.circle_tolerance"),
+                    "a finite number >= 0"),
 }
 
 

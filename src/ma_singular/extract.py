@@ -11,10 +11,10 @@ Approximation Practice, ch. 5, 8).  Samplers are plain callables
 (r, thetas) -> (p, q); one interpolates a reconstructed GraphPatch,
 spectrally along each level and by the cubic Hermite interpolant in
 radius between levels, with the slopes the patch's Hessian gives; the
-others are closed forms used as oracles.  The fit keeps the modes the
-extrapolated samples resolve.  Recovered curves are judged by
-``hausdorff_distance``, which for the strictly convex curves of the class
-M2 is the largest gap between support functions.
+other is the closed form of the radial reference, used as an oracle.  The
+fit keeps the modes the extrapolated samples resolve.  Recovered curves
+are judged by ``hausdorff_distance``, which for the strictly convex curves
+of the class M2 is the largest gap between support functions.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "geometric_radii",
     "hausdorff_distance",
     "limit_gradient",
-    "paraboloid_sampler",
     "patch_sampler",
     "radial_reference_height",
     "radial_reference_sampler",
@@ -84,8 +83,8 @@ def _weights_at_zero(radii: np.ndarray) -> np.ndarray:
 
 def geometric_radii(r0: float, count: int = 5) -> tuple:
     """(r0, r0/2, ..., r0 * 2^{-(count-1)})."""
-    if not (isinstance(r0, numbers.Real) and not isinstance(r0, bool)
-            and r0 > 0 and np.isfinite(r0) and _is_count(count) and count >= 2):
+    if not (_is_real(r0) and r0 > 0 and np.isfinite(r0)
+            and _is_count(count) and count >= 2):
         raise ValidationError(
             f"need finite r0 > 0 and integer count >= 2: got {r0!r}, {count!r}")
     return tuple(r0 * 0.5 ** k for k in range(count))
@@ -118,6 +117,10 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # Patch sampler
 
@@ -137,9 +140,9 @@ class PatchSampler:
     derivatives d(p, q)/drho = (r cos theta + s sin theta,
     s cos theta + t sin theta).  A patch whose r, s or t is not finite on
     every node, or that is multivalued, raises ValidationError.  Queries
-    outside the covered band [r_lo, r_hi] raise CoverageError; angles must
-    be a finite 1-D array (possibly empty, any real values), else
-    ValidationError.
+    outside the covered band [r_lo, r_hi] raise CoverageError; the radius
+    must be a finite real number and the angles a finite 1-D array
+    (possibly empty, any real values), else ValidationError.
 
     Everything that depends only on the patch is built once here: the
     angle tables of all levels (angles in increasing order, rho at them,
@@ -283,6 +286,9 @@ class PatchSampler:
                        0, self._coef.shape[0] - 2)
 
     def __call__(self, r: float, thetas: np.ndarray):
+        if not (_is_real(r) and np.isfinite(r)):
+            raise ValidationError(
+                f"sampler radius must be a finite real number, got {r!r}")
         r = float(r)
         if not (self.r_lo - 1e-12 <= r <= self.r_hi + 1e-12):
             raise CoverageError(
@@ -350,16 +356,6 @@ def radial_reference_sampler():
     return sample
 
 
-def paraboloid_sampler():
-    """Gradient sampler of z = (x^2+y^2)/2; the limit degenerates to a point."""
-
-    def sample(r, thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        return r * np.cos(thetas), r * np.sin(thetas)
-
-    return sample
-
-
 # ---------------------------------------------------------------------------
 # Limit gradient
 
@@ -372,7 +368,6 @@ class LimitGradientResult:
     residual: float
     classification: CurveReport
     radii: tuple
-    n_theta: int
 
     @property
     def jordan(self) -> bool:
@@ -381,7 +376,7 @@ class LimitGradientResult:
         return self.classification.locally_convex and self.classification.embedded
 
 
-def limit_gradient(sampler, radii, n_theta: int = _N_THETA) -> LimitGradientResult:
+def limit_gradient(sampler, radii) -> LimitGradientResult:
     """Extrapolate the gradient circles to the axis and fit a Fourier curve.
 
     The fit keeps the modes up to the last one below Nyquist whose
@@ -392,7 +387,6 @@ def limit_gradient(sampler, radii, n_theta: int = _N_THETA) -> LimitGradientResu
     Args:
         sampler: callable (r, thetas) -> (p, q) arrays.
         radii: strictly decreasing positive radii, largest first.
-        n_theta: uniform angle samples per circle.
 
     Returns:
         LimitGradientResult; ``residual`` is the largest change of any
@@ -402,14 +396,11 @@ def limit_gradient(sampler, radii, n_theta: int = _N_THETA) -> LimitGradientResu
 
     Raises:
         CoverageError: a circle left the sampled annulus.
-        ValidationError: radii or n_theta is malformed, or a sample is not
-            finite.
+        ValidationError: radii are malformed, or a sample is not finite.
     """
     radii = _check_radii(radii)
-    if not (_is_count(n_theta) and n_theta >= 2):
-        raise ValidationError(f"n_theta must be an integer >= 2, got {n_theta!r}")
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    rows = np.empty((len(radii), 2, n_theta))
+    thetas = 2.0 * np.pi * np.arange(_N_THETA) / _N_THETA
+    rows = np.empty((len(radii), 2, _N_THETA))
     for row, r in zip(rows, radii):
         row[:] = sampler(r, thetas)
     # The polynomial in rho through every radius, and through all but the
@@ -421,13 +412,12 @@ def limit_gradient(sampler, radii, n_theta: int = _N_THETA) -> LimitGradientResu
     # The degree: the last mode k below Nyquist whose amplitude
     # |(a_k, b_k)| exceeds the floor, else 0.
     floor = max(residual, _ROUND_OFF * float(np.max(np.abs(rows))))
-    amplitude = np.hypot(*np.abs(_series(limit)[:, :(n_theta + 1) // 2]))
+    amplitude = np.hypot(*np.abs(_series(limit)[:, :(_N_THETA + 1) // 2]))
     degree = int(max(np.flatnonzero(amplitude > floor), default=0))
     curve = fit_curve(limit[0], limit[1], degree)
     report = classify_curve(curve)
     return LimitGradientResult(curve=curve, residual=residual,
-                               classification=report, radii=radii,
-                               n_theta=n_theta)
+                               classification=report, radii=radii)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +426,9 @@ def limit_gradient(sampler, radii, n_theta: int = _N_THETA) -> LimitGradientResu
 
 #: Most grid points ``_support_function`` doubles its grid to.
 _SUPPORT_GRID_MAX = 1 << 16
+#: The uniform angles at which ``hausdorff_distance`` compares support
+#: functions.
+_HAUSDORFF_ANGLES = 1024
 
 
 def _support_function(curve: PeriodicCurve, n: int) -> np.ndarray:
@@ -479,24 +472,22 @@ def _support_function(curve: PeriodicCurve, n: int) -> np.ndarray:
         u = u - (dx * cos + dy * sin) / (ddx * cos + ddy * sin)
 
 
-def hausdorff_distance(curve_a: PeriodicCurve, curve_b: PeriodicCurve,
-                       n: int = 1024) -> float:
+def hausdorff_distance(curve_a: PeriodicCurve, curve_b: PeriodicCurve) -> float:
     """Hausdorff distance between two strictly convex closed PeriodicCurves.
 
     For convex bodies it is max over theta of |h_a - h_b|, the gap of their
     support functions (Schneider, Convex Bodies, 2nd ed., Lemma 1.8.14).
-    Both are solved for at n uniform angles with exact derivatives, so
-    parametrization and orientation do not matter, and the top gap is
-    refined by the vertex of the parabola through it and its neighbours,
-    if concave.  A non-curve argument, n not an integer >= 3, and a curve
-    whose tangent does not turn strictly monotonically through one turn
-    (not regular, convex and embedded), or turns too fast for a grid of
+    Both are solved for at ``_HAUSDORFF_ANGLES`` uniform angles with exact
+    derivatives, so parametrization and orientation do not matter, and the
+    top gap is refined by the vertex of the parabola through it and its
+    neighbours, if concave.  A non-curve argument, and a curve whose
+    tangent does not turn strictly monotonically through one turn (not
+    regular, convex and embedded), or turns too fast for a grid of
     ``_SUPPORT_GRID_MAX`` points, raise ValidationError.
     """
     if not all(isinstance(c, PeriodicCurve) for c in (curve_a, curve_b)):
         raise ValidationError("hausdorff_distance takes two PeriodicCurves")
-    if not _is_count(n) or n < 3:
-        raise ValidationError(f"hausdorff_distance needs an integer n >= 3, got {n!r}")
+    n = _HAUSDORFF_ANGLES
     gap = np.abs(_support_function(curve_a, n) - _support_function(curve_b, n))
     k = int(np.argmax(gap))
     f_prev, f_top, f_next = gap[[k - 1, k, (k + 1) % n]]

@@ -21,17 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientField, eval_field, pure_field
+from .coeffs import CoefficientField, eval_field
 from .curves import PeriodicCurve, eval_curve
 from .errors import SingularJacobianError, ValidationError
-from .expr import Expr, Neg, Var, parse_expr, substitute, to_string, variables_of
+from .expr import Neg, Var, substitute
 from .march import StripSolution, assemble_rhs, spectral_du
 
 __all__ = [
     "GraphPatch",
     "HessianLevel",
     "ResidualReport",
-    "curvature_to_field",
     "hessian_from_derivatives",
     "hessian_from_strip",
     "jacobian",
@@ -566,20 +565,6 @@ def legendre_dual_normals(strip: StripSolution, a: float = 0.0,
     ], axis=-1)
     normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
     return normal * np.where(normal[..., 2] >= 0, 1.0, -1.0)[..., None]
-
-
-# ---------------------------------------------------------------------------
-# Prescribed curvature
-
-def curvature_to_field(K, box=None) -> CoefficientField:
-    """det D^2 z = K(x, y, z) (1 + |Dz|^2)^2 as a pure coefficient field."""
-    expr = K if isinstance(K, Expr) else parse_expr(str(K))
-    extra = variables_of(expr) - {"x", "y", "z"}
-    if extra:
-        raise ValidationError(
-            f"curvature may depend on x, y, z only; found {sorted(extra)}")
-    e_expr = parse_expr(f"({to_string(expr)}) * (1 + p^2 + q^2)^2")
-    return pure_field(e_expr, box)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "assemble_rhs",
     "march",
     "spectral_du",
-    "spectral_filter",
     "stability_monitor",
 ]
 
@@ -114,6 +114,12 @@ class MarchParams:
     dv: float = 1e-3
 
     def validate(self, curve: PeriodicCurve | None = None) -> None:
+        if not all(isinstance(value, numbers.Real) and not isinstance(value, bool)
+                   for value in (self.R, self.dv)):
+            raise ValidationError(
+                f"R and dv must be real numbers, got {self.R!r} and {self.dv!r}")
+        if not isinstance(self.n_u, numbers.Integral) or isinstance(self.n_u, bool):
+            raise ValidationError(f"n_u must be an integer, got {self.n_u!r}")
         if not (0 < self.R < math.inf):
             raise ValidationError(f"R must be positive and finite, got {self.R}")
         if not (0 < self.dv <= self.R):
@@ -322,24 +328,14 @@ def _filter_factors(n: int) -> np.ndarray:
     return f
 
 
-def spectral_filter(level: np.ndarray) -> np.ndarray:
-    """Damp the top Fourier modes of every field of a level.
-
-    Implemented as level - irfft((1 - sigma) * rfft(level)): band-limited
-    data is perturbed only through the spectral round-off junk the filter
-    removes from the stopband, below 1e-15 of the data scale per step.
-    The grid is the level's last axis, which must be even.
-    """
-    level = np.array(level, dtype=float)
-    factors = _filter_factors(_even_grid(level, "spectral_filter"))
-    return _filter_in_place(level, factors)
-
-
 def _filter_in_place(level: np.ndarray, factors: np.ndarray,
                      spectrum=None, real=None) -> np.ndarray:
-    """``spectral_filter`` with its ``factors``, written over ``level``;
-    the correction's rfft and irfft go into ``spectrum`` and ``real`` when
-    given."""
+    """Damp the top Fourier modes of every row of ``level``, in place: level
+    -= irfft(factors * rfft(level)) on its last axis, with ``factors`` from
+    ``_filter_factors``.  Band-limited data is perturbed only through the
+    spectral round-off junk the filter removes from the stopband, below
+    1e-15 of the data scale per step.  The correction's rfft and irfft go
+    into ``spectrum`` and ``real`` when given."""
     correction = np.fft.rfft(level, out=spectrum)
     correction *= factors
     level -= np.fft.irfft(correction, n=level.shape[-1], out=real)

@@ -44,7 +44,6 @@ from ma_singular.errors import (
     SingularJacobianError,
     ValidationError,
 )
-from ma_singular.extract import paraboloid_sampler
 from ma_singular.geometry import reflect_field
 from ma_singular.march import MarchParams
 
@@ -800,7 +799,13 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
     ("roundtrip", 'seed="abc"', "unknown config key config.seed"),
     ("roundtrip", "seed=-1", "unknown config key config.seed"),
     ("roundtrip", 'roundtrip.tolerance="a"',
-     "roundtrip.tolerance must be a finite number, got 'a'"),
+     "roundtrip.tolerance must be a finite number >= 0, got 'a'"),
+    # A negative tolerance used to march, judge and exit 8.
+    ("roundtrip", "roundtrip.tolerance=-1",
+     "roundtrip.tolerance must be a finite number >= 0, got -1"),
+    *[("verify", f"verify.{key}=-1e-9",
+       f"verify.{key} must be a finite number >= 0, got -1e-09")
+      for key in ("z_tolerance", "slope_tolerance", "circle_tolerance")],
     ("roundtrip", "march.filter_order=1e400",
      "unknown config key config.march.filter_order"),
     *[(command, f"{key}=5", f"{key} must be {kind}, got 5")
@@ -809,7 +814,7 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
                         ("curve.literal", "an object or null"),
                         ("curve.file", "a string or null"))],
     ("verify", 'verify.z_tolerance="x"',
-     "verify.z_tolerance must be a finite number, got 'x'"),
+     "verify.z_tolerance must be a finite number >= 0, got 'x'"),
     ("construct", "out=null", "out must be a string, got None"),
     ("construct", 'march.negative_v="false"',
      "unknown config key config.march.negative_v"),
@@ -825,6 +830,9 @@ def test_bad_residual_and_reconstruct_numbers_are_two(tmp_path, capsys,
     ("construct", "march.dv=1e-300", "(R/dv + 1)*n_u = 1.92e+301 cells"),
     ("roundtrip", "march.R=1e300", "(R/dv + 1)*n_u = 1.28e+305 cells"),
 ], ids=["seed-string", "seed-negative", "tolerance-string",
+        "tolerance-negative",
+        *[f"{key}-negative" for key in ("z-tolerance", "slope-tolerance",
+                                        "circle-tolerance")],
         "filter-order-overflow",
         *[f"{command}-{key}" for command in ("construct", "roundtrip", "verify")
           for key in ("field-literal", "curve-literal", "curve-file")],
@@ -1020,8 +1028,11 @@ def test_verify_limit_circle_is_round_off_from_five_samples(tmp_path,
 
 
 def test_verify_limit_outside_m2_is_eight(tmp_path, monkeypatch):
-    # The paraboloid's limit is a point, fitted at degree 0: no distance,
-    # and exit 8.
+    # The gradient of the paraboloid z = (x^2 + y^2)/2 has a point for its
+    # limit, fitted at degree 0: no distance, and exit 8.
+    def paraboloid_sampler():
+        return lambda r, thetas: (r * np.cos(thetas), r * np.sin(thetas))
+
     monkeypatch.setattr(cli, "radial_reference_sampler", paraboloid_sampler)
     out = tmp_path / "run"
     assert main(["verify", "--out", str(out)]) == 8
@@ -1387,6 +1398,7 @@ _FIELDS = st.fixed_dictionaries({
 _VALID_KINDS = {
     "a boolean": st.booleans(),
     "a finite number": st.floats(-1.0, 1.0),
+    "a finite number >= 0": st.floats(0.0, 1.0),
     "a string or null": st.none() | st.just("no-such-file.json"),
     "an object or null": st.none(),
 }

@@ -14,7 +14,6 @@ from ma_singular.extract import (
     geometric_radii,
     hausdorff_distance,
     limit_gradient,
-    paraboloid_sampler,
     patch_sampler,
     radial_reference_height,
     radial_reference_sampler,
@@ -35,8 +34,13 @@ def circle_sampler():
 # Extrapolation to the axis
 
 
-#: The angles limit_gradient samples at n_theta = 64.
-THETAS_64 = 2.0 * np.pi * np.arange(64) / 64
+#: The angles limit_gradient samples.
+THETAS = 2.0 * np.pi * np.arange(extract._N_THETA) / extract._N_THETA
+
+
+def paraboloid_sampler(r, thetas):
+    """The gradient of z = (x^2 + y^2)/2, whose limit is a point."""
+    return r * np.cos(thetas), r * np.sin(thetas)
 
 
 def _values_sampler(f):
@@ -50,7 +54,7 @@ def _values_sampler(f):
 
 
 def _limit_samples(monkeypatch, f, radii):
-    """(p at rho = 0 on ``THETAS_64``, residual) of limit_gradient."""
+    """(p at rho = 0 on ``THETAS``, residual) of limit_gradient."""
     captured = []
 
     def capture(p, q, degree, _original=extract.fit_curve):
@@ -58,7 +62,7 @@ def _limit_samples(monkeypatch, f, radii):
         return _original(p, q, degree)
 
     monkeypatch.setattr(extract, "fit_curve", capture)
-    lg = limit_gradient(_values_sampler(f), radii, n_theta=THETAS_64.size)
+    lg = limit_gradient(_values_sampler(f), radii)
     return captured[0], lg.residual
 
 
@@ -75,7 +79,7 @@ def test_extrapolation_is_exact_for_polynomials_of_degree_below_the_count(
                 + 2.0 * r**3 - 1.5 * r**4)
 
     limit, _ = _limit_samples(monkeypatch, f, radii)
-    assert np.max(np.abs(limit - np.cos(THETAS_64))) <= 1e-13
+    assert np.max(np.abs(limit - np.cos(THETAS))) <= 1e-13
 
 
 def test_extrapolation_on_a_ratio_2_ladder_is_richardson(monkeypatch):
@@ -86,9 +90,9 @@ def test_extrapolation_on_a_ratio_2_ladder_is_richardson(monkeypatch):
     def f(r, thetas):
         return np.exp(r * np.cos(thetas)) + np.sin(2.0 * r + thetas)
 
-    table = [f(radii[0], THETAS_64)]
+    table = [f(radii[0], THETAS)]
     for m in range(1, len(radii)):
-        row = [f(radii[m], THETAS_64)]
+        row = [f(radii[m], THETAS)]
         for k in range(1, m + 1):
             row.append((2.0 ** k * row[k - 1] - table[k - 1]) / (2.0 ** k - 1.0))
         table = row
@@ -109,7 +113,7 @@ def test_extrapolation_residual_is_the_change_from_dropping_the_smallest_radius(
     assert residual == pytest.approx(2.0 * np.max(np.abs(limit - coarse)),
                                      rel=1e-12)
     assert 0.0 < residual
-    np.testing.assert_allclose(limit, 1.0 + 0.1 * np.cos(THETAS_64), atol=1e-12)
+    np.testing.assert_allclose(limit, 1.0 + 0.1 * np.cos(THETAS), atol=1e-12)
 
 
 def test_geometric_radii_halve():
@@ -203,6 +207,19 @@ def test_sampler_rejects_out_of_band_radius(circle_sampler):
         circle_sampler(0.5, np.zeros(4))
     with pytest.raises(CoverageError):
         circle_sampler(1e-4, np.zeros(4))
+
+
+@pytest.mark.parametrize("r", [
+    None, "0.05", np.nan, np.inf, -np.inf, True, 1j, np.array([0.05, 0.06])],
+    ids=["none", "string", "nan", "inf", "-inf", "bool", "complex", "array"])
+def test_sampler_rejects_a_radius_that_is_not_a_finite_real(circle_sampler, r):
+    # The string was once sampled as 0.05, None raised a TypeError and NaN
+    # or inf a CoverageError, as if it were a radius outside the band.
+    with pytest.raises(ValidationError, match="finite real number"):
+        circle_sampler(r, np.zeros(4))
+    # Any real type is taken.
+    p, q = circle_sampler(np.float32(0.05), np.zeros(1))
+    assert p[0] == pytest.approx(float(radial_reference_slope(np.float32(0.05))))
 
 
 @pytest.mark.parametrize("thetas", [
@@ -326,7 +343,7 @@ def test_limit_of_radial_oracle_is_unit_circle():
 
 
 def test_limit_of_paraboloid_degenerates_to_point():
-    lg = limit_gradient(paraboloid_sampler(), geometric_radii(0.05, 5))
+    lg = limit_gradient(paraboloid_sampler, geometric_radii(0.05, 5))
     assert lg.classification.orientation == "degenerate"
     assert not lg.jordan
     # No mode of the limit, a point at the origin, exceeds the floor.
@@ -339,16 +356,6 @@ def test_limit_gradient_rejects_non_finite_samples():
 
     with pytest.raises(ValidationError, match="must be finite"):
         limit_gradient(nan_sampler, geometric_radii(0.05, 3))
-
-
-def test_limit_gradient_validates_resolution():
-    # Two angles are the least that resolve degree 0.
-    with pytest.raises(ValidationError, match="n_theta must be an integer >= 2"):
-        limit_gradient(radial_reference_sampler(), geometric_radii(0.05, 3),
-                       n_theta=1)
-    lg = limit_gradient(radial_reference_sampler(), geometric_radii(0.05, 3),
-                        n_theta=2)
-    assert lg.curve.degree == 0
 
 
 def test_limit_gradient_rejects_ragged_radii():
@@ -365,13 +372,6 @@ def test_limit_gradient_accepts_any_decreasing_radii():
     lg = limit_gradient(radial_reference_sampler(), (0.05, 0.03, 0.02, 0.004))
     assert hausdorff_distance(builtin_curve("circle"), lg.curve) < 1e-7
     assert lg.radii == (0.05, 0.03, 0.02, 0.004)
-
-
-def test_limit_gradient_rejects_fractional_n_theta():
-    # 64.5 would otherwise sample 65 angles.
-    with pytest.raises(ValidationError, match="must be an integer"):
-        limit_gradient(radial_reference_sampler(), geometric_radii(0.05, 3),
-                       n_theta=64.5)
 
 
 @pytest.mark.parametrize("radii", [["a", "b"], None], ids=["strings", "none"])
@@ -489,7 +489,7 @@ def test_support_function_refuses_a_tangent_its_largest_grid_misses():
     builtin_curve("remark42"),  # curvature zeros, traced twice
     builtin_curve("limacon"),  # locally convex, turning number 2
     PeriodicCurve([0.1], [0.0], [0.3], [0.0]),
-    limit_gradient(paraboloid_sampler(), geometric_radii(0.05, 5)).curve,
+    limit_gradient(paraboloid_sampler, geometric_radii(0.05, 5)).curve,
 ], ids=["remark42", "limacon", "point", "paraboloid-limit"])
 def test_hausdorff_rejects_curves_that_are_not_strictly_convex(curve):
     circle = builtin_curve("circle")
@@ -498,19 +498,16 @@ def test_hausdorff_rejects_curves_that_are_not_strictly_convex(curve):
             hausdorff_distance(a, b)
 
 
-@pytest.mark.parametrize("a, b, n", [
-    (np.empty((0, 2)), "circle", 1024),
-    ("circle", np.empty((0, 2)), 1024),
-    (np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]]), "circle", 1024),
-    ("circle", np.array([[0.0, 1.0], [0.5, np.inf]]), 1024),
-    (np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), "circle", 1024),
-    ("circle", "ellipse", 0),
-    ("circle", "ellipse", 2),
-    ("circle", "ellipse", 100.5),
-], ids=["empty-a", "empty-b", "nan", "inf", "array", "n=0", "n=2", "n=100.5"])
-def test_hausdorff_rejects_empty_or_non_finite_polylines(a, b, n):
+@pytest.mark.parametrize("a, b", [
+    (np.empty((0, 2)), "circle"),
+    ("circle", np.empty((0, 2))),
+    (np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]]), "circle"),
+    ("circle", np.array([[0.0, 1.0], [0.5, np.inf]])),
+    (np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]), "circle"),
+], ids=["empty-a", "empty-b", "nan", "inf", "array"])
+def test_hausdorff_rejects_empty_or_non_finite_polylines(a, b):
     # Arrays of points are not curves, whatever their contents.
     a = builtin_curve(a) if isinstance(a, str) else a
     b = builtin_curve(b) if isinstance(b, str) else b
-    with pytest.raises(ValidationError):
-        hausdorff_distance(a, b, n=n)
+    with pytest.raises(ValidationError, match="two PeriodicCurves"):
+        hausdorff_distance(a, b)

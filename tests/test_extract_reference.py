@@ -37,7 +37,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
-from ma_singular import geometry
+from ma_singular import extract, geometry
 from ma_singular.coeffs import CoefficientField, builtin_field
 from ma_singular.curves import (
     PeriodicCurve,
@@ -336,8 +336,8 @@ def reference_support_function(curve, thetas, m=2 ** 16, polish=True):
 
 
 def reference_support_distance(curve_a, curve_b, n):
-    """``hausdorff_distance(curve_a, curve_b, n)`` from reference support
-    functions at the n angles, with the parabola refinement it documents."""
+    """``hausdorff_distance(curve_a, curve_b)`` at n angles from reference
+    support functions, with the parabola refinement it documents."""
     thetas = 2.0 * np.pi * np.arange(n) / n
     d = np.abs(reference_support_function(curve_a, thetas)
                - reference_support_function(curve_b, thetas))
@@ -757,14 +757,16 @@ def _noisy_fit(curve, seed, scale=1e-3, n=256):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7])
 @pytest.mark.parametrize("name", ["wobble", "convex"])
-def test_hausdorff_at_few_samples_matches_brute_force(name, n):
+def test_hausdorff_at_few_samples_matches_brute_force(monkeypatch, name, n):
     # n <= 2 * degree: the support functions of degree-16 curves at a few
-    # angles come from a grid that does not depend on n.
+    # angles come from a grid that does not depend on n.  A few angles keep
+    # the brute force cheap; the distance reads its angle count at the call.
+    monkeypatch.setattr(extract, "_HAUSDORFF_ANGLES", n)
     a = CONVEX if name == "convex" else builtin_curve(name)
     b = _noisy_fit(a, n)
     reference = reference_support_distance(a, b, n)
     assert reference > 1e-4
-    assert abs(hausdorff_distance(a, b, n) - reference) <= 1e-14
+    assert abs(hausdorff_distance(a, b) - reference) <= 1e-14
 
 
 # hausdorff_distance on every pair of strictly convex gallery curves.

@@ -21,7 +21,6 @@ from ma_singular.curves import builtin_curve
 from ma_singular.errors import OutOfBoxError, SingularJacobianError, ValidationError
 from ma_singular.geometry import (
     GraphPatch,
-    curvature_to_field,
     hessian_from_derivatives,
     hessian_from_strip,
     jacobian,
@@ -438,22 +437,6 @@ def test_dual_normals_match_closed_form(circle_strip):
     denom = np.sqrt(1.0 + x**2 + y**2)
     expected = np.stack([-x / denom, -y / denom, 1.0 / denom], axis=-1)
     assert np.max(np.abs(normals - expected)) < 1e-8
-
-
-# ---------------------------------------------------------------------------
-# Prescribed curvature
-
-
-def test_curvature_to_field_builds_expected_structure():
-    f = curvature_to_field("2")
-    A, B, C, E, _ = eval_field(f, (0.0, 0.0, 0.0, 1.0, 2.0))
-    assert (A, B, C) == (0.0, 0.0, 0.0)
-    assert E == pytest.approx(2.0 * 36.0)  # K (1 + 1 + 4)^2
-
-
-def test_curvature_to_field_rejects_gradient_dependence():
-    with pytest.raises(ValidationError):
-        curvature_to_field("1 + p")
 
 
 # ---------------------------------------------------------------------------

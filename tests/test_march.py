@@ -15,10 +15,11 @@ from ma_singular.errors import ValidationError
 from ma_singular.march import (
     MAX_MARCH_CELLS,
     MarchParams,
+    _filter_factors,
+    _filter_in_place,
     assemble_rhs,
     march,
     spectral_du,
-    spectral_filter,
     stability_monitor,
 )
 
@@ -63,6 +64,14 @@ def test_spectral_du_rejects_odd_grids():
 def test_spectral_du_rejects_a_0d_value():
     with pytest.raises(ValidationError, match="0-d"):
         spectral_du(np.float64(1.0))
+
+
+@pytest.mark.parametrize("shape", [(63,), (5, 129), (128, 5), ()])
+def test_spectral_du_rejects_a_last_axis_off_the_grid(shape):
+    # The grid is the level's last axis, and must be even.
+    match = "0-d value" if shape == () else r"even grid, got \d+"
+    with pytest.raises(ValidationError, match=match):
+        spectral_du(np.ones(shape))
 
 
 def test_spectral_du_works_on_stacked_rows():
@@ -162,11 +171,17 @@ def test_cached_tables_are_read_only():
 # filter and monitor
 
 
+def _filtered(level):
+    """The march's filter on a copy of ``level``."""
+    level = np.array(level, dtype=float)
+    return _filter_in_place(level, _filter_factors(level.shape[-1]))
+
+
 def test_filter_leaves_low_modes_at_round_off():
     u = 2.0 * np.pi * np.arange(128) / 128
     level = np.stack([np.cos(u), np.sin(2 * u), 0.5 + np.cos(3 * u),
                       np.sin(u), np.cos(u)])
-    filtered = spectral_filter(level)
+    filtered = _filtered(level)
     # Only the fft round-trip junk in the stopband is touched.
     assert np.max(np.abs(filtered - level)) < 1e-15
     spec_lo = np.fft.rfft(filtered - level)[:4]
@@ -175,28 +190,13 @@ def test_filter_leaves_low_modes_at_round_off():
 
 def test_filter_is_bitwise_identity_on_dc():
     level = np.full((5, 64), 0.875)
-    assert np.array_equal(spectral_filter(level), level)
-
-
-@pytest.mark.parametrize("shape", [(63,), (5, 129), (128, 5), ()])
-def test_filter_rejects_a_last_axis_off_the_grid(shape):
-    # The grid is the level's last axis, and must be even, as spectral_du's.
-    match = "0-d value" if shape == () else r"even grid, got \d+"
-    with pytest.raises(ValidationError, match=match):
-        spectral_filter(np.ones(shape))
-
-
-def test_filter_leaves_its_input_alone():
-    level = np.random.default_rng(2).normal(size=(5, 16))
-    before = level.copy()
-    filtered = spectral_filter(level)
-    assert np.array_equal(level, before) and filtered is not level
+    assert np.array_equal(_filtered(level), level)
 
 
 def test_filter_crushes_nyquist_band():
     u = 2.0 * np.pi * np.arange(128) / 128
     noisy = np.cos(u) + 1e-3 * np.cos(63 * u)
-    filtered = spectral_filter(noisy)
+    filtered = _filtered(noisy)
     spec = np.abs(np.fft.rfft(filtered)) / 128
     # damping at k=63 is 1 - exp(-36 (63/64)^16), about 12 decades
     assert spec[63] < 1e-14
@@ -269,6 +269,27 @@ def test_monitor_keeps_a_large_finite_energy(scale):
 def test_bad_params_rejected(kwargs):
     with pytest.raises(ValidationError):
         MarchParams(**kwargs).validate(CIRCLE)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    # n_u=128.0 used to raise a TypeError from n_u & (n_u - 1), and "0.15"
+    # one from the comparison with 0.
+    ({"n_u": 128.0}, "n_u must be an integer, got 128.0"),
+    ({"n_u": "128"}, "n_u must be an integer, got '128'"),
+    ({"n_u": True}, "n_u must be an integer, got True"),
+    ({"R": "0.15"}, "R and dv must be real numbers, got '0.15' and 0.001"),
+    ({"R": None}, "R and dv must be real numbers, got None and 0.001"),
+    ({"dv": 1e-3 + 0j}, "R and dv must be real numbers, got 0.15 and (0.001+0j)"),
+    ({"dv": False}, "R and dv must be real numbers, got 0.15 and False"),
+])
+def test_params_of_the_wrong_type_are_a_validation_error(kwargs, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        march(CIRCLE, PURE_ONE, MarchParams(**kwargs))
+
+
+def test_numpy_scalar_params_are_accepted():
+    MarchParams(R=np.float64(0.05), n_u=np.int64(64),
+                dv=np.float32(1e-3)).validate(CIRCLE)
 
 
 @pytest.mark.parametrize("kwargs, cells", [
