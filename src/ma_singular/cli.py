@@ -383,9 +383,12 @@ def _write_outputs(out: Path, artifacts: dict):
     """Write each artifact that has text; remove the file of each that is None.
 
     So no file an earlier run left in ``out`` outlives a run that writes.
-    Every text is written as UTF-8 under a temporary name in ``out`` before
-    any is renamed into place, so a write that fails (a full disk, say)
-    leaves ``out`` as it was and raises ArtifactWriteError naming the file.
+    An artifact is its text, or a function that writes its text into a
+    text file as it makes it (the CSVs).  Every text is written as UTF-8
+    under a temporary name in ``out`` before any is renamed into place, so
+    a write that fails (a full disk, say) leaves ``out`` as it was and
+    raises ArtifactWriteError naming the file; any other error met while
+    writing also leaves ``out`` as it was, and propagates.
     """
     staged = {}
     target = out
@@ -395,17 +398,23 @@ def _write_outputs(out: Path, artifacts: dict):
             if text is not None:
                 target = out / name
                 staged[name] = out / f".{name}.tmp"
-                staged[name].write_text(text, encoding="utf-8")
+                with staged[name].open("w", encoding="utf-8") as file:
+                    if callable(text):
+                        text(file)
+                    else:
+                        file.write(text)
         for name, text in artifacts.items():
             target = out / name
             if text is None:
                 target.unlink(missing_ok=True)
             else:
                 os.replace(staged.pop(name), target)
-    except OSError as err:
+    except BaseException as err:
         for path in staged.values():
             with contextlib.suppress(OSError):
                 path.unlink(missing_ok=True)
+        if not isinstance(err, OSError):
+            raise
         raise ArtifactWriteError(
             f"cannot write {target}: {err.strerror or err}") from None
 
@@ -453,9 +462,10 @@ def _run(cfg: dict, head: dict, judge=None, convex: bool = False):
     emit = cfg["emit"]
     artifacts = dict.fromkeys(_ARTIFACTS)
     if emit["csv"] and strip is not None:
-        artifacts[_STRIP_CSV] = _strip_csv(strip)
+        # Formatted as they are written, so no whole CSV text is held.
+        artifacts[_STRIP_CSV] = lambda file: _strip_csv(strip, file)
         if patch is not None:
-            artifacts[_PATCH_CSV] = patch_to_csv(patch)
+            artifacts[_PATCH_CSV] = lambda file: patch_to_csv(patch, file)
     if emit["json"]:
         artifacts[_REPORT_JSON] = json.dumps(
             _strict_json(report), indent=2, sort_keys=True, allow_nan=False) + "\n"

@@ -4,10 +4,9 @@ graph reconstruction, the reflection map, and the Legendre transform.
 The marched chart (u, v) is degenerate on the axis v = 0 by construction
 (the whole axis maps to the origin), so everything here either stays away
 from the axis or treats it explicitly.  Hessian recovery is one 2x2 solve
-per node; the four first-order relations the system satisfies are then
-demoted to residual checks, which makes them genuinely independent
-evidence rather than part of the construction.  One cached analysis per
-strip computes all of this once; the public functions are views of it.
+per node, and the PDE residual of the recovered Hessian is the evidence
+that it is right.  One cached analysis per strip computes all of this
+once; the public functions are views of it.
 """
 
 from __future__ import annotations
@@ -66,21 +65,16 @@ PATCH_V_MIN_FRAC = 0.1
 
 @dataclass(frozen=True, eq=False)
 class HessianLevel:
-    """Recovered (r, s, t) on stored levels with its consistency evidence.
+    """Recovered (r, s, t) and the Jacobian on stored levels.
 
     Every field has shape (n_u,) for one level and (L, n_u) for a
     selection of L levels.  ``valid`` marks nodes above the Jacobian
-    guard; guarded nodes carry NaN.  ``sym_defect`` is |s_from_p - s_from_q|
-    before symmetrization; ``fin_residual`` is the worst of the four
-    first-order relations that the marched system satisfies identically
-    in exact arithmetic.
+    guard; guarded nodes carry NaN.
     """
 
     r: np.ndarray
     s: np.ndarray
     t: np.ndarray
-    sym_defect: np.ndarray
-    fin_residual: np.ndarray
     J: np.ndarray
     valid: np.ndarray
 
@@ -88,9 +82,10 @@ class HessianLevel:
 def hessian_from_derivatives(x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v):
     """Pointwise chain-rule Hessian from chart derivatives.
 
-    [r s; s t] = [p_u p_v; q_u q_v] · [x_u x_v; y_u y_v]^{-1}.  Returns
-    (r, s, t, sym_defect, J, valid); nodes with |J| <= JACOBIAN_GUARD
-    are NaN.  Inputs may be scalars or arrays of a common shape.
+    [r s; s t] = [p_u p_v; q_u q_v] · [x_u x_v; y_u y_v]^{-1}, with s the
+    mean of its two chain-rule values.  Returns (r, s, t, J, valid); nodes
+    with |J| <= JACOBIAN_GUARD are NaN.  Inputs may be scalars or arrays
+    of a common shape.
     """
     arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in
                                    (x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v)))
@@ -107,8 +102,7 @@ def hessian_from_derivatives(x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v):
     r = r + nan
     t = t + nan
     s = 0.5 * (s_p + s_q) + nan
-    sym_defect = np.abs(s_p - s_q) + nan
-    return r, s, t, sym_defect, J, valid
+    return r, s, t, J, valid
 
 
 #: A strip is frozen and hashes by identity, so it keys its own analysis.
@@ -133,7 +127,7 @@ def _strip_analysis(strip: StripSolution):
     if analysis is not None:
         return analysis
     Z = np.moveaxis(strip.states, -2, 0)
-    a, b, c, e, disc = values = eval_field(strip.field, tuple(Z))
+    a, b, c, e, _ = values = eval_field(strip.field, tuple(Z))
     if strip.states_v is None:
         Z_u = spectral_du(Z)
         Z_v = assemble_rhs(Z, strip.field, values, Z_u)
@@ -142,20 +136,9 @@ def _strip_analysis(strip: StripSolution):
                     for rows in (strip.states_u, strip.states_v))
     x_u, y_u, _, p_u, q_u = Z_u
     x_v, y_v, _, p_v, q_v = Z_v
-    r, s, t, sym_defect, J, valid = hessian_from_derivatives(
+    r, s, t, J, valid = hessian_from_derivatives(
         x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v)
-    root = np.sqrt(disc)
-    # The marched system satisfies these four identities exactly; after
-    # recovery they are free consistency evidence.
-    rel = np.stack([
-        root * y_v - ((c + r) * x_u - (b - s) * y_u),
-        root * y_u + ((c + r) * x_v - (b - s) * y_v),
-        root * x_v - ((b - s) * x_u - (a + t) * y_u),
-        root * x_u + ((b - s) * x_v - (a + t) * y_v),
-    ])
-    hessian = HessianLevel(r=r, s=s, t=t, sym_defect=sym_defect,
-                           fin_residual=np.max(np.abs(rel), axis=0),
-                           J=J, valid=valid)
+    hessian = HessianLevel(r, s, t, J, valid)
     residual = a * r + 2.0 * b * s + c * t + r * t - s ** 2 - e
     # A contiguous copy: on strided rows arctan2 and hypot may take
     # another kernel, and the tables must keep their bits.
@@ -196,7 +179,7 @@ def jv_axis(curve: PeriodicCurve, field: CoefficientField, n_u: int = 128) -> np
 
 
 def hessian_from_strip(strip: StripSolution, level) -> HessianLevel:
-    """The Hessian and the four relations on stored levels.
+    """The Hessian and the Jacobian on stored levels.
 
     ``level`` is one level index, giving (n_u,) fields, or a selection
     (slice, index list) of L levels, giving (L, n_u) fields: read-only
@@ -305,9 +288,10 @@ class GraphPatch:
                                                    repr=False)
 
     def __post_init__(self):
+        # Read-only views: the caller's arrays stay as they were, uncopied.
         for name in ("v", "u", "x", "y", "z", "p", "q", "r", "s", "t",
                      "J", "residual"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -580,7 +564,8 @@ _PATCH_COLUMNS = ("r", "s", "t", "J", "residual")
 
 
 #: Cells per chunk of ``_csv_text``: whole levels, at least one.  It bounds
-#: the formatter's temporaries, a few hundred bytes per cell.
+#: the formatter's temporaries, a few hundred bytes per cell, and the text
+#: held at once when the chunks go straight into a file.
 _CSV_CHUNK_CELLS = 4096
 
 #: Decimal exponents k that ``_decimal_digits`` tables: those of
@@ -594,12 +579,14 @@ _SIGN, _PREFIX, _DIGITS, _EXPONENT, _SEP = (
     0, slice(1, 6), slice(6, 24), slice(24, 29), 29)
 
 
-def _csv_text(header, columns) -> str:
+def _csv_text(header, columns, file=None) -> str | None:
     """``header`` lines, then one "%.17g" CSV row per (level, node).
 
     ``columns`` broadcast to (levels, n_u); rows run over nodes within a
-    level.  ``_format_17g`` writes a chunk of whole levels at a time, and
-    the chunks are joined once at the end.
+    level.  ``_format_17g`` writes a chunk of whole levels at a time.  The
+    chunks go into the text file ``file`` as they are made, and None is
+    returned; without a file they are joined once at the end, and the text
+    is returned.
     """
     columns = np.broadcast_arrays(*columns)
     n_levels, n_u = columns[0].shape
@@ -607,12 +594,14 @@ def _csv_text(header, columns) -> str:
     seps = np.full((step * n_u, len(columns)), ord(","), np.uint8)
     seps[:, -1] = ord("\n")
     seps = seps.ravel()
-    text = ["\n".join(header) + "\n"]
+    text = []
+    write = text.append if file is None else file.write
+    write("\n".join(header) + "\n")
     for lo in range(0, n_levels, step):
         cells = np.stack([col[lo:lo + step] for col in columns], axis=-1).ravel()
-        text.append(_format_17g(cells.astype(np.float64, copy=False),
-                                seps[:cells.size]))
-    return "".join(text)
+        write(_format_17g(cells.astype(np.float64, copy=False),
+                          seps[:cells.size]))
+    return "".join(text) if file is None else None
 
 
 @functools.cache
@@ -765,8 +754,12 @@ def _grid_header(v, n_u: int) -> list:
     return [f"# n_u: {n_u}", "# v: " + " ".join(f"{val:.17g}" for val in v)]
 
 
-def strip_to_csv(strip: StripSolution) -> str:
-    """The marched levels as CSV, columns x,y,z,p,q; floats at 17 digits."""
+def strip_to_csv(strip: StripSolution, file=None) -> str | None:
+    """The marched levels as CSV, columns x,y,z,p,q; floats at 17 digits.
+
+    Written into the text file ``file`` when given (returning None), else
+    returned.
+    """
     header = [
         f"# format: {CSV_FORMAT}",
         f"# status: {strip.status}",
@@ -777,11 +770,14 @@ def strip_to_csv(strip: StripSolution) -> str:
         *_grid_header(strip.v, strip.n_u),
         ",".join(_STRIP_COLUMNS),
     ]
-    return _csv_text(header, [strip.states[:, i] for i in range(5)])
+    return _csv_text(header, [strip.states[:, i] for i in range(5)], file)
 
 
-def patch_to_csv(patch: GraphPatch) -> str:
+def patch_to_csv(patch: GraphPatch, file=None) -> str | None:
     """The patch's Hessian, J and residual as CSV, with provenance headers.
+
+    Written into the text file ``file`` when given (returning None), else
+    returned.
 
     x, y, z, p, q are not written: for a patch that ``reconstruct_graph``
     made they are the strip's rows at the patch's levels, bit for bit, and
@@ -805,7 +801,8 @@ def patch_to_csv(patch: GraphPatch) -> str:
         *_grid_header(patch.v, patch.n_u),
         ",".join(_PATCH_COLUMNS),
     ]
-    return _csv_text(header, [getattr(patch, name) for name in _PATCH_COLUMNS])
+    return _csv_text(header, [getattr(patch, name) for name in _PATCH_COLUMNS],
+                     file)
 
 
 #: The line boundaries of ``str.splitlines`` other than "\n" and "\r\n",

@@ -101,7 +101,9 @@ def _du_of_spectrum(spec: np.ndarray, n: int, out=None) -> np.ndarray:
 #: The most cells, (R/dv + 1) levels of n_u nodes, that a march may
 #: make: 217 times the default march's 151 x 128, and 3.3 times the
 #: 10001 x 128 of the finest march the tests make.  A CLI ``construct``
-#: peaks at about 560 bytes a cell, so about 2.4 GB at the budget.
+#: grows ``ru_maxrss`` past its imports by about 380 bytes a cell at
+#: 1501 x 128 and 350 at 6001 x 128 (x86-64 Linux), so about 1.5 GB at
+#: the budget.
 MAX_MARCH_CELLS = 2 ** 22
 
 
@@ -175,8 +177,9 @@ class StripSolution:
                                                     repr=False)
 
     def __post_init__(self):
+        # Read-only views: the caller's arrays stay as they were, uncopied.
         for name in ("v", "u", "states", "high_frac", "min_disc"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -452,17 +455,18 @@ def _rk4_step(level: np.ndarray, h: float, field: CoefficientField, plan,
     return np.add(level, total, out=out)
 
 
-#: Levels the march makes room for at first, whatever R/dv; the room
-#: doubles when full.  The default march (151 levels) needs no second
-#: buffer, and a row is only paged in when a level is written to it.
-_FIRST_ROOM = 256
-
-
-def _grown(rows: np.ndarray, count: int) -> np.ndarray:
-    """A buffer of twice the room holding the first ``count`` of ``rows``."""
-    bigger = np.empty((2 * len(rows),) + rows.shape[1:])
-    bigger[:count] = rows[:count]
-    return bigger
+def _heights(params: MarchParams):
+    """(h, v) of each step of the march: its size, and the height it
+    reaches.  A full step reaches k dv, a multiple rather than a sum; a
+    last step shorter than dv reaches R."""
+    R, dv = params.R, params.dv
+    v = 0.0
+    steps = 0
+    while v < R - 1e-12 * R:
+        h = min(dv, R - v)
+        steps += 1
+        v = steps * dv if h == dv else R
+        yield h, v
 
 
 def _min_disc(disc) -> float:
@@ -513,11 +517,12 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     spectrum = np.fft.rfft(axis)
     work = (np.empty_like(axis), spectrum,
             *(np.empty_like(axis) for _ in range(4)))
-    # The stored levels and the Z_u and k1 of each, in buffers whose room
-    # doubles when full.  A new level is written into the row after the
-    # last stored one, and a skipped level stays there while it drives the
-    # next step.
-    states, states_u, states_v = (np.empty((_FIRST_ROOM,) + axis.shape)
+    # The stored levels and the Z_u and k1 of each, in buffers with a row
+    # for the axis and for each step (``validate`` bounds their cells).  A
+    # new level is written into the row after the last stored one, and a
+    # skipped level stays there while it drives the next step.
+    room = 1 + sum(1 for _ in _heights(params))
+    states, states_u, states_v = (np.empty((room,) + axis.shape)
                                   for _ in range(3))
     states[0] = level = axis
     count = 1
@@ -532,19 +537,14 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     status, detail = "completed", f"reached v={params.R:.6g}"
     streak = skipped = 0
     v_now = 0.0
-    step_index = 0
 
-    while v_now < params.R - 1e-12 * params.R:
-        h = min(params.dv, params.R - v_now)
+    for h, v_next in _heights(params):
         slot_u = slot_v = None
         if kept:
             slot_u, slot_v = states_u[count - 1], states_v[count - 1]
             derived = count
         k1 = assemble_rhs(level, field, values,
                           _du_of_spectrum(spectrum, n_u, slot_u), slot_v, plan)
-        if count == len(states):
-            states, states_u, states_v = (_grown(rows, count) for rows in
-                                          (states, states_u, states_v))
         try:
             nxt = _rk4_step(level, h, field, plan, k1, work, states[count])
         except FieldEvalError as err:
@@ -552,8 +552,7 @@ def march(curve: PeriodicCurve, field: CoefficientField,
             break
 
         nxt = _filter_in_place(nxt, factors, spectrum, work[2])
-        v_now = (step_index + 1) * params.dv if h == params.dv else params.R
-        step_index += 1
+        v_now = v_next
 
         if not np.isfinite(nxt).all():
             status = "non-finite"

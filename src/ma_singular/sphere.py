@@ -46,7 +46,7 @@ class SphereCurve:
     sigma: np.ndarray
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
+        sigma = np.array(self.sigma, dtype=float)  # frozen below: a copy
         if sigma.ndim != 2 or sigma.shape[1] != 3:
             raise ValidationError("sigma must have shape (n, 3)")
         norms = np.linalg.norm(sigma, axis=1)

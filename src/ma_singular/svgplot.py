@@ -16,14 +16,21 @@ _PALETTE = ("#1b6ca8", "#c23b22", "#2e8540", "#8e44ad", "#b8860b", "#444444")
 _SIZE = 640
 _MARGIN = 40
 
-#: Most levels ``image_curves_svg`` draws and most node columns
-#: ``residual_strip_svg`` draws; longer axes are evenly strided.
+#: Most levels ``image_curves_svg`` draws, and most node columns and level
+#: rows ``residual_strip_svg`` draws; longer axes are evenly strided.  The
+#: default march's patch has 136 levels, all drawn.
 _MAX_LEVELS = 24
 _MAX_COLS = 128
+_MAX_ROWS = 256
 
 #: The log10 |residual| range of the heat strip's colour scale.
 _LOG_LO = -12.0
 _LOG_HI = 0.0
+
+
+def _stride(size: int, most: int) -> int:
+    """The even stride that takes at most ``most`` of ``size`` entries."""
+    return max(1, int(np.ceil(size / most)))
 
 
 def _fmt(value: float) -> str:
@@ -93,8 +100,7 @@ def image_curves_svg(x: np.ndarray, y: np.ndarray) -> str:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n_levels = x.shape[0]
-    stride = max(1, int(np.ceil(n_levels / _MAX_LEVELS)))
-    rows = list(range(0, n_levels, stride))
+    rows = list(range(0, n_levels, _stride(n_levels, _MAX_LEVELS)))
     if rows[-1] != n_levels - 1:
         rows.append(n_levels - 1)
     pts = [np.column_stack([x[k], y[k]]) for k in rows]
@@ -136,12 +142,15 @@ def _texts(template: str, values: np.ndarray) -> np.ndarray:
 
 
 def residual_strip_svg(residuals: np.ndarray, v: np.ndarray) -> str:
-    """Heat strip of log10 |residual| over (level, node); NaN cells gray."""
+    """Heat strip of log10 |residual| over (level, node); NaN cells gray.
+
+    At most ``_MAX_ROWS`` levels and ``_MAX_COLS`` nodes are drawn, evenly
+    strided; the caption gives the first and last v of ``v``.
+    """
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     n_levels, n_u = residuals.shape
-    stride = max(1, int(np.ceil(n_u / _MAX_COLS)))
-    grid = residuals[:, ::stride]
-    n_cols = grid.shape[1]
+    grid = residuals[::_stride(n_levels, _MAX_ROWS), ::_stride(n_u, _MAX_COLS)]
+    n_levels, n_cols = grid.shape
     cell_w = (_SIZE - 2 * _MARGIN) / n_cols
     cell_h = (_SIZE - 2 * _MARGIN) / n_levels
     finite = np.isfinite(grid)
@@ -159,11 +168,11 @@ def residual_strip_svg(residuals: np.ndarray, v: np.ndarray) -> str:
     pieces[..., 0] = _texts('<rect x="%.6f" y="', xs)
     pieces[..., 1] = _texts("%.6f" + size, ys)[:, None]
     pieces[..., 2] = _texts('%06x"/>\n', fills)[index.reshape(fill.shape)]
-    rects = "".join(pieces.ravel().tolist())[:-1]
-    parts = _header("residual")
-    parts.append(rects)
-    parts.append(f'<text x="{_MARGIN}" y="{_SIZE - 12}" fill="#444444" '
+    # Every line ends in its newline, so one join makes the text.
+    lines = [line + "\n" for line in _header("residual")]
+    lines += pieces.ravel().tolist()
+    lines.append(f'<text x="{_MARGIN}" y="{_SIZE - 12}" fill="#444444" '
                  f'font-size="12">v from {v[0]:.4g} to {v[-1]:.4g}, '
-                 f'log10 scale {_LOG_LO:g}..{_LOG_HI:g}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+                 f'log10 scale {_LOG_LO:g}..{_LOG_HI:g}</text>\n')
+    lines.append("</svg>\n")
+    return "".join(lines)

@@ -8,6 +8,7 @@ signed zeros, subnormals and values at the heat-map clip edges.
 
 import dataclasses
 import decimal
+import io
 import json
 import math
 
@@ -32,6 +33,7 @@ from ma_singular.geometry import (
 from ma_singular.march import MarchParams, StripSolution, march
 from ma_singular.svgplot import (
     _MARGIN,
+    _MAX_ROWS,
     _SIZE,
     _fmt,
     _header,
@@ -122,15 +124,15 @@ def reference_heat_color(t):
 
 
 def reference_residual_strip_svg(residuals, v):
-    max_cols, log_lo, log_hi = 128, -12.0, 0.0
+    max_rows, max_cols, log_lo, log_hi = 256, 128, -12.0, 0.0
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     n_levels, n_u = residuals.shape
-    stride = max(1, int(np.ceil(n_u / max_cols)))
-    cols = list(range(0, n_u, stride))
+    rows = list(range(0, n_levels, max(1, int(np.ceil(n_levels / max_rows)))))
+    cols = list(range(0, n_u, max(1, int(np.ceil(n_u / max_cols)))))
     cell_w = (_SIZE - 2 * _MARGIN) / len(cols)
-    cell_h = (_SIZE - 2 * _MARGIN) / n_levels
+    cell_h = (_SIZE - 2 * _MARGIN) / len(rows)
     parts = _header("residual")
-    for i in range(n_levels):
+    for ic, i in enumerate(rows):
         for jc, j in enumerate(cols):
             value = residuals[i, j]
             if not np.isfinite(value):
@@ -139,7 +141,7 @@ def reference_residual_strip_svg(residuals, v):
                 mag = np.log10(max(abs(value), 10.0 ** log_lo))
                 color = reference_heat_color((mag - log_lo) / (log_hi - log_lo))
             x0 = _MARGIN + jc * cell_w
-            y0 = _SIZE - _MARGIN - (i + 1) * cell_h
+            y0 = _SIZE - _MARGIN - (ic + 1) * cell_h
             parts.append(f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" '
                          f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
                          f'fill="{color}"/>')
@@ -251,6 +253,22 @@ def test_residual_svg_matches_reference_on_a_strided_grid():
                 == reference_residual_strip_svg(residuals, v))
 
 
+@pytest.mark.parametrize("n_levels, rows", [(256, 256), (257, 129),
+                                            (1000, 250)])
+def test_residual_svg_strides_levels_above_the_row_cap(n_levels, rows):
+    # Levels are strided as columns are: 257 and 1000 levels take strides
+    # 2 and 4, and the caption keeps the first and last v.
+    assert _MAX_ROWS == 256
+    rng = np.random.default_rng(n_levels)
+    residuals = 10.0 ** rng.uniform(-14.0, 1.0, size=(n_levels, 64))
+    residuals[::5, ::3] = np.nan
+    v = np.linspace(1e-3, 0.15, n_levels)
+    text = residual_strip_svg(residuals, v)
+    assert text.count("<rect x=") == rows * 64
+    assert "v from 0.001 to 0.15," in text
+    assert text == reference_residual_strip_svg(residuals, v)
+
+
 # ---------------------------------------------------------------------------
 # The cell formatter against "%.17g"
 
@@ -351,6 +369,18 @@ def test_patch_csv_with_masked_residual_matches_reference():
     patch = dataclasses.replace(patch, J=J, residual=residual)
     assert np.isnan(patch.residual).any()
     assert patch_to_csv(patch) == reference_patch_to_csv(patch)
+
+
+def test_csv_written_into_a_file_is_the_returned_text():
+    # The CLI streams both CSVs into their files chunk by chunk (26 and 23
+    # chunks here); the bytes are those of the returned text.
+    strip = march(builtin_curve("wobble"), builtin_field("pure-one"),
+                  MarchParams())
+    for write, source in ((_strip_csv, strip),
+                          (patch_to_csv, reconstruct_graph(strip))):
+        file = io.StringIO()
+        assert write(source, file) is None
+        assert file.getvalue() == write(source)
 
 
 # ---------------------------------------------------------------------------

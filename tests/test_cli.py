@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from ma_singular import cli
+from ma_singular import cli, geometry
 from ma_singular.cli import (
     DEFAULT_CONFIG,
     load_config,
@@ -1509,32 +1510,40 @@ def _files(out):
     return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
+def _disk_full_at(out, failing):
+    """A ``Path.open`` whose ``failing``-th file in ``out`` takes half of the
+    first text written to it and then raises ENOSPC."""
+    real_open = Path.open
+    opened = []
+
+    def open_(self, *args, **kwargs):
+        file = real_open(self, *args, **kwargs)
+        if self.parent == out:
+            opened.append(self)
+            if len(opened) == failing:
+                def write(text):
+                    type(file).write(file, text[:len(text) // 2])
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
+                                  str(self))
+                file.write = write
+        return file
+
+    return open_
+
+
 @pytest.mark.parametrize("failing", [1, 2, 3, None],
                          ids=["first", "middle", "last", "none"])
 def test_a_failing_write_is_nine_and_leaves_the_earlier_run(
         tmp_path, capsys, monkeypatch, failing):
     # The earlier run drew figures the failing one would remove.  The k-th
-    # write into out (strip.csv, patch.csv, report.json in turn) writes
-    # half its text and then finds the disk full.
+    # file opened in out (strip.csv, patch.csv, report.json in turn) takes
+    # half of the first text written to it and then finds the disk full.
     out = tmp_path / "run"
     argv = ["construct", "--out", str(out), "--set", "march.R=0.05"]
     assert main(argv + ["--set", "emit.svg=true"]) == 0
     earlier = _files(out)
     assert sorted(earlier) == sorted(_ARTIFACTS)
-
-    real_write = Path.write_text
-    writes = []
-
-    def write_text(self, text, *args, **kwargs):
-        if self.parent == out:
-            writes.append(self)
-            if len(writes) == failing:
-                real_write(self, text[:len(text) // 2], *args, **kwargs)
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC),
-                              str(self))
-        return real_write(self, text, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "write_text", write_text)
+    monkeypatch.setattr(Path, "open", _disk_full_at(out, failing))
     code = main(argv + ["--set", "curve.builtin=wobble"])
     err = capsys.readouterr().err
     if failing is None:
@@ -1546,6 +1555,59 @@ def test_a_failing_write_is_nine_and_leaves_the_earlier_run(
     assert code == 9
     assert err == f"error: cannot write {out / name}: No space left on device\n"
     assert _files(out) == earlier
+
+
+@pytest.mark.parametrize("error", [
+    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+    RuntimeError("the formatter failed"),
+], ids=["os-error", "other-error"])
+def test_a_failure_while_a_csv_streams_leaves_the_earlier_run(
+        tmp_path, capsys, monkeypatch, error):
+    # strip.csv is formatted as it is written; its third chunk fails.  An
+    # OSError is a failed write, exit 9; anything else propagates.  Either
+    # way the staged files go and out holds the earlier run.
+    out = tmp_path / "run"
+    argv = ["construct", "--out", str(out), "--set", "march.R=0.05"]
+    assert main(argv + ["--set", "emit.svg=true"]) == 0
+    earlier = _files(out)
+    real_format = geometry._format_17g
+    calls = []
+
+    def format_17g(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise error
+        return real_format(*args)
+
+    monkeypatch.setattr(geometry, "_format_17g", format_17g)
+    argv += ["--set", "curve.builtin=wobble"]
+    if isinstance(error, OSError):
+        assert main(argv) == 9
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / 'strip.csv'}: No space left on device\n")
+    else:
+        with pytest.raises(RuntimeError, match="the formatter failed"):
+            main(argv)
+    assert len(calls) == 3
+    assert not list(out.glob(".*.tmp"))
+    assert _files(out) == earlier
+
+
+def test_default_construct_peaks_under_eight_megabytes(tmp_path):
+    # The march's buffers hold its 151 levels, the analysis keeps no
+    # unread evidence, and the CSVs are written chunk by chunk with no
+    # whole-file text: about 6 MiB.  With room for 256 levels, the four
+    # relations and whole CSV texts it peaked at 11.2 MiB.
+    assert main(["construct", "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = main(["construct", "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

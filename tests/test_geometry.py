@@ -36,6 +36,7 @@ from ma_singular.geometry import (
     strip_to_csv,
 )
 from ma_singular.march import MarchParams, march
+from test_geometry_reference import reference_consistency
 
 PURE_ONE = builtin_field("pure-one")
 
@@ -106,17 +107,17 @@ def test_jv_axis_matches_forward_difference_of_jacobian():
 
 
 def test_hessian_identity_chart_passthrough():
-    r, s, t, defect, J, valid = hessian_from_derivatives(
+    r, s, t, J, valid = hessian_from_derivatives(
         1.0, 0.0, 0.0, 1.0, 2.0, 0.5, 0.5, 3.0)
     assert (r, s, t) == (2.0, 0.5, 3.0)
-    assert defect == 0.0 and J == 1.0 and valid
+    assert J == 1.0 and valid
 
 
 def test_hessian_guards_singular_chart():
-    r, s, t, defect, J, valid = hessian_from_derivatives(
+    r, s, t, J, valid = hessian_from_derivatives(
         1.0, 2.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0)
     assert J == 0.0 and not valid
-    assert np.isnan(r) and np.isnan(s) and np.isnan(t) and np.isnan(defect)
+    assert np.isnan(r) and np.isnan(s) and np.isnan(t)
 
 
 def test_hessian_from_strip_matches_radial_closed_form(circle_strip):
@@ -126,8 +127,11 @@ def test_hessian_from_strip_matches_radial_closed_form(circle_strip):
     np.testing.assert_allclose(level.r, r, atol=1e-9)
     np.testing.assert_allclose(level.s, s, atol=1e-9)
     np.testing.assert_allclose(level.t, t, atol=1e-9)
-    assert np.max(level.sym_defect) < 1e-10
-    assert np.max(level.fin_residual) < 1e-10
+    # The symmetry of the chain-rule s and the four first-order relations
+    # the marched system satisfies hold to round-off.
+    sym_defect, fin_residual = reference_consistency(circle_strip, k)
+    assert np.max(sym_defect) < 1e-10
+    assert np.max(fin_residual) < 1e-10
     assert np.all(level.valid)
 
 
@@ -148,7 +152,7 @@ def test_hessian_from_strip_selection_stacks_single_levels(circle_strip):
     idx = [1, 7, 50, 150]
     whole = hessian_from_strip(circle_strip, idx)
     singles = [hessian_from_strip(circle_strip, k) for k in idx]
-    for name in ("r", "s", "t", "sym_defect", "fin_residual", "J", "valid"):
+    for name in ("r", "s", "t", "J", "valid"):
         assert_bitwise_equal(getattr(whole, name),
                              np.stack([getattr(h, name) for h in singles]))
     by_slice = hessian_from_strip(circle_strip, slice(1, None))
@@ -397,6 +401,16 @@ def paraboloid_patch(n_levels=4, n_u=32):
                       r_min=float(v[0]), r_max=float(v[-1]),
                       multivalued=False, provenance="synthetic:paraboloid",
                       field=PURE_ONE)
+
+
+def test_graph_patch_leaves_the_callers_arrays_writeable(circle_patch):
+    # The patch freezes views of the caller's arrays, not the arrays, and
+    # copies none of them.
+    residual = circle_patch.residual.copy()
+    patch = dataclasses.replace(circle_patch, residual=residual)
+    assert residual.flags.writeable
+    assert not patch.residual.flags.writeable
+    assert np.shares_memory(patch.residual, residual)
 
 
 def test_legendre_dual_gradient_is_xy(circle_patch):

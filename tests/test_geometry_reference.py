@@ -77,16 +77,29 @@ def reference_hessian_from_derivatives(x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v,
 
 
 def reference_hessian_from_strip(strip, level, guard=JACOBIAN_GUARD):
-    Z, (x_u, y_u, _, p_u, q_u), (x_v, y_v, _, p_v, q_v) = \
+    _, (x_u, y_u, _, p_u, q_u), (x_v, y_v, _, p_v, q_v) = \
         reference_derivatives(strip, level)
-    r, s, t, sym_defect, J, valid = reference_hessian_from_derivatives(
+    r, s, t, _, J, valid = reference_hessian_from_derivatives(
         x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v, guard=guard)
     dead = np.atleast_1d(~np.any(valid, axis=-1))
     if np.any(dead):
         k = np.atleast_1d(np.arange(strip.n_levels)[level])[np.argmax(dead)]
         raise SingularJacobianError(
             f"level {k} (v={strip.v[k]:.6g}) has |J| <= {guard} everywhere")
+    return HessianLevel(r=r, s=s, t=t, J=J, valid=valid)
 
+
+def reference_consistency(strip, level):
+    """(sym_defect, fin_residual) of the recovered Hessian on ``level``.
+
+    sym_defect is |s_from_p - s_from_q| before symmetrization;
+    fin_residual is the worst of the four first-order relations that the
+    marched system satisfies identically in exact arithmetic.
+    """
+    Z, (x_u, y_u, _, p_u, q_u), (x_v, y_v, _, p_v, q_v) = \
+        reference_derivatives(strip, level)
+    r, s, t, sym_defect, _, _ = reference_hessian_from_derivatives(
+        x_u, x_v, y_u, y_v, p_u, p_v, q_u, q_v)
     a, b, c, e, disc = eval_field(strip.field, tuple(Z))
     root = np.sqrt(disc)
     rel = np.stack([
@@ -95,9 +108,7 @@ def reference_hessian_from_strip(strip, level, guard=JACOBIAN_GUARD):
         root * x_v - ((b - s) * x_u - (a + t) * y_u),
         root * x_u + ((b - s) * x_v - (a + t) * y_v),
     ])
-    fin_residual = np.max(np.abs(rel), axis=0)
-    return HessianLevel(r=r, s=s, t=t, sym_defect=sym_defect,
-                        fin_residual=fin_residual, J=J, valid=valid)
+    return sym_defect, np.max(np.abs(rel), axis=0)
 
 
 def reference_residual(a, b, c, e, hess):

@@ -15,6 +15,7 @@ from ma_singular.errors import ValidationError
 from ma_singular.march import (
     MAX_MARCH_CELLS,
     MarchParams,
+    StripSolution,
     _filter_factors,
     _filter_in_place,
     assemble_rhs,
@@ -309,6 +310,38 @@ def test_march_past_the_cell_budget_is_refused(kwargs, cells):
         assert tracemalloc.get_traced_memory()[1] < 100_000
     finally:
         tracemalloc.stop()
+
+
+def test_march_holds_its_levels_once():
+    # Its three level buffers have a row for the axis and one for each
+    # step: 51 rows of 5 x 256 nodes here, about 1.6 MiB with the field's
+    # temporaries, where room for 256 levels peaked at 7.6 MiB.
+    curve, field = builtin_curve("remark42"), builtin_field("remark42")
+    params = MarchParams(R=0.05, n_u=256)
+    march(curve, field, params)  # the cached factors of 256 points
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        strip = march(curve, field, params)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (strip.status, strip.n_levels) == ("completed", 51)
+    assert peak < 2.5 * 2 ** 20
+
+
+def test_strip_solution_leaves_the_callers_arrays_writeable():
+    # The strip freezes views of the caller's arrays, not the arrays, and
+    # copies none of them.
+    states = np.zeros((2, 5, 8))
+    strip = StripSolution(
+        v=np.array([0.0, 1e-3]), u=2.0 * np.pi * np.arange(8) / 8,
+        states=states, high_frac=np.zeros(2), min_disc=np.ones(2),
+        status="completed", detail="drawn", curve=CIRCLE, field=PURE_ONE,
+        params=MarchParams())
+    assert states.flags.writeable
+    assert not strip.states.flags.writeable
+    assert np.shares_memory(strip.states, states)
 
 
 def test_cell_budget_is_two_to_the_twenty_two():

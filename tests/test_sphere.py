@@ -52,6 +52,16 @@ def test_sigma_is_on_the_sphere_and_hemisphere():
     assert np.min(sphere.sigma[:, 2]) > 0
 
 
+def test_sphere_curve_leaves_the_callers_array_writeable():
+    # The curve freezes a copy of its samples, not the caller's array.
+    samples = plane_sphere(builtin_curve("wobble")).sigma.copy()
+    sphere = SphereCurve(samples)
+    assert samples.flags.writeable
+    assert not sphere.sigma.flags.writeable
+    samples[0] = (0.0, 0.0, 1.0)
+    assert sphere.sigma[0, 2] < 1.0
+
+
 def test_circle_geodesic_det_is_constant():
     sphere = plane_sphere(builtin_curve("circle"))
     det = geodesic_curvature_det(sphere)
