@@ -271,19 +271,24 @@ def _classification_dict(report) -> dict:
     }
 
 
-def _ellipticity_spot_check(field: CoefficientField, n: int = 256):
+#: The random in-box states of the ellipticity spot check.
+_SPOT_CHECK_N = 256
+
+
+def _ellipticity_spot_check(field: CoefficientField):
     """Random in-box states, seeded; the march only visits a curve through
     the box."""
     rng = np.random.default_rng(0)
     state = []
     for name in ("x", "y", "z", "p", "q"):
         lo, hi = field.box[name]
-        state.append(rng.uniform(lo, hi, size=n))
+        state.append(rng.uniform(lo, hi, size=_SPOT_CHECK_N))
     try:
         disc = eval_field(field, tuple(state))[4]
-        return {"n": n, "min_disc": float(np.min(disc)), "error": None}
+        return {"n": _SPOT_CHECK_N, "min_disc": float(np.min(disc)),
+                "error": None}
     except FieldEvalError as err:  # reported, not fatal
-        return {"n": n, "min_disc": None, "error": str(err)}
+        return {"n": _SPOT_CHECK_N, "min_disc": None, "error": str(err)}
 
 
 def _construct_pipeline(prepared):
@@ -347,8 +352,12 @@ def _strict_json(value):
     return value
 
 
-def _curve_polyline(curve: PeriodicCurve, n: int = 720) -> np.ndarray:
-    u = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+#: The points of a curve drawn in ``curves.svg``.
+_POLYLINE_N = 720
+
+
+def _curve_polyline(curve: PeriodicCurve) -> np.ndarray:
+    u = np.linspace(0.0, 2.0 * np.pi, _POLYLINE_N, endpoint=False)
     alpha, beta, *_ = eval_curve(curve, u)
     return np.column_stack([alpha, beta])
 

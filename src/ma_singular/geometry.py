@@ -113,27 +113,23 @@ def _strip_analysis(strip: StripSolution):
     """(Z, Z_v, hessian, residual, ok, tables, rising), made once per strip.
 
     Z and Z_v are (5, levels, n_u); Z_v is the marched system at each
-    level, so it is exact for the semi-discrete flow; the PDE residual is
-    unmasked.  A marched strip carries the Z_u and Z_v its march took;
-    any other strip's are computed here from its states, with the same
-    bits.  ok, tables and rising are the level analysis of levels 1..L:
-    ``_level_rows`` of x and y, with z, p and q, and ``_rising`` of its
-    tables; row k - 1 is level k, and rising[k - 1] is the pair (k, k + 1).
-    Every array is read-only.  A level outside the field's box raises
-    even when it is not selected; a marched strip stores only levels that
-    passed the field check, so only a hand-built strip can hit that.
+    level, from the spectral Z_u of the states, so it is exact for the
+    semi-discrete flow and has the bits of the k1 the march took there;
+    the PDE residual is unmasked.  ok, tables and rising are the level
+    analysis of levels 1..L: ``_level_rows`` of x and y, with z, p and q,
+    and ``_rising`` of its tables; row k - 1 is level k, and rising[k - 1]
+    is the pair (k, k + 1).  Every array is read-only.  A level outside
+    the field's box raises even when it is not selected; a marched strip
+    stores only levels that passed the field check, so only a hand-built
+    strip can hit that.
     """
     analysis = _ANALYSES.get(strip)
     if analysis is not None:
         return analysis
     Z = np.moveaxis(strip.states, -2, 0)
     a, b, c, e, _ = values = eval_field(strip.field, tuple(Z))
-    if strip.states_v is None:
-        Z_u = spectral_du(Z)
-        Z_v = assemble_rhs(Z, strip.field, values, Z_u)
-    else:
-        Z_u, Z_v = (np.moveaxis(rows, -2, 0)
-                    for rows in (strip.states_u, strip.states_v))
+    Z_u = spectral_du(Z)
+    Z_v = assemble_rhs(Z, strip.field, values, Z_u)
     x_u, y_u, _, p_u, q_u = Z_u
     x_v, y_v, _, p_v, q_v = Z_v
     r, s, t, J, valid = hessian_from_derivatives(
@@ -229,10 +225,11 @@ def pde_residual(strip: StripSolution) -> ResidualReport:
     if not idx:
         raise ValidationError(
             f"no stored levels at v >= {v_min:.6g}; strip reached {strip.v[-1]:.6g}")
-    hess = hessian_from_strip(strip, idx)
+    levels = slice(idx[0], None)
+    hess = hessian_from_strip(strip, levels)
     _, _, _, unmasked, *_ = _strip_analysis(strip)
     keep = hess.valid & (np.abs(hess.J) > RESIDUAL_J_FLOOR)
-    residuals = np.where(keep, unmasked[idx], np.nan)
+    residuals = np.where(keep, unmasked[levels], np.nan)
     count = int(np.sum(keep))
     if count == 0:
         raise SingularJacobianError(
@@ -411,7 +408,7 @@ def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> Graph
             f"J <= 0 at level {k} (v={strip.v[k]:.6g}); "
             "the selected interior is not a local graph")
     Z, _, _, unmasked, ok, tables, rising = _strip_analysis(strip)
-    x, y, z, p, q = Z[:, idx]
+    x, y, z, p, q = Z[:, levels]
     residual = np.where(np.abs(hess.J) > RESIDUAL_J_FLOOR, unmasked[levels],
                         np.nan)
 
@@ -419,7 +416,7 @@ def reconstruct_graph(strip: StripSolution, v_min: float | None = None) -> Graph
     tables = tuple(arr[rows] for arr in tables)
     rho = tables[1]
     patch = GraphPatch(
-        v=strip.v[idx], u=strip.u, x=x, y=y, z=z, p=p, q=q,
+        v=strip.v[levels], u=strip.u, x=x, y=y, z=z, p=p, q=q,
         r=hess.r, s=hess.s, t=hess.t, J=hess.J, residual=residual,
         r_min=float(np.min(rho)), r_max=float(np.max(rho)),
         multivalued=not (single and np.all(rising[rows])),
@@ -529,9 +526,10 @@ def legendre_dual_normals(strip: StripSolution, a: float = 0.0,
     v_min, idx = _interior_levels(strip, None)
     if not idx:
         raise ValidationError(f"no stored levels at v >= {v_min:.6g}")
+    levels = slice(idx[0], None)
     Z, Z_v, *_ = _strip_analysis(strip)
-    x, y, z, p, q = Z[:, idx]
-    x_v, y_v, z_v, p_v, q_v = Z_v[:, idx]
+    x, y, z, p, q = Z[:, levels]
+    x_v, y_v, z_v, p_v, q_v = Z_v[:, levels]
     xi, eta, zeta = _legendre_map(x, y, z, p, q, a, c)
     xi_u, eta_u, zeta_u = spectral_du(np.stack([xi, eta, zeta]))
 

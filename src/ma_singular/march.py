@@ -13,7 +13,6 @@ bit-identical output.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import numbers
@@ -103,7 +102,8 @@ def _du_of_spectrum(spec: np.ndarray, n: int, out=None) -> np.ndarray:
 #: 10001 x 128 of the finest march the tests make.  A CLI ``construct``
 #: grows ``ru_maxrss`` past its imports by about 380 bytes a cell at
 #: 1501 x 128 and 350 at 6001 x 128 (x86-64 Linux), so about 1.5 GB at
-#: the budget.
+#: the budget; the march's level buffer is 40 of those bytes, and the
+#: strip analysis makes the peak.
 MAX_MARCH_CELLS = 2 ** 22
 
 
@@ -151,13 +151,9 @@ class StripSolution:
     "box-exit", "instability-abort", "ellipticity", "non-finite"; levels
     stored always passed the stability monitor.  ``levels_skipped`` counts
     the levels that tripped it once and drove the next step unstored.
-
-    ``states_u`` and ``states_v`` are Z_u and Z_v at each stored level,
-    shaped as ``states``, as the march took them: Z_v is the k1 of the
-    step that left the level (the last level's is the same system, taken
-    when the march ends).  They are None on a strip the march did not
-    make, ``dataclasses.replace`` included, whose analysis derives them
-    from its states.
+    Every field is an init field: a strip built from another's fields is
+    that strip, whoever made it, and its analysis derives Z_u and Z_v
+    from ``states``.
     """
 
     v: np.ndarray
@@ -171,10 +167,6 @@ class StripSolution:
     field: CoefficientField
     params: MarchParams
     levels_skipped: int = 0
-    states_u: np.ndarray | None = dataclasses.field(default=None, init=False,
-                                                    repr=False)
-    states_v: np.ndarray | None = dataclasses.field(default=None, init=False,
-                                                    repr=False)
 
     def __post_init__(self):
         # Read-only views: the caller's arrays stay as they were, uncopied.
@@ -289,19 +281,8 @@ def assemble_rhs(level: np.ndarray, field: CoefficientField,
     """
     level_u = spectral_du(level) if level_u is None else level_u
     values = _field_values(field, level) if values is None else values
-    plan = _plan_of(field) if plan is None else plan
-    return _rhs(level, level_u, values, plan,
-                np.empty(np.shape(level)) if out is None else out)
-
-
-def _plan_of(field: CoefficientField) -> tuple:
-    """The ``_rhs_plan`` of a field's coefficient kinds."""
-    return _rhs_plan(tuple(map(_kind, field._constants)))
-
-
-def _rhs(level, level_u, values, plan, out: np.ndarray) -> np.ndarray:
-    """``assemble_rhs`` with its inputs at hand, written into ``out``."""
-    sums, rows, divide = plan
+    sums, rows, divide = _plan_of(field) if plan is None else plan
+    out = np.empty(np.shape(level)) if out is None else out
     coefficients = [*values[:4], level[3], level[4]]
     for terms in sums:
         coefficients.append(_sum_into(np.empty(np.shape(level)[1:]), terms,
@@ -311,6 +292,11 @@ def _rhs(level, level_u, values, plan, out: np.ndarray) -> np.ndarray:
     if divide:
         np.divide(out, np.sqrt(values[4]), out=out)
     return out
+
+
+def _plan_of(field: CoefficientField) -> tuple:
+    """The ``_rhs_plan`` of a field's coefficient kinds."""
+    return _rhs_plan(tuple(map(_kind, field._constants)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -513,21 +499,20 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     plan = _plan_of(field)
     # One spectrum buffer holds, in turn, a level's rfft for the monitor
     # (which k1 then differentiates in place), each stage's and the
-    # filter's.
+    # filter's.  k1 has a buffer of its own; the level's Z_u, which only
+    # k1 reads, goes into the buffer of the stages' Z_u.
     spectrum = np.fft.rfft(axis)
     work = (np.empty_like(axis), spectrum,
             *(np.empty_like(axis) for _ in range(4)))
-    # The stored levels and the Z_u and k1 of each, in buffers with a row
-    # for the axis and for each step (``validate`` bounds their cells).  A
-    # new level is written into the row after the last stored one, and a
-    # skipped level stays there while it drives the next step.
+    k1 = np.empty_like(axis)
+    # The stored levels, in one buffer with a row for the axis and for
+    # each step (``validate`` bounds its cells).  A new level is written
+    # into the row after the last stored one, and a skipped level stays
+    # there while it drives the next step.
     room = 1 + sum(1 for _ in _heights(params))
-    states, states_u, states_v = (np.empty((room,) + axis.shape)
-                                  for _ in range(3))
+    states = np.empty((room,) + axis.shape)
     states[0] = level = axis
     count = 1
-    derived = 0         # stored levels whose Z_u and k1 are in the buffers
-    kept = True         # whether ``level`` is the last stored level
 
     v_list = [0.0]
     frac0, _ = stability_monitor(spectrum)
@@ -539,12 +524,8 @@ def march(curve: PeriodicCurve, field: CoefficientField,
     v_now = 0.0
 
     for h, v_next in _heights(params):
-        slot_u = slot_v = None
-        if kept:
-            slot_u, slot_v = states_u[count - 1], states_v[count - 1]
-            derived = count
-        k1 = assemble_rhs(level, field, values,
-                          _du_of_spectrum(spectrum, n_u, slot_u), slot_v, plan)
+        assemble_rhs(level, field, values,
+                     _du_of_spectrum(spectrum, n_u, work[2]), k1, plan)
         try:
             nxt = _rk4_step(level, h, field, plan, k1, work, states[count])
         except FieldEvalError as err:
@@ -568,7 +549,6 @@ def march(curve: PeriodicCurve, field: CoefficientField,
         spectrum = np.fft.rfft(nxt, out=spectrum)
         frac, exceeded = stability_monitor(spectrum)
         level = nxt
-        kept = not exceeded
         if exceeded:
             streak += 1
             if streak >= 2:
@@ -587,16 +567,6 @@ def march(curve: PeriodicCurve, field: CoefficientField,
         fracs.append(frac)
         discs.append(_min_disc(values[4]))
 
-    if derived < count:
-        # The last stored level drove no step: its derivatives are taken
-        # here, from its check's field values and its monitor's spectrum.
-        _rhs(level, _du_of_spectrum(spectrum, n_u, states_u[count - 1]),
-             values, plan, states_v[count - 1])
-    strip = StripSolution(np.array(v_list), u, states[:count], np.array(fracs),
-                          np.array(discs), status, detail, curve, field, params,
-                          skipped)
-    for name, rows in (("states_u", states_u), ("states_v", states_v)):
-        rows = rows[:count]
-        rows.flags.writeable = False
-        object.__setattr__(strip, name, rows)
-    return strip
+    return StripSolution(np.array(v_list), u, states[:count], np.array(fracs),
+                         np.array(discs), status, detail, curve, field, params,
+                         skipped)

@@ -29,11 +29,25 @@ from ma_singular.coeffs import (
     pure_field,
 )
 from ma_singular.curves import PeriodicCurve, builtin_curve, eval_curve
-from ma_singular.errors import EllipticityError, FieldEvalError, OutOfBoxError
+from ma_singular.errors import (
+    EllipticityError,
+    FieldEvalError,
+    OutOfBoxError,
+    SingularJacobianError,
+    ValidationError,
+)
 from ma_singular.expr import VARIABLES, evaluate
-from ma_singular.geometry import _strip_analysis
+from ma_singular.geometry import (
+    _strip_analysis,
+    jacobian,
+    patch_to_csv,
+    pde_residual,
+    reconstruct_graph,
+    strip_to_csv,
+)
 from ma_singular.march import (
     MarchParams,
+    StripSolution,
     assemble_rhs,
     march,
     spectral_du,
@@ -397,8 +411,36 @@ _HANDOFF.update({
 })
 
 
+def _views(strip):
+    """What the analysis gives of a strip, as bytes, text or the error."""
+    def attempt(view):
+        try:
+            return view()
+        except (ValidationError, SingularJacobianError) as err:
+            return type(err).__name__, str(err)
+
+    def residual():
+        report = pde_residual(strip)
+        return (report.max_abs, report.rms, report.level_indices,
+                report.residuals.tobytes(), report.n_nodes)
+
+    def patch():
+        graph = reconstruct_graph(strip)
+        return ({name: value.tobytes() if isinstance(value, np.ndarray)
+                 else value for name, value in vars(graph).items()
+                 if name not in ("field", "level_tables")},
+                patch_to_csv(graph))
+
+    J, min_positive = jacobian(strip)  # NaN on a strip of the axis alone
+    return (J.tobytes(), np.float64(min_positive).tobytes(), attempt(residual),
+            attempt(patch), strip_to_csv(strip))
+
+
 @pytest.mark.parametrize("case", list(_HANDOFF) + ["replaced"])
 def test_strip_carries_the_derivatives_of_its_states(case, monkeypatch):
+    # A strip is its fields: the analysis takes Z_u and Z_v from its
+    # states alone, with the bits of the k1 the march took at each level,
+    # and a strip rebuilt from another's fields is analysed alike.
     curve, field, params, status, skipped = _HANDOFF.get(
         case, _HANDOFF["wobble-pure-one"])
     if case == "skipped-level":
@@ -410,28 +452,42 @@ def test_strip_carries_the_derivatives_of_its_states(case, monkeypatch):
             return frac, exceeded or len(calls) == 5
 
         monkeypatch.setattr(march_module, "stability_monitor", trip_fifth_call)
+    slopes = {}
+
+    def record_k1(level, field, values=None, *args):
+        slope = assemble_rhs(level, field, values, *args)
+        if values is not None:  # k1 reuses the values of its level's check
+            slopes[level.tobytes()] = slope.tobytes()
+        return slope
+
+    monkeypatch.setattr(march_module, "assemble_rhs", record_k1)
     field = builtin_field(field) if isinstance(field, str) else field
     curve = builtin_curve(curve) if isinstance(curve, str) else curve
-    strip = march(curve, field, params)
+    strip = marched = march(curve, field, params)
     assert (strip.status, strip.levels_skipped) == (status, skipped)
     if case == "replaced":
-        # Other states in the box: the analysis must read them, never the
-        # derivatives the march took of the old ones.
-        marched = strip
+        # Other states in the box: the analysis must read them.
         strip = dataclasses.replace(marched, states=0.5 * marched.states)
-        assert strip.states_u is None and strip.states_v is None
     Z = np.moveaxis(strip.states, -2, 0)
     Z_u = spectral_du(Z)
     Z_v = assemble_rhs(Z, strip.field)
-    if case != "replaced":
-        assert strip.states_u.shape == strip.states_v.shape == strip.states.shape
-        assert np.moveaxis(Z_u, 0, -2).tobytes() == strip.states_u.tobytes()
-        assert np.moveaxis(Z_v, 0, -2).tobytes() == strip.states_v.tobytes()
     analysis = _strip_analysis(strip)
     assert analysis[1].tobytes() == Z_v.tobytes()
     assert analysis[2].J.tobytes() == (Z_u[0] * Z_v[1] - Z_v[0] * Z_u[1]).tobytes()
     if case == "replaced":
         assert analysis[1].tobytes() != _strip_analysis(marched)[1].tobytes()
+    else:
+        # Every stored level drove a step, save perhaps the last.
+        driven = [k for k, level in enumerate(strip.states)
+                  if level.tobytes() in slopes]
+        assert len(driven) >= strip.n_levels - 1
+        for k in driven:
+            assert (np.ascontiguousarray(Z_v[:, k]).tobytes()
+                    == slopes[strip.states[k].tobytes()])
+    fields = dataclasses.fields(StripSolution)
+    assert all(f.init for f in fields)
+    rebuilt = StripSolution(**{f.name: getattr(strip, f.name) for f in fields})
+    assert _views(rebuilt) == _views(strip)
 
 
 def _monitored(kind):

@@ -190,10 +190,9 @@ def test_one_analysis_serves_every_view(monkeypatch):
     # Every evaluation of the field, including one inside assemble_rhs.
     for module in ("ma_singular.coeffs", "ma_singular.march"):
         count(importlib.import_module(module), "_field_values", "field_values")
-    # A marched strip carries the march's Z_v; a replaced one re-evaluates
-    # the system.  The field is evaluated once for the Hessian either way.
-    for strip, rhs in ((marched, 0),
-                       (dataclasses.replace(marched, states=marched.states), 1)):
+    # Marched or replaced, the strip's analysis evaluates the field once
+    # and takes Z_v in one pass of the system.
+    for strip in (marched, dataclasses.replace(marched, states=marched.states)):
         calls.update(assemble_rhs=0, eval_field=0, field_values=0)
         jacobian(strip)
         reconstruct_graph(strip)
@@ -201,7 +200,7 @@ def test_one_analysis_serves_every_view(monkeypatch):
         for _ in range(3):
             hessian_from_strip(strip, 5)
         legendre_dual_normals(strip)
-        assert calls == {"assemble_rhs": rhs, "eval_field": 1,
+        assert calls == {"assemble_rhs": 1, "eval_field": 1,
                          "field_values": 1}
 
 
@@ -214,12 +213,11 @@ def test_strip_analysis_transforms_once(monkeypatch):
             counts[_name] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    # Z_u serves the analysis and the re-evaluated system alike; a marched
-    # strip carries the march's, so its analysis transforms nothing.
-    for strip, transforms in ((marched, 0), (replaced, 1)):
+    # One Z_u serves the Hessian and the system alike, marched strip or not.
+    for strip in (marched, replaced):
         counts.update(rfft=0, irfft=0)
         jacobian(strip)
-        assert counts == {"rfft": transforms, "irfft": transforms}
+        assert counts == {"rfft": 1, "irfft": 1}
 
 
 def test_analysis_arrays_are_read_only():

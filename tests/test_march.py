@@ -313,9 +313,9 @@ def test_march_past_the_cell_budget_is_refused(kwargs, cells):
 
 
 def test_march_holds_its_levels_once():
-    # Its three level buffers have a row for the axis and one for each
-    # step: 51 rows of 5 x 256 nodes here, about 1.6 MiB with the field's
-    # temporaries, where room for 256 levels peaked at 7.6 MiB.
+    # Its one level buffer has a row for the axis and one for each step:
+    # 51 rows of 5 x 256 nodes here, 0.5 MiB, about 0.6 MiB with the
+    # field's temporaries.
     curve, field = builtin_curve("remark42"), builtin_field("remark42")
     params = MarchParams(R=0.05, n_u=256)
     march(curve, field, params)  # the cached factors of 256 points
@@ -327,7 +327,7 @@ def test_march_holds_its_levels_once():
     finally:
         tracemalloc.stop()
     assert (strip.status, strip.n_levels) == ("completed", 51)
-    assert peak < 2.5 * 2 ** 20
+    assert peak < 2 ** 20
 
 
 def test_strip_solution_leaves_the_callers_arrays_writeable():
@@ -580,11 +580,8 @@ def test_march_transforms_each_level_once_for_monitor_and_k1(
     # points k2, k3 and k4; back: k1 and the filter, and on more than 128
     # points k2 to k4 (on up to 128, those stages take a matrix product).  k1
     # differentiates from the monitor's spectrum of the level it starts
-    # from, so only the axis level adds a forward transform, and the last
-    # level, which starts no step, adds the inverse transform of the Z_u
-    # the strip carries.
-    assert counts == {"rfft": per_step * steps + 1,
-                      "irfft": per_step * steps + 1}
+    # from, so only the axis level adds a forward transform.
+    assert counts == {"rfft": per_step * steps + 1, "irfft": per_step * steps}
 
 
 def test_strip_level_accessor():
