@@ -27,6 +27,9 @@ JORDAN_SAMPLES = 2048
 #: Margins below this count as degenerate rather than signed.
 TOL = 1e-9
 
+#: The coefficient arrays of a ``PeriodicCurve``, in field order.
+_COEFFICIENTS = ("alpha_cos", "alpha_sin", "beta_cos", "beta_sin")
+
 
 @dataclass(frozen=True, eq=False)
 class PeriodicCurve:
@@ -44,9 +47,8 @@ class PeriodicCurve:
 
     def __post_init__(self):
         try:
-            arrays = [np.atleast_1d(np.asarray(a, dtype=float)) for a in
-                      (self.alpha_cos, self.alpha_sin, self.beta_cos,
-                       self.beta_sin)]
+            arrays = [np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+                      for name in _COEFFICIENTS]
         except (TypeError, ValueError):
             raise ValidationError("curve coefficients must be numbers") from None
         if any(a.ndim != 1 for a in arrays) or not any(a.size for a in arrays):
@@ -56,11 +58,8 @@ class PeriodicCurve:
             raise ValidationError("curve coefficients must be finite")
         m = max(a.size for a in arrays)
         padded = [np.concatenate([a, np.zeros(m - a.size)]) for a in arrays]
-        padded[1] = padded[1].copy()
-        padded[3] = padded[3].copy()
-        padded[1][0] = 0.0
-        padded[3][0] = 0.0
-        for name, a in zip(("alpha_cos", "alpha_sin", "beta_cos", "beta_sin"), padded):
+        padded[1][0] = padded[3][0] = 0.0
+        for name, a in zip(_COEFFICIENTS, padded):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -72,8 +71,7 @@ class PeriodicCurve:
         if not isinstance(other, PeriodicCurve):
             return NotImplemented
         return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name in ("alpha_cos", "alpha_sin",
-                                "beta_cos", "beta_sin"))
+                   for name in _COEFFICIENTS)
 
     def reverse(self) -> "PeriodicCurve":
         """The curve u -> gamma(-u): sine coefficients change sign."""
@@ -93,20 +91,14 @@ class PeriodicCurve:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_cos": self.alpha_cos.tolist(),
-            "alpha_sin": self.alpha_sin.tolist(),
-            "beta_cos": self.beta_cos.tolist(),
-            "beta_sin": self.beta_sin.tolist(),
-        }
+        return {name: getattr(self, name).tolist() for name in _COEFFICIENTS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PeriodicCurve":
         if not isinstance(data, dict):
             raise ValidationError(f"curve literal must be an object, got {data!r}")
         try:
-            return cls(data["alpha_cos"], data["alpha_sin"],
-                       data["beta_cos"], data["beta_sin"])
+            return cls(*(data[name] for name in _COEFFICIENTS))
         except KeyError as missing:
             raise ValidationError(f"curve literal is missing key {missing}") from None
 
@@ -370,12 +362,18 @@ def classify_curve(curve: PeriodicCurve) -> CurveReport:
     )
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def fit_curve(alpha_samples, beta_samples, degree: int) -> PeriodicCurve:
     """Least-squares Fourier fit from uniform periodic samples.
 
     With uniformly spaced samples the projection is a plain rFFT
     truncation; ``degree`` must leave the kept modes below Nyquist.
     """
+    if not (_is_count(degree) and degree >= 0):
+        raise ValidationError(f"degree must be an integer >= 0, got {degree!r}")
     alpha_samples = np.asarray(alpha_samples, dtype=float)
     beta_samples = np.asarray(beta_samples, dtype=float)
     n = alpha_samples.size

@@ -8,13 +8,14 @@ Review 46, 2004), recovers the boundary values.  The circles sit at
 Chebyshev points of the first kind on the lowest eighth of the covered
 band, nearest the answer (Trefethen, Approximation Theory and
 Approximation Practice, ch. 5, 8).  Samplers are plain callables
-(r, thetas) -> (p, q); one interpolates a reconstructed GraphPatch,
-spectrally along each level and by the cubic Hermite interpolant in
-radius between levels, with the slopes the patch's Hessian gives; the
-other is the closed form of the radial reference, used as an oracle.  The
-fit keeps the modes the extrapolated samples resolve.  Recovered curves
-are judged by ``hausdorff_distance``, which for the strictly convex curves
-of the class M2 is the largest gap between support functions.
+(radii, thetas) -> (p, q) of shape (radii, thetas); one interpolates a
+reconstructed GraphPatch, spectrally along each level and by the cubic
+Hermite interpolant in radius between levels, with the slopes the
+patch's Hessian gives; the other is the closed form of the radial
+reference, used as an oracle.  The fit keeps the modes the extrapolated
+samples resolve.  Recovered curves are judged by ``hausdorff_distance``,
+which for the strictly convex curves of the class M2 is the largest gap
+between support functions.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .curves import (
     PeriodicCurve,
     _eval_running,
     _eval_uniform,
+    _is_count,
     _running_basis,
     _series,
     _tangent_steps,
@@ -90,19 +92,26 @@ def geometric_radii(r0: float, count: int = 5) -> tuple:
     return tuple(r0 * 0.5 ** k for k in range(count))
 
 
-def _check_radii(radii) -> tuple:
-    try:
-        radii = tuple(float(r) for r in radii)
-    except (TypeError, ValueError):
-        raise ValidationError(f"radii must be numbers, got {radii!r}") from None
-    if len(radii) < 2:
-        raise ValidationError("limit_gradient needs at least two radii")
-    if not np.isfinite(radii[0]):
+def _as_radii(radii) -> np.ndarray:
+    """radii as a 1-D float array of finite reals, else ValidationError;
+    strings, booleans and nested sequences are not numbers."""
+    values = list(radii) if np.iterable(radii) else [None]
+    if not all(_is_real(r) for r in values):
+        raise ValidationError(
+            f"radii must be numbers in a flat sequence, got {radii!r}")
+    values = np.array(values, dtype=float)
+    if not np.all(np.isfinite(values)):
         raise ValidationError(f"radii must be finite, got {radii!r}")
-    for a, b in zip(radii, radii[1:]):
-        if not (0 < b < a):
-            raise ValidationError("radii must be positive and strictly decreasing")
-    return radii
+    return values
+
+
+def _check_radii(radii) -> tuple:
+    radii = _as_radii(radii)
+    if radii.size < 2:
+        raise ValidationError("limit_gradient needs at least two radii")
+    if not (radii[-1] > 0 and np.all(np.diff(radii) < 0)):
+        raise ValidationError("radii must be positive and strictly decreasing")
+    return tuple(radii.tolist())
 
 
 #: The angles per circle of ``limit_gradient`` (and of every CLI
@@ -111,10 +120,6 @@ _N_THETA = 256
 #: The round-off of ``limit_gradient``'s samples, relative to the largest:
 #: no mode below it is resolved.
 _ROUND_OFF = 1e-14
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -139,25 +144,22 @@ class PatchSampler:
     Solving ODEs I, II.6), whose end slopes are the exact radial
     derivatives d(p, q)/drho = (r cos theta + s sin theta,
     s cos theta + t sin theta).  A patch whose r, s or t is not finite on
-    every node, or that is multivalued, raises ValidationError.  Queries
-    outside the covered band [r_lo, r_hi] raise CoverageError; the radius
-    must be a finite real number and the angles a finite 1-D array
-    (possibly empty, any real values), else ValidationError.
+    every node, or that is multivalued, raises ValidationError.  A call
+    (radii, thetas) returns p and q of shape (radii, thetas); radii outside
+    the covered band [r_lo, r_hi] raise CoverageError, and radii that are
+    not finite reals or angles that are not a finite 1-D array (either
+    may be empty) ValidationError.
 
-    Everything that depends only on the patch is built once here: the
-    angle tables of all levels (angles in increasing order, rho at them,
-    and u at them through the node order; the patch's own tables when
+    Everything that depends only on the patch is built once here, and no
+    call changes it: the angle tables of all levels (angles in increasing
+    order, rho and u at them; the patch's own tables when
     ``reconstruct_graph`` made them), du/dtheta at every node, and the
-    complex interpolant coefficients of x, y, p, q, r, s and t.  The
-    bracket table of radii at the query angles is kept for the last angle
-    set, since ``limit_gradient`` asks for every radius at the same
-    angles, and built only up to the last level that can lie within the
-    query radius.  A call sorts its (angle, level) pairs, both brackets of
-    every angle, by level and solves them in one pass that works once per
-    run of same-level pairs: one search of the level's angle table for the
-    guess, and per Newton step one product that broadcasts the level's
-    coefficient rows against each pair's basis row.  Each pair still gets a
-    product of its own, so no pair's bits depend on the others.
+    complex interpolant coefficients of x, y, p, q, r, s and t.  A call
+    sorts the (angle, level) pairs of the brackets of all its radii by level
+    and works once per run of same-level pairs: one search of the level's
+    angle table for the guess, and per Newton step the run's basis e^{iku}
+    and one product that broadcasts the level's coefficient rows against
+    each pair's basis row, so no pair's bits depend on the others.
     """
 
     def __init__(self, patch: GraphPatch):
@@ -197,7 +199,6 @@ class PatchSampler:
         turn = np.where(u[:, :1] < u[:, -1:], 2.0 * np.pi, -2.0 * np.pi)
         self._u = np.concatenate([u, u[:, :1] + turn], axis=-1)
         self._rho_min = np.min(self._tables[1], axis=1)
-        self._rho_memo = (None, None)
         query = np.linspace(-np.pi, np.pi, 720, endpoint=False)
         inner, outer = _radii_at(self._tables, query, [0, -1])
         self.r_lo, self.r_hi = float(np.max(inner)), float(np.min(outer))
@@ -227,16 +228,19 @@ class PatchSampler:
         return np.where(tq < t1, _hermite((tq - t0) / h, u[j], u[j + 1], m0, m1),
                         u[j + 1])
 
-    def _sums(self, basis: np.ndarray, runs, rows: slice) -> np.ndarray:
-        """The coefficient rows ``rows`` summed at each pair's basis row,
-        (rows, pairs); run (level, a, b) reads pairs a:b on that level."""
+    def _sums(self, u: np.ndarray, runs, *rows: slice) -> list:
+        """Per slice of ``rows``, those coefficient rows summed at each
+        pair's e^{iku}, (rows, pairs); run (level, a, b) reads pairs a:b on
+        that level, and builds the basis of those pairs alone."""
         # Broadcasting the level's rows gives each pair a (1, modes) @
         # (modes, rows) product of its own, with no copy of the rows.
-        sums = np.empty((basis.shape[0], 1, rows.stop - rows.start), dtype=complex)
+        sums = [np.empty((u.size, 1, r.stop - r.start), dtype=complex)
+                for r in rows]
         for level, a, b in runs:
-            np.matmul(basis[a:b, None, :], self._coef[level, rows].T,
-                      out=sums[a:b])
-        return sums[:, 0].T.real
+            basis = _running_basis(u[a:b], self._coef.shape[-1])[:, None, :]
+            for out, r in zip(sums, rows):
+                np.matmul(basis, self._coef[level, r].T, out=out[a:b])
+        return [s[:, 0].T.real for s in sums]
 
     def _solve(self, levels: np.ndarray, theta_q: np.ndarray):
         """(rho, p, q, r, s, t) where level levels[i] meets angle theta_q[i],
@@ -250,70 +254,57 @@ class PatchSampler:
         u = np.empty(theta_q.size)
         for level, a, b in runs:
             u[a:b] = self._guess(level, theta_q[a:b])
-        n_modes = self._coef.shape[-1]
         for _ in range(2):
-            dx, dy, x, y = self._sums(_running_basis(u, n_modes), runs,
-                                      slice(0, 4))
+            dx, dy, x, y = self._sums(u, runs, slice(0, 4))[0]
             f = np.arctan2(y, x) - theta_q
             f = (f + np.pi) % (2.0 * np.pi) - np.pi
             dtheta = (x * dy - y * dx) / (x * x + y * y)
             u = u - f / dtheta
-        basis = _running_basis(u, n_modes)
-        x, y = self._sums(basis, runs, slice(2, 4))
-        return (np.hypot(x, y), *self._sums(basis, runs, slice(4, 9)))
+        (x, y), rest = self._sums(u, runs, slice(2, 4), slice(4, 9))
+        return (np.hypot(x, y), *rest)
 
-    def _brackets(self, r: float, thetas: np.ndarray) -> np.ndarray:
-        """Per angle, the level k with rho_k <= r < rho_{k+1}, clipped: nested
-        levels make each column of the radius table increase.
+    def _brackets(self, radii: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """Per radius r and angle, the level k with rho_k <= r < rho_{k+1},
+        clipped: nested levels make each column of the radius table increase.
 
-        The table at the last angle set is kept, and grown only to the last
-        level whose smallest tabled radius is <= r.  Its rho at any angle
-        interpolates the table, so every later level lies beyond r at every
-        angle and adds nothing to a count; the margin covers the rounding of
-        the interpolation.
+        The table runs to the last level whose smallest tabled radius is
+        <= the largest r.  Its rho at any angle interpolates the table, so
+        every later level lies beyond every r at every angle and adds nothing
+        to a count; the margin covers the rounding of the interpolation.
         """
-        key = thetas.tobytes()
-        if self._rho_memo[0] != key:
-            self._rho_memo = (key, np.empty((0, thetas.size)))
-        rho = self._rho_memo[1]
-        reach = 1 + int(np.max(np.flatnonzero(self._rho_min <= r + 1e-12 * r),
+        top = np.max(radii, initial=0.0)
+        reach = 1 + int(np.max(np.flatnonzero(self._rho_min <= top + 1e-12 * top),
                                initial=-1))
-        if rho.shape[0] < reach:
-            rho = np.concatenate(
-                [rho, _radii_at(self._tables, thetas, slice(rho.shape[0], reach))])
-            self._rho_memo = (key, rho)
-        return np.clip(np.count_nonzero(rho[:reach] <= r, axis=0) - 1,
+        rho = _radii_at(self._tables, thetas, slice(0, reach))
+        return np.clip(np.count_nonzero(rho <= radii[:, None, None], axis=1) - 1,
                        0, self._coef.shape[0] - 2)
 
-    def __call__(self, r: float, thetas: np.ndarray):
-        if not (_is_real(r) and np.isfinite(r)):
-            raise ValidationError(
-                f"sampler radius must be a finite real number, got {r!r}")
-        r = float(r)
-        if not (self.r_lo - 1e-12 <= r <= self.r_hi + 1e-12):
-            raise CoverageError(
-                f"radius {r:.6g} outside covered band "
-                f"[{self.r_lo:.6g}, {self.r_hi:.6g}]")
+    def __call__(self, radii, thetas: np.ndarray):
+        radii = _as_radii(radii)
+        outside = radii[(radii < self.r_lo - 1e-12) | (radii > self.r_hi + 1e-12)]
+        if outside.size:
+            raise CoverageError(f"radius {outside[0]:.6g} outside covered band "
+                                f"[{self.r_lo:.6g}, {self.r_hi:.6g}]")
         try:
             thetas = np.asarray(thetas, dtype=float)
         except (TypeError, ValueError):
             thetas = None
         if thetas is None or thetas.ndim != 1 or not np.all(np.isfinite(thetas)):
             raise ValidationError("sampler angles must be a finite 1-D array")
+        idx = self._brackets(radii, thetas)
         # One solve over the pairs (angle, level below r) and (angle, level
-        # above), sorted by level into runs.  Along the ray at theta,
-        # d(p, q)/drho = (r cos theta + s sin theta, s cos theta + t sin theta).
-        idx = self._brackets(r, thetas)
-        levels = np.concatenate([idx, idx + 1])
+        # above) of every r, sorted by level into runs.
+        levels = np.stack([idx, idx + 1]).ravel()
         order = np.argsort(levels, kind="stable")
+        angles = np.tile(thetas, 2 * radii.size)[order]
         solved = np.empty((6, levels.size))
-        solved[:, order] = self._solve(levels[order],
-                                       np.concatenate([thetas, thetas])[order])
-        rho_0, p_0, q_0, r_0, s_0, t_0 = solved[:, :thetas.size]
-        rho_1, p_1, q_1, r_1, s_1, t_1 = solved[:, thetas.size:]
+        solved[:, order] = self._solve(levels[order], angles)
+        rho_0, p_0, q_0, r_0, s_0, t_0 = solved.reshape(6, 2, *idx.shape)[:, 0]
+        rho_1, p_1, q_1, r_1, s_1, t_1 = solved.reshape(6, 2, *idx.shape)[:, 1]
         h = rho_1 - rho_0
-        w = (r - rho_0) / h
-        # The slopes in w are h d(p, q)/drho.
+        w = (radii[:, None] - rho_0) / h
+        # The slopes in w are h d(p, q)/drho, and along the ray at theta
+        # d(p, q)/drho = (r cos theta + s sin theta, s cos theta + t sin theta).
         hx, hy = h * np.cos(thetas), h * np.sin(thetas)
         return (_hermite(w, p_0, p_1, r_0 * hx + s_0 * hy, r_1 * hx + s_1 * hy),
                 _hermite(w, q_0, q_1, s_0 * hx + t_0 * hy, s_1 * hx + t_1 * hy))
@@ -348,9 +339,8 @@ def radial_reference_slope(r):
 def radial_reference_sampler():
     """Gradient sampler of the rotational solution; limit is the unit circle."""
 
-    def sample(r, thetas):
-        thetas = np.asarray(thetas, dtype=float)
-        slope = float(radial_reference_slope(r))
+    def sample(radii, thetas):
+        slope = radial_reference_slope(_as_radii(radii))[:, None]
         return slope * np.cos(thetas), slope * np.sin(thetas)
 
     return sample
@@ -385,7 +375,8 @@ def limit_gradient(sampler, radii) -> LimitGradientResult:
     error of the extrapolation (Aurentz and Trefethen, ACM TOMS 43, 2017).
 
     Args:
-        sampler: callable (r, thetas) -> (p, q) arrays.
+        sampler: callable (radii, thetas) -> (p, q), each of shape
+            (radii, thetas); it is called once, with every radius.
         radii: strictly decreasing positive radii, largest first.
 
     Returns:
@@ -396,22 +387,29 @@ def limit_gradient(sampler, radii) -> LimitGradientResult:
 
     Raises:
         CoverageError: a circle left the sampled annulus.
-        ValidationError: radii are malformed, or a sample is not finite.
+        ValidationError: malformed radii, or samples that are not two
+            finite (radii, thetas) arrays.
     """
     radii = _check_radii(radii)
     thetas = 2.0 * np.pi * np.arange(_N_THETA) / _N_THETA
-    rows = np.empty((len(radii), 2, _N_THETA))
-    for row, r in zip(rows, radii):
-        row[:] = sampler(r, thetas)
+    shape = (len(radii), _N_THETA)
+    try:
+        samples = np.array(sampler(radii, thetas), dtype=float)
+    except (TypeError, ValueError):
+        samples = None
+    if samples is None or samples.shape != (2, *shape):
+        raise ValidationError(f"the sampler must return (p, q), each of shape {shape}")
+    if not np.all(np.isfinite(samples)):
+        raise ValidationError("the sampler's samples must be finite")
     # The polynomial in rho through every radius, and through all but the
     # smallest, evaluated at rho = 0.
     nodes = np.array(radii)
-    limit = np.tensordot(_weights_at_zero(nodes), rows, 1)
-    coarse = np.tensordot(_weights_at_zero(nodes[:-1]), rows[:-1], 1)
+    limit = np.tensordot(_weights_at_zero(nodes), samples, (0, 1))
+    coarse = np.tensordot(_weights_at_zero(nodes[:-1]), samples[:, :-1], (0, 1))
     residual = float(np.max(np.abs(coarse - limit)))
     # The degree: the last mode k below Nyquist whose amplitude
     # |(a_k, b_k)| exceeds the floor, else 0.
-    floor = max(residual, _ROUND_OFF * float(np.max(np.abs(rows))))
+    floor = max(residual, _ROUND_OFF * float(np.max(np.abs(samples))))
     amplitude = np.hypot(*np.abs(_series(limit)[:, :(_N_THETA + 1) // 2]))
     degree = int(max(np.flatnonzero(amplitude > floor), default=0))
     curve = fit_curve(limit[0], limit[1], degree)

@@ -581,19 +581,19 @@ def test_roundtrip_circle_passes_both_branches(tmp_path, monkeypatch):
 
 
 def test_roundtrip_samples_the_patch_five_times(tmp_path, monkeypatch):
-    # The ladder is 5 radii, one sampler call each.
+    # The ladder is 5 radii, all in one sampler call.
     import ma_singular.extract as extract
     calls = []
 
-    def counted(self, r, thetas, _real=extract.PatchSampler.__call__):
-        calls.append(r)
-        return _real(self, r, thetas)
+    def counted(self, radii, thetas, _real=extract.PatchSampler.__call__):
+        calls.append(list(radii))
+        return _real(self, radii, thetas)
 
     monkeypatch.setattr(extract.PatchSampler, "__call__", counted)
     out = tmp_path / "run"
     assert main(["roundtrip", "--out", str(out)]) == 0
-    assert calls == read_report(out)["limit"]["radii"]
-    assert len(calls) == 5
+    assert calls == [read_report(out)["limit"]["radii"]]
+    assert len(calls[0]) == 5
 
 
 @pytest.mark.parametrize("reflected, detail", [
@@ -664,8 +664,8 @@ def test_roundtrip_recovered_curve_that_is_jordan_but_not_convex_is_eight(
     def rippled(branch_patch):
         sampler = patch_sampler(branch_patch)
 
-        def sample(r, thetas):
-            p, q = sampler(r, thetas)
+        def sample(radii, thetas):
+            p, q = sampler(radii, thetas)
             ripple = 1.0 + 0.2 * np.cos(3.0 * np.asarray(thetas))
             return ripple * p, ripple * q
 
@@ -1014,9 +1014,9 @@ def test_verify_limit_circle_is_round_off_from_five_samples(tmp_path,
     def counted(_real=cli.radial_reference_sampler):
         sample = _real()
 
-        def count(r, thetas):
-            calls.append(r)
-            return sample(r, thetas)
+        def count(radii, thetas):
+            calls.append(radii)
+            return sample(radii, thetas)
         return count
 
     monkeypatch.setattr(cli, "radial_reference_sampler", counted)
@@ -1025,14 +1025,17 @@ def test_verify_limit_circle_is_round_off_from_five_samples(tmp_path,
     # roundtrip-convex's headroom_dec reads log10(1e-6 / this distance),
     # 9.654 at 2.2e-16; 4.4e-16 would cost 0.30 dec, past its 0.25 bound.
     assert read_report(out)["oracle_errors"]["limit_circle_hausdorff"] <= 2.3e-16
-    assert len(calls) == 5
+    assert len(calls) == 1 and len(calls[0]) == 5
 
 
 def test_verify_limit_outside_m2_is_eight(tmp_path, monkeypatch):
     # The gradient of the paraboloid z = (x^2 + y^2)/2 has a point for its
     # limit, fitted at degree 0: no distance, and exit 8.
     def paraboloid_sampler():
-        return lambda r, thetas: (r * np.cos(thetas), r * np.sin(thetas))
+        def sample(radii, thetas):
+            r = np.asarray(radii)[:, None]
+            return r * np.cos(thetas), r * np.sin(thetas)
+        return sample
 
     monkeypatch.setattr(cli, "radial_reference_sampler", paraboloid_sampler)
     out = tmp_path / "run"

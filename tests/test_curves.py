@@ -1,5 +1,7 @@
 """Fourier curves, classification, and the builtin gallery."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -199,6 +201,19 @@ def test_fit_reproduces_fourier_coefficients():
 def test_fit_rejects_underresolved_degree():
     with pytest.raises(ValidationError):
         fit_curve(np.zeros(16), np.zeros(16), degree=8)
+
+
+@pytest.mark.parametrize("degree", [2.5, -1, True, np.float64(2.0), "2", None],
+                         ids=["fraction", "negative", "bool", "float", "string",
+                              "none"])
+def test_fit_rejects_a_degree_that_is_not_a_count(degree):
+    # 2.5 once failed in a slice, -1 as an empty curve, and True fitted
+    # degree 1.
+    message = f"degree must be an integer >= 0, got {degree!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        fit_curve(np.cos(U), np.sin(U), degree)
+    # numpy integers are counts.
+    assert fit_curve(np.cos(U), np.sin(U), np.int64(1)).degree == 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -38,16 +38,17 @@ def circle_sampler():
 THETAS = 2.0 * np.pi * np.arange(extract._N_THETA) / extract._N_THETA
 
 
-def paraboloid_sampler(r, thetas):
+def paraboloid_sampler(radii, thetas):
     """The gradient of z = (x^2 + y^2)/2, whose limit is a point."""
+    r = np.asarray(radii)[:, None]
     return r * np.cos(thetas), r * np.sin(thetas)
 
 
 def _values_sampler(f):
     """A sampler whose p at radius r is f(r, thetas), and q = 2 p."""
 
-    def sample(r, thetas):
-        p = f(r, thetas)
+    def sample(radii, thetas):
+        p = np.array([f(r, thetas) for r in radii])
         return p, 2.0 * p
 
     return sample
@@ -131,11 +132,10 @@ def test_geometric_radii_halve():
 
 def assert_radial_gradient(sampler, radii):
     thetas = 2.0 * np.pi * np.arange(64) / 64
-    for r in radii:
-        p, q = sampler(r, thetas)
-        slope = radial_reference_slope(r)
-        np.testing.assert_allclose(p, slope * np.cos(thetas), atol=2e-6)
-        np.testing.assert_allclose(q, slope * np.sin(thetas), atol=2e-6)
+    p, q = sampler(radii, thetas)
+    slope = radial_reference_slope(np.array(radii))[:, None]
+    np.testing.assert_allclose(p, slope * np.cos(thetas), atol=2e-6)
+    np.testing.assert_allclose(q, slope * np.sin(thetas), atol=2e-6)
 
 
 def test_sampler_matches_radial_closed_form(circle_sampler):
@@ -167,9 +167,9 @@ def test_sampler_samples_doubly_covered_remark42():
     nodes = np.flatnonzero((rho >= sampler.r_lo) & (rho <= sampler.r_hi))
     assert nodes.size > 16
     for j in nodes[::nodes.size // 8]:
-        p, q = sampler(rho[j], theta[j:j + 1])
-        assert abs(p[0] - patch.p[k, j]) < 1e-10
-        assert abs(q[0] - patch.q[k, j]) < 1e-10
+        p, q = sampler([rho[j]], theta[j:j + 1])
+        assert abs(p[0, 0] - patch.p[k, j]) < 1e-10
+        assert abs(q[0, 0] - patch.q[k, j]) < 1e-10
 
 
 def test_sampler_reuses_the_level_tables_of_reconstruction(monkeypatch):
@@ -192,9 +192,8 @@ def test_sampler_reuses_the_level_tables_of_reconstruction(monkeypatch):
     other = patch_sampler(dataclasses.replace(patch))
     assert len(calls) == 2
     thetas = np.linspace(-np.pi, np.pi, 37)
-    for r in (0.05, 0.1):
-        for got, want in zip(sampler(r, thetas), other(r, thetas)):
-            assert got.tobytes() == want.tobytes()
+    for got, want in zip(sampler((0.05, 0.1), thetas), other((0.05, 0.1), thetas)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sampler_band_matches_annulus(circle_sampler):
@@ -203,23 +202,27 @@ def test_sampler_band_matches_annulus(circle_sampler):
 
 
 def test_sampler_rejects_out_of_band_radius(circle_sampler):
-    with pytest.raises(CoverageError):
-        circle_sampler(0.5, np.zeros(4))
-    with pytest.raises(CoverageError):
-        circle_sampler(1e-4, np.zeros(4))
+    for radii in ([0.5], [1e-4], [0.1, 0.5, 0.05]):
+        with pytest.raises(CoverageError, match="radius 0.5 |radius 0.0001 "):
+            circle_sampler(radii, np.zeros(4))
 
 
-@pytest.mark.parametrize("r", [
-    None, "0.05", np.nan, np.inf, -np.inf, True, 1j, np.array([0.05, 0.06])],
-    ids=["none", "string", "nan", "inf", "-inf", "bool", "complex", "array"])
-def test_sampler_rejects_a_radius_that_is_not_a_finite_real(circle_sampler, r):
-    # The string was once sampled as 0.05, None raised a TypeError and NaN
-    # or inf a CoverageError, as if it were a radius outside the band.
-    with pytest.raises(ValidationError, match="finite real number"):
-        circle_sampler(r, np.zeros(4))
+@pytest.mark.parametrize("radii", [
+    None, ["0.05"], [np.nan], [0.05, np.inf], [-np.inf], [True], [1j],
+    np.array([[0.05, 0.06]]), 0.05, "0.05"],
+    ids=["none", "string", "nan", "inf", "-inf", "bool", "complex", "array",
+         "scalar", "text"])
+def test_sampler_rejects_a_radius_that_is_not_a_finite_real(circle_sampler,
+                                                            radii):
+    # A string was once sampled as 0.05, None raised a TypeError and NaN or
+    # inf a CoverageError, as if it were a radius outside the band.  A
+    # single number is not a sequence of radii.
+    with pytest.raises(ValidationError, match="radii must be (numbers|finite)"):
+        circle_sampler(radii, np.zeros(4))
     # Any real type is taken.
-    p, q = circle_sampler(np.float32(0.05), np.zeros(1))
-    assert p[0] == pytest.approx(float(radial_reference_slope(np.float32(0.05))))
+    p, q = circle_sampler([np.float32(0.05)], np.zeros(1))
+    assert p[0, 0] == pytest.approx(
+        float(radial_reference_slope(np.float32(0.05))))
 
 
 @pytest.mark.parametrize("thetas", [
@@ -229,19 +232,21 @@ def test_sampler_rejects_a_radius_that_is_not_a_finite_real(circle_sampler, r):
 def test_sampler_rejects_angles_that_are_not_a_finite_vector(circle_sampler,
                                                              thetas):
     with pytest.raises(ValidationError, match="finite 1-D"):
-        circle_sampler(0.1, thetas)
+        circle_sampler([0.1], thetas)
 
 
 def test_sampler_accepts_no_angles(circle_sampler):
-    # An empty call between two calls at the same angles leaves the second
-    # as the first, which reads two levels or more.
+    # Empty calls between two calls at the same angles leave the second as
+    # the first, which reads two levels or more.
     thetas = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    idx = circle_sampler._brackets(0.1, thetas)
+    idx = circle_sampler._brackets(np.array([0.1]), thetas)
     assert np.unique(np.concatenate([idx, idx + 1])).size >= 2
-    before = circle_sampler(0.1, thetas)
-    p, q = circle_sampler(0.1, np.array([]))
-    assert p.shape == (0,) and q.shape == (0,)
-    after = circle_sampler(0.1, thetas)
+    before = circle_sampler([0.1], thetas)
+    p, q = circle_sampler([0.1], np.array([]))
+    assert p.shape == (1, 0) and q.shape == (1, 0)
+    p, q = circle_sampler([], thetas)
+    assert p.shape == (0, 8) and q.shape == (0, 8)
+    after = circle_sampler([0.1], thetas)
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
@@ -281,10 +286,10 @@ def test_sampler_refuses_a_hessian_that_is_not_finite():
 def test_sampler_matches_radial_closed_form_to_round_off(circle_sampler):
     # The Hermite blend in radius with the exact slopes leaves round-off.
     thetas = 2.0 * np.pi * np.arange(256) / 256
+    radii = circle_sampler.suggest_radii()
     reference = radial_reference_sampler()
-    for r in circle_sampler.suggest_radii():
-        for got, want in zip(circle_sampler(r, thetas), reference(r, thetas)):
-            assert np.max(np.abs(got - want)) <= 1e-12, r
+    for got, want in zip(circle_sampler(radii, thetas), reference(radii, thetas)):
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def _judge_distance(curve, dv=1e-3):
@@ -351,11 +356,51 @@ def test_limit_of_paraboloid_degenerates_to_point():
 
 
 def test_limit_gradient_rejects_non_finite_samples():
-    def nan_sampler(r, thetas):
-        return np.full_like(thetas, np.nan), np.zeros_like(thetas)
+    def nan_sampler(radii, thetas):
+        shape = (len(radii), len(thetas))
+        return np.full(shape, np.nan), np.zeros(shape)
 
     with pytest.raises(ValidationError, match="must be finite"):
         limit_gradient(nan_sampler, geometric_radii(0.05, 3))
+
+
+def test_limit_gradient_rejects_infinite_samples_before_any_arithmetic():
+    # The extrapolation once met them first, and numpy warned of an
+    # invalid value in its product.
+    def inf_sampler(radii, thetas):
+        p, q = radial_reference_sampler()(radii, thetas)
+        p[1, 7] = np.inf
+        return p, q
+
+    with pytest.raises(ValidationError, match="must be finite"):
+        limit_gradient(inf_sampler, geometric_radii(0.05, 3))
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda radii, thetas: radial_reference_sampler()(radii, thetas[:3]),
+    lambda radii, thetas: radial_reference_sampler()(radii[:2], thetas),
+    lambda radii, thetas: radial_reference_sampler()(radii, thetas)[0],
+    lambda radii, thetas: (np.zeros((len(radii), 256)), np.zeros((2, 3))),
+    lambda radii, thetas: None,
+    # Written as (r, thetas) -> one circle's (p, q).
+    lambda r, thetas: (np.cos(thetas), np.sin(thetas)),
+], ids=["three-angles", "two-radii", "one-array", "ragged", "none",
+        "one-radius-per-call"])
+def test_limit_gradient_rejects_samples_of_the_wrong_shape(sampler):
+    with pytest.raises(ValidationError,
+                       match=r"must return \(p, q\), each of shape \(3, 256\)"):
+        limit_gradient(sampler, geometric_radii(0.05, 3))
+
+
+def test_limit_gradient_calls_its_sampler_once_with_every_radius():
+    calls = []
+
+    def counted(radii, thetas):
+        calls.append(radii)
+        return radial_reference_sampler()(radii, thetas)
+
+    lg = limit_gradient(counted, (0.05, 0.03, 0.02, 0.004))
+    assert calls == [lg.radii] == [(0.05, 0.03, 0.02, 0.004)]
 
 
 def test_limit_gradient_rejects_ragged_radii():
@@ -374,8 +419,11 @@ def test_limit_gradient_accepts_any_decreasing_radii():
     assert lg.radii == (0.05, 0.03, 0.02, 0.004)
 
 
-@pytest.mark.parametrize("radii", [["a", "b"], None], ids=["strings", "none"])
+@pytest.mark.parametrize("radii", [
+    ["a", "b"], None, ("0.05", "0.03", "0.02"), (2, True)],
+    ids=["strings", "none", "numeric-strings", "bool"])
 def test_limit_gradient_rejects_radii_that_are_not_numbers(radii):
+    # The numeric strings once gave the unit circle, and True was read as 1.
     with pytest.raises(ValidationError, match="radii must be numbers"):
         limit_gradient(radial_reference_sampler(), radii)
 

@@ -3,21 +3,22 @@ against brute force.
 
 The sampler builds its tables (per level the increasing angles, rho and
 u at them, the interpolant coefficients) once, from one angle analysis
-of all levels, keeps the bracket table of the last angle set, built only
-as far as the radius reaches, finds every bracket with one count over
-that table, solves for all (angle, level) pairs of a call in one Newton
-pass that works level by level over the pairs sorted by level, and
-blends each bracket's two levels by the cubic Hermite interpolant in
-radius, with the slopes the Hessian gives along the ray.  The reference
-code below analyses one level at a time, rebuilds everything on every
-call, brackets each angle with its own searchsorted, evaluates each
+of all levels.  A call tabulates rho at its angles only as far as its
+largest radius reaches, finds the bracket of every radius and angle with
+one count over that table, solves for the (angle, level) pairs
+of all its radii in one Newton pass that works level by level over the
+pairs sorted by level, and blends each bracket's two levels by the cubic
+Hermite interpolant in radius, with the slopes the Hessian gives along
+the ray.  The reference code below analyses one level at a time,
+rebuilds everything for every circle, brackets each angle with its own
+searchsorted, evaluates each
 bracket's angles (Hessian included) with cos/sin matrix products, the
 way extraction was first written, and blends with the Hermite basis
 functions.  The tables and brackets must agree bit for bit.  The sampled
 values agree to round-off (1e-13): the reference's matrix products sum a
 row differently depending on how many rows share it, so its bits are not
-a fixed point, while the sampler's row sums are, which a permuted call
-and single-angle calls check exactly.  The Hausdorff
+a fixed point, while the sampler's row sums are, which a permuted call,
+single-angle calls and single-radius calls check exactly.  The Hausdorff
 distance compares support functions; its reference is the distance between
 dense point samples of the two curves, and at a few angles the support
 functions found by a dense search polished by a scalar minimisation.
@@ -252,7 +253,12 @@ class ReferenceSampler:
         return (rho, *(reference_trig_eval(self._spec[name][k], n, u)
                        for name in ("p", "q", "r", "s", "t")))
 
-    def __call__(self, r, thetas):
+    def __call__(self, radii, thetas):
+        """(p, q), each of shape (radii, thetas), one circle at a time."""
+        p, q = np.moveaxis([self.circle(r, thetas) for r in radii], 1, 0)
+        return p, q
+
+    def circle(self, r, thetas):
         r = float(r)
         thetas = np.asarray(thetas, dtype=float)
         rho_tab = np.stack([
@@ -414,17 +420,18 @@ def test_sampler_matches_reference_bitwise(samplers, angles):
     # To round-off only: see the module docstring.
     sampler, reference = samplers
     thetas = ANGLES[angles]
-    for r in _radii(sampler):
-        p, q = sampler(r, thetas)
-        p_ref, q_ref = reference(r, thetas)
-        assert np.max(np.abs(p - p_ref), initial=0.0) <= 1e-13, r
-        assert np.max(np.abs(q - q_ref), initial=0.0) <= 1e-13, r
+    radii = _radii(sampler)
+    p, q = sampler(radii, thetas)
+    p_ref, q_ref = reference(radii, thetas)
+    for i, r in enumerate(radii):
+        assert np.max(np.abs(p[i] - p_ref[i]), initial=0.0) <= 1e-13, r
+        assert np.max(np.abs(q[i] - q_ref[i]), initial=0.0) <= 1e-13, r
 
 
 def _level_runs(sampler, r, thetas):
-    """The levels a call at r reads, one run of its (angle, level) pairs
-    each: the brackets of its angles and the levels above them."""
-    idx = sampler._brackets(r, thetas)
+    """The levels a call at r alone reads, one run of its (angle, level)
+    pairs each: the brackets of its angles and the levels above them."""
+    idx = sampler._brackets(np.array([r]), thetas)
     return np.unique(np.concatenate([idx, idx + 1])).size
 
 
@@ -437,13 +444,36 @@ def test_sampler_value_does_not_depend_on_the_other_angles(samplers, angles):
     perm = np.random.default_rng(5).permutation(thetas.size)
     assert max(_level_runs(sampler, r, thetas) for r in _radii(sampler)) >= 2
     for r in _radii(sampler):
-        p, q = sampler(r, thetas)
-        p_perm, q_perm = sampler(r, thetas[perm])
-        assert np.array_equal(p_perm, p[perm]), r
-        assert np.array_equal(q_perm, q[perm]), r
+        p, q = sampler([r], thetas)
+        p_perm, q_perm = sampler([r], thetas[perm])
+        assert np.array_equal(p_perm, p[:, perm]), r
+        assert np.array_equal(q_perm, q[:, perm]), r
         for i in range(0, thetas.size, 5):
-            p_one, q_one = sampler(r, thetas[i:i + 1])
-            assert (p_one[0], q_one[0]) == (p[i], q[i]), (r, i)
+            p_one, q_one = sampler([r], thetas[i:i + 1])
+            assert (p_one[0, 0], q_one[0, 0]) == (p[0, i], q[0, i]), (r, i)
+
+
+@pytest.mark.parametrize("order", ["decreasing", "increasing", "shuffled"])
+@pytest.mark.parametrize("angles", sorted(ANGLES))
+def test_sampler_value_does_not_depend_on_the_other_radii(samplers, angles,
+                                                          order):
+    # Row i of a call at many radii is a call at radii[i] alone, bit for
+    # bit, though the call brackets every radius over one radius table and
+    # solves the pairs of all of them together.  r_hi reaches every level.
+    sampler, _ = samplers
+    thetas = ANGLES[angles]
+    radii = sorted(_radii(sampler) + (sampler.r_hi,), reverse=True)
+    if order == "increasing":
+        radii = radii[::-1]
+    elif order == "shuffled":
+        radii = list(np.random.default_rng(7).permutation(radii))
+    assert np.all(sampler._rho_min <= sampler.r_hi)
+    p, q = sampler(radii, thetas)
+    assert p.shape == q.shape == (len(radii), thetas.size)
+    for i, r in enumerate(radii):
+        p_one, q_one = sampler([r], thetas)
+        assert np.array_equal(p[i], p_one[0]), r
+        assert np.array_equal(q[i], q_one[0]), r
 
 
 @pytest.mark.parametrize("angles", sorted(ANGLES))
@@ -455,24 +485,28 @@ def test_brackets_match_searchsorted_loop(samplers, angles):
     thetas = ANGLES[angles]
     rho_tab = _radii_at(sampler._tables, thetas)
     assert np.all(np.diff(rho_tab, axis=0) > 0)
-    for r in _radii(sampler) + (0.5 * sampler.r_lo, 2.0 * sampler.r_hi):
-        got = sampler._brackets(r, thetas)
-        assert np.array_equal(got, reference_brackets(rho_tab, r)), r
+    radii = _radii(sampler) + (0.5 * sampler.r_lo, 2.0 * sampler.r_hi)
+    together = sampler._brackets(np.array(radii), thetas)
+    for i, r in enumerate(radii):
+        want = reference_brackets(rho_tab, r)
+        assert np.array_equal(sampler._brackets(np.array([r]), thetas)[0], want), r
+        assert np.array_equal(together[i], want), r
 
 
 def test_sampler_at_two_angle_sets_in_turn_matches_fresh_samplers():
-    # The bracket table is kept for the last angle set only; switching
-    # sets, and coming back, must give exactly what a new sampler gives.
+    # A sampler keeps nothing from one call to the next: switching angle
+    # sets and radii, and coming back, must give exactly what a new sampler
+    # gives.
     patch = _patch(CONVEX)
     sampler = patch_sampler(patch)
     ladder = sampler.suggest_radii()
     uniform, unsorted = ANGLES["uniform"], ANGLES["unsorted"]
-    for r, thetas in ((ladder[0], uniform), (ladder[1], unsorted),
-                      (ladder[1], uniform), (ladder[2], uniform.copy()),
-                      (ladder[0], unsorted), (ladder[2], unsorted[:40])):
-        p, q = sampler(r, thetas)
-        p_new, q_new = patch_sampler(patch)(r, thetas)
-        assert np.array_equal(p, p_new) and np.array_equal(q, q_new), r
+    for radii, thetas in ((ladder[:1], uniform), (ladder[1:2], unsorted),
+                          (ladder[1:2], uniform), (ladder[2:], uniform.copy()),
+                          (ladder, unsorted), (ladder[2:3], unsorted[:40])):
+        p, q = sampler(radii, thetas)
+        p_new, q_new = patch_sampler(patch)(radii, thetas)
+        assert np.array_equal(p, p_new) and np.array_equal(q, q_new), radii
 
 
 # ---------------------------------------------------------------------------
@@ -843,11 +877,11 @@ def test_reflected_sampler_reads_the_direct_one_half_a_turn_on(curve, field):
     direct = patch_sampler(patch)
     reflected = patch_sampler(reflect_solution(patch))
     thetas = np.concatenate(list(ANGLES.values()))
-    for r in direct.suggest_radii():
-        p, q = direct(r, thetas + np.pi)
-        p_ref, q_ref = reflected(r, thetas)
-        assert np.max(np.abs(p_ref - p)) <= 1e-14, r
-        assert np.max(np.abs(q_ref - q)) <= 1e-14, r
+    radii = direct.suggest_radii()
+    p, q = direct(radii, thetas + np.pi)
+    p_ref, q_ref = reflected(radii, thetas)
+    assert np.max(np.abs(p_ref - p)) <= 1e-14
+    assert np.max(np.abs(q_ref - q)) <= 1e-14
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
